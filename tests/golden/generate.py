@@ -17,8 +17,10 @@ float noise across numpy builds.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+import tempfile
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -204,6 +206,115 @@ def fig2_series_golden() -> dict:
     return obs.series.summary()
 
 
+#: The two chaos-matrix cells whose on-vs-off byte identity
+#: ``tests/obs/test_series.py`` checks, and whose exports ``fig2_exports``
+#: pins: (approach, fault kind).
+CHAOS_CELLS = (("our-approach", "link-degraded"), ("precopy", "slow-disk"))
+
+
+def run_chaos_cell(approach: str, kind: str, obs=None):
+    """One chaos-matrix cell (the tests/faults geometry, shrunk), with
+    ``obs`` installed when given.
+
+    Returns ``(digest, meter)``: everything the simulation computed that
+    must not depend on observability, and the cell's TrafficMeter.
+    """
+    from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
+    from repro.core.config import MigrationConfig
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+    from repro.simkernel import Environment
+    from repro.workloads.synthetic import PacedReader, RandomWriter
+
+    mb = 2**20
+    spec = dict(
+        n_nodes=4, nic_bw=100e6, backplane_bw=None, latency=1e-4,
+        disk_bw=55e6, disk_cache_bytes=2 * 2**30, chunk_size=1 * mb,
+        image_size=256 * mb, base_allocated=64 * mb, repo_replication=2,
+    )
+    fault = (FaultSpec("link-degrade", "node1", at=1.3, duration=8.0,
+                       severity=0.2)
+             if kind == "link-degraded" else
+             FaultSpec("slow-disk", "node1", at=1.3, duration=8.0,
+                       severity=0.1))
+    plan = FaultPlan(faults=[fault], chunk_timeout=8.0, retry_max=6,
+                     retry_backoff=0.25, migration_timeout=90.0,
+                     horizon=600.0)
+    env = Environment()
+    if obs is not None:
+        obs.install(env)
+    cluster = Cluster(env, ClusterSpec(**spec))
+    config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
+    cloud = CloudMiddleware(cluster, config=config)
+    vm = cloud.deploy("vm0", cluster.node(0), approach=approach,
+                      memory_size=256 * mb, working_set=64 * mb)
+    RandomWriter(vm, total_bytes=160 * mb, rate=12e6, op_size=2 * mb,
+                 region_offset=0, region_size=96 * mb, seed=7).start()
+    PacedReader(vm, total_bytes=64 * mb, rate=6e6, op_size=2 * mb,
+                region_offset=96 * mb, region_size=64 * mb, seed=11).start()
+    FaultInjector(env, cluster, plan).start()
+    out = {}
+
+    def migrator():
+        yield env.timeout(1.0)
+        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+    env.process(migrator())
+    env.run(until=plan.horizon)
+    record = out.get("record")
+    assert record is not None, f"{approach} under {kind} hung"
+    digest = {
+        "record": repr(record),
+        "versions": vm.manager.chunks.version.tolist(),
+        "clock": vm.content_clock.tolist(),
+        "traffic": dict(cluster.fabric.meter.by_tag()),
+    }
+    return digest, cluster.fabric.meter
+
+
+def _export_digests(obs) -> dict:
+    """sha256 and size of every file ``obs.write`` produces."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: pathlib.Path(tmp) / f"{kind}.json"
+                 for kind in ("trace", "metrics", "series")}
+        obs.write(trace_path=paths["trace"], metrics_path=paths["metrics"],
+                  series_path=paths["series"])
+        return {
+            kind: {"bytes": len(data),
+                   "sha256": hashlib.sha256(data).hexdigest()}
+            for kind, path in paths.items() if path.exists()
+            for data in (path.read_bytes(),)
+        }
+
+
+def fig2_exports_golden() -> dict:
+    """Digests of the raw exports: trace, metrics dump, series doc.
+
+    The other goldens pin what the analyzers *derive* from a trace; this
+    one pins the exported bytes themselves — every trace instant
+    (``process.start``, ``push.hot_exclusion``, ``flow.cancelled``, ...)
+    and every metric — so moving the code that emits them cannot change
+    them unnoticed.  The fig2 run records everything at once (the
+    equivalent of ``repro fig2 --trace-detail full --causal
+    --metrics-out --series-out``); the two chaos cells add the fault
+    paths.  Generated on the fast kernel: the series ``kernel.*``
+    gauges are scheduler introspection and differ by design.
+    """
+    from repro.experiments.fig2 import run_fig2
+    from repro.obs import Observability
+    from repro.simkernel import kernel_scope
+
+    out = {}
+    with kernel_scope("fast"):
+        obs = Observability(detail="full", causal=True, series=True)
+        run_fig2("our-approach", seed=0, obs=obs)
+        out["fig2"] = _export_digests(obs)
+        for approach, kind in CHAOS_CELLS:
+            obs = Observability()
+            run_chaos_cell(approach, kind, obs)
+            out[f"chaos/{approach}/{kind}"] = _export_digests(obs)
+    return out
+
+
 def _diff_fixture(name_a: str, name_b: str) -> dict:
     """Diff two already-generated summary fixtures (committed inputs ->
     committed output, exactly what CI's diff-smoke job replays)."""
@@ -235,6 +346,7 @@ GOLDENS = {
     "fig2_summary_reference": fig2_summary_reference_golden,
     "fig2_summary_precopy": fig2_summary_precopy_golden,
     "fig2_series": fig2_series_golden,
+    "fig2_exports": fig2_exports_golden,
     "fig2_diff_kernels": fig2_diff_kernels_golden,
     "fig2_diff_precopy": fig2_diff_precopy_golden,
 }

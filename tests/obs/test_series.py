@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.config import MigrationConfig
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
-from repro.obs.registry import MetricsRegistry
 from repro.obs.series import (
     NULL_SERIES,
     SCHEMA,
@@ -49,8 +48,13 @@ from repro.obs.series import (
 )
 from repro.obs.series.agg import rates_from_cumulative
 from repro.simkernel import Environment
-from repro.workloads.synthetic import PacedReader, RandomWriter
-from tests.golden.generate import FIXTURES, canonical_json
+from repro.workloads.synthetic import RandomWriter
+from tests.golden.generate import (
+    CHAOS_CELLS,
+    FIXTURES,
+    canonical_json,
+    run_chaos_cell,
+)
 
 MB = 2**20
 
@@ -127,10 +131,7 @@ class TestByteIdentity:
         assert canonical_json(doc) == (FIXTURES / f"{name}.json").read_text()
         assert obs.series.summary()["runs"], "the probes never fired"
 
-    @pytest.mark.parametrize("approach,kind", [
-        ("our-approach", "link-degraded"),
-        ("precopy", "slow-disk"),
-    ])
+    @pytest.mark.parametrize("approach,kind", CHAOS_CELLS)
     def test_chaos_cells_identical_on_vs_off(self, approach, kind):
         plain = _run_chaos_cell(approach, kind, series=False)[0]
         recorded, obs, meter = _run_chaos_cell(approach, kind, series=True)
@@ -159,52 +160,11 @@ class TestByteIdentity:
 
 
 def _run_chaos_cell(approach, kind, series):
-    """One chaos-matrix cell (same geometry as tests/faults) with the
-    series recorder optionally installed."""
-    spec = dict(
-        n_nodes=4, nic_bw=100e6, backplane_bw=None, latency=1e-4,
-        disk_bw=55e6, disk_cache_bytes=2 * 2**30, chunk_size=1 * MB,
-        image_size=256 * MB, base_allocated=64 * MB, repo_replication=2,
-    )
-    fault = (FaultSpec("link-degrade", "node1", at=1.3, duration=8.0,
-                       severity=0.2)
-             if kind == "link-degraded" else
-             FaultSpec("slow-disk", "node1", at=1.3, duration=8.0,
-                       severity=0.1))
-    plan = FaultPlan(faults=[fault], chunk_timeout=8.0, retry_max=6,
-                     retry_backoff=0.25, migration_timeout=90.0,
-                     horizon=600.0)
-    obs = Observability(trace=False, metrics=False, series=series)
-    env = Environment()
-    obs.install(env)
-    env.metrics = MetricsRegistry()
-    cluster = Cluster(env, ClusterSpec(**spec))
-    config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
-    cloud = CloudMiddleware(cluster, config=config)
-    vm = cloud.deploy("vm0", cluster.node(0), approach=approach,
-                      memory_size=256 * MB, working_set=64 * MB)
-    RandomWriter(vm, total_bytes=160 * MB, rate=12e6, op_size=2 * MB,
-                 region_offset=0, region_size=96 * MB, seed=7).start()
-    PacedReader(vm, total_bytes=64 * MB, rate=6e6, op_size=2 * MB,
-                region_offset=96 * MB, region_size=64 * MB, seed=11).start()
-    FaultInjector(env, cluster, plan).start()
-    out = {}
-
-    def migrator():
-        yield env.timeout(1.0)
-        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
-
-    env.process(migrator())
-    env.run(until=plan.horizon)
-    record = out.get("record")
-    assert record is not None, f"{approach} under {kind} hung"
-    digest = {
-        "record": repr(record),
-        "versions": vm.manager.chunks.version.tolist(),
-        "clock": vm.content_clock.tolist(),
-        "traffic": dict(cluster.fabric.meter.by_tag()),
-    }
-    return digest, obs, cluster.fabric.meter
+    """One chaos-matrix cell with metrics on and the series recorder
+    optionally installed."""
+    obs = Observability(trace=False, metrics=True, series=series)
+    digest, meter = run_chaos_cell(approach, kind, obs)
+    return digest, obs, meter
 
 
 def _assert_fraction_conservation(doc, meter):
