@@ -41,6 +41,7 @@ import platform
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -66,11 +67,19 @@ def _peak_rss_kb() -> int | None:
     return rss // 1024 if sys.platform == "darwin" else rss
 
 
-def scenario_event_loop(quick: bool, prof):
+def _environment(obs):
+    """A fresh Environment, instrumented by ``obs`` (an Observability)
+    when one is given."""
+    env = Environment()
+    if obs is not None:
+        obs.install(env)
+    return env
+
+
+def scenario_event_loop(quick: bool, obs):
     """Ping-pong timeout chains: pure kernel overhead per event."""
     ticks = 5000 if quick else 20000
-    env = Environment()
-    env.profiler = prof
+    env = _environment(obs)
 
     def ticker():
         for _ in range(ticks):
@@ -83,13 +92,12 @@ def scenario_event_loop(quick: bool, prof):
     return env.now, env.events_processed
 
 
-def scenario_fluid_churn(quick: bool, prof):
+def scenario_fluid_churn(quick: bool, obs):
     """Arrivals/departures on one fluid resource (disk model hot path)."""
     from repro.simkernel.fluid import FluidShare
 
     ops = 1500 if quick else 3000
-    env = Environment()
-    env.profiler = prof
+    env = _environment(obs)
     share = FluidShare(env, capacity=1e6)
 
     def spawner():
@@ -103,7 +111,7 @@ def scenario_fluid_churn(quick: bool, prof):
     return share.total_bytes, env.events_processed
 
 
-def scenario_maxmin(quick: bool, prof):
+def scenario_maxmin(quick: bool, obs):
     """Incremental rate recomputation at fig4 scale (60 hosts, ~90 flows).
 
     Drives :class:`~repro.netsim.fairness.IncrementalMaxMin` the way the
@@ -134,11 +142,12 @@ def scenario_maxmin(quick: bool, prof):
         configs.append((base_srcs[keep].copy(), base_dsts[keep].copy(),
                         base_weights[keep].copy()))
     solver = IncrementalMaxMin(topo)
-    stats = {} if prof.enabled else None
+    prof = obs.profiler if obs is not None else None
+    stats = {} if prof is not None else None
     fault_every = max(rounds // 5, 1)
     total = 0.0
     rates = None
-    with prof.scope("maxmin.solve"):
+    with prof.scope("maxmin.solve") if prof is not None else nullcontext():
         for r in range(rounds):
             if r % fault_every == fault_every - 1:
                 host = topo.hosts[r % n_hosts]
@@ -147,7 +156,7 @@ def scenario_maxmin(quick: bool, prof):
             srcs, dsts, weights = configs[r % len(configs)]
             rates = solver.solve(weights, srcs, dsts, stats=stats)
             total += float(rates.sum())
-    if stats is not None:
+    if prof is not None:
         prof.count("maxmin.invocations", rounds)
         prof.count("maxmin.rounds", stats.get("rounds", 0))
         prof.count("maxmin.links_visited", stats.get("links_visited", 0))
@@ -157,7 +166,7 @@ def scenario_maxmin(quick: bool, prof):
     return total, rounds
 
 
-def scenario_migration(quick: bool, prof):
+def scenario_migration(quick: bool, obs):
     """A complete hybrid migration under write pressure."""
     from repro.cluster import CloudMiddleware, Cluster
     from repro.experiments.config import graphene_spec
@@ -165,8 +174,7 @@ def scenario_migration(quick: bool, prof):
 
     ws = (64 if quick else 256) * MB
     total = (128 if quick else 512) * MB
-    env = Environment()
-    env.profiler = prof
+    env = _environment(obs)
     cloud = CloudMiddleware(Cluster(env, graphene_spec(8)))
     vm = cloud.deploy("vm0", cloud.cluster.node(0), working_set=ws)
     SequentialWriter(
@@ -204,24 +212,24 @@ def _time_scenario(name: str, fn, quick: bool):
     all_walls)``."""
     import gc
 
-    from repro.obs.prof import NULL_PROFILER, Profiler
+    from repro.obs import Observability
 
     for _ in range(WARMUP_RUNS):
-        fn(quick, NULL_PROFILER)
+        fn(quick, None)
     runs = []
     for _ in range(TIMED_RUNS):
         # Collect leftovers from the previous run (dead Environments hold
         # large cyclic graphs) so its garbage isn't billed to this run.
         gc.collect()
         t0 = time.perf_counter()
-        _result, events = fn(quick, NULL_PROFILER)
+        _result, events = fn(quick, None)
         wall = time.perf_counter() - t0
         runs.append((wall, events))
     by_wall = sorted(runs, key=lambda r: r[0])
     wall, events = by_wall[len(by_wall) // 2]
-    prof = Profiler()
-    fn(quick, prof)
-    return wall, events, prof, [r[0] for r in runs]
+    obs = Observability(trace=False, metrics=False, profile=True)
+    fn(quick, obs)
+    return wall, events, obs.profiler, [r[0] for r in runs]
 
 
 def traced_fig2(report_path: str | None):

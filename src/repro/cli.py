@@ -134,7 +134,7 @@ def _write_obs(obs, args) -> None:
               series_path=series_out)
     written = [p for p in (args.trace, args.metrics_out, series_out) if p]
     prof_summary = None
-    if obs.profiler.enabled:
+    if obs.profiler is not None:
         from repro.obs.prof import render_profile_text, write_speedscope
 
         prof_summary = obs.profiler.summary()
@@ -144,7 +144,7 @@ def _write_obs(obs, args) -> None:
             write_speedscope(prof_summary, profile_out,
                              name=f"repro {args.command}")
             written.append(profile_out)
-    series_summary = obs.series.summary() if obs.series.enabled else None
+    series_summary = obs.series.summary() if obs.series is not None else None
     if series_summary is not None and series_out is None:
         from repro.obs.series import render_sparklines
 

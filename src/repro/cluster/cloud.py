@@ -253,14 +253,9 @@ class CloudMiddleware:
                     # The destination is (still) down; a fresh attempt
                     # would abort again without moving a byte.
                     continue
-                tr = self.env.tracer
-                if tr.enabled:
-                    tr.instant("migration.restart", cat="migration",
-                               tid=f"migration:{vm.name}",
-                               args={"attempt": n + 1})
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("migration.restarts").inc()
+                p = self.env.probe
+                if p.enabled:
+                    p.migration_restart(vm.name, n + 1)
                 record = yield one_attempt()
             return record
 

@@ -171,16 +171,9 @@ class HybridManager(MigrationManager):
         self._push_queue = ChunkQueue(np.flatnonzero(
             self.remaining & (self.chunks.write_count < self.config.threshold)
         ))
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("push.start", cat="storage",
-                       tid=f"push:{self.vm.name}",
-                       args={"remaining_chunks": int(self.remaining.sum()),
-                             "threshold": self.config.threshold})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
-                     int(self.remaining.sum()), unit="chunks")
+        p = self.env.probe
+        if p.enabled:
+            p.push_start(self.vm.name, self.remaining, self.config.threshold)
         # MIGRATION_NOTIFICATION to the destination.
         yield self.fabric.message(self.host, peer.host, tag="control",
                                   cause="control")
@@ -206,14 +199,9 @@ class HybridManager(MigrationManager):
             self.config.push_batch,
             lambda cand: remaining[cand] & (wc[cand] < threshold),
         )
-        prof = self.env.profiler
-        if prof.enabled:
-            # Work the push loop performs per wakeup: queue entries
-            # examined plus the batch it yields.  Before the incremental
-            # queue, `push_scanned` was the full bitmap size per scan.
-            prof.count("chunks.push_scans")
-            prof.count("chunks.push_scanned", examined)
-            prof.count("chunks.push_eligible", int(batch.size))
+        p = self.env.probe
+        if p.enabled:
+            p.push_scan(examined, int(batch.size))
         return batch
 
     def _background_push(self) -> Generator:
@@ -269,23 +257,10 @@ class HybridManager(MigrationManager):
             peer.vdisk.disk.touch(batch)
             peer._fate[batch] = _FATE_PUSHED
             self.stats["pushed_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
-                         int(self.remaining.sum()), unit="chunks")
-                sr.inc(f"progress.pushed:{self.vm.name}", self.env.now,
-                       int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("push.batch", t0, self.env.now, cat="storage",
-                            tid=f"push:{self.vm.name}",
-                            args={"chunks": int(batch.size),
-                                  "wire_bytes": wire})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("push.chunks").inc(int(batch.size))
-                mx.counter("push.batches").inc()
-                mx.counter("push.bytes.wire").inc(wire)
+            p = self.env.probe
+            if p.enabled:
+                p.push_batch(self.vm.name, t0, int(batch.size), wire,
+                             self.remaining)
 
     def _notify_push(self) -> None:
         if self._push_wakeup is not None and not self._push_wakeup.triggered:
@@ -304,20 +279,9 @@ class HybridManager(MigrationManager):
                 # Re-queue the still-cold chunks; hot ones are excluded
                 # for good (write counts never decrease mid-migration).
                 self._push_queue.push(span if n_hot == 0 else span[~hot])
-            if n_hot:
-                tr = self.env.tracer
-                if tr.enabled:
-                    tr.instant("push.hot_exclusion", cat="storage",
-                               tid=f"push:{self.vm.name}",
-                               args={"chunks": n_hot})
-                self.env.metrics.counter("push.hot_skipped").inc(n_hot)
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
-                         int(self.remaining.sum()), unit="chunks")
-                if n_hot:
-                    sr.inc(f"push.hot_excluded:{self.vm.name}", self.env.now,
-                           n_hot, unit="chunks")
+            p = self.env.probe
+            if p.enabled:
+                p.push_requeue(self.vm.name, self.remaining, n_hot)
             self._notify_push()
         if self.is_destination:
             self._cancel_pulls(span)
@@ -333,26 +297,10 @@ class HybridManager(MigrationManager):
         """Stop the push engine.  Writes may still be draining, so the
         remaining set is NOT snapshotted yet — ``_count_writes`` stays on
         and late writes keep re-queueing themselves (Algorithm 2)."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("push.stop", cat="storage", tid=f"push:{self.vm.name}",
-                       args={"remaining_chunks": int(self.remaining.sum())})
-        sr = self.env.series
-        if sr.enabled:
-            now = self.env.now
-            sr.gauge(f"push.remaining:{self.vm.name}", now,
-                     int(self.remaining.sum()), unit="chunks")
-            # Write-count histogram over the still-remaining set: the
-            # distribution Threshold reasons about, at the sync point.
-            wc = np.minimum(
-                self.chunks.write_count[self.remaining], _WC_CAP
-            )
-            counts = np.bincount(wc, minlength=_WC_CAP + 1)
-            sr.distribution(
-                f"dist.write_count:{self.vm.name}", now,
-                [[w, "remaining", int(n)]
-                 for w, n in enumerate(counts) if n],
-            )
+        p = self.env.probe
+        if p.enabled:
+            p.push_stop(self.vm.name, self.remaining,
+                        self._remaining_write_count_cells)
         self._push_stop = True
         self._notify_push()
         if self._push_proc is not None and self._push_proc.is_alive:
@@ -363,15 +311,9 @@ class HybridManager(MigrationManager):
         now-final remaining chunk list and write counts (Algorithm 3)."""
         self._count_writes = False
         remaining_ids = np.flatnonzero(self.remaining)
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("transfer_io_control", cat="storage",
-                       tid=f"push:{self.vm.name}",
-                       args={"remaining_chunks": int(remaining_ids.size)})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"push.remaining:{self.vm.name}", self.env.now,
-                     int(remaining_ids.size), unit="chunks")
+        p = self.env.probe
+        if p.enabled:
+            p.transfer_io_control(self.vm.name, int(remaining_ids.size))
         # The chunk list + write counts travel as a control message
         # (8 bytes of id + 8 of count per entry).
         ok = yield from self._message_attempts(
@@ -424,7 +366,9 @@ class HybridManager(MigrationManager):
         wc[chunk_ids] = write_counts
         self._pull_order_wc = wc
         self._rebuild_pull_queue(chunk_ids)
-        self._note_queue_depth(int(chunk_ids.size))
+        p = self.env.probe
+        if p.enabled:
+            p.prefetch_queue(self.vm.name, int(chunk_ids.size))
 
     def _rebuild_pull_queue(self, pending_ids: np.ndarray | None = None) -> None:
         """Materialize the prefetch order for the current pending set.
@@ -452,19 +396,6 @@ class HybridManager(MigrationManager):
         self._pull_order = pending_ids
         self._pull_pos = 0
 
-    def _note_queue_depth(self, depth: int) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.counter(f"prefetch.queue_depth:{self.vm.name}",
-                       {"chunks": depth})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.gauge("prefetch.queue_depth").set(depth)
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"pull.pending:{self.vm.name}", self.env.now, depth,
-                     unit="chunks")
-
     def _start_pull(self) -> None:
         self._pull_proc = self.env.process(
             self._background_pull(), name=f"pull:{self.vm.name}"
@@ -472,15 +403,13 @@ class HybridManager(MigrationManager):
 
     def _pull_priority_batch(self) -> np.ndarray:
         """Next prefetch batch under the configured policy."""
-        prof = self.env.profiler
+        p = self.env.probe
         order = self._pull_order
         if order is None:
             # Legacy rescan, kept for the "random" ablation policy only.
             pending = np.flatnonzero(self.pull_pending)
-            if prof.enabled:
-                prof.count("chunks.pull_scans")
-                prof.count("chunks.pull_scanned", int(self.pull_pending.size))
-                prof.count("chunks.pull_pending", int(pending.size))
+            if p.enabled:
+                p.pull_scan(int(self.pull_pending.size), self.pull_pending)
             if pending.size == 0:
                 return pending
             rng = np.random.default_rng(
@@ -493,10 +422,8 @@ class HybridManager(MigrationManager):
             order, self._pull_pos, self.config.pull_batch,
             lambda cand: pull_pending[cand],
         )
-        if prof.enabled:
-            prof.count("chunks.pull_scans")
-            prof.count("chunks.pull_scanned", examined)
-            prof.count("chunks.pull_pending", int(pull_pending.sum()))
+        if p.enabled:
+            p.pull_scan(examined, pull_pending)
         return batch
 
     def _background_pull(self) -> Generator:
@@ -524,23 +451,10 @@ class HybridManager(MigrationManager):
                 # on-demand reads surface the failure loudly.
                 return
             self.stats["pulled_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.inc(f"progress.prefetched:{self.vm.name}", self.env.now,
-                       int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("prefetch.batch", t0, self.env.now, cat="storage",
-                            tid=f"pull:{self.vm.name}",
-                            args={"chunks": int(batch.size),
-                                  "max_write_count": int(
-                                      self._pull_order_wc[batch].max()
-                                  )})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("pull.prefetch.chunks").inc(int(batch.size))
-                mx.counter("pull.prefetch.batches").inc()
-            self._note_queue_depth(int(self.pull_pending.sum()))
+            p = self.env.probe
+            if p.enabled:
+                p.prefetch_batch(self.vm.name, t0, batch,
+                                 self._pull_order_wc, self.pull_pending)
         yield from self._finish_migration()
 
     def _pull(self, batch: np.ndarray, weight: float,
@@ -610,14 +524,9 @@ class HybridManager(MigrationManager):
     def _pull_failed(self, batch: np.ndarray, arrival: Event) -> None:
         """Bookkeeping for a stalled pull: re-mark the batch pending
         (except chunks overwritten locally) and release waiting reads."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("pull.stalled", cat="faults",
-                       tid=f"pull:{self.vm.name}",
-                       args={"chunks": int(batch.size)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("pull.stalled.chunks").inc(int(batch.size))
+        p = self.env.probe
+        if p.enabled:
+            p.pull_stalled(self.vm.name, int(batch.size))
         self.pull_pending[batch] = ~self._pull_cancelled[batch]
         # The cursor already passed these ids; rebuild the order so the
         # re-marked chunks are prefetched again (rare fault path).
@@ -628,11 +537,9 @@ class HybridManager(MigrationManager):
 
     def _cancel_pulls(self, span: np.ndarray) -> None:
         """Algorithm 2, destination part: a write kills the chunk's pull."""
-        mx = self.env.metrics
-        if mx.enabled:
-            killed = int(self.pull_pending[span].sum())
-            if killed:
-                mx.counter("pull.cancelled.chunks").inc(killed)
+        p = self.env.probe
+        if p.enabled:
+            p.pulls_cancelled(span, self.pull_pending)
         self._fate[span[self.pull_pending[span]]] = _FATE_CANCELLED
         self.pull_pending[span] = False
         self._pull_cancelled[span] = True
@@ -668,22 +575,9 @@ class HybridManager(MigrationManager):
                         "stalled: source unreachable after control transfer"
                     )
                 self.stats["ondemand_chunks"] += int(needed.size)
-                sr = self.env.series
-                if sr.enabled:
-                    sr.inc(f"progress.ondemand:{self.vm.name}", self.env.now,
-                           int(needed.size), unit="chunks")
-                tr = self.env.tracer
-                if tr.enabled:
-                    # Overlapping guest reads overlap their pulls: async lane.
-                    tr.async_span("pull.demand", t0, self.env.now,
-                                  cat="storage", tid=f"pull:{self.vm.name}",
-                                  args={"chunks": int(needed.size)})
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("pull.demand.chunks").inc(int(needed.size))
-                    mx.histogram("pull.demand.latency").observe(
-                        self.env.now - t0
-                    )
+                p = self.env.probe
+                if p.enabled:
+                    p.pull_demand(self.vm.name, t0, int(needed.size))
             finally:
                 self._ondemand_depth -= 1
                 if self._ondemand_depth == 0:
@@ -691,6 +585,14 @@ class HybridManager(MigrationManager):
         for ev in inflight:
             if not ev.processed:
                 yield ev
+
+    def _remaining_write_count_cells(self) -> list[list]:
+        """Write-count histogram over the remaining set, as
+        ``[write_count, "remaining", chunks]`` cells (counts at or above
+        ``_WC_CAP`` share one row)."""
+        wc = np.minimum(self.chunks.write_count[self.remaining], _WC_CAP)
+        counts = np.bincount(wc, minlength=_WC_CAP + 1)
+        return [[w, "remaining", int(n)] for w, n in enumerate(counts) if n]
 
     def _chunk_fate_cells(self, src: "HybridManager") -> list[list]:
         """Aggregate (write count × transfer fate) over transferred chunks.
@@ -715,22 +617,10 @@ class HybridManager(MigrationManager):
         """All chunks local: notify the source it can be relinquished."""
         src = self.peer
         assert src is not None
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("pull.drained", cat="storage",
-                       tid=f"pull:{self.vm.name}")
-            tr.instant("chunks.fate", cat="storage",
-                       tid=f"pull:{self.vm.name}",
-                       args={"vm": self.vm.name,
-                             "threshold": self.config.threshold,
-                             "wc_cap": _WC_CAP,
-                             "cells": self._chunk_fate_cells(src)})
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"pull.pending:{self.vm.name}", self.env.now, 0,
-                     unit="chunks")
-            sr.distribution(f"dist.chunk_fate:{self.vm.name}", self.env.now,
-                            self._chunk_fate_cells(src))
+        p = self.env.probe
+        if p.enabled:
+            p.pull_drained(self.vm.name, self.config.threshold, _WC_CAP,
+                           lambda: self._chunk_fate_cells(src))
         # Best effort: if the source is unreachable the data is all here
         # anyway; release locally so the migration record completes.
         yield from self._message_attempts(

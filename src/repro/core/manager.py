@@ -154,35 +154,21 @@ class MigrationManager:
         if proc is None or not proc.is_alive:
             return False
         self._abortable = False
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("migration.abort_requested", cat="migration",
-                       tid=f"migration:{self.vm.name}", args={"cause": cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("migration.aborts.requested").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.abort_requested(self.vm.name, cause)
         proc.interrupt(cause)
         return True
 
     def _emit_retry(self, label: str, attempt: int, delay: float) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("transfer.retry", cat="faults",
-                       tid=f"faults:{self.vm.name}",
-                       args={"label": label, "attempt": attempt,
-                             "backoff": delay})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("transfer.retries").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.transfer_retry(self.vm.name, label, attempt, delay)
 
     def _emit_timeout(self, kind: str, label: str, attempt: int) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant(kind, cat="faults", tid=f"faults:{self.vm.name}",
-                       args={"label": label, "attempt": attempt})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("transfer.timeouts").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.transfer_timeout(self.vm.name, kind, label, attempt)
 
     def _transfer_attempts(self, make_events, label: str) -> Generator:
         """Run a pipelined transfer batch under the per-batch timeout.
@@ -286,12 +272,10 @@ class MigrationManager:
                         ev = self.repo.fetch(chunk_ids, self.host, tag=tag,
                                              cause="repo.fetch")
             except RepositoryUnavailable:
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("repo.fetch.unavailable").inc()
+                p = self.env.probe
+                if p.enabled:
+                    p.repo_unavailable(gave_up=attempt >= cfg.retry_max)
                 if attempt >= cfg.retry_max:
-                    if mx.enabled:
-                        mx.counter("repo.fetch.gaveup").inc()
                     raise
                 self._emit_retry(tag, attempt, delay)
                 yield annotate(self.env, self.env.timeout(delay),
@@ -312,9 +296,9 @@ class MigrationManager:
             # Copy-on-reference: base-image chunks come from the repository
             # and land in the host page cache (write-back persists them to
             # the local disk asynchronously).
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("cor.fetch.chunks").inc(int(missing.size))
+            p = self.env.probe
+            if p.enabled:
+                p.cor_fetch(int(missing.size))
             yield from self._repo_fetch(missing)
             self.chunks.record_fetch(missing)
             self.vdisk.disk.touch(missing)
@@ -338,12 +322,9 @@ class MigrationManager:
         self.chunks.version[span] = versions
         self.vdisk.disk.touch(span)
         self.vm.note_write(nbytes)
-        sr = self.env.series
-        if sr.enabled:
-            # One probe covers every engine: the guest write rate the
-            # dirty-rate overlay in the flight report compares against.
-            sr.inc(f"writes.chunks:{self.vm.name}", self.env.now,
-                   int(span.size), unit="chunks")
+        p = self.env.probe
+        if p.enabled:
+            p.guest_write(self.vm.name, int(span.size))
         yield from self._after_write(span, nbytes)
 
     def _partial_chunks(
@@ -450,12 +431,9 @@ class MigrationManager:
         chunk_ids = np.asarray(chunk_ids, dtype=np.intp)
         newer = versions > self.chunks.version[chunk_ids]
         take = chunk_ids[newer]
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("adopt.chunks").inc(int(take.size))
-            mx.counter("adopt.stale.chunks").inc(
-                int(chunk_ids.size - take.size)
-            )
+        p = self.env.probe
+        if p.enabled:
+            p.chunks_adopted(int(take.size), int(chunk_ids.size - take.size))
         if take.size:
             self.chunks.adopt_versions(take, versions[newer])
             # Adopted content with a non-zero version diverges from the

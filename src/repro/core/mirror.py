@@ -85,28 +85,18 @@ class MirrorManager(MigrationManager):
             peer.receive_chunks(batch, versions)
             peer.vdisk.disk.touch(batch)
             self.stats["bulk_chunks"] += int(batch.size)
-            sr = self.env.series
-            if sr.enabled:
-                sr.inc(f"progress.bulk:{self.vm.name}", self.env.now,
-                       int(batch.size), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("mirror.bulk.batch", t0, self.env.now,
-                            cat="storage", tid=f"mirror:{self.vm.name}",
-                            args={"chunks": int(batch.size)})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("mirror.bulk.chunks").inc(int(batch.size))
+            p = self.env.probe
+            if p.enabled:
+                p.mirror_bulk_batch(self.vm.name, t0, int(batch.size))
 
     def _after_write(self, span: np.ndarray, nbytes: int) -> Generator:
         """Mirror the write; the guest blocks until the destination ack."""
         if not (self.is_source and self._mirroring):
             return
         self._outstanding += 1
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
-                     self._outstanding, unit="writes")
+        p = self.env.probe
+        if p.enabled:
+            p.mirror_outstanding(self.vm.name, self._outstanding)
         peer = self.peer
         try:
             versions = self.chunks.version[span].copy()
@@ -136,18 +126,12 @@ class MirrorManager(MigrationManager):
                 peer.receive_chunks(span, versions)
                 peer.vdisk.disk.touch(span)
                 self.stats["mirrored_writes"] += 1
-                if sr.enabled:
-                    sr.inc(f"progress.mirrored:{self.vm.name}", self.env.now,
-                           1, unit="writes")
-                mx = self.env.metrics
-                if mx.enabled:
-                    mx.counter("mirror.writes").inc()
-                    mx.counter("mirror.write.bytes").inc(float(nbytes))
+                if p.enabled:
+                    p.mirror_write(self.vm.name, nbytes)
         finally:
             self._outstanding -= 1
-            if sr.enabled:
-                sr.gauge(f"mirror.outstanding:{self.vm.name}", self.env.now,
-                         self._outstanding, unit="writes")
+            if p.enabled:
+                p.mirror_outstanding(self.vm.name, self._outstanding)
             if self._outstanding == 0 and self._drained is not None:
                 if not self._drained.triggered:
                     self._drained.succeed()

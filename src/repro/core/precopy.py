@@ -73,10 +73,9 @@ class PrecopyManager(MigrationManager):
         if self.config.precopy_flatten:
             self.dirty |= self.vdisk.base_allocated_mask()
         self._request_at = self.env.now
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
-                     int(self.dirty.sum()), unit="chunks")
+        p = self.env.probe
+        if p.enabled:
+            p.precopy_dirty(self.vm.name, self.dirty)
         yield self.fabric.message(self.host, peer.host, tag="control",
                                   cause="control")
         self._sync_stop = False
@@ -150,30 +149,14 @@ class PrecopyManager(MigrationManager):
                 return
             peer.receive_chunks(batch, versions)
             peer.vdisk.disk.touch(batch)
-            resent = self._sent_once[batch]
+            n_resent = int(self._sent_once[batch].sum())
             self.stats["sent_chunks"] += int(batch.size)
-            self.stats["resent_chunks"] += int(resent.sum())
+            self.stats["resent_chunks"] += n_resent
             self._sent_once[batch] = True
-            sr = self.env.series
-            if sr.enabled:
-                now = self.env.now
-                sr.gauge(f"precopy.dirty:{self.vm.name}", now,
-                         int(self.dirty.sum()), unit="chunks")
-                sr.inc(f"progress.sent:{self.vm.name}", now,
-                       int(batch.size), unit="chunks")
-                if resent.any():
-                    sr.inc(f"progress.resent:{self.vm.name}", now,
-                           int(resent.sum()), unit="chunks")
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.complete("precopy.batch", t0, self.env.now, cat="storage",
-                            tid=f"blkmig:{self.vm.name}",
-                            args={"chunks": int(batch.size),
-                                  "resent": int(resent.sum())})
-            mx = self.env.metrics
-            if mx.enabled:
-                mx.counter("precopy.sent.chunks").inc(int(batch.size))
-                mx.counter("precopy.resent.chunks").inc(int(resent.sum()))
+            p = self.env.probe
+            if p.enabled:
+                p.precopy_batch(self.vm.name, t0, int(batch.size), n_resent,
+                                self.dirty)
 
     def _notify_sync(self) -> None:
         if self._sync_wakeup is not None and not self._sync_wakeup.triggered:
@@ -185,10 +168,9 @@ class PrecopyManager(MigrationManager):
         # draining during the stop-and-copy are flushed by on_downtime.
         if self.is_source and self._sync_proc is not None:
             self.dirty[span] = True
-            sr = self.env.series
-            if sr.enabled:
-                sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now,
-                         int(self.dirty.sum()), unit="chunks")
+            p = self.env.probe
+            if p.enabled:
+                p.precopy_dirty(self.vm.name, self.dirty)
             self._notify_sync()
         return
         yield  # pragma: no cover
@@ -258,17 +240,6 @@ class PrecopyManager(MigrationManager):
         self.peer.receive_chunks(ids, versions)
         self.peer.vdisk.disk.touch(ids)
         self.stats["final_chunks"] += int(ids.size)
-        sr = self.env.series
-        if sr.enabled:
-            sr.gauge(f"precopy.dirty:{self.vm.name}", self.env.now, 0,
-                     unit="chunks")
-            sr.inc(f"progress.final:{self.vm.name}", self.env.now,
-                   int(ids.size), unit="chunks")
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.complete("precopy.final_flush", t0, self.env.now,
-                        cat="storage", tid=f"blkmig:{self.vm.name}",
-                        args={"chunks": int(ids.size)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("precopy.final.chunks").inc(int(ids.size))
+        p = self.env.probe
+        if p.enabled:
+            p.precopy_final(self.vm.name, t0, int(ids.size))

@@ -76,14 +76,9 @@ class SnapshotService:
         yield manager.vdisk.load(chunk_ids)
         yield self.repository.store(chunk_ids, manager.host,
                                     tag="repo-store", cause="repo.store")
-        tr = manager.env.tracer
-        if tr.enabled:
-            tr.complete("snapshot.take", t0, manager.env.now, cat="snapshot",
-                        tid=f"snap:{manager.vm.name}",
-                        args={"chunks": int(len(chunk_ids))})
-        mx = manager.env.metrics
-        if mx.enabled:
-            mx.counter("snapshot.take.chunks").inc(int(len(chunk_ids)))
+        p = manager.env.probe
+        if p.enabled:
+            p.snapshot_taken(manager.vm.name, t0, int(len(chunk_ids)))
         self._counter += 1
         snapshot = DiskSnapshot(
             snapshot_id=f"snap-{self._counter}",
@@ -111,15 +106,10 @@ class SnapshotService:
         t0 = manager.env.now
         yield self.repository.fetch(ids, manager.host, tag="repo-fetch",
                                     cause="repo.fetch")
-        tr = manager.env.tracer
-        if tr.enabled:
-            tr.complete("snapshot.restore", t0, manager.env.now,
-                        cat="snapshot", tid=f"snap:{manager.vm.name}",
-                        args={"snapshot": snapshot.snapshot_id,
-                              "chunks": int(len(ids))})
-        mx = manager.env.metrics
-        if mx.enabled:
-            mx.counter("snapshot.restore.chunks").inc(int(len(ids)))
+        p = manager.env.probe
+        if p.enabled:
+            p.snapshot_restored(manager.vm.name, t0, snapshot.snapshot_id,
+                                int(len(ids)))
         manager.chunks.adopt_versions(ids, snapshot.versions)
         manager.chunks.modified[ids] = True
         manager.vdisk.disk.touch(ids)

@@ -16,6 +16,7 @@ degradation metrics have their reference, and returns a
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -105,18 +106,8 @@ class ScenarioOutcome:
         return self.total_traffic(exclude=("app",))
 
 
-class _NullRunScope:
-    """Stand-in for ``Observability.run_scope`` when no obs is attached."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _scope(obs: Optional[Observability], label: str):
-    return obs.run_scope(label) if obs is not None else _NullRunScope()
+    return obs.run_scope(label) if obs is not None else nullcontext()
 
 
 def _make_cloud(

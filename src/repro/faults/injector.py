@@ -91,25 +91,9 @@ class FaultInjector:
         self._clear(spec)
 
     def _emit(self, name: str, spec: FaultSpec) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant(
-                name,
-                cat="faults",
-                tid=f"faults:{spec.target}",
-                args={
-                    "kind": spec.kind,
-                    "target": spec.target,
-                    "severity": spec.severity,
-                    "duration": spec.duration,
-                },
-            )
-        mx = self.env.metrics
-        if mx.enabled:
-            if name == "fault.inject":
-                mx.counter(f"faults.injected.{spec.kind}").inc()
-            else:
-                mx.counter(f"faults.cleared.{spec.kind}").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.fault(name, spec)
 
     def _apply(self, spec: FaultSpec) -> None:
         topo = self.cluster.topology

@@ -120,7 +120,7 @@ class LiveMigration:
             record.memory_rounds = stats.rounds
             record.memory_bytes = stats.bytes_sent
             self._disarm(src_mgr, watchdog)
-            self._trace_record(record, stats)
+            self._report(record, stats)
             return record
 
         # Point of no return: the stop-and-copy starts, aborting is no
@@ -160,7 +160,7 @@ class LiveMigration:
         record.memory_bytes = stats.bytes_sent
         if record.released_at > record.control_at:
             record.add_phase("pull / post-control", record.control_at, env.now)
-        self._trace_record(record, stats)
+        self._report(record, stats)
         return record
 
     def _disarm(self, src_mgr, watchdog) -> None:
@@ -170,29 +170,8 @@ class LiveMigration:
         if watchdog is not None and watchdog.is_alive:
             watchdog.interrupt("migration left the pre-control phase")
 
-    def _trace_record(self, record: MigrationRecord, stats: MemoryStats) -> None:
-        """Mirror the finished record into the tracer/metrics registry."""
-        env = self.env
-        tr = env.tracer
-        if tr.enabled:
-            tid = f"migration:{record.vm}"
-            for name, start, end in record.phases:
-                tr.complete(name, start, end, cat="migration", tid=tid)
-            if record.aborted:
-                tr.instant("migration.aborted", cat="migration", tid=tid,
-                           args={"cause": record.abort_cause})
-            elif record.control_at is not None:
-                tr.instant("control-transfer", cat="migration", tid=tid,
-                           args={"downtime": record.downtime})
-        mx = env.metrics
-        if mx.enabled:
-            if record.aborted:
-                mx.counter("migration.aborted").inc()
-                return
-            mx.counter("migration.completed").inc()
-            mx.counter("migration.memory.rounds").inc(stats.rounds)
-            mx.counter("migration.memory.bytes").inc(stats.bytes_sent)
-            if record.downtime is not None:
-                mx.histogram("migration.downtime").observe(record.downtime)
-            if record.migration_time is not None:
-                mx.histogram("migration.time").observe(record.migration_time)
+    def _report(self, record: MigrationRecord, stats: MemoryStats) -> None:
+        """Report the finished record through the probe."""
+        p = self.env.probe
+        if p.enabled:
+            p.migration_record(record, stats)

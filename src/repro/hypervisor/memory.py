@@ -109,27 +109,16 @@ class PrecopyMemory:
             wire = remaining if stats.rounds == 1 else remaining / self.delta_ratio
             t0 = env.now
             yield fabric.transfer(src, dst, wire, tag="memory", cause="memory")
-            tr = env.tracer
-            if tr.enabled:
-                tr.complete("memory.round", t0, env.now, cat="memory",
-                            tid=f"migration:{vm.name}",
-                            args={"round": stats.rounds, "bytes": wire})
             dur = env.now - t0
             stats.bytes_sent += wire
             stats.round_durations.append(dur)
             if dur > 0:
                 rate = remaining / dur
             remaining = min(vm.dirty_rate * dur, vm.working_set)
-            sr = env.series
-            if sr.enabled:
-                # Per-round residual: what the next round (or the
-                # downtime flush) still has to move.
-                sr.gauge(f"mem.residual:{vm.name}", env.now, remaining,
-                         unit="B")
-                sr.gauge(f"mem.dirty_rate:{vm.name}", env.now,
-                         vm.dirty_rate, unit="B/s")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
-                         unit="rounds")
+            p = env.probe
+            if p.enabled:
+                p.memory_round(vm.name, t0, stats.rounds, wire, remaining,
+                               vm.dirty_rate)
         self._after_rounds(vm)
         return remaining
 
@@ -261,15 +250,8 @@ class PostcopyMemory:
         if nbytes > 0:
             t0 = env.now
             yield fabric.transfer(src, dst, nbytes, tag="memory", cause="memory")
-            tr = env.tracer
-            if tr.enabled:
-                tr.complete("memory.postcopy", t0, env.now, cat="memory",
-                            tid=f"migration:{vm.name}",
-                            args={"bytes": nbytes})
             stats.round_durations.append(env.now - t0)
             stats.bytes_sent += nbytes
-            sr = env.series
-            if sr.enabled:
-                sr.gauge(f"mem.residual:{vm.name}", env.now, 0.0, unit="B")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
-                         unit="rounds")
+            p = env.probe
+            if p.enabled:
+                p.memory_postcopy(vm.name, t0, nbytes, stats.rounds)

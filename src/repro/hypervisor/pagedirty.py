@@ -169,16 +169,12 @@ class PageLevelPrecopyMemory:
                 rate = remaining / dur
             model.advance(dur)
             remaining = float(model.take_dirty()) * model.page_size
-            sr = env.series
-            if sr.enabled:
+            p = env.probe
+            if p.enabled:
                 # Bitmap-model residual and the closed-form unique-dirty
                 # rate (reads model state only; the rng stays untouched).
-                sr.gauge(f"mem.residual:{vm.name}", env.now, remaining,
-                         unit="B")
-                sr.gauge(f"mem.dirty_rate:{vm.name}", env.now,
-                         model.unique_dirty_rate(), unit="B/s")
-                sr.gauge(f"mem.rounds:{vm.name}", env.now, stats.rounds,
-                         unit="rounds")
+                p.memory_residual(vm.name, stats.rounds, remaining,
+                                  model.unique_dirty_rate())
         # The residual (still-dirty pages) moves during downtime.
         return float(model.dirty_bytes) if not remaining else remaining
 

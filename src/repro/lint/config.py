@@ -131,15 +131,10 @@ class LintConfig:
     )
 
     #: Final attribute segments identifying telemetry handles for the P
-    #: rules: ``sr = self.env.series`` makes ``sr`` a probe handle, and
-    #: any call rooted at a handle (or reading through one of these
+    #: rules: ``p = self.env.probe`` makes ``p`` a probe handle, and any
+    #: call rooted at a handle (or reading through one of these
     #: attributes) is sanctioned inside a probe block.
-    probe_attrs: tuple[str, ...] = (
-        "series",
-        "tracer",
-        "metrics",
-        "profiler",
-    )
+    probe_attrs: tuple[str, ...] = ("probe",)
 
     #: Layer ranks for the S rules (longest-prefix match).
     layers: dict[str, int] = field(default_factory=_default_layers)

@@ -13,8 +13,8 @@ deliberately small and deterministic:
   value expressions and merges over all defs of a name, so loops and
   branches are handled conservatively without a CFG.
 
-* **Name chains.**  :func:`attr_chain` flattens ``self.env.series``
-  into ``("self", "env", "series")`` — the currency of receiver
+* **Name chains.**  :func:`attr_chain` flattens ``self.env.probe``
+  into ``("self", "env", "probe")`` — the currency of receiver
   classification — and :func:`rooted_call_chain` extends that through
   call results (``mx.counter("x").inc()`` roots at ``mx``).
 
@@ -163,7 +163,7 @@ def collect_defs(body: list[ast.stmt]) -> dict[str, list[Def]]:
 
 
 def attr_chain(node: ast.expr) -> Optional[tuple[str, ...]]:
-    """``self.env.series`` → ``("self", "env", "series")``; None otherwise."""
+    """``self.env.probe`` → ``("self", "env", "probe")``; None otherwise."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)

@@ -1,11 +1,11 @@
 """P — probe-purity rules: telemetry blocks must be observe-only.
 
-PR 9's instrumentation idiom guards every recording site on the
-recorder's null-object flag::
+Every instrumented site reports its simulation event through the one
+probe handle, guarded on the probe's flag::
 
-    sr = self.env.series
-    if sr.enabled:
-        sr.gauge("hybrid.window_bytes", now, self._window_bytes)
+    p = self.env.probe
+    if p.enabled:
+        p.push_batch(self.vm.name, t0, int(batch.size), wire, self.remaining)
 
 The whole design rests on those blocks being *pure observers*: with
 telemetry off they are skipped entirely, so anything they do beyond
@@ -32,11 +32,10 @@ property statically, per guarded block, inside the simulation packages
     or account bytes itself — it reads the meters others wrote.
 
 A *probe handle* is any local bound from an attribute chain whose final
-segment is one of ``probe_attrs`` (``series``, ``tracer``, ``metrics``,
-``profiler``), or such a chain used directly; a *probe block* is an
-``if`` whose test reads ``.enabled`` off a handle.  Calls that root at a
-handle — including fluent ones like ``mx.counter("x").inc()`` and
-sub-recorders like ``tr.causal.record_wait(...)`` — are always allowed.
+segment is one of ``probe_attrs`` (``probe``), or such a chain used
+directly; a *probe block* is an ``if`` whose test reads ``.enabled`` off
+a handle.  Calls that root at a handle — ``p.push_batch(...)``, or a
+sub-recorder like ``p.causal.record_wait(...)`` — are always allowed.
 
 Witness paths record where the handle was bound, which guard opened the
 block, and the offending operation.
@@ -130,12 +129,20 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
                 # An alias of sim state (vm = self.vm): mutating through
                 # it inside a probe block is still a sim mutation.
                 sim_names.add(name)
+    # A local holding a handle's flag (``on = p.enabled``) guards too.
+    flags: dict[str, tuple[str, Hop]] = {}
+    for name, dlist in defs.items():
+        for d in dlist:
+            guard = (_enabled_guard(ctx, d.expr, handles)
+                     if isinstance(d.expr, ast.Attribute) else None)
+            if guard is not None:
+                flags[name] = guard
 
     out: list[Finding] = []
     for node in walk_own(fn.body):
         if not isinstance(node, ast.If):
             continue
-        guard = _enabled_guard(ctx, node.test, handles)
+        guard = _enabled_guard(ctx, node.test, handles, flags)
         if guard is None:
             continue
         handle_name, guard_hop = guard
@@ -148,9 +155,14 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
 
 
 def _enabled_guard(ctx: FileContext, test: ast.expr,
-                   handles: dict[str, Hop]) -> Optional[tuple[str, Hop]]:
-    """(handle root, guard hop) when ``test`` reads ``.enabled`` off one."""
+                   handles: dict[str, Hop],
+                   flags: Optional[dict[str, tuple[str, Hop]]] = None,
+                   ) -> Optional[tuple[str, Hop]]:
+    """(handle root, guard hop) when ``test`` reads ``.enabled`` off one,
+    directly or through a local in ``flags``."""
     for node in ast.walk(test):
+        if isinstance(node, ast.Name) and flags and node.id in flags:
+            return flags[node.id]
         if isinstance(node, ast.Attribute) and node.attr == "enabled":
             chain = attr_chain(node.value)
             if chain is not None and _probe_rooted(ctx, chain, handles):

@@ -23,7 +23,7 @@ Public surface:
 from repro.netsim.fairness import Constraint, progressive_filling
 from repro.netsim.flows import Fabric, NetFlow
 from repro.netsim.topology import Host, Topology
-from repro.netsim.traffic import TrafficMeter, TrafficSampler
+from repro.netsim.traffic import TrafficMeter
 
 __all__ = [
     "Constraint",
@@ -32,6 +32,5 @@ __all__ = [
     "NetFlow",
     "Topology",
     "TrafficMeter",
-    "TrafficSampler",
     "progressive_filling",
 ]

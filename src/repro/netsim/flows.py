@@ -108,7 +108,7 @@ class Fabric:
         self._maxmin = IncrementalMaxMin(topology)
         #: Dirty-link tracking: set when the flow set changes, checked
         #: together with ``topology.version`` so a clean ``_recompute``
-        #: (sampler-driven ``sync()``, wakeups with no completions) is a
+        #: (fault-driven ``sync()``, wakeups with no completions) is a
         #: no-op — the standing rates are still the solution.
         self._dirty = True
         self._topo_version_seen = -1
@@ -163,7 +163,7 @@ class Fabric:
         """Integrate all in-flight flows' progress up to *now*.
 
         The traffic meter is updated lazily (at flow arrivals/departures);
-        samplers call this to observe up-to-date totals mid-transfer.
+        fault hooks call this when capacities change mid-transfer.
         """
         self._advance()
         self._recompute()
@@ -235,17 +235,9 @@ class Fabric:
             # Fully partitioned link: the message is lost in transit.
             return self._black_hole(src, dst, tag, cause)
         self.meter.add(tag, nbytes, cause=cause)
-        sr = self.env.series
-        if sr.enabled:
-            sr.credit_net(tag, cause, self.env.now, nbytes)
-        tr = self.env.tracer
-        if tr.enabled and tr.verbose:
-            tr.instant(f"message:{tag}", cat="net", tid="net:control",
-                       args={"src": src.name, "dst": dst.name,
-                             "bytes": nbytes, "cause": cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter(f"net.messages.{tag}").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.net_message(tag, cause, src, dst, nbytes)
         wire = nbytes / cap
         return annotate(self.env, self.env.timeout(self.latency + wire),
                         "net.message", tag=tag, cause=cause)
@@ -269,15 +261,9 @@ class Fabric:
             return False  # crossed the finish line at the integration step
         self._flows.remove(flow)
         self._dirty = True
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flow.cancelled", cat="net", tid=f"net:{flow.tag}",
-                       args={"src": flow.src.name, "dst": flow.dst.name,
-                             "left_bytes": flow.remaining,
-                             "cause": flow.cause})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.cancelled").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.flow_cancelled(flow)
         self._recompute()
         self._reschedule()
         return True
@@ -296,13 +282,9 @@ class Fabric:
         for fl in doomed:
             self._flows.remove(fl)
         self._dirty = True
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flows.aborted", cat="net", tid="net:faults",
-                       args={"host": host.name, "count": len(doomed)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.aborted").inc(len(doomed))
+        p = self.env.probe
+        if p.enabled:
+            p.flows_aborted(host, len(doomed))
         self._recompute()
         self._reschedule()
         return len(doomed)
@@ -313,16 +295,13 @@ class Fabric:
         it never completes and moves no bytes.  The returned event stays
         pending forever — the caller's timeout/abort machinery is the
         only recovery path."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("flow.blackholed", cat="net", tid=f"net:{tag}",
-                       args={"src": src.name, "dst": dst.name,
-                             "cause": cause if cause is not None else tag})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("net.flows.blackholed").inc()
+        if cause is None:
+            cause = tag
+        p = self.env.probe
+        if p.enabled:
+            p.flow_blackholed(src, dst, tag, cause)
         return annotate(self.env, Event(self.env), "net.blackhole",
-                        tag=tag, cause=cause if cause is not None else tag)
+                        tag=tag, cause=cause)
 
     def rpc(self, src: Host, dst: Host, nbytes: float = 512,
             tag: str = "control", cause: Optional[str] = None):
@@ -337,73 +316,48 @@ class Fabric:
         self._last_update = now
         if dt <= 0 or not self._flows:
             return
-        prof = self.env.profiler
-        if prof.enabled:
-            prof.enter("fabric.advance")
-            prof.count("fabric.advances")
-            prof.count("fabric.flows_advanced", len(self._flows))
+        p = self.env.probe
+        if p.enabled:
+            p.fabric_advance(len(self._flows))
         try:
-            sr = self.env.series
             finished: list[NetFlow] = []
             for fl in self._flows:
                 moved = min(fl.rate * dt, fl.remaining)
                 fl.remaining -= moved
                 fl._accounted += moved
                 self.meter.add(fl.tag, moved, cause=fl.cause)
-                if sr.enabled:
-                    # Shadow the meter credit value-for-value so the
-                    # net.<tag> curve stays bit-identical to by_tag().
-                    sr.credit_net(fl.tag, fl.cause, now, moved)
+                if p.enabled:
+                    p.net_credit(fl.tag, fl.cause, moved)
                 if fl.remaining <= _DONE_EPS:
                     fl.remaining = 0.0
                     finished.append(fl)
             if finished:
                 self._dirty = True
-            tr = self.env.tracer
-            mx = self.env.metrics
             for fl in finished:
                 self._flows.remove(fl)
                 # Credit any residual rounding so accounting is exact.
                 if fl._accounted < fl.nbytes:
                     residual = fl.nbytes - fl._accounted
                     self.meter.add(fl.tag, residual, cause=fl.cause)
-                    if sr.enabled:
-                        sr.credit_net(fl.tag, fl.cause, now, residual)
+                    if p.enabled:
+                        p.net_credit(fl.tag, fl.cause, residual)
                     fl._accounted = fl.nbytes
-                if tr.enabled:
-                    tr.async_span(
-                        f"flow:{fl.tag}", fl.started_at, self.env.now,
-                        cat="net", tid=f"net:{fl.tag}",
-                        args={"src": fl.src.name, "dst": fl.dst.name,
-                              "bytes": fl.nbytes, "cause": fl.cause},
-                    )
-                if mx.enabled:
-                    mx.counter(f"net.flows.{fl.tag}").inc()
-                    mx.histogram("net.flow.duration").observe(
-                        self.env.now - fl.started_at
-                    )
+                if p.enabled:
+                    p.flow_done(fl)
                 fl.done.succeed(self.env.now - fl.started_at)
         finally:
-            if prof.enabled:
-                prof.exit()
+            if p.enabled:
+                p.scope_end()
 
     def _recompute(self) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            # Every reshare samples the concurrency level: a counter track
-            # Perfetto graphs directly (traffic burstiness, Section 5.4).
-            tr.counter("fabric.active_flows",
-                       {"flows": len(self._flows)})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.gauge("net.active_flows").set(len(self._flows))
-            mx.counter("net.reshares").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.fabric_reshare(len(self._flows))
         topo = self.topology
         if not self._flows:
             self._dirty = False
             self._topo_version_seen = topo.version
             return
-        prof = self.env.profiler
         if (not self._dirty and self._topo_version_seen == topo.version
                 and self.env.kernel == "fast"):
             # Same flow set, same capacities: the standing rates are still
@@ -412,15 +366,13 @@ class Fabric:
             # topology epoch by every fault hook, so skipping here can
             # never serve a stale rate — tests/faults/test_fault_
             # invalidation.py holds that line.
-            if prof.enabled:
-                prof.count("maxmin.cache_hits")
+            if p.enabled:
+                p.maxmin_cache_hit()
             return
-        stats: Optional[dict] = None
-        if prof.enabled:
-            prof.enter("fabric.recompute")
-            prof.count("maxmin.invocations")
-            prof.count("fabric.flows_touched", len(self._flows))
-            stats = {}
+        # The solver's stats out-param (kept only while profiling).
+        stats = None
+        if p.enabled:
+            stats = p.fabric_recompute(len(self._flows))
         try:
             # Coalesce same-(src, dst, traffic-class) flows into one solver
             # variable of the summed weight.  Members of such a group cross
@@ -474,46 +426,13 @@ class Fabric:
                     total_w = g_weights[gi]
                     for fl in group:
                         fl.rate = rate * (fl.weight / total_w)
-            sr = self.env.series
-            if sr.enabled:
-                self._sample_allocation(sr)
+            if p.enabled:
+                p.fabric_rates(self._flows)
             self._dirty = False
             self._topo_version_seen = topo.version
         finally:
-            if prof.enabled and stats is not None:
-                prof.count("maxmin.rounds", stats.get("rounds", 0))
-                prof.count("maxmin.links_visited",
-                           stats.get("links_visited", 0))
-                prof.count("maxmin.solves", stats.get("solves", 0))
-                prof.count("maxmin.memo_hits", stats.get("memo_hits", 0))
-                prof.exit()
-
-    def _sample_allocation(self, sr) -> None:
-        """Observe-only series probe on the just-solved max-min rates.
-
-        Samples the allocated rate per traffic tag and the utilization of
-        every NIC touched by a live flow.  Reads the solver's outputs and
-        never writes back — the probe rides the reshares that already
-        happen and schedules nothing.
-        """
-        now = self.env.now
-        by_tag: dict[str, float] = {}
-        egress: dict[Host, float] = {}
-        ingress: dict[Host, float] = {}
-        for fl in self._flows:
-            by_tag[fl.tag] = by_tag.get(fl.tag, 0.0) + fl.rate
-            egress[fl.src] = egress.get(fl.src, 0.0) + fl.rate
-            ingress[fl.dst] = ingress.get(fl.dst, 0.0) + fl.rate
-        for tag in sorted(by_tag):
-            sr.gauge(f"net.rate.{tag}", now, by_tag[tag], unit="B/s")
-        for host in sorted(egress, key=lambda h: h.name):
-            if host.nic_out > 0:
-                sr.gauge(f"link.{host.name}.out", now,
-                         egress[host] / host.nic_out, unit="util")
-        for host in sorted(ingress, key=lambda h: h.name):
-            if host.nic_in > 0:
-                sr.gauge(f"link.{host.name}.in", now,
-                         ingress[host] / host.nic_in, unit="util")
+            if stats is not None:
+                p.fabric_recompute_end(stats)
 
     def _reschedule(self) -> None:
         if not self._flows:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-__all__ = ["TrafficMeter", "TrafficSampler"]
+__all__ = ["TrafficMeter"]
 
 
 class TrafficMeter:
@@ -91,69 +91,3 @@ class TrafficMeter:
             f"{k}={v / 1e6:.1f}MB" for k, v in sorted(self.by_tag().items())
         )
         return f"<TrafficMeter {parts}>"
-
-
-class TrafficSampler:
-    """Samples a meter's per-tag totals into timelines.
-
-    Gives "traffic over time" series (the paper reports only totals, but
-    the *burstiness* argument of Section 5.4 — pvfs traffic is high yet
-    time-dispersed, precopy's is concentrated — is about exactly this).
-
-    Start with :meth:`start`; one sample lands every ``interval`` seconds
-    until ``horizon`` (or forever when ``horizon`` is None — the sampler
-    then keeps the event queue non-empty, so use a bounded ``env.run``).
-    """
-
-    def __init__(self, env, meter: TrafficMeter, interval: float = 1.0,
-                 horizon: float | None = None, fabric=None):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        from repro.metrics.timeline import Timeline
-
-        self.env = env
-        self.meter = meter
-        #: When given, the fabric is synced before every sample so the
-        #: lazily-integrated meter reflects in-flight progress.
-        self.fabric = fabric
-        self.interval = float(interval)
-        self.horizon = horizon
-        self._timeline_cls = Timeline
-        self.timelines: dict[str, "Timeline"] = {}
-        self.proc = None
-
-    def start(self):
-        if self.proc is not None:
-            raise RuntimeError("sampler already started")
-        self.proc = self.env.process(self._run(), name="traffic-sampler")
-        return self.proc
-
-    def _run(self):
-        while self.horizon is None or self.env.now < self.horizon:
-            yield self.env.timeout(self.interval)
-            if self.fabric is not None:
-                self.fabric.sync()
-            for tag, total in self.meter.by_tag().items():
-                line = self.timelines.get(tag)
-                if line is None:
-                    line = self._timeline_cls(f"traffic:{tag}")
-                    self.timelines[tag] = line
-                line.record(self.env.now, total)
-
-    def rate(self, tag: str, t_start: float | None = None,
-             t_end: float | None = None) -> float:
-        """Mean throughput of ``tag`` over a window (bytes/s)."""
-        line = self.timelines.get(tag)
-        if line is None:
-            return 0.0
-        return line.mean_rate(t_start, t_end)
-
-    def peak_rate(self, tag: str) -> float:
-        """Max per-interval throughput observed for ``tag``."""
-        line = self.timelines.get(tag)
-        if line is None or len(line) < 2:
-            return 0.0
-        import numpy as np
-
-        deltas = np.diff(line.values) / np.diff(line.times)
-        return float(deltas.max())

@@ -1,19 +1,25 @@
 """``repro.obs`` — structured tracing + metrics across the simulation stack.
 
 The simulator's layers (kernel, fabric, storage managers, hypervisor,
-repositories) are instrumented against two interfaces installed on every
-:class:`~repro.simkernel.core.Environment`:
+repositories) report every simulation event through one hook installed
+on each :class:`~repro.simkernel.core.Environment`: ``env.probe``
+(:mod:`repro.obs.probe`).  The probe renders each event into whichever
+backends are live:
 
-* ``env.tracer`` — typed span/instant/counter events stamped with
+* a :class:`Tracer` — typed span/instant/counter events stamped with
   simulation time (:mod:`repro.obs.tracer`);
-* ``env.metrics`` — named counters/gauges/histograms
-  (:mod:`repro.obs.registry`).
+* a :class:`MetricsRegistry` — named counters/gauges/histograms
+  (:mod:`repro.obs.registry`);
+* a :class:`SeriesRecorder` — time-resolved signals
+  (:mod:`repro.obs.series`);
+* a :class:`Profiler` — host wall-clock scopes and work counters
+  (:mod:`repro.obs.prof`).
 
-Both default to null implementations, so an uninstrumented run pays
-nothing.  :class:`Observability` bundles live instances, installs them
-into environments, scopes multi-run sweeps into separate trace process
-lanes and per-run metric snapshots, and writes the exports
-(:mod:`repro.obs.export`)::
+A fresh environment carries :data:`~repro.obs.probe.NULL_PROBE`, so an
+uninstrumented run pays one branch per site.  :class:`Observability`
+bundles the live backends, installs their probe into environments,
+scopes multi-run sweeps into separate trace process lanes and per-run
+metric snapshots, and writes the exports (:mod:`repro.obs.export`)::
 
     obs = Observability(detail="normal")
     outcome = run_single_migration("our-approach", obs=obs)
@@ -26,7 +32,8 @@ See ``examples/trace_a_migration.py`` for the full walkthrough and
 from __future__ import annotations
 
 import pathlib
-from typing import Optional, Union
+from contextlib import nullcontext
+from typing import ContextManager, Optional, Union
 
 from repro.obs.export import (
     chrome_trace,
@@ -36,36 +43,20 @@ from repro.obs.export import (
     write_series_json,
     write_trace,
 )
-from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler
-from repro.obs.registry import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.obs.series.core import (
-    NULL_SERIES,
-    NullSeriesRecorder,
-    SeriesRecorder,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.probe import NULL_PROBE, Probe
+from repro.obs.prof import Profiler
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.series.core import SeriesRecorder
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_PROFILER",
-    "NULL_SERIES",
-    "NULL_TRACER",
-    "NullMetricsRegistry",
-    "NullProfiler",
-    "NullSeriesRecorder",
-    "NullTracer",
+    "NULL_PROBE",
     "Observability",
+    "Probe",
     "Profiler",
     "SeriesRecorder",
     "Tracer",
@@ -78,41 +69,17 @@ __all__ = [
 ]
 
 
-class _RunScope:
-    """Context manager: one experiment run inside an Observability."""
-
-    __slots__ = ("_obs", "_label", "_pid_scope")
-
-    def __init__(self, obs: "Observability", label: str):
-        self._obs = obs
-        self._label = label
-        self._pid_scope = None
-
-    def __enter__(self) -> "_RunScope":
-        self._pid_scope = self._obs.tracer.scope(self._label)
-        self._pid_scope.__enter__()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._pid_scope.__exit__(*exc)
-        if self._obs.metrics.enabled:
-            self._obs.runs[self._label] = self._obs.metrics.snapshot()
-            self._obs.metrics.reset()
-        if self._obs.series.enabled:
-            self._obs.series.finish_run(self._label)
-        return False
-
-
 class Observability:
-    """A live tracer + metrics registry and their lifecycle plumbing.
+    """The live observability backends, their probe and its lifecycle.
 
     Parameters
     ----------
     trace:
-        Record trace events (a real :class:`Tracer`); otherwise the null
-        tracer is installed and only metrics are live.
+        Record trace events (a :class:`Tracer`); otherwise
+        :attr:`tracer` is ``None``.
     metrics:
-        Record aggregate metrics; otherwise the null registry is used.
+        Record aggregate metrics (a :class:`MetricsRegistry`); otherwise
+        :attr:`metrics` is ``None``.
     detail:
         Tracer detail level (``"normal"`` or ``"full"``, see
         :class:`Tracer`).
@@ -137,37 +104,37 @@ class Observability:
                  detail: str = "normal", causal: bool = False,
                  profile: "bool | Profiler" = False,
                  series: "bool | SeriesRecorder" = False):
-        if causal:
-            trace = True
-        self.tracer = Tracer(detail=detail) if trace else NULL_TRACER
-        if causal:
-            self.tracer.enable_causal()
-        self.metrics: MetricsRegistry | NullMetricsRegistry = (
-            MetricsRegistry() if metrics else NULL_METRICS
-        )
+        #: The live backends; a disabled one is ``None``.
+        self.tracer: Tracer | None = None
+        if trace or causal:
+            self.tracer = Tracer(detail=detail)
+            if causal:
+                self.tracer.enable_causal()
+        self.metrics = MetricsRegistry() if metrics else None
         if isinstance(profile, Profiler):
-            self.profiler: Profiler | NullProfiler = profile
+            self.profiler: Profiler | None = profile
         else:
-            self.profiler = Profiler() if profile else NULL_PROFILER
+            self.profiler = Profiler() if profile else None
         if isinstance(series, SeriesRecorder):
-            self.series: SeriesRecorder | NullSeriesRecorder = series
+            self.series: SeriesRecorder | None = series
         else:
-            self.series = SeriesRecorder() if series else NULL_SERIES
+            self.series = SeriesRecorder() if series else None
+        live = (self.tracer, self.metrics, self.series, self.profiler)
+        #: What :meth:`install` puts on ``env.probe``.
+        self.probe = (Probe(*live) if any(b is not None for b in live)
+                      else NULL_PROBE)
         #: Finished per-run metric snapshots, keyed by run label.
         self.runs: dict[str, dict] = {}
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Observability":
-        """Install tracer + registry + profiler onto ``env`` (rebinds the
-        clock)."""
-        env.tracer = self.tracer
-        env.metrics = self.metrics
-        env.profiler = self.profiler
-        env.series = self.series
-        self.tracer.bind(env)
+        """Install the probe onto ``env`` (rebinds the clock)."""
+        env.probe = self.probe
+        if self.probe.enabled:
+            self.probe.bind(env)
         return self
 
-    def run_scope(self, label: str) -> _RunScope:
+    def run_scope(self, label: str) -> ContextManager[None]:
         """Scope one experiment run.
 
         Trace events inside land in a process lane named ``label``; on exit
@@ -180,7 +147,9 @@ class Observability:
         while unique in self.runs:
             unique = f"{label}#{k}"
             k += 1
-        return _RunScope(self, unique)
+        if not self.probe.enabled:
+            return nullcontext()
+        return self.probe.run(unique, self.runs)
 
     def note_traffic(self, meter) -> None:
         """Record a TrafficMeter's final accounting for this run.
@@ -191,26 +160,14 @@ class Observability:
         instant — the analyzer's ground truth for the conservation
         check (:mod:`repro.obs.analyze.attribution`).
         """
-        if self.tracer.enabled:
-            pairs = sorted(meter.by_pair().items())
-            self.tracer.instant(
-                "traffic.snapshot", cat="net", tid="net:accounting",
-                args={"pairs": [[t, c, v] for (t, c), v in pairs]},
-            )
-        if self.series.enabled:
-            self.series.check_conservation(meter)
-        if not self.metrics.enabled:
-            return
-        for tag, nbytes in sorted(meter.by_tag().items()):
-            self.metrics.counter(f"net.bytes.{tag}").inc(nbytes)
-        for cause, nbytes in sorted(meter.by_cause().items()):
-            self.metrics.counter(f"net.cause.{cause}").inc(nbytes)
+        if self.probe.enabled:
+            self.probe.traffic_snapshot(meter)
 
     # -- output ------------------------------------------------------------
     def metrics_dump(self) -> dict:
         """All finished runs plus any still-live instruments."""
         dump: dict = {"runs": dict(self.runs)}
-        if self.metrics.enabled:
+        if self.metrics is not None:
             live = self.metrics.snapshot()
             if any(live.get(kind) for kind in
                    ("counters", "gauges", "histograms")):
@@ -222,13 +179,13 @@ class Observability:
               metrics_path: Optional[Union[str, pathlib.Path]] = None,
               series_path: Optional[Union[str, pathlib.Path]] = None) -> None:
         """Write the requested exports (trace format by file suffix)."""
-        if trace_path is not None and self.tracer.enabled:
+        if trace_path is not None and self.tracer is not None:
             write_trace(self.tracer, trace_path)
         if metrics_path is not None:
             write_metrics_json(self.metrics_dump(), metrics_path)
-        if series_path is not None and self.series.enabled:
+        if series_path is not None and self.series is not None:
             write_series_json(self.series.summary(), series_path)
 
     def __repr__(self) -> str:
-        n = len(self.tracer.events) if self.tracer.enabled else 0
+        n = len(self.tracer.events) if self.tracer is not None else 0
         return f"<Observability events={n} runs={len(self.runs)}>"

@@ -44,8 +44,8 @@ def annotate(env: "Environment", event: "Event", cls: str, **detail: Any) -> "Ev
 
     Returns the event for chaining.
     """
-    tr = getattr(env, "tracer", None)
-    if tr is not None and tr.enabled and tr.causal is not None:
+    p = getattr(env, "probe", None)
+    if p is not None and p.enabled and p.causal is not None:
         event._causal = (cls, detail)
     return event
 

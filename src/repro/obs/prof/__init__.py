@@ -28,21 +28,15 @@ Usage::
 CLI: ``repro profile [--speedscope OUT.json] [--check]`` or ``--profile``
 on any run subcommand.  See ``docs/profiling.md``.
 
-Zero overhead when off: every ``Environment`` starts with
-:data:`NULL_PROFILER`; hot paths guard on ``prof.enabled`` exactly like
-the tracer and metrics hooks.  Enabling profiling never changes
+Zero overhead when off: the scopes and counters are opened by
+``env.probe`` (:mod:`repro.obs.probe`), whose hot-path guard is one
+branch when every backend is off.  Enabling profiling never changes
 simulation output (asserted by ``tests/obs/test_prof.py``).
 """
 
 from __future__ import annotations
 
-from repro.obs.prof.core import (
-    NULL_PROFILER,
-    AnyProfiler,
-    NullProfiler,
-    ProfNode,
-    Profiler,
-)
+from repro.obs.prof.core import ProfNode, Profiler
 from repro.obs.prof.export import (
     collapsed_stacks,
     render_profile_text,
@@ -52,9 +46,6 @@ from repro.obs.prof.export import (
 )
 
 __all__ = [
-    "AnyProfiler",
-    "NULL_PROFILER",
-    "NullProfiler",
     "ProfNode",
     "Profiler",
     "collapsed_stacks",

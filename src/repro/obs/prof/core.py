@@ -1,15 +1,11 @@
 """The self-profiler proper: scoped host-time attribution + work counters.
 
-Two flavours share one API, mirroring the tracer/metrics pattern:
-
-* :class:`Profiler` attributes *host* wall-clock (``time.perf_counter``)
-  and optionally net allocations (``tracemalloc``) to a tree of named
-  scopes, and accumulates integer work counters (heap pushes, solver
-  rounds, links visited, chunk-set scans).
-* :class:`NullProfiler` is installed on every fresh
-  :class:`~repro.simkernel.core.Environment`: every method is a no-op,
-  so instrumented hot paths cost one attribute load and a predictable
-  branch when profiling is off.
+:class:`Profiler` attributes *host* wall-clock (``time.perf_counter``)
+and optionally net allocations (``tracemalloc``) to a tree of named
+scopes, and accumulates integer work counters (heap pushes, solver
+rounds, links visited, chunk-set scans).  The simulator opens scopes and
+bumps counters through ``env.probe`` (:mod:`repro.obs.probe`), which
+names them all.
 
 The scope tree records *inclusive* time (scope entry to exit) and
 *exclusive* time (inclusive minus time spent in child scopes).  Exclusive
@@ -34,7 +30,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 
-__all__ = ["NULL_PROFILER", "NullProfiler", "ProfNode", "Profiler", "AnyProfiler"]
+__all__ = ["ProfNode", "Profiler"]
 
 SCHEMA = "repro.prof/1"
 
@@ -81,53 +77,6 @@ class ProfNode:
         )
 
 
-class _NullScope:
-    """Shared no-op context manager returned by ``NullProfiler.scope``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class NullProfiler:
-    """The disabled profiler: every operation is free and side-effect free."""
-
-    __slots__ = ()
-
-    enabled = False
-    alloc = False
-
-    def enter(self, name: str) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
-
-    def scope(self, name: str) -> _NullScope:
-        return _NULL_SCOPE
-
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
-    @property
-    def counters(self) -> dict[str, int]:
-        return {}
-
-    def summary(self) -> dict:
-        return {"schema": SCHEMA, "enabled": False}
-
-
-#: The module-level singleton installed on every fresh Environment.
-NULL_PROFILER = NullProfiler()
-
-
 class _Frame:
     """One live scope activation on the profiler stack."""
 
@@ -169,8 +118,6 @@ class Profiler:
         (starts it if not already tracing).  Allocation tracking slows
         the host process noticeably; leave it off for timing runs.
     """
-
-    enabled = True
 
     def __init__(self, alloc: bool = False) -> None:
         self._roots: dict[str, ProfNode] = {}
@@ -299,6 +246,3 @@ class Profiler:
             f"counters={len(self._counters)} wall={self.total_wall_s():.6f}s>"
         )
 
-
-#: What ``Environment.profiler`` may hold.
-AnyProfiler = Profiler | NullProfiler

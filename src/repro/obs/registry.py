@@ -6,9 +6,9 @@ the registry answers *how much of it happened* — ``push.chunks``,
 ``pull.demand.latency``, ``prefetch.queue_depth`` — without requiring a
 trace post-processing step.
 
-As with tracing, a :class:`NullMetricsRegistry` is installed by default:
-its factory methods hand back shared no-op instruments, so instrumented
-code never needs a None check and pays nothing when metrics are off.
+Simulation code reports events through ``env.probe``
+(:mod:`repro.obs.probe`); the probe owns every metric name and updates
+the registry only when metrics are on.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
 ]
 
 
@@ -92,64 +90,8 @@ class Histogram:
                 "max": self.max, "mean": self.mean}
 
 
-class _NullInstrument:
-    """Accepts the whole Counter/Gauge/Histogram API and does nothing."""
-
-    __slots__ = ()
-
-    value = 0.0
-    max = 0.0
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The disabled registry: shared no-op instruments, zero allocation."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def reset(self) -> None:
-        pass
-
-
-#: Installed on every fresh Environment.
-NULL_METRICS = NullMetricsRegistry()
-
-
 class MetricsRegistry:
     """Lazily-created named instruments, one namespace per run."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}

@@ -10,7 +10,7 @@ reasons with, and the sensor inputs the ROADMAP's adaptive controllers
 Four layers:
 
 * the signal bus — :class:`~repro.obs.series.core.SeriesRecorder`
-  (null-object pair on ``Observability``, like the tracer/profiler) with
+  (one backend of ``env.probe``, like the tracer/profiler) with
   typed gauge / rate / distribution signals and fixed-bin resampling for
   bounded memory (:mod:`~repro.obs.series.core`);
 * exact conservation — the ``net.<tag>`` rate signals mirror every
@@ -47,13 +47,7 @@ from repro.obs.series.agg import (
     rolling_mean,
 )
 from repro.obs.series.conserve import integral_check, step_integral
-from repro.obs.series.core import (
-    NULL_SERIES,
-    SCHEMA,
-    AnySeries,
-    NullSeriesRecorder,
-    SeriesRecorder,
-)
+from repro.obs.series.core import SCHEMA, SeriesRecorder
 from repro.obs.series.render import (
     SeriesLoadError,
     coerce_series_doc,
@@ -64,9 +58,6 @@ from repro.obs.series.render import (
 )
 
 __all__ = [
-    "AnySeries",
-    "NULL_SERIES",
-    "NullSeriesRecorder",
     "SCHEMA",
     "SeriesLoadError",
     "SeriesRecorder",

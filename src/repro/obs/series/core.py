@@ -21,12 +21,10 @@ engines, netsim, hypervisor models and the kernel:
     format the analyzer's heatmaps use.
 
 Probe contract (enforced by tests, documented in
-``docs/observability.md``): probes piggyback on events that already
-fire, schedule nothing, and never touch simulation state — a run with
-series recording on is byte-identical to one with it off.  The recorder
-follows the tracer/metrics/profiler null-object pattern: every
-environment carries :data:`NULL_SERIES` by default, and every probe is a
-single ``enabled`` check when recording is off.
+``docs/observability.md``): the signals are written by
+:mod:`repro.obs.probe` on events that already fire; the probe schedules
+nothing and never touches simulation state — a run with series
+recording on is byte-identical to one with it off.
 """
 
 from __future__ import annotations
@@ -45,46 +43,6 @@ SCHEMA = "repro.series/1"
 #: bins merge — deterministic, and memory stays O(max_bins) per signal.
 DEFAULT_BIN_WIDTH = 0.0625
 DEFAULT_MAX_BINS = 512
-
-
-class NullSeriesRecorder:
-    """Recording disabled: every probe is a no-op.
-
-    Instances carry no state (``__slots__ = ()``) so a stray attribute
-    write fails loudly instead of silently recording nothing.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def gauge(self, name: str, t: float, value: float,
-              unit: str = "") -> None:
-        pass
-
-    def inc(self, name: str, t: float, n: float = 1.0,
-            unit: str = "count") -> None:
-        pass
-
-    def credit_net(self, tag: str, cause: str, t: float,
-                   nbytes: float) -> None:
-        pass
-
-    def distribution(self, name: str, t: float, cells: list,
-                     unit: str = "chunks") -> None:
-        pass
-
-    def check_conservation(self, meter: "TrafficMeterLike") -> None:
-        pass
-
-    def finish_run(self, label: str) -> None:
-        pass
-
-    def summary(self) -> dict:
-        return {"schema": SCHEMA, "enabled": False}
-
-
-NULL_SERIES = NullSeriesRecorder()
 
 
 class _Binned:
@@ -182,8 +140,6 @@ class SeriesRecorder:
     it when a ``run_scope`` exits, mirroring how metrics snapshots work.
     ``summary()`` then emits the deterministic ``repro.series/1`` doc.
     """
-
-    enabled = True
 
     def __init__(self, bin_width: float = DEFAULT_BIN_WIDTH,
                  max_bins: int = DEFAULT_MAX_BINS) -> None:
@@ -302,5 +258,3 @@ class SeriesRecorder:
             runs.append(self._run_doc("(unscoped)"))
         return {"schema": SCHEMA, "enabled": True, "runs": runs}
 
-
-AnySeries = SeriesRecorder | NullSeriesRecorder

@@ -1,22 +1,15 @@
 """Structured, simulation-time-stamped event tracing.
 
-Two tracer flavours share one API:
+:class:`Tracer` records typed events (spans, instants, counters, async
+spans) stamped with the simulation clock of the
+:class:`~repro.simkernel.core.Environment` it is bound to.  Events are
+stored as plain dicts already shaped like the Chrome trace-event format,
+so export (:mod:`repro.obs.export`) is a serialization step, not a
+transformation.
 
-* :class:`Tracer` records typed events (spans, instants, counters, async
-  spans) stamped with the simulation clock of the :class:`~repro.simkernel.core.Environment`
-  it is bound to.  Events are stored as plain dicts already shaped like the
-  Chrome trace-event format, so export (:mod:`repro.obs.export`) is a
-  serialization step, not a transformation.
-* :class:`NullTracer` is the default installed on every environment.  Every
-  method is a no-op returning a shared singleton, so instrumented hot paths
-  cost two attribute loads and a predictable branch when tracing is off —
-  no allocation, no simulation events, no behavioural difference.
-
-Call sites guard on :attr:`enabled` before building argument dicts::
-
-    tr = self.env.tracer
-    if tr.enabled:
-        tr.instant("push.stop", cat="storage", tid=f"push:{vm}")
+Simulation code never calls the tracer directly: it reports events
+through ``env.probe`` (:mod:`repro.obs.probe`), which renders each one
+into the tracer when tracing is on.
 
 Determinism: events are stamped with simulation time and appended in
 execution order.  Because the kernel delivers simultaneous events in a
@@ -28,66 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["NullTracer", "NULL_TRACER", "Tracer"]
+__all__ = ["Tracer"]
 
 #: Microseconds per simulated second (Chrome trace timestamps are in µs).
 _US = 1e6
-
-
-class _NullSpan:
-    """Shared no-op context manager returned by every NullTracer method."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is free and side-effect free."""
-
-    __slots__ = ()
-
-    enabled = False
-    verbose = False
-    #: Causal wait recorder (:mod:`repro.obs.causal`); ``None`` = off.
-    causal = None
-
-    def bind(self, env: Any) -> None:
-        pass
-
-    def instant(self, name: str, cat: str = "", tid: str = "main",
-                args: Optional[dict] = None) -> None:
-        pass
-
-    def complete(self, name: str, start: float, end: float, cat: str = "",
-                 tid: str = "main", args: Optional[dict] = None) -> None:
-        pass
-
-    def counter(self, name: str, values: Optional[dict] = None,
-                tid: str = "counters") -> None:
-        pass
-
-    def async_span(self, name: str, start: float, end: float, cat: str = "",
-                   tid: str = "main", args: Optional[dict] = None) -> None:
-        pass
-
-    def span(self, name: str, cat: str = "", tid: str = "main",
-             args: Optional[dict] = None) -> _NullSpan:
-        return _NULL_SPAN
-
-    def scope(self, label: str) -> _NullSpan:
-        return _NULL_SPAN
-
-
-#: The module-level singleton installed on every fresh Environment.
-NULL_TRACER = NullTracer()
 
 
 class _Span:
@@ -146,7 +83,6 @@ class Tracer:
         high-frequency kernel events (process resumes, control messages).
     """
 
-    enabled = True
     #: Causal wait recorder; ``None`` until :meth:`enable_causal`.  The
     #: kernel's resume hook checks this attribute, so recording stays free
     #: for plain traced runs.

@@ -110,17 +110,9 @@ class StripedRepository:
             best = min(replicas, key=lambda s: self._load[s])
             per_server[best] += 1
 
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("repo.fetch", cat="repo", tid="repo",
-                       args={"chunks": int(len(chunk_ids)),
-                             "stripes": len(per_server),
-                             "dest": dest.name})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("repo.fetch.chunks").inc(int(len(chunk_ids)))
-            mx.counter("repo.fetch.requests").inc()
-            mx.gauge("repo.fetch.stripe_width").set(len(per_server))
+        p = self.env.probe
+        if p.enabled:
+            p.repo_fetch(int(len(chunk_ids)), len(per_server), dest)
         transfers = []
         for sidx, count in per_server.items():
             nbytes = count * self.chunk_size
@@ -161,16 +153,9 @@ class StripedRepository:
                         f"replica server {sidx} of chunk {int(chunk)} is down"
                     )
                 per_server[sidx] += 1
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant("repo.store", cat="repo", tid="repo",
-                       args={"chunks": int(len(chunk_ids)),
-                             "stripes": len(per_server),
-                             "src": src.name})
-        mx = self.env.metrics
-        if mx.enabled:
-            mx.counter("repo.store.chunks").inc(int(len(chunk_ids)))
-            mx.counter("repo.store.requests").inc()
+        p = self.env.probe
+        if p.enabled:
+            p.repo_store(int(len(chunk_ids)), len(per_server), src)
         transfers = []
         for sidx, count in per_server.items():
             nbytes = count * self.chunk_size

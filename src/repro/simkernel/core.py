@@ -39,10 +39,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
-from repro.obs.prof.core import NULL_PROFILER, AnyProfiler
-from repro.obs.registry import NULL_METRICS
-from repro.obs.series.core import NULL_SERIES, AnySeries
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.probe import NULL_PROBE, Probe
 
 __all__ = [
     "Environment",
@@ -264,10 +261,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._wait_begin: Optional[float] = None
         self.started_at = env.now
-        tr = env.tracer
-        if tr.enabled:
-            tr.instant("process.start", cat="kernel",
-                       tid=f"proc:{self.name}")
+        p = env.probe
+        if p.enabled:
+            p.process_start(self.name)
         # Bootstrap: resume the generator at the current time.
         init = Event(env)
         init.callbacks.append(self._resume)
@@ -307,11 +303,9 @@ class Process(Event):
         self.env._schedule(event, URGENT)
 
     def _trace_finish(self, outcome: str) -> None:
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.complete(f"proc:{self.name}", self.started_at, self.env.now,
-                        cat="kernel", tid=f"proc:{self.name}",
-                        args={"outcome": outcome})
+        p = self.env.probe
+        if p.enabled:
+            p.process_finish(self.name, self.started_at, outcome)
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -319,19 +313,17 @@ class Process(Event):
             # A stale wakeup (e.g. the process was interrupted and finished
             # before its old target fired).  Nothing to do.
             return
-        tr = self.env.tracer
-        if tr.enabled and tr.verbose:
-            tr.instant("process.resume", cat="kernel", tid=f"proc:{self.name}")
-        if tr.enabled and tr.causal is not None and self._wait_begin is not None:
+        p = self.env.probe
+        if p.enabled:
             # The wait that just ended.  ``_target`` is what the process was
             # actually waiting on; on an interrupt the delivered ``event`` is
             # the interrupt carrier, but the time was still spent on
             # ``_target``, so prefer it for attribution.
-            tr.causal.record_wait(
-                self.name, self._wait_begin, self.env.now,
+            p.process_resume(
+                self.name, self._wait_begin,
                 self._target if self._target is not None else event,
             )
-        # Reset outside the tracer guard: the wait is over whether or not
+        # Reset outside the probe guard: the wait is over whether or not
         # anyone recorded it, and probe blocks must stay observe-only.
         self._wait_begin = None
         self.env._active = self
@@ -418,16 +410,11 @@ class Environment:
         self._bucket_normal: deque[tuple[int, Event]] = deque()
         self._seq = 0
         self._active: Optional[Process] = None
-        #: Observability hooks; null implementations by default (zero
-        #: overhead), replaced by ``repro.obs.Observability.install``.
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
-        #: Host-side self-profiler (``repro.obs.prof``); the null object
-        #: keeps the dispatch fast path branch-predictable when off.
-        self.profiler: AnyProfiler = NULL_PROFILER
-        #: Time-series recorder (``repro.obs.series``); observe-only
-        #: probes sample into it when enabled, no-op otherwise.
-        self.series: AnySeries = NULL_SERIES
+        #: The one instrumentation hook (``repro.obs.probe``): every
+        #: simulation event is reported through it.  ``NULL_PROBE`` (all
+        #: backends off) by default; ``repro.obs.Observability.install``
+        #: replaces it.
+        self.probe: Probe = NULL_PROBE
         #: Lifetime count of processed events; the benchmark harness
         #: (benchmarks/trajectory.py) divides by wall-clock for events/sec.
         #: Cancelled entries are skipped, not processed — they don't count.
@@ -483,12 +470,12 @@ class Environment:
             bucket = (self._bucket_urgent if priority == URGENT
                       else self._bucket_normal)
             bucket.append((self._seq, event))
-            if self.profiler.enabled:
-                self.profiler.count("kernel.bucket_push")
+            if self.probe.enabled:
+                self.probe.event_queued(now_bucket=True)
             return
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        if self.profiler.enabled:
-            self.profiler.count("kernel.heap_push")
+        if self.probe.enabled:
+            self.probe.event_queued(now_bucket=False)
 
     def _next_entry(self) -> tuple[float, Event]:
         """Pop the globally next queue entry (bucket-aware).
@@ -530,69 +517,38 @@ class Environment:
         A cancelled entry is dropped without delivering, advancing the
         clock or counting as processed — callers that loop on the queue
         re-check emptiness, so a skip is just a cheap no-op iteration.
-        """
-        if self.profiler.enabled:
-            self._step_profiled()
-            return
-        when, event = self._next_entry()
-        if event._cancelled:
-            return
-        self._now = when
-        self.events_processed += 1
-        if self.series.enabled:
-            self.series.gauge(
-                "kernel.ready", when,
-                len(self._bucket_urgent) + len(self._bucket_normal),
-                unit="events")
-            self.series.gauge("kernel.heap", when, len(self._queue),
-                              unit="events")
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(event)
-        if event._ok is False and not event.defused:
-            # An unhandled failure stops the simulation loudly: silently
-            # dropping exceptions would mask bugs in experiment code.
-            exc = event._value
-            raise exc
-
-    def _step_profiled(self) -> None:
-        """The :meth:`step` body under a ``kernel.step`` profiler scope.
-
-        Kept as a duplicate of the fast path (rather than a shared inner
-        function) so the unprofiled dispatch loop pays no extra call per
-        event.  The try/finally keeps the scope stack balanced when a
+        With the probe on, the whole step is one ``kernel.step`` profiler
+        scope; the try/finally keeps the scope stack balanced when a
         callback raises (``StopSimulation`` travels through here).
         """
-        prof = self.profiler
-        prof.enter("kernel.step")
+        probe = self.probe
+        on = probe.enabled
+        # Which queue the entry comes from, judged before the pop.
+        from_heap = on and not (self._bucket_urgent or self._bucket_normal)
+        if on:
+            probe.step_begin()
         try:
-            popped_from_heap = not (self._bucket_urgent or self._bucket_normal)
             when, event = self._next_entry()
-            prof.count("kernel.heap_pop" if popped_from_heap
-                       else "kernel.bucket_pop")
             if event._cancelled:
-                prof.count("kernel.cancelled_skips")
+                if on:
+                    probe.step_skipped(from_heap)
                 return
             self._now = when
             self.events_processed += 1
-            if self.series.enabled:
-                self.series.gauge(
-                    "kernel.ready", when,
-                    len(self._bucket_urgent) + len(self._bucket_normal),
-                    unit="events")
-                self.series.gauge("kernel.heap", when, len(self._queue),
-                                  unit="events")
             callbacks, event.callbacks = event.callbacks, None
             assert callbacks is not None
-            prof.count("kernel.callbacks_run", len(callbacks))
+            if on:
+                probe.step_dispatch(self, from_heap, len(callbacks))
             for cb in callbacks:
                 cb(event)
             if event._ok is False and not event.defused:
+                # An unhandled failure stops the simulation loudly: silently
+                # dropping exceptions would mask bugs in experiment code.
                 exc = event._value
                 raise exc
         finally:
-            prof.exit()
+            if on:
+                probe.scope_end()
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.

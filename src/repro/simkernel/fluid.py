@@ -134,11 +134,9 @@ class FluidShare:
         n = self._n
         if dt <= 0 or n == 0:
             return
-        prof = self.env.profiler
-        if prof.enabled:
-            prof.enter("fluid.advance")
-            prof.count("fluid.advances")
-            prof.count("fluid.jobs_touched", n)
+        p = self.env.probe
+        if p.enabled:
+            p.fluid_advance(n)
         try:
             moved = self.capacity * dt
             if n == 1:
@@ -180,8 +178,8 @@ class FluidShare:
                     self.total_bytes += job.nbytes
                     job.done.succeed(self.env.now - job.started_at)
         finally:
-            if prof.enabled:
-                prof.exit()
+            if p.enabled:
+                p.scope_end()
 
     def _reschedule(self) -> None:
         """Re-aim the wakeup at the earliest next completion time."""
@@ -189,9 +187,9 @@ class FluidShare:
         if n == 0:
             self._timer.cancel()
             return
-        prof = self.env.profiler
-        if prof.enabled:
-            prof.enter("fluid.reschedule")
+        p = self.env.probe
+        if p.enabled:
+            p.fluid_reschedule()
         try:
             if n == 1:
                 w = float(self._weights[0])
@@ -207,8 +205,8 @@ class FluidShare:
             etas = self._remaining[:n] / (self.capacity * weights / total_w)
             self._timer.arm(max(float(etas.min()), _MIN_ETA))
         finally:
-            if prof.enabled:
-                prof.exit()
+            if p.enabled:
+                p.scope_end()
 
     def _on_wakeup(self) -> None:
         self._advance()

@@ -36,7 +36,7 @@ from tests.faults.test_chaos_matrix import (
     _build,
     _plan,
 )
-from tests.golden.generate import GOLDENS
+from tests.golden.generate import GOLDENS, fig2_series_doc
 
 MB = 2**20
 
@@ -133,9 +133,12 @@ def test_golden_scenario_differential(figure):
     """
     def run(kernel):
         with kernel_scope(kernel):
-            doc = GOLDENS[figure]()
             if figure == "fig2_series":
-                doc = _strip_kernel_introspection(doc)
+                # The golden pins the fast kernel; compare the unpinned
+                # document instead, minus scheduler introspection.
+                doc = _strip_kernel_introspection(fig2_series_doc())
+            else:
+                doc = GOLDENS[figure]()
             return exact_json(doc)
 
     _assert_kernels_agree(run, f"golden:{figure}")

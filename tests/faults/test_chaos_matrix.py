@@ -22,7 +22,7 @@ from repro.core.config import MigrationConfig
 from repro.core.registry import APPROACHES
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.chunkview import render_migration_state
-from repro.obs.registry import MetricsRegistry
+from repro.obs import Observability
 from repro.simkernel import Environment
 from repro.workloads.synthetic import PacedReader, RandomWriter
 
@@ -88,7 +88,7 @@ def _plan(kind: str) -> FaultPlan:
 
 def _build(approach: str, plan: FaultPlan):
     env = Environment()
-    env.metrics = MetricsRegistry()
+    Observability(trace=False).install(env)
     cluster = Cluster(env, ClusterSpec(**CHAOS_SPEC))
     config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
     cloud = CloudMiddleware(cluster, config=config)
@@ -146,7 +146,8 @@ def test_chaos_matrix(approach, kind):
         + render_migration_state(vm.manager)
     )
     # The injector fired.
-    assert env.metrics.counter(f"faults.injected.{_fault(kind).kind}").value >= 1
+    metrics = env.probe.metrics
+    assert metrics.counter(f"faults.injected.{_fault(kind).kind}").value >= 1
 
     if record.aborted:
         # Clean abort: the VM never left the source and never stopped.
@@ -196,7 +197,7 @@ def test_repo_outage_survived_by_retry_without_replication():
         horizon=600.0,
     )
     env = Environment()
-    env.metrics = MetricsRegistry()
+    Observability(trace=False).install(env)
     cluster = Cluster(env, ClusterSpec(**spec))
     config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
     cloud = CloudMiddleware(cluster, config=config)
@@ -220,5 +221,5 @@ def test_repo_outage_survived_by_retry_without_replication():
     record = out.get("record")
     assert record is not None and not record.aborted
     assert vm.node is cluster.node(1)
-    assert env.metrics.counter("repo.fetch.unavailable").value >= 1
+    assert env.probe.metrics.counter("repo.fetch.unavailable").value >= 1
     _check_content_clock(vm)

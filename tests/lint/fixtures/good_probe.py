@@ -12,14 +12,12 @@ class Migrator:
         # Mutations happen in plain simulation code, outside any guard.
         self.retries += 1
         done = self.env.timeout(0.001)
-        sr = self.env.series
-        if sr.enabled:
-            # Reads of sim state, locals, and recorder calls (including
-            # fluent sub-recorders) are all sanctioned.
+        p = self.env.probe
+        if p.enabled:
+            # Reads of sim state, locals, and probe calls (including a
+            # sub-recorder hanging off the probe) are all sanctioned.
             backlog = self.meter.total - nbytes
-            sr.gauge("migrator.window", self.env.now, nbytes)
-            sr.gauge("migrator.backlog", self.env.now, backlog)
-        tr = self.env.tracer
-        if tr.enabled and tr.causal is not None:
-            tr.causal.record_wait("migrator", 0, self.env.now, done)
+            p.window(self.env.now, nbytes, backlog)
+            if p.causal is not None:
+                p.causal.record_wait("migrator", 0, self.env.now, done)
         return done

@@ -1,8 +1,10 @@
-"""Tests for the TrafficMeter and TrafficSampler."""
+"""Tests for the TrafficMeter and traffic-over-time curves."""
 
+import numpy as np
 import pytest
 
-from repro.netsim import Fabric, Topology, TrafficMeter, TrafficSampler
+from repro.netsim import Fabric, Topology, TrafficMeter
+from repro.obs import Observability
 from repro.simkernel import Environment
 
 
@@ -39,85 +41,48 @@ class TestMeter:
         assert m.by_tag() == {}
 
 
+def _peak_window_rate(points, interval, horizon):
+    """Peak mean rate over consecutive ``interval``-second windows of a
+    cumulative curve (``[[t, cumulative], ...]``, last value per bin)."""
+    times = np.array([t for t, _ in points])
+    values = np.array([c for _, c in points])
+    grid = np.arange(interval, horizon + interval / 2, interval)
+    last = np.searchsorted(times, grid, side="right") - 1
+    cum = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
+    return float(np.diff(cum, prepend=0.0).max() / interval)
+
+
 class TestSampler:
-    def make(self, interval=1.0, horizon=20.0):
-        env = Environment()
-        topo = Topology()
-        a = topo.add_host("a", 100.0)
-        b = topo.add_host("b", 100.0)
-        fabric = Fabric(env, topo, latency=0.0)
-        sampler = TrafficSampler(env, fabric.meter, interval=interval,
-                                 horizon=horizon, fabric=fabric)
-        sampler.start()
-        return env, topo, fabric, sampler
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            TrafficSampler(env, TrafficMeter(), interval=0)
-
-    def test_double_start_rejected(self):
-        env, topo, fabric, sampler = self.make()
-        with pytest.raises(RuntimeError):
-            sampler.start()
-
-    def test_rate_over_window(self):
-        env, topo, fabric, sampler = self.make()
-        fabric.transfer(topo["a"], topo["b"], 1000.0, tag="x")
-        env.run(until=20.0)
-        # 1000 B over 10 s at 100 B/s: rate over [0,10] ~ 100 B/s.
-        assert sampler.rate("x", 1.0, 9.0) == pytest.approx(100.0, rel=0.05)
-        # And zero after completion.
-        assert sampler.rate("x", 12.0, 19.0) == pytest.approx(0.0, abs=1.0)
-
-    def test_peak_rate_detects_burst(self):
-        env, topo, fabric, sampler = self.make()
-
-        def bursts():
-            yield fabric.transfer(topo["a"], topo["b"], 100.0, tag="x")
-            yield env.timeout(5.0)
-            yield fabric.transfer(topo["a"], topo["b"], 500.0, tag="x")
-
-        env.process(bursts())
-        env.run(until=20.0)
-        assert sampler.peak_rate("x") == pytest.approx(100.0, rel=0.1)
-        assert sampler.peak_rate("unknown") == 0.0
-
-    def test_horizon_stops_sampling(self):
-        env, topo, fabric, sampler = self.make(horizon=5.0)
-        fabric.transfer(topo["a"], topo["b"], 10000.0, tag="x")
-        env.run(until=50.0)
-        assert sampler.timelines["x"].times[-1] <= 5.0 + 1.0
-
-    def test_horizon_none_samples_forever(self):
-        """horizon=None keeps sampling as long as the run is bounded."""
-        env, topo, fabric, sampler = self.make(horizon=None)
-        fabric.transfer(topo["a"], topo["b"], 1000.0, tag="x")
-        env.run(until=30.0)
-        times = sampler.timelines["x"].times
-        # Still sampling well past any default horizon ...
-        assert times[-1] >= 29.0
-        # ... one sample per interval tick in (0, 30].
-        assert len(times) == 30
-        assert sampler.rate("x", 1.0, 9.0) == pytest.approx(100.0, rel=0.05)
+    """Traffic over time, read from the series recorder's exact
+    ``net.<tag>`` cumulative curves."""
 
     def test_burstiness_contrast(self):
         """The Section 5.4 argument in miniature: the same byte volume,
         concentrated vs dispersed, shows up in peak per-window rate."""
-        env, topo, fabric, sampler = self.make(interval=2.0, horizon=150.0)
+        obs = Observability(trace=False, metrics=False, series=True)
+        env = Environment()
+        obs.install(env)
+        topo = Topology()
+        a = topo.add_host("a", 100.0)
+        b = topo.add_host("b", 100.0)
+        fabric = Fabric(env, topo, latency=0.0)
 
         def concentrated():
-            yield fabric.transfer(topo["a"], topo["b"], 2000.0, tag="burst")
+            yield fabric.transfer(a, b, 2000.0, tag="burst")
 
         def dispersed():
             for _ in range(40):
-                # 50 B flashes every 2 s: each sampling window averages
-                # down to ~25 B/s even though the flash runs at 100 B/s.
-                yield fabric.transfer(topo["b"], topo["a"], 50.0, tag="drip")
+                # 50 B flashes at 100 B/s, one every 2.5 s: each 2 s
+                # window averages down to at most 25 B/s.
+                yield fabric.transfer(b, a, 50.0, tag="drip")
                 yield env.timeout(2.0)
 
         env.process(concentrated())
         env.process(dispersed())
         env.run(until=150.0)
         assert fabric.meter.bytes("burst") == fabric.meter.bytes("drip")
-        assert sampler.peak_rate("burst") > 1.5 * sampler.peak_rate("drip")
+        (run,) = obs.series.summary()["runs"]
+        signals = run["signals"]
+        burst = _peak_window_rate(signals["net.burst"]["points"], 2.0, 150.0)
+        drip = _peak_window_rate(signals["net.drip"]["points"], 2.0, 150.0)
+        assert burst > 1.5 * drip

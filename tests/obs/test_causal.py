@@ -110,7 +110,7 @@ class TestRecorder:
         assert describe(env.timeout(1.0))["k"] == "timer"
 
     def test_plain_env_has_zero_overhead_path(self):
-        env = Environment()  # NULL_TRACER
+        env = Environment()  # NULL_PROBE
         ev = annotate(env, env.event(), "x")
         assert ev._causal is None
 

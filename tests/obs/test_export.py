@@ -95,8 +95,9 @@ class TestObservabilityBundle:
         obs = Observability()
         env = Environment()
         obs.install(env)
-        assert env.tracer is obs.tracer
-        assert env.metrics is obs.metrics
+        assert env.probe is obs.probe
+        assert env.probe.tracer is obs.tracer
+        assert env.probe.metrics is obs.metrics
         assert obs.tracer.now == env.now
 
     def test_write_skips_trace_when_disabled(self, tmp_path):

@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.cluster import CloudMiddleware, Cluster
 from repro.experiments.config import graphene_spec
-from repro.obs import Observability
+from repro.obs import NULL_PROBE, Observability, Probe
 from repro.simkernel import Environment
 from repro.workloads.synthetic import SequentialWriter
 
@@ -89,17 +91,44 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-class TestZeroOverhead:
-    def test_tracing_does_not_perturb_the_simulation(self):
-        env_plain, rec_plain = _run_mini_migration(obs=None)
-        obs = Observability(detail="full")
-        env_traced, rec_traced = _run_mini_migration(obs=obs)
+#: Backend sets the probe renders into, as ``Observability`` arguments.
+BACKEND_SETS = {
+    "none": dict(trace=False, metrics=False),
+    "trace-causal-full": dict(trace=True, metrics=False, detail="full",
+                              causal=True),
+    "metrics": dict(trace=False, metrics=True),
+    "series": dict(trace=False, metrics=False, series=True),
+    "profile": dict(trace=False, metrics=False, profile=True),
+    "all": dict(detail="full", causal=True, series=True, profile=True),
+}
 
-        # The NullTracer run and the fully-traced run schedule exactly the
-        # same kernel events and land on the same results.
-        assert env_plain._seq == env_traced._seq
-        assert env_plain.now == env_traced.now
-        assert rec_plain.migration_time == rec_traced.migration_time
-        assert rec_plain.downtime == rec_traced.downtime
-        assert rec_plain.phases == rec_traced.phases
-        assert obs.tracer.events  # the traced run did record something
+
+@pytest.fixture(scope="module")
+def plain_run():
+    return _run_mini_migration(obs=None)
+
+
+class TestZeroOverhead:
+    @pytest.mark.parametrize("backends", sorted(BACKEND_SETS))
+    def test_backends_never_perturb_the_run(self, plain_run, backends):
+        env_plain, rec_plain = plain_run
+        obs = Observability(**BACKEND_SETS[backends])
+        env_obs, rec_obs = _run_mini_migration(obs)
+        # Any set of backends schedules exactly the kernel events of the
+        # uninstrumented run and lands on the same results.
+        assert env_plain._seq == env_obs._seq
+        assert env_plain.now == env_obs.now
+        assert repr(rec_plain) == repr(rec_obs)
+        assert rec_plain.migration_time == rec_obs.migration_time
+        assert rec_plain.downtime == rec_obs.downtime
+        assert rec_plain.phases == rec_obs.phases
+        assert obs.probe.enabled is (backends != "none")
+
+    def test_null_probe_is_default_and_stateless(self):
+        assert Environment().probe is NULL_PROBE
+        assert Observability(trace=False, metrics=False).probe is NULL_PROBE
+        assert NULL_PROBE.enabled is False
+        # Shared by every environment, so it must carry no state at all:
+        # no instance dict, and none of Probe's slots ever filled.
+        assert not hasattr(NULL_PROBE, "__dict__")
+        assert not any(hasattr(NULL_PROBE, slot) for slot in Probe.__slots__)

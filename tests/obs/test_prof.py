@@ -1,18 +1,15 @@
 """The self-profiler's invariants.
 
-Four contracts, in rough order of importance:
+Three contracts, in rough order of importance:
 
 1. *Determinism*: enabling the profiler changes no simulation output —
    migration records, stats, and traffic are byte-identical with
    profiling on and off, and the work counters themselves are identical
    across repeated seeded runs.
-2. *Null object*: a fresh Environment carries the shared NULL_PROFILER
-   and pays only the ``if profiler.enabled`` branch when profiling is
-   off; every NullProfiler operation is a no-op.
-3. *Conservation*: exclusive times telescope — summed over the tree
+2. *Conservation*: exclusive times telescope — summed over the tree
    they equal the total inclusive wall of the root scopes (within the
    1% bookkeeping tolerance; exactly, in fact, by construction).
-4. *Export shape*: the speedscope document is loadable (schema, frames,
+3. *Export shape*: the speedscope document is loadable (schema, frames,
    one sampled profile whose weights/samples align) and collapsed
    stacks follow the ``a;b;c <µs>`` folded format.
 """
@@ -23,8 +20,6 @@ import pytest
 
 from repro.obs import Observability
 from repro.obs.prof import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
     collapsed_stacks,
     render_profile_text,
@@ -44,29 +39,8 @@ def run_fig2_outputs(profile):
         "record": repr(record),
         "stats": stats,
         "traffic": dict(traffic),
-        "counters": obs.profiler.counters,
+        "counters": obs.profiler.counters if profile else {},
     }, obs.profiler
-
-
-class TestNullProfiler:
-    def test_installed_on_fresh_environments(self):
-        env = Environment()
-        assert env.profiler is NULL_PROFILER
-        assert env.profiler.enabled is False
-
-    def test_every_method_is_a_noop(self):
-        p = NullProfiler()
-        p.enter("x")
-        p.exit()
-        p.count("n", 3)
-        with p.scope("y"):
-            pass
-        assert p.counters == {}
-        assert p.summary() == {"schema": "repro.prof/1", "enabled": False}
-
-    def test_shared_singleton_has_no_state(self):
-        assert not hasattr(NULL_PROFILER, "__dict__")
-        assert NullProfiler.enabled is False
 
 
 class TestScopeTree:
@@ -125,12 +99,10 @@ class TestDeterminism:
     def test_profile_changes_no_simulation_output(self):
         plain, _ = run_fig2_outputs(profile=False)
         profiled, prof = run_fig2_outputs(profile=True)
-        assert prof.enabled
+        assert prof is not None
         assert plain["record"] == profiled["record"]
         assert plain["stats"] == profiled["stats"]
         assert plain["traffic"] == profiled["traffic"]
-        # The unprofiled run has no counters, by the null-object contract.
-        assert plain["counters"] == {}
 
     def test_counters_deterministic_across_seeded_runs(self):
         first, prof1 = run_fig2_outputs(profile=True)
@@ -215,8 +187,8 @@ class TestObservabilityWiring:
         obs = Observability(trace=False, metrics=False, profile=True)
         env = Environment()
         obs.install(env)
-        assert env.profiler is obs.profiler
-        assert env.profiler.enabled
+        assert env.probe.profiler is obs.profiler
+        assert isinstance(obs.profiler, Profiler)
 
     def test_preconfigured_profiler_is_adopted(self):
         prof = Profiler()
@@ -225,4 +197,4 @@ class TestObservabilityWiring:
 
     def test_default_is_null(self):
         obs = Observability(trace=False, metrics=False)
-        assert obs.profiler is NULL_PROFILER
+        assert obs.profiler is None

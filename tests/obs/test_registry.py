@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.obs.registry import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.simkernel import Environment
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -71,18 +64,3 @@ class TestMetricsRegistry:
         reg.reset()
         assert reg.snapshot()["counters"] == {}
         assert reg.counter("a").snapshot() == 0.0
-
-
-class TestNullRegistry:
-    def test_disabled_and_shared_instrument(self):
-        assert NULL_METRICS.enabled is False
-        # One shared no-op object, regardless of name or kind.
-        assert NULL_METRICS.counter("a") is NULL_METRICS.histogram("b")
-        NULL_METRICS.counter("a").inc(100)
-        NULL_METRICS.gauge("g").set(7)
-        NULL_METRICS.histogram("h").observe(0.1)
-        assert NULL_METRICS.counter("a").snapshot() == 0.0
-        assert NULL_METRICS.snapshot() == {}
-
-    def test_installed_on_fresh_environments(self):
-        assert Environment().metrics is NULL_METRICS

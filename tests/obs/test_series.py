@@ -9,8 +9,7 @@ The contracts, in rough order of importance:
    cumulative curve telescopes to the TrafficMeter tag total exactly —
    including under hypothesis-generated fault plans, where retries and
    partial flows stress the credit mirroring.
-3. *Null object*: a fresh Environment carries the shared NULL_SERIES
-   and pays only the ``if series.enabled`` branch when recording is off.
+3. *Off by default*: an Observability records no series unless asked.
 4. *Read side*: windowed aggregation, sparkline/CSV rendering, the
    diff-engine loader and the flight-report panel all consume the
    ``repro.series/1`` document without touching the recorder.
@@ -29,9 +28,7 @@ from repro.core.config import MigrationConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
 from repro.obs.series import (
-    NULL_SERIES,
     SCHEMA,
-    NullSeriesRecorder,
     SeriesLoadError,
     SeriesRecorder,
     coerce_series_doc,
@@ -80,28 +77,9 @@ def fig2_series():
 
 
 class TestNullSeries:
-    def test_installed_on_fresh_environments(self):
-        env = Environment()
-        assert env.series is NULL_SERIES
-        assert env.series.enabled is False
-
-    def test_every_method_is_a_noop(self):
-        sr = NullSeriesRecorder()
-        sr.gauge("g", 0.0, 1.0)
-        sr.inc("r", 0.0, 2.0)
-        sr.credit_net("tag", "cause", 0.0, 8.0)
-        sr.distribution("d", 0.0, [[0, "pushed", 1]])
-        sr.check_conservation(None)
-        sr.finish_run("label")
-        assert sr.summary() == {"schema": SCHEMA, "enabled": False}
-
-    def test_shared_singleton_has_no_state(self):
-        assert not hasattr(NULL_SERIES, "__dict__")
-        assert NullSeriesRecorder.enabled is False
-
     def test_default_observability_is_null(self):
         obs = Observability(trace=False, metrics=False)
-        assert obs.series is NULL_SERIES
+        assert obs.series is None
 
     def test_preconfigured_recorder_is_adopted(self):
         sr = SeriesRecorder()
@@ -115,7 +93,6 @@ class TestByteIdentity:
     def test_fig2_identical_on_vs_off(self):
         plain, _ = run_fig2_outputs(series=False)
         recorded, obs = run_fig2_outputs(series=True)
-        assert obs.series.enabled
         assert plain == recorded
         doc = obs.series.summary()
         assert doc["runs"] and doc["runs"][0]["signals"]
@@ -150,12 +127,9 @@ class TestByteIdentity:
         # The kernel.* gauges observe scheduler internals, so the
         # fixture pins the fast kernel's document; every other signal
         # is kernel-independent (tests/differential asserts that).
-        from repro.simkernel import kernel_scope
         from tests.golden.generate import fig2_series_golden
 
-        with kernel_scope("fast"):
-            doc = fig2_series_golden()
-        assert canonical_json(doc) \
+        assert canonical_json(fig2_series_golden()) \
             == (FIXTURES / "fig2_series.json").read_text()
 
 

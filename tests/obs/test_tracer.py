@@ -1,44 +1,13 @@
-"""Unit tests for repro.obs.tracer: event shapes, lanes, the null tracer."""
+"""Unit tests for repro.obs.tracer: event shapes and lanes."""
 
 import pytest
 
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.tracer import _NULL_SPAN  # noqa: PLC2701 - white-box test
-from repro.simkernel import Environment
+from repro.obs.tracer import Tracer
 
 
 class FakeEnv:
     def __init__(self, now=0.0):
         self.now = now
-
-
-class TestNullTracer:
-    def test_disabled_flags(self):
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.verbose is False
-
-    def test_every_method_is_a_noop(self):
-        tr = NullTracer()
-        tr.bind(FakeEnv())
-        tr.instant("x", cat="c", tid="t", args={"a": 1})
-        tr.complete("x", 0.0, 1.0)
-        tr.async_span("x", 0.0, 1.0)
-        tr.counter("x", {"v": 1})
-        with tr.span("x"):
-            pass
-        with tr.scope("lane"):
-            pass
-
-    def test_span_returns_shared_singleton(self):
-        # The zero-allocation guarantee: no fresh object per call.
-        tr = NullTracer()
-        assert tr.span("a") is _NULL_SPAN
-        assert tr.span("b") is _NULL_SPAN
-        assert tr.scope("c") is _NULL_SPAN
-
-    def test_installed_on_fresh_environments(self):
-        env = Environment()
-        assert env.tracer is NULL_TRACER
 
 
 class TestTracer:
