@@ -388,9 +388,9 @@ class Probe:
             self.tracer.instant("push.start", cat="storage", tid=f"push:{vm}",
                                 args={"remaining_chunks": int(remaining.sum()),
                                       "threshold": threshold})
-        self.push_remaining(vm, remaining)
+        self._push_remaining(vm, remaining)
 
-    def push_remaining(self, vm: str, remaining: Any) -> None:
+    def _push_remaining(self, vm: str, remaining: Any) -> None:
         if self.series is not None:
             self.series.gauge(f"push.remaining:{vm}", self._env.now,
                               int(remaining.sum()), unit="chunks")
@@ -407,7 +407,7 @@ class Probe:
 
     def push_batch(self, vm: str, t0: float, n_chunks: int, wire: float,
                    remaining: Any) -> None:
-        self.push_remaining(vm, remaining)
+        self._push_remaining(vm, remaining)
         if self.series is not None:
             self.series.inc(f"progress.pushed:{vm}", self._env.now, n_chunks,
                             unit="chunks")
@@ -428,7 +428,7 @@ class Probe:
                 self.tracer.instant("push.hot_exclusion", cat="storage",
                                     tid=f"push:{vm}", args={"chunks": n_hot})
             self._count("push.hot_skipped", n_hot)
-        self.push_remaining(vm, remaining)
+        self._push_remaining(vm, remaining)
         if n_hot and self.series is not None:
             self.series.inc(f"push.hot_excluded:{vm}", self._env.now, n_hot,
                             unit="chunks")
@@ -442,7 +442,7 @@ class Probe:
             self.tracer.instant("push.stop", cat="storage", tid=f"push:{vm}",
                                 args={"remaining_chunks":
                                       int(remaining.sum())})
-        self.push_remaining(vm, remaining)
+        self._push_remaining(vm, remaining)
         if self.series is not None:
             self.series.distribution(f"dist.write_count:{vm}", self._env.now,
                                      write_count_cells())

@@ -121,3 +121,12 @@ def test_daemon_pragma_counts_in_budget():
     assert entry["rules"] == ["K404"]
     assert entry["used"] is True
     assert "reaper" in entry["reason"]
+
+
+def test_flag_alias_opens_a_probe_block():
+    # ``on = p.enabled`` ... ``if on:`` guards exactly like ``if p.enabled:``
+    # (Environment.step reads the probe flag once per step this way).
+    result = lint_fixture("bad_probe.py")
+    source = (FIXTURES / "bad_probe.py").read_text().splitlines()
+    stores = [source[f.line - 1] for f in result.findings if f.rule == "P701"]
+    assert any("flag-alias guard" in line for line in stores)
