@@ -345,7 +345,78 @@ def fig2_diff_precopy_golden() -> dict:
     return _diff_fixture("fig2_summary_fast", "fig2_summary_precopy")
 
 
-# Diff goldens consume the summary fixtures, so generation order matters.
+#: A fixed ``repro.prof/1`` summary for the report golden: real profiles
+#: carry host wall-clock, which varies run to run.
+REPORT_PROFILE = {
+    "schema": "repro.prof/1",
+    "enabled": True,
+    "alloc": False,
+    "total_wall_s": 1.25,
+    "exclusive_sum_s": 1.25,
+    "conservation": {"residual_s": 0.0, "rel_tol": 1e-6, "ok": True},
+    "tree": [
+        {"name": "run.fig2", "calls": 1, "inclusive_s": 1.0,
+         "exclusive_s": 0.125, "children": [
+             {"name": "simkernel", "calls": 4096, "inclusive_s": 0.875,
+              "exclusive_s": 0.625, "children": [
+                  {"name": "netsim.flows", "calls": 1536,
+                   "inclusive_s": 0.25, "exclusive_s": 0.25,
+                   "children": []},
+              ]},
+         ]},
+        {"name": "obs.analyze", "calls": 1, "inclusive_s": 0.25,
+         "exclusive_s": 0.25, "children": []},
+    ],
+    "counters": {"chunks.push_scanned": 1200, "fabric.recompute": 345},
+}
+
+
+def _digest(text: str) -> dict:
+    data = text.encode()
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def fig2_reports_golden() -> dict:
+    """Digests of every rendered report: flight report (HTML and text,
+    with and without profile/series panels, fault-free and chaos cells)
+    and diff report (HTML and text).
+
+    Inputs are the committed summary, series and diff fixtures plus the
+    two chaos cells analyzed on the fast kernel, so any change to the
+    rendering code that moves a single output byte fails here.
+    """
+    from repro.obs import Observability
+    from repro.obs.analyze import analyze_tracer, render_html, render_text
+    from repro.obs.diff import render_diff_html, render_diff_text
+    from repro.simkernel import kernel_scope
+
+    def fixture(name: str) -> dict:
+        return json.loads((FIXTURES / f"{name}.json").read_text())
+
+    summaries = {
+        "fig2_fast": fixture("fig2_summary_fast"),
+        "fig2_precopy": fixture("fig2_summary_precopy"),
+    }
+    with kernel_scope("fast"):
+        for approach, kind in CHAOS_CELLS:
+            obs = Observability(causal=True)
+            run_chaos_cell(approach, kind, obs)
+            summaries[f"chaos/{approach}/{kind}"] = analyze_tracer(obs.tracer)
+    out = {}
+    for name, summary in summaries.items():
+        extra = ({"profile": REPORT_PROFILE, "series": fixture("fig2_series")}
+                 if name == "fig2_fast" else {})
+        out[f"html/{name}"] = _digest(render_html(summary, **extra))
+        out[f"text/{name}"] = _digest(render_text(summary))
+    for name in ("fig2_diff_kernels", "fig2_diff_precopy"):
+        doc = fixture(name)
+        out[f"html/{name}"] = _digest(render_diff_html(doc))
+        out[f"text/{name}"] = _digest(render_diff_text(doc))
+    return out
+
+
+# Diff goldens consume the summary fixtures and the report golden consumes
+# both, so generation order matters.
 GOLDENS = {
     "fig2": fig2_golden,
     "fig2_critical_path": fig2_critical_path_golden,
@@ -359,6 +430,7 @@ GOLDENS = {
     "fig2_exports": fig2_exports_golden,
     "fig2_diff_kernels": fig2_diff_kernels_golden,
     "fig2_diff_precopy": fig2_diff_precopy_golden,
+    "fig2_reports": fig2_reports_golden,
 }
 
 
