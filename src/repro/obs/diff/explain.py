@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs.render import fmt_delta, fmt_quantity
+
 __all__ = ["explain_pair"]
 
 #: Headline candidates, most meaningful first per artifact kind.
@@ -34,19 +36,11 @@ _FLAT_REL = 0.005
 
 
 def _fmt_value(value: float, unit: str) -> str:
-    if unit == "B":
-        for suffix, scale in (("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
-            if abs(value) >= scale:
-                return f"{value / scale:.2f} {suffix}"
-        return f"{value:.0f} B"
-    if unit == "s":
-        return f"{value:.3f} s"
-    return f"{value:,.0f}"
+    return fmt_quantity(value, unit, digits=3)
 
 
 def _fmt_delta(value: float, unit: str) -> str:
-    sign = "+" if value >= 0 else "-"
-    return sign + _fmt_value(abs(value), unit)
+    return fmt_delta(value, unit, digits=3)
 
 
 def _fmt_ratio(ratio: float) -> str:

@@ -1,40 +1,47 @@
 """Render a diff document: ranked terminal tables and side-by-side HTML.
 
-The HTML view rides on the flight report's design system — same CSS
-custom properties, same card layout, same bar helper — so a diff panel
-and a flight report read as one family of artifacts.  Positive time/byte
-deltas (B costs more than A) render in the alarm hue, negative ones in
-the good hue; the ranked table under every chart is the source of truth.
+The HTML view is composed from :mod:`repro.obs.render`, the kit the
+flight report uses, so a diff panel and a flight report read as one
+family of artifacts.  Positive time/byte deltas (B costs more than A)
+render in the alarm hue, negative ones in the good hue; the ranked table
+under every chart is the source of truth.
 """
 
 from __future__ import annotations
 
 from html import escape
 
-from repro.obs.analyze.report import _CSS, _bar
+from repro.obs.render import (
+    badge,
+    bar,
+    card,
+    fmt_delta,
+    fmt_quantity,
+    note,
+    page,
+    svg,
+    table_view,
+    text,
+    vline,
+)
 
 __all__ = ["render_diff_text", "render_diff_html"]
 
 
-def _fmt(value: float, unit: str) -> str:
-    if unit == "B":
-        for suffix, scale in (("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
-            if abs(value) >= scale:
-                return f"{value / scale:.2f} {suffix}"
-        return f"{value:.0f} B"
-    if unit == "s":
-        return f"{value:.4f} s" if abs(value) < 10 else f"{value:.2f} s"
-    return f"{value:,.0f}"
-
-
-def _fmt_delta(value: float, unit: str) -> str:
-    if value == 0:
-        return "0"
-    sign = "+" if value > 0 else "-"
-    return sign + _fmt(abs(value), unit)
+def _fmt(value: float, unit: str, signed: bool = False) -> str:
+    # Seconds keep four places below 10 s, two above.
+    fmt = fmt_delta if signed else fmt_quantity
+    return fmt(value, unit, 4 if abs(value) < 10 else 2)
 
 
 _STATUS_MARK = {"new": " [new]", "vanished": " [gone]"}
+
+
+def _pair_label(pair: dict) -> str:
+    label: str = pair["a_label"]
+    if pair["b_label"] != label:
+        label += f" vs {pair['b_label']}"
+    return label
 
 
 # -- text ----------------------------------------------------------------------
@@ -46,22 +53,20 @@ def render_diff_text(doc: dict, top: int = 10) -> str:
     out.append(f"== repro diff ({doc['kind']}): "
                f"A = {doc['a']['source']}  vs  B = {doc['b']['source']}")
     for pair in doc["pairs"]:
-        label = pair["a_label"]
-        if pair["b_label"] != pair["a_label"]:
-            label += f" vs {pair['b_label']}"
-        out.append(f"=== {label}")
+        out.append(f"=== {_pair_label(pair)}")
         out.append(f"  {pair['headline']}")
         for dim in pair["dimensions"]:
+            unit = dim["unit"]
             moved = [c for c in dim["contributions"]
                      if c["status"] != "unchanged"]
             cons = dim["conservation"]
             verdict = ("exact" if cons["exact"]
                        else f"VIOLATED (residual {cons['residual']:g})")
             out.append(
-                f"  -- {dim['name']} [{dim['unit']}]: "
-                f"{_fmt(dim['total_a'], dim['unit'])} -> "
-                f"{_fmt(dim['total_b'], dim['unit'])} "
-                f"(delta {_fmt_delta(dim['delta'], dim['unit'])}) — "
+                f"  -- {dim['name']} [{unit}]: "
+                f"{_fmt(dim['total_a'], unit)} -> "
+                f"{_fmt(dim['total_b'], unit)} "
+                f"(delta {_fmt(dim['delta'], unit, signed=True)}) — "
                 f"conservation {verdict}"
             )
             if not moved:
@@ -75,9 +80,9 @@ def render_diff_text(doc: dict, top: int = 10) -> str:
                 mark = _STATUS_MARK.get(c["status"], "")
                 out.append(
                     "     " + (c["key"] + mark).ljust(42)
-                    + _fmt(c["a"], dim["unit"]).rjust(12)
-                    + _fmt(c["b"], dim["unit"]).rjust(12)
-                    + _fmt_delta(c["delta"], dim["unit"]).rjust(13)
+                    + _fmt(c["a"], unit).rjust(12)
+                    + _fmt(c["b"], unit).rjust(12)
+                    + _fmt(c["delta"], unit, signed=True).rjust(13)
                     + f"{100 * c['share']:.1f}%".rjust(8)
                 )
             if len(moved) > top:
@@ -100,16 +105,17 @@ def render_diff_text(doc: dict, top: int = 10) -> str:
 # -- HTML ----------------------------------------------------------------------
 
 def _dim_panel(dim: dict, top: int) -> str:
+    unit = dim["unit"]
     moved = [c for c in dim["contributions"] if c["status"] != "unchanged"]
     head = (
         f"<h3>{escape(dim['name'])} "
-        f"<span class='sub'>[{escape(dim['unit'])}] "
-        f"{escape(_fmt(dim['total_a'], dim['unit']))} → "
-        f"{escape(_fmt(dim['total_b'], dim['unit']))} "
-        f"(Δ {escape(_fmt_delta(dim['delta'], dim['unit']))})</span></h3>"
+        f"<span class='sub'>[{escape(unit)}] "
+        f"{escape(_fmt(dim['total_a'], unit))} → "
+        f"{escape(_fmt(dim['total_b'], unit))} "
+        f"(Δ {escape(_fmt(dim['delta'], unit, signed=True))})</span></h3>"
     )
     if not moved:
-        return head + "<p class='sub'>no per-key movement</p>"
+        return head + note("no per-key movement")
     shown = moved[:top]
     width, label_w, value_w = 720, 260, 110
     bar_h, gap = 16, 6
@@ -117,90 +123,60 @@ def _dim_panel(dim: dict, top: int) -> str:
     vmax = max(abs(c["delta"]) for c in shown) or 1.0
     mid = label_w + plot_w / 2
     height = len(shown) * (bar_h + gap) + 4
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" '
-        f'aria-label="delta by key ({escape(dim["name"])})">',
-        f'<line x1="{mid:.1f}" y1="0" x2="{mid:.1f}" y2="{height - 2}" '
-        f'stroke="var(--axis)" stroke-width="1"/>',
-    ]
+    parts = [vline(mid, 0, height - 2, stroke="var(--axis)")]
     for i, c in enumerate(shown):
         y = i * (bar_h + gap)
-        w = (plot_w / 2) * abs(c["delta"]) / vmax
-        w = max(w, 1.5)
-        x = mid if c["delta"] >= 0 else mid - w
-        fill = "var(--critical)" if c["delta"] > 0 else "var(--good)"
-        title = (f"{c['key']}: {_fmt(c['a'], dim['unit'])} -> "
-                 f"{_fmt(c['b'], dim['unit'])} "
-                 f"({_fmt_delta(c['delta'], dim['unit'])})")
-        parts.append(
-            f'<text x="{label_w - 10}" y="{y + bar_h - 4}" text-anchor="end" '
-            f'font-size="11" fill="var(--text-primary)">'
-            f"{escape(c['key'])}</text>"
+        w = max((plot_w / 2) * abs(c["delta"]) / vmax, 1.5)
+        delta = _fmt(c["delta"], unit, signed=True)
+        parts.append(text(label_w - 10, y + bar_h - 4, c["key"], size=11,
+                          anchor="end"))
+        parts.append(bar(
+            mid if c["delta"] >= 0 else mid - w, y, w, bar_h,
+            "var(--critical)" if c["delta"] > 0 else "var(--good)",
+            f"{c['key']}: {_fmt(c['a'], unit)} -> {_fmt(c['b'], unit)} "
+            f"({delta})",
+        ))
+        parts.append(text(width - value_w + 6, y + bar_h - 4, delta, size=11,
+                          fill="var(--text-secondary)"))
+    return (
+        head + svg(width, height, f"delta by key ({dim['name']})",
+                   "".join(parts))
+        + table_view(
+            ["key", "A", "B", "Δ", "share", "status"],
+            [(escape(c["key"]), escape(_fmt(c["a"], unit)),
+              escape(_fmt(c["b"], unit)),
+              escape(_fmt(c["delta"], unit, signed=True)),
+              f"{100 * c['share']:.1f}%", escape(c["status"]))
+             for c in moved],
         )
-        parts.append(_bar(x, y, w, bar_h, fill, title))
-        parts.append(
-            f'<text x="{width - value_w + 6}" y="{y + bar_h - 4}" '
-            f'font-size="11" fill="var(--text-secondary)">'
-            f"{escape(_fmt_delta(c['delta'], dim['unit']))}</text>"
-        )
-    parts.append("</svg>")
-    table = [
-        "<details><summary>table view</summary><table>",
-        "<tr><th>key</th><th>A</th><th>B</th><th>Δ</th><th>share</th>"
-        "<th>status</th></tr>",
-    ]
-    table.extend(
-        f"<tr><td>{escape(c['key'])}</td>"
-        f"<td>{escape(_fmt(c['a'], dim['unit']))}</td>"
-        f"<td>{escape(_fmt(c['b'], dim['unit']))}</td>"
-        f"<td>{escape(_fmt_delta(c['delta'], dim['unit']))}</td>"
-        f"<td>{100 * c['share']:.1f}%</td>"
-        f"<td>{escape(c['status'])}</td></tr>"
-        for c in moved
     )
-    table.append("</table></details>")
-    return head + "".join(parts) + "".join(table)
 
 
 def render_diff_html(doc: dict, top: int = 10,
                      title: str = "Run diff report") -> str:
     """The diff document as one dependency-free HTML page (flight-report
     styling; A→B delta bars diverging around zero, table under each)."""
-    body = []
-    sub = (f"{escape(doc['kind'])} · A = {escape(doc['a']['source'])} · "
-           f"B = {escape(doc['b']['source'])}")
-    for pair in doc["pairs"]:
-        label = pair["a_label"]
-        if pair["b_label"] != pair["a_label"]:
-            label += f" vs {pair['b_label']}"
-        body.append('<div class="card">')
-        body.append(f"<h2>{escape(label)}</h2>")
-        body.append(f"<p class='sub'>{escape(pair['headline'])}</p>")
-        body.extend(_dim_panel(dim, top) for dim in pair["dimensions"])
-        body.append("</div>")
+    body = [
+        card(_pair_label(pair),
+             note(escape(pair["headline"]))
+             + "".join(_dim_panel(dim, top) for dim in pair["dimensions"]))
+        for pair in doc["pairs"]
+    ]
     body.extend(
-        f"<p class='sub'>unmatched runs in {side}: "
-        f"{escape(', '.join(labels))}</p>"
+        note(f"unmatched runs in {side}: {escape(', '.join(labels))}")
         for side, labels in (("A", doc["unmatched_a"]),
                              ("B", doc["unmatched_b"]))
         if labels
     )
     ok = doc["conservation_ok"]
-    badge = (
-        '<span class="badge good"><span class="dot">✓</span>'
-        "every dimension's contributions sum exactly to its Δtotal</span>"
-        if ok else
-        '<span class="badge bad"><span class="dot">✗</span>'
-        "delta conservation VIOLATED — the attributor is broken</span>"
+    verdict = badge(
+        ok,
+        "every dimension's contributions sum exactly to its Δtotal" if ok
+        else "delta conservation VIOLATED — the attributor is broken",
     )
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
-        f"<title>{escape(title)}</title>"
-        f"<style>{_CSS}</style></head>"
-        "<body class='viz-root'>"
-        f"<h1>{escape(title)}</h1>"
-        f"<p class='sub'>{sub} · {badge}</p>"
-        + "".join(body)
-        + "</body></html>\n"
+    return page(
+        title,
+        f"{escape(doc['kind'])} · A = {escape(doc['a']['source'])} · "
+        f"B = {escape(doc['b']['source'])} · {verdict}",
+        "".join(body),
     )
