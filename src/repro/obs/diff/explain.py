@@ -148,7 +148,10 @@ def explain_pair(dimensions: list) -> dict:
         })
 
     headline = "no differences found"
-    for name in _HEADLINE_DIMS:
+    # Kinds without a headline dimension (series docs) lead with the
+    # first dimension that moved.
+    names = [*_HEADLINE_DIMS, *(d["name"] for d in dimensions)]
+    for name in names:
         dim = _dim(dimensions, name)
         if dim is None or (dim["delta"] == 0 and not dim["new_keys"]
                            and not dim["vanished_keys"]):

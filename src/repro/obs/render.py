@@ -45,7 +45,11 @@ def fmt_seconds(t: float, digits: int = 2) -> str:
 
 
 def fmt_count(v: float) -> str:
-    return f"{v:,.0f}"
+    """Integral (or large) values with thousands separators, fractional
+    ones to four significant digits."""
+    if float(v).is_integer() or abs(v) >= 1000:
+        return f"{v:,.0f}"
+    return f"{v:.4g}"
 
 
 def fmt_value(v: float) -> str:

@@ -262,6 +262,49 @@ class TestLoaders:
         assert doc["zero_delta"] and doc["conservation_ok"]
 
 
+# -- series documents: fractional values and the headline ----------------------
+
+def _link_series_doc(util):
+    return {
+        "schema": "repro.series/1", "enabled": True,
+        "runs": [{"label": "r", "conservation": None, "signals": {
+            "link.h1.out": {"kind": "gauge", "unit": "frac",
+                            "points": [[1.0, util]], "samples": 1,
+                            "min": util, "max": util},
+        }}],
+    }
+
+
+@pytest.fixture
+def link_diff():
+    from repro.obs.diff import artifact_from_series_doc
+
+    return diff_artifacts(
+        artifact_from_series_doc(_link_series_doc(0.37), "a.json"),
+        artifact_from_series_doc(_link_series_doc(0.52), "b.json"),
+    )
+
+
+class TestSeriesDiffRendering:
+    def test_fractional_values_keep_significant_digits(self, link_diff):
+        from repro.obs.render import fmt_count
+
+        text = render_diff_text(link_diff)
+        assert "0.37 -> 0.52 (delta +0.15)" in text
+        assert "0 -> 1" not in text
+        finding = link_diff["pairs"][0]["findings"][0]["text"]
+        assert "(0.37 -> 0.52): link.h1.out@1 +0.15" in finding
+        # Integral counts keep the thousands-separated integer form.
+        assert fmt_count(1234567.0) == "1,234,567"
+        assert fmt_count(42) == "42"
+
+    def test_headline_falls_back_to_first_moved_dimension(self, link_diff):
+        headline = link_diff["pairs"][0]["headline"]
+        assert headline.startswith(
+            "series.by_signal grew 1.41x: 0.37 -> 0.52; 100% of the "
+            "movement is link.h1.out@1 (+0.15)")
+
+
 # -- analyze-summary normalization on a real (tiny) run ------------------------
 
 def _traced_summary(label="diff-test", migrate=True):
