@@ -364,19 +364,16 @@ def _run_tiles(run: dict) -> str:
 
 def _profile_rows(node: dict, depth: int, total: float, rows: list) -> None:
     share = 100.0 * node["exclusive_s"] / total if total > 0 else 0.0
-    pad = depth * 14
-    width = max(share, 0.0)
-    rows.append(
-        "<tr>"
-        f"<td style='padding-left:{pad + 6}px'>{escape(node['name'])}</td>"
-        f"<td class='num'>{node['inclusive_s']:.4f}</td>"
-        f"<td class='num'>{node['exclusive_s']:.4f}</td>"
-        f"<td class='num'>{share:.1f}%</td>"
-        f"<td class='num'>{node['calls']:,}</td>"
-        f"<td><div style='background:var(--accent,#6a6af4);height:9px;"
-        f"width:{width:.1f}%;min-width:1px;border-radius:2px'></div></td>"
-        "</tr>"
-    )
+    rows.append((
+        f"<span style='padding-left:{depth * 14 + 6}px'>"
+        f"{escape(node['name'])}</span>",
+        f"{node['inclusive_s']:.4f}",
+        f"{node['exclusive_s']:.4f}",
+        f"{share:.1f}%",
+        f"{node['calls']:,}",
+        "<div style='background:var(--s1);height:9px;"
+        f"width:{max(share, 0.0):.1f}%;min-width:1px;border-radius:2px'></div>",
+    ))
     for child in node.get("children", []):
         _profile_rows(child, depth + 1, total, rows)
 
@@ -396,28 +393,16 @@ def _profile_panel(profile: dict) -> str:
         if cons["ok"] else
         f"profile NOT conserved — residual {cons['residual_s']:+.2e} s",
     )
+    body = note(f"total attributed wall {total:.4f} s · {verdict}") + table(
+        ["subsystem", "incl s", "excl s", "excl %", "calls", ""], rows,
+    )
     counters = profile.get("counters", {})
-    counter_rows = "".join(
-        f"<tr><td>{escape(k)}</td><td class='num'>{v:,}</td></tr>"
-        for k, v in counters.items()
-    )
-    counter_html = (
-        "<h3>Work counters</h3><table class='tbl'>"
-        "<tr><th>counter</th><th class='num'>value</th></tr>"
-        f"{counter_rows}</table>"
-        if counter_rows else ""
-    )
-    return card(
-        "Host self-profile",
-        note(f"total attributed wall {total:.4f} s · {verdict}")
-        + "<table class='tbl'>"
-        "<tr><th>subsystem</th><th class='num'>incl s</th>"
-        "<th class='num'>excl s</th><th class='num'>excl %</th>"
-        "<th class='num'>calls</th><th></th></tr>"
-        + "".join(rows)
-        + "</table>"
-        + counter_html,
-    )
+    if counters:
+        body += "<h3>Work counters</h3>" + table(
+            ["counter", "value"],
+            [(escape(k), f"{v:,}") for k, v in counters.items()],
+        )
+    return card("Host self-profile", body)
 
 
 # -- time-resolved telemetry (repro.obs.series) --------------------------------
