@@ -16,8 +16,8 @@ Four layers:
 * exact conservation — the ``net.<tag>`` rate signals mirror every
   ``TrafficMeter`` credit, so their Fraction step-integral equals the
   meter's tag total bit-exactly (:mod:`~repro.obs.series.conserve`);
-* windowed aggregation — EWMA, rolling mean/max, resampling, rates from
-  cumulatives (:mod:`~repro.obs.series.agg`);
+* aggregation — rates from cumulative curves
+  (:mod:`~repro.obs.series.agg`);
 * rendering — text sparklines, CSV, trace-derived series for the
   ``repro series`` CLI (:mod:`~repro.obs.series.render`).
 
@@ -39,13 +39,7 @@ recording on vs off is byte-identical (asserted by
 
 from __future__ import annotations
 
-from repro.obs.series.agg import (
-    ewma,
-    rates_from_cumulative,
-    resample,
-    rolling_max,
-    rolling_mean,
-)
+from repro.obs.series.agg import rates_from_cumulative
 from repro.obs.series.conserve import integral_check, step_integral
 from repro.obs.series.core import SCHEMA, SeriesRecorder
 from repro.obs.series.render import (
@@ -62,14 +56,10 @@ __all__ = [
     "SeriesLoadError",
     "SeriesRecorder",
     "coerce_series_doc",
-    "ewma",
     "integral_check",
     "load_series_file",
     "rates_from_cumulative",
     "render_sparklines",
-    "resample",
-    "rolling_max",
-    "rolling_mean",
     "series_csv",
     "series_from_trace_events",
     "step_integral",

@@ -1,62 +1,14 @@
-"""Windowed aggregation over recorded series points.
+"""Aggregation over recorded series points.
 
 Pure functions over ``[[t, value], ...]`` lists (the recorder's point
-format), used by the ``repro series`` CLI and the flight-report panels.
-Everything here is read-side post-processing: nothing feeds back into
-the simulation, so plain float arithmetic is fine.
+format), used by the flight-report panels.  Everything here is
+read-side post-processing: nothing feeds back into the simulation, so
+plain float arithmetic is fine.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-__all__ = ["ewma", "rolling_mean", "rolling_max", "resample",
-           "rates_from_cumulative"]
-
-
-def ewma(points: list, alpha: float = 0.3) -> list:
-    """Exponentially weighted moving average (seeded at the first value)."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must be in (0, 1]")
-    out = []
-    level = None
-    for t, v in points:
-        level = v if level is None else alpha * v + (1.0 - alpha) * level
-        out.append([t, level])
-    return out
-
-
-def _windowed(points: list, window: float,
-              reduce: Callable[[list], float]) -> list:
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    out = []
-    start = 0
-    for i, (t, _v) in enumerate(points):
-        while points[start][0] < t - window:
-            start += 1
-        out.append([t, reduce([v for _t, v in points[start:i + 1]])])
-    return out
-
-
-def rolling_mean(points: list, window: float) -> list:
-    """Mean over the trailing ``window`` sim-seconds at each point."""
-    return _windowed(points, window, lambda vs: sum(vs) / len(vs))
-
-
-def rolling_max(points: list, window: float) -> list:
-    """Max over the trailing ``window`` sim-seconds at each point."""
-    return _windowed(points, window, max)
-
-
-def resample(points: list, bin_width: float) -> list:
-    """Last-value fixed-bin resample: ``[[bin_start, last_in_bin], ...]``."""
-    if bin_width <= 0.0:
-        raise ValueError("bin_width must be positive")
-    bins: dict[int, float] = {}
-    for t, v in points:
-        bins[int(t / bin_width)] = v
-    return [[idx * bin_width, bins[idx]] for idx in sorted(bins)]
+__all__ = ["rates_from_cumulative"]
 
 
 def rates_from_cumulative(points: list, bin_width: float) -> list:

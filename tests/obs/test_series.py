@@ -32,13 +32,9 @@ from repro.obs.series import (
     SeriesLoadError,
     SeriesRecorder,
     coerce_series_doc,
-    ewma,
     integral_check,
     load_series_file,
     render_sparklines,
-    resample,
-    rolling_max,
-    rolling_mean,
     series_csv,
     series_from_trace_events,
     step_integral,
@@ -290,25 +286,6 @@ class TestRecorder:
 
 
 class TestAggregation:
-    PTS = [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 0.0]]
-
-    def test_ewma_seeds_at_first_value(self):
-        out = ewma(self.PTS, alpha=0.5)
-        assert out[0] == [0.0, 0.0]
-        assert out[1] == [1.0, 1.0]
-        with pytest.raises(ValueError):
-            ewma(self.PTS, alpha=0.0)
-
-    def test_rolling_windows(self):
-        assert rolling_mean(self.PTS, window=1.0)[-1] == [3.0, 2.0]
-        assert rolling_max(self.PTS, window=10.0)[-1] == [3.0, 4.0]
-        with pytest.raises(ValueError):
-            rolling_mean(self.PTS, window=0.0)
-
-    def test_resample_keeps_last_per_bin(self):
-        out = resample([[0.1, 1.0], [0.9, 2.0], [2.5, 3.0]], bin_width=1.0)
-        assert out == [[0.0, 2.0], [2.0, 3.0]]
-
     def test_rates_from_cumulative_recovers_deltas(self):
         rates = rates_from_cumulative([[1.0, 4.0], [2.0, 10.0]],
                                       bin_width=1.0)
