@@ -126,6 +126,17 @@ def _make_obs(args):
     )
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` (creating parent directories) and say
+    so on stderr."""
+    import pathlib
+
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def _write_obs(obs, args) -> None:
     if obs is None:
         return
@@ -151,21 +162,17 @@ def _write_obs(obs, args) -> None:
         print(render_sparklines(series_summary), file=sys.stderr)
     report = getattr(args, "report", None)
     if report is not None:
-        import pathlib
-
         from repro.obs.analyze import analyze_tracer, render_html
 
         summary = analyze_tracer(obs.tracer)
-        path = pathlib.Path(report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_html(summary, profile=prof_summary,
-                                    series=series_summary))
-        written.append(report)
         if not summary["conservation_ok"]:
             print("warning: byte-attribution conservation check failed",
                   file=sys.stderr)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
+    if report is not None:
+        _write_text(report, render_html(summary, profile=prof_summary,
+                                        series=series_summary))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -353,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args) -> int:
     import json
-    import pathlib
 
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability, Profiler
@@ -374,26 +380,18 @@ def _cmd_profile(args) -> int:
     prof_summary = prof.summary()
     print(f"== repro profile: fig2 ({args.approach}, seed {args.seed})")
     print(render_profile_text(prof_summary))
-    written = []
     if args.speedscope:
         write_speedscope(prof_summary, args.speedscope,
                          name=f"repro profile fig2 ({args.approach})")
-        written.append(args.speedscope)
+        print(f"wrote {args.speedscope}", file=sys.stderr)
     if args.collapsed:
         write_collapsed(prof_summary, args.collapsed)
-        written.append(args.collapsed)
+        print(f"wrote {args.collapsed}", file=sys.stderr)
     if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(prof_summary, sort_keys=True, indent=1))
-        written.append(args.json)
+        _write_text(args.json,
+                    json.dumps(prof_summary, sort_keys=True, indent=1))
     if args.report:
-        path = pathlib.Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_html(summary, profile=prof_summary))
-        written.append(args.report)
-    for p in written:
-        print(f"wrote {p}", file=sys.stderr)
+        _write_text(args.report, render_html(summary, profile=prof_summary))
     if args.check and not prof_summary["conservation"]["ok"]:
         print("profile conservation check FAILED", file=sys.stderr)
         return 1
@@ -439,12 +437,7 @@ def _cmd_analyze(args) -> int:
         write_summary_json(summary, args.json)
         print(f"wrote {args.json}", file=sys.stderr)
     if args.html is not None:
-        import pathlib
-
-        path = pathlib.Path(args.html)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_html(summary))
-        print(f"wrote {args.html}", file=sys.stderr)
+        _write_text(args.html, render_html(summary))
     if args.check and not summary["conservation_ok"]:
         print("conservation check FAILED", file=sys.stderr)
         return 1
@@ -519,8 +512,6 @@ def _render_critical_text(out: dict) -> str:
 
 
 def _cmd_diff(args) -> int:
-    import pathlib
-
     from repro.obs.diff import (
         DiffError,
         diff_files,
@@ -540,15 +531,9 @@ def _cmd_diff(args) -> int:
     else:
         print(render_diff_text(doc, top=args.top))
         if args.json is not None:
-            path = pathlib.Path(args.json)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(diff_json(doc))
-            print(f"wrote {args.json}", file=sys.stderr)
+            _write_text(args.json, diff_json(doc))
     if args.report is not None:
-        path = pathlib.Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_diff_html(doc, top=args.top))
-        print(f"wrote {args.report}", file=sys.stderr)
+        _write_text(args.report, render_diff_html(doc, top=args.top))
     if not doc["conservation_ok"]:
         print("diff conservation check FAILED", file=sys.stderr)
         return 1
@@ -557,7 +542,6 @@ def _cmd_diff(args) -> int:
 
 def _cmd_series(args) -> int:
     import json
-    import pathlib
 
     from repro.obs.series import (
         SeriesLoadError,
@@ -585,10 +569,7 @@ def _cmd_series(args) -> int:
         (args.csv, series_csv(doc, signals=signals)),
     ):
         if flag is not None:
-            path = pathlib.Path(flag)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-            print(f"wrote {flag}", file=sys.stderr)
+            _write_text(flag, text)
     return 0
 
 
