@@ -34,6 +34,7 @@ from repro.obs.render import (
     value_axis,
     vline,
 )
+from repro.obs.series.agg import rates_from_cumulative
 
 __all__ = ["render_text", "render_html", "cause_table"]
 
@@ -474,19 +475,16 @@ def _rate_on_grid(rate_points: list, t: float) -> float:
 def _stacked_bandwidth(run: dict) -> str:
     """Per-tag bandwidth as a stacked area chart (rates from the exact
     cumulative ``net.*`` curves)."""
-    from repro.obs.series.agg import rates_from_cumulative
-
-    tags = []
-    for name, sig in run["signals"].items():
-        if name.startswith("net.") and sig["kind"] == "rate" \
-                and not name.startswith("net.rate.") and sig["points"]:
-            tag = name[len("net."):]
-            tags.append((tag, rates_from_cumulative(sig["points"],
-                                                    sig["bin_width"])))
-    tags = [(tag, pts) for tag, pts in tags if pts]
+    tags = sorted(
+        ((name[len("net."):],
+          rates_from_cumulative(sig["points"], sig["bin_width"]))
+         for name, sig in run["signals"].items()
+         if name.startswith("net.") and not name.startswith("net.rate.")
+         and sig["kind"] == "rate" and sig["points"]),
+        key=lambda tp: (slot(tp[0]) or 99, tp[0]),
+    )
     if not tags:
         return ""
-    tags.sort(key=lambda tp: (slot(tp[0]) or 99, tp[0]))
     t0 = min(p[0][0] for _t, p in tags)
     t1 = max(p[-1][0] for _t, p in tags)
     span = max(t1 - t0, 1e-9)
@@ -510,8 +508,6 @@ def _stacked_bandwidth(run: dict) -> str:
 def _dirty_vs_write_chart(run: dict) -> str:
     """Dirty-rate vs guest write-rate, each normalized to its own peak
     (different units; the shapes are what the comparison is about)."""
-    from repro.obs.series.agg import rates_from_cumulative
-
     series = []
     for name, sig in sorted(run["signals"].items()):
         if name.startswith("mem.dirty_rate:") and sig["points"]:

@@ -34,13 +34,8 @@ _HEADLINE_DIMS = (
 #: Relative change below which a total is reported as unchanged.
 _FLAT_REL = 0.005
 
-
-def _fmt_value(value: float, unit: str) -> str:
-    return fmt_quantity(value, unit, digits=3)
-
-
-def _fmt_delta(value: float, unit: str) -> str:
-    return fmt_delta(value, unit, digits=3)
+#: Decimal places for seconds in findings and headlines.
+_DIGITS = 3
 
 
 def _fmt_ratio(ratio: float) -> str:
@@ -71,6 +66,12 @@ def _time_verdict(dim: dict) -> str:
     return "held steady"
 
 
+def _totals(dim: dict) -> str:
+    """The dimension's totals as ``A -> B``."""
+    return " -> ".join(fmt_quantity(dim[side], dim["unit"], _DIGITS)
+                       for side in ("total_a", "total_b"))
+
+
 def _top_movers(dim: dict, n: int = 3) -> list:
     return [c for c in dim["contributions"][:n] if c["delta"] != 0]
 
@@ -94,7 +95,7 @@ def _counter_clause(dimensions: list) -> Optional[str]:
         if c["a"] > 0 and c["b"] > 0:
             parts.append(f"{c['key']} x{c['b'] / c['a']:.1f}")
         else:
-            parts.append(f"{c['key']} {_fmt_delta(c['delta'], 'count')}")
+            parts.append(f"{c['key']} {fmt_delta(c['delta'], 'count')}")
     return "correlated with " + ", ".join(parts)
 
 
@@ -109,7 +110,7 @@ def _cause_clause(dimensions: list) -> Optional[str]:
              if c["key"].startswith("retry.") and c["delta"] > 0]
     if retry:
         return ("with " + ", ".join(
-            f"{c['key']} {_fmt_delta(c['delta'], 'B')}" for c in retry[:2]))
+            f"{c['key']} {fmt_delta(c['delta'], 'B')}" for c in retry[:2]))
     return None
 
 
@@ -128,13 +129,11 @@ def explain_pair(dimensions: list) -> dict:
         if not movers and not dim["new_keys"] and not dim["vanished_keys"]:
             continue
         clauses = [
-            f"{c['key']} {_fmt_delta(c['delta'], dim['unit'])}"
+            f"{c['key']} {fmt_delta(c['delta'], dim['unit'], _DIGITS)}"
             f" ({100 * c['share']:.0f}%)"
             for c in movers
         ]
-        text = (f"{dim['name']} {_verdict(dim)} "
-                f"({_fmt_value(dim['total_a'], dim['unit'])} -> "
-                f"{_fmt_value(dim['total_b'], dim['unit'])})")
+        text = f"{dim['name']} {_verdict(dim)} ({_totals(dim)})"
         if clauses:
             text += ": " + ", ".join(clauses)
         findings.append({
@@ -158,14 +157,13 @@ def explain_pair(dimensions: list) -> dict:
             continue
         verdict = (_time_verdict(dim) if dim["unit"] == "s"
                    else _verdict(dim))
-        headline = (f"{name} {verdict}: "
-                    f"{_fmt_value(dim['total_a'], dim['unit'])} -> "
-                    f"{_fmt_value(dim['total_b'], dim['unit'])}")
+        headline = f"{name} {verdict}: {_totals(dim)}"
         movers = _top_movers(dim, n=1)
         if movers:
             c = movers[0]
+            delta = fmt_delta(c["delta"], dim["unit"], _DIGITS)
             headline += (f"; {100 * c['share']:.0f}% of the movement is "
-                         f"{c['key']} ({_fmt_delta(c['delta'], dim['unit'])})")
+                         f"{c['key']} ({delta})")
         for clause in (_counter_clause(dimensions), _cause_clause(dimensions)):
             if clause:
                 headline += f", {clause}"

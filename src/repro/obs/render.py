@@ -85,40 +85,19 @@ def fmt_delta(value: float, unit: str, digits: int = 2) -> str:
 #: validated adjacency).
 SLOTS = {
     # byte causes
-    "push": 1,
-    "prefetch": 2,
-    "pull.demand": 3,
-    "repo.fetch": 4,
-    "memory": 5,
-    "workload": 6,
-    "control": 7,
+    "push": 1, "prefetch": 2, "pull.demand": 3, "repo.fetch": 4,
+    "memory": 5, "workload": 6, "control": 7,
     # migration phases
-    "request/setup": 1,
-    "memory + push": 2,
-    "sync": 3,
-    "downtime": 4,
+    "request/setup": 1, "memory + push": 2, "sync": 3, "downtime": 4,
     "pull / post-control": 5,
     # critical-path resources
-    "net.push": 1,
-    "net.prefetch": 2,
-    "net.demand": 3,
-    "net.repo": 4,
-    "net.memory": 5,
-    "net.workload": 6,
-    "net.control": 7,
-    "net.retry": 8,
-    "disk": 4,
-    "pagecache": 3,
-    "codec": 6,
+    "net.push": 1, "net.prefetch": 2, "net.demand": 3, "net.repo": 4,
+    "net.memory": 5, "net.workload": 6, "net.control": 7, "net.retry": 8,
+    "disk": 4, "pagecache": 3, "codec": 6,
     # traffic tags
-    "storage-push": 1,
-    "storage-pull": 2,
-    "storage-mirror": 3,
-    "repo": 4,
+    "storage-push": 1, "storage-pull": 2, "storage-mirror": 3, "repo": 4,
     # remaining-set drain gauges
-    "push.remaining": 1,
-    "pull.pending": 3,
-    "precopy.dirty": 5,
+    "push.remaining": 1, "pull.pending": 3, "precopy.dirty": 5,
     "mirror.outstanding": 2,
 }
 _RETRY_SLOT = 8  # every retry.* cause shares the red slot
