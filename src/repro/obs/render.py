@@ -23,10 +23,10 @@ from html import escape
 from typing import Iterable, Sequence
 
 __all__ = [
-    "CSS", "SLOTS", "bar", "badge", "card", "color", "fmt_bytes",
-    "fmt_count", "fmt_delta", "fmt_quantity", "fmt_seconds", "fmt_value",
-    "lane_chart", "legend", "note", "page", "rect", "slot", "svg",
-    "table", "table_view", "text", "time_grid", "value_axis", "vline",
+    "badge", "bar", "card", "color", "fmt_bytes", "fmt_count", "fmt_delta",
+    "fmt_quantity", "fmt_seconds", "fmt_value", "lane_chart", "legend",
+    "note", "page", "rect", "slot", "svg", "table", "table_view", "text",
+    "time_grid", "value_axis", "vline",
 ]
 
 # -- units ---------------------------------------------------------------------
@@ -83,7 +83,7 @@ def fmt_delta(value: float, unit: str, digits: int = 2) -> str:
 #: gauge takes the slot of the byte cause that dominates it, and the phase
 #: slots run in recorded wall order (adjacent slots are the palette's
 #: validated adjacency).
-SLOTS = {
+_SLOTS = {
     # byte causes
     "push": 1, "prefetch": 2, "pull.demand": 3, "repo.fetch": 4,
     "memory": 5, "workload": 6, "control": 7,
@@ -105,8 +105,8 @@ _RETRY_SLOT = 8  # every retry.* cause shares the red slot
 
 def slot(key: str) -> int | None:
     """The key's categorical slot; ``None`` folds to the muted colour."""
-    if key in SLOTS:
-        return SLOTS[key]
+    if key in _SLOTS:
+        return _SLOTS[key]
     if key.startswith("retry."):
         return _RETRY_SLOT
     return None
@@ -123,7 +123,7 @@ def color(key: str) -> str:
 
 # -- HTML ----------------------------------------------------------------------
 
-CSS = """
+_CSS = """
 :root { margin: 0; }
 body {
   margin: 0; padding: 24px;
@@ -194,7 +194,7 @@ def page(title: str, sub: str, body: str) -> str:
     return (
         "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
         f"<title>{escape(title)}</title>"
-        f"<style>{CSS}</style></head>"
+        f"<style>{_CSS}</style></head>"
         "<body class='viz-root'>"
         f"<h1>{escape(title)}</h1>"
         f"<p class='sub'>{sub}</p>"
