@@ -427,8 +427,9 @@ def _step_points(points: list) -> list:
 
 def _plot(height: int, t0: float, t1: float, vmax: float, top_label: str,
           aria: str, shapes: list) -> str:
-    """A time plot: quarter-second grid, value axis, and ``shapes`` as
-    ``[(element, attrs, points, title)]`` in data coordinates."""
+    """A time plot: gridlines at the quarters of the span, the value axis,
+    and ``shapes`` as ``[(element, attrs, points, title)]`` in data
+    coordinates."""
     span = max(t1 - t0, 1e-9)
     width, left, bottom = 720, 56, 18
     plot_w, plot_h = width - left - 10, height - bottom - 8
@@ -513,12 +514,12 @@ def _dirty_vs_write_chart(run: dict) -> str:
         if name.startswith("mem.dirty_rate:") and sig["points"]:
             series.append((f"{name} (peak "
                            f"{fmt_bytes(sig['max'] or 0.0)}/s)",
-                           "var(--s5)", sig["points"], sig["max"]))
+                           color("memory"), sig["points"], sig["max"]))
         elif name.startswith("writes.chunks:") and sig["points"]:
             rates = rates_from_cumulative(sig["points"], sig["bin_width"])
             peak = max(v for _t, v in rates)
             series.append((f"{name} (peak {fmt_value(peak)} chunks/s)",
-                           "var(--s6)", rates, peak))
+                           color("workload"), rates, peak))
     norm = [
         (name, c, [[t, v / peak] for t, v in pts] if peak else pts)
         for name, c, pts, peak in series

@@ -4,7 +4,8 @@ A delta table per dimension says *what* moved; this module says *why it
 reads as a regression (or a win)* by joining the dimensions the way a
 human would: start from the headline time dimension (simulated
 migration wall, host wall per scenario, host wall per scope — whichever
-the artifact kind carries), name its top contributors, then correlate
+the artifact kind carries, else the first dimension that moved), name
+its top contributors, then correlate
 with the work counters that moved in the same run pair and with
 byte-attribution causes that appeared or vanished (``retry.*`` showing
 up is a fault-recovery signature, not a protocol change).
@@ -149,8 +150,7 @@ def explain_pair(dimensions: list) -> dict:
     headline = "no differences found"
     # Kinds without a headline dimension (series docs) lead with the
     # first dimension that moved.
-    names = [*_HEADLINE_DIMS, *(d["name"] for d in dimensions)]
-    for name in names:
+    for name in [*_HEADLINE_DIMS, *(d["name"] for d in dimensions)]:
         dim = _dim(dimensions, name)
         if dim is None or (dim["delta"] == 0 and not dim["new_keys"]
                            and not dim["vanished_keys"]):
