@@ -178,11 +178,16 @@ def _write_obs(obs, args) -> None:
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
-        return int(a), int(b)
+        grid = int(a), int(b)
     except Exception as exc:  # noqa: BLE001 - argparse boundary
         raise argparse.ArgumentTypeError(
             f"grid must look like '4x4', got {text!r}"
         ) from exc
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(
+            f"grid sizes must be at least 1, got {text!r}"
+        )
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quick", action="store_true",
                        help="reduced geometry for a fast run")
         if fig == "fig5":
-            p.add_argument("--grid", type=_parse_grid, default=(4, 4),
-                           help="CM1 rank grid, e.g. 8x8 (default 4x4)")
+            p.add_argument("--grid", type=_parse_grid, default=None,
+                           help="CM1 rank grid, e.g. 8x8 (default 4x4, "
+                                "2x2 with --quick)")
         _add_obs_flags(p)
 
     single = sub.add_parser("single", help="one migration under one workload")

@@ -15,7 +15,7 @@ account time and traffic.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator
 
 from repro.cluster.node import ComputeNode
 from repro.simkernel.core import Process
@@ -51,24 +51,6 @@ class DatacenterScheduler:
         for vm in self.cloud.vms.values():
             counts[vm.node.name] += 1
         return counts
-
-    def node_write_pressure(self, node: ComputeNode) -> float:
-        """Aggregate recent guest write rate on ``node`` (bytes/s)."""
-        return sum(vm.recent_write_rate() for vm in self.vms_on(node))
-
-    def _least_loaded(
-        self, exclude: Iterable[ComputeNode] = (), below_capacity: bool = True
-    ) -> Optional[ComputeNode]:
-        exclude = set(exclude)
-        counts = self.occupancy()
-        candidates = [
-            n for n in self.cloud.cluster.nodes
-            if n not in exclude
-            and (not below_capacity or counts[n.name] < self.capacity)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: (self.occupancy()[n.name], n.name))
 
     # -- policies ------------------------------------------------------------
     def evacuate(self, node: ComputeNode, memory=None) -> Process:

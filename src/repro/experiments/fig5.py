@@ -28,7 +28,7 @@ MIGRATION_COUNTS = (1, 3, 5, 7)
 def run_fig5(
     approaches: Optional[Iterable[str]] = None,
     counts: Iterable[int] = MIGRATION_COUNTS,
-    grid: tuple[int, int] = (4, 4),
+    grid: Optional[tuple[int, int]] = None,
     quick: bool = False,
     seed: int = 0,
     obs=None,
@@ -36,15 +36,22 @@ def run_fig5(
     """Sweep successive migration counts per approach.
 
     Returns ``{approach: {n: (outcome, baseline)}}`` where the baseline is
-    the same ensemble without migrations.
+    the same ensemble without migrations.  ``grid`` defaults to 2x2 under
+    ``quick`` and 4x4 otherwise; a grid the caller passes is always used.
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
     counts = list(counts)
     workload_kwargs: dict = {}
+    if grid is None:
+        grid = (2, 2) if quick else (4, 4)
     if quick:
-        grid = (2, 2)
         counts = [n for n in counts if n <= 3] or [1]
         workload_kwargs = dict(n_steps=40, dump_every=8)
+    if max(counts, default=0) > grid[0] * grid[1]:
+        raise ValueError(
+            f"a {grid[0]}x{grid[1]} grid has fewer ranks than the "
+            f"{max(counts)} successive migrations fig5 runs"
+        )
 
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}
     for approach in approaches:

@@ -35,6 +35,9 @@ __all__ = ["Constraint", "progressive_filling", "maxmin_single_switch",
 
 _EPS = 1e-12
 
+#: Solutions :class:`IncrementalMaxMin` keeps (least recently used out).
+_MEMO_SIZE = 512
+
 
 @dataclass
 class Constraint:
@@ -295,12 +298,9 @@ class IncrementalMaxMin:
     the differential tests pin down.
     """
 
-    def __init__(self, topology: "Topology", memo_size: int = 512) -> None:
-        if memo_size < 1:
-            raise ValueError("memo_size must be >= 1")
+    def __init__(self, topology: "Topology") -> None:
         self.topology = topology
         self._memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._memo_size = int(memo_size)
         self._sig_version = -1
         self._sig: tuple = ()
 
@@ -377,7 +377,7 @@ class IncrementalMaxMin:
         )
         rates.flags.writeable = False
         self._memo[key] = rates
-        if len(self._memo) > self._memo_size:
+        if len(self._memo) > _MEMO_SIZE:
             self._memo.popitem(last=False)
         if stats is not None:
             stats["solves"] = stats.get("solves", 0) + 1

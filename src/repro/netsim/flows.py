@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.netsim.fairness import IncrementalMaxMin, maxmin_single_switch
+from repro.netsim.fairness import IncrementalMaxMin
 from repro.netsim.topology import Host, Topology
 from repro.netsim.traffic import TrafficMeter
 from repro.obs.causal.record import annotate
@@ -103,8 +103,7 @@ class Fabric:
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
         self._cause_override: list[str] = []
-        #: Incremental solver (fast kernel only; the reference kernel
-        #: re-solves from scratch every time and is the oracle).
+        #: Memoized, touched-host-compacted max-min solver.
         self._maxmin = IncrementalMaxMin(topology)
         #: Dirty-link tracking: set when the flow set changes, checked
         #: together with ``topology.version`` so a clean ``_recompute``
@@ -358,8 +357,7 @@ class Fabric:
             self._dirty = False
             self._topo_version_seen = topo.version
             return
-        if (not self._dirty and self._topo_version_seen == topo.version
-                and self.env.kernel == "fast"):
+        if not self._dirty and self._topo_version_seen == topo.version:
             # Same flow set, same capacities: the standing rates are still
             # the max-min solution.  The dirty flag is driven by every
             # mutation path (transfer/cancel/abort/completion) and the
@@ -380,8 +378,7 @@ class Fabric:
             # rise and freeze together and the group allocation splits
             # proportionally to member weights — the coalesced solve is
             # mathematically the per-flow solve, at a fraction of the
-            # variable count.  Applied under both kernels: it is model
-            # semantics, not a fast-path shortcut.
+            # variable count.
             group_key: dict[tuple[int, int, str], int] = {}
             g_srcs: list[int] = []
             g_dsts: list[int] = []
@@ -402,21 +399,7 @@ class Fabric:
             srcs = np.array(g_srcs, dtype=np.intp)
             dsts = np.array(g_dsts, dtype=np.intp)
             weights = np.array(g_weights, dtype=np.float64)
-            if self.env.kernel == "fast":
-                rates = self._maxmin.solve(weights, srcs, dsts, stats=stats)
-            else:
-                rates = maxmin_single_switch(
-                    weights,
-                    srcs,
-                    dsts,
-                    topo.nic_out_array(),
-                    topo.nic_in_array(),
-                    topo.backplane,
-                    host_racks=(topo.rack_array()
-                                if topo.rack_uplinks else None),
-                    uplink_caps=topo.uplink_caps_array(),
-                    stats=stats,
-                )
+            rates = self._maxmin.solve(weights, srcs, dsts, stats=stats)
             for gi in range(len(members)):
                 group = members[gi]
                 rate = float(rates[gi])

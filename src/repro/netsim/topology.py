@@ -1,12 +1,10 @@
-"""Hosts, NICs and the constraint view of the fabric."""
+"""Hosts, NICs and the capacity arrays the fabric solves over."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.netsim.fairness import Constraint
 
 __all__ = ["Host", "Topology"]
 
@@ -199,56 +197,3 @@ class Topology:
         self.backplane = self._backplane_base * factor
         self.version += 1
         return self.backplane
-
-    def constraints_for(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-    ) -> list[Constraint]:
-        """Build the constraint set for flows described by ``srcs``/``dsts``
-        (arrays of host indices).
-
-        One egress constraint per host with outgoing flows, one ingress
-        constraint per host with incoming flows, plus the backplane over all
-        flows (when configured).
-        """
-        constraints: list[Constraint] = []
-        n = len(srcs)
-        if n == 0:
-            return constraints
-        srcs = np.asarray(srcs, dtype=np.intp)
-        dsts = np.asarray(dsts, dtype=np.intp)
-
-        for hidx in np.unique(srcs):
-            members = np.flatnonzero(srcs == hidx)
-            host = self.hosts[hidx]
-            constraints.append(
-                Constraint(host.nic_out, members, name=f"nic-out:{host.name}")
-            )
-        for hidx in np.unique(dsts):
-            members = np.flatnonzero(dsts == hidx)
-            host = self.hosts[hidx]
-            constraints.append(
-                Constraint(host.nic_in, members, name=f"nic-in:{host.name}")
-            )
-        if self.rack_uplinks:
-            racks = self.rack_array()
-            src_rack = racks[srcs]
-            dst_rack = racks[dsts]
-            cross = src_rack != dst_rack
-            for rack, cap in self.rack_uplinks.items():
-                out_members = np.flatnonzero(cross & (src_rack == rack))
-                if out_members.size:
-                    constraints.append(
-                        Constraint(cap, out_members, name=f"uplink-out:{rack}")
-                    )
-                in_members = np.flatnonzero(cross & (dst_rack == rack))
-                if in_members.size:
-                    constraints.append(
-                        Constraint(cap, in_members, name=f"uplink-in:{rack}")
-                    )
-        if self.backplane is not None:
-            constraints.append(
-                Constraint(self.backplane, np.arange(n), name="backplane")
-            )
-        return constraints

@@ -52,10 +52,6 @@ class TrafficMeter:
         """Bytes moved under exactly ``tag`` (summed over causes)."""
         return sum(v for (t, _c), v in self._pairs.items() if t == tag)
 
-    def cause_bytes(self, cause: str) -> float:
-        """Bytes attributed to exactly ``cause`` (summed over tags)."""
-        return sum(v for (_t, c), v in self._pairs.items() if c == cause)
-
     def total(self, *, exclude: Iterable[str] = ()) -> float:
         """Total bytes over all tags, optionally excluding some tags.
 

@@ -20,16 +20,7 @@ Public surface:
   used for disks and single-constraint links.
 """
 
-from repro.simkernel.core import (
-    KERNELS,
-    Environment,
-    Event,
-    Process,
-    StopSimulation,
-    default_kernel,
-    kernel_scope,
-    set_default_kernel,
-)
+from repro.simkernel.core import Environment, Event, Process, StopSimulation
 from repro.simkernel.events import AllOf, AnyOf, Interrupt, RearmableTimer, Timeout
 from repro.simkernel.fluid import FluidShare
 from repro.simkernel.resources import Container, Resource, Store
@@ -42,14 +33,10 @@ __all__ = [
     "Event",
     "FluidShare",
     "Interrupt",
-    "KERNELS",
     "Process",
     "RearmableTimer",
     "Resource",
     "StopSimulation",
     "Store",
     "Timeout",
-    "default_kernel",
-    "kernel_scope",
-    "set_default_kernel",
 ]

@@ -8,36 +8,26 @@ entries, so simultaneous events are delivered in a deterministic order
 (insertion order within a priority class) — a hard requirement for
 reproducible experiments.
 
-Two interchangeable schedulers ("kernels") implement that contract:
+Events scheduled with ``delay == 0`` (the dominant case:
+``succeed()``/``fail()`` wakeups, process bootstraps, interrupts) go to
+per-priority FIFO *now-buckets* — plain deques, no heap churn — while
+only real timers touch the heap.  Because bucket entries always carry the
+current timestamp and the heap is only consulted when its head is due,
+the merged delivery order is exactly the ``(time, priority, seq)`` order
+a single heap would produce (``tests/simkernel/test_schedule_spec.py``
+checks it against a plain ``heapq`` model).
 
-``reference``
-    The pure from-scratch implementation: every event goes through the
-    binary heap.  Simple enough to audit by eye; kept in-tree as the
-    oracle the differential tests (``tests/differential``) compare
-    against.
-
-``fast`` (default)
-    Identical delivery order, cheaper bookkeeping.  Events scheduled with
-    ``delay == 0`` (the dominant case: ``succeed()``/``fail()`` wakeups,
-    process bootstraps, interrupts) go to per-priority FIFO *now-buckets*
-    — plain deques, no heap churn — while only real timers touch the
-    heap.  Because bucket entries always carry the current timestamp and
-    the heap is only consulted when its head is due, the merged delivery
-    order is exactly the reference ``(time, priority, seq)`` order.
-
-Both kernels honour :attr:`Event._cancelled`: a cancelled entry is
-skipped at pop time without advancing the clock or counting as a
-processed event, which is what lets timers be re-armed into the *same*
-tick without double delivery (see ``RearmableTimer``).
+A cancelled entry (:attr:`Event._cancelled`) is skipped at pop time
+without advancing the clock or counting as a processed event, which is
+what lets timers be re-armed into the *same* tick without double
+delivery (see ``RearmableTimer``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.probe import NULL_PROBE, Probe
 
@@ -49,10 +39,6 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "KERNELS",
-    "default_kernel",
-    "set_default_kernel",
-    "kernel_scope",
 ]
 
 #: Sentinel for an event that has not been triggered yet.
@@ -62,46 +48,6 @@ PENDING = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-#: The two scheduler implementations an :class:`Environment` can run on.
-KERNELS = ("fast", "reference")
-
-_DEFAULT_KERNEL = os.environ.get("REPRO_KERNEL", "fast")
-if _DEFAULT_KERNEL not in KERNELS:  # pragma: no cover - env misconfiguration
-    raise ValueError(
-        f"REPRO_KERNEL={_DEFAULT_KERNEL!r} is not one of {KERNELS}"
-    )
-
-
-def default_kernel() -> str:
-    """The kernel new :class:`Environment` instances use when not told."""
-    return _DEFAULT_KERNEL
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default kernel; returns the previous default.
-
-    Affects only environments constructed afterwards with
-    ``Environment(kernel=None)``; running environments keep the kernel
-    they were born with (switching schedulers mid-run would reorder the
-    queue).
-    """
-    global _DEFAULT_KERNEL
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = kernel
-    return previous
-
-
-@contextmanager
-def kernel_scope(kernel: str) -> Iterator[None]:
-    """Temporarily change the default kernel (for tests / comparisons)."""
-    previous = set_default_kernel(kernel)
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 class StopSimulation(Exception):
@@ -383,29 +329,13 @@ class Environment:
     ----------
     initial_time:
         Starting value of :attr:`now` (seconds).
-    kernel:
-        ``"fast"`` (now-buckets + heap) or ``"reference"`` (pure heap).
-        ``None`` uses the process-wide default (``REPRO_KERNEL`` env var
-        or :func:`set_default_kernel`; ``"fast"`` out of the box).  Both
-        deliver events in the identical ``(time, priority, seq)`` order —
-        ``tests/differential`` holds them to byte-identical results.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = _DEFAULT_KERNEL
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}"
-            )
-        self.kernel = kernel
-        self._fast = kernel == "fast"
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
-        #: Fast-kernel now-buckets: FIFOs of ``(seq, event)`` entries due at
-        #: the *current* time, one per priority class.  Always empty on the
-        #: reference kernel.
+        #: Now-buckets: FIFOs of ``(seq, event)`` entries due at the
+        #: *current* time, one per priority class.
         self._bucket_urgent: deque[tuple[int, Event]] = deque()
         self._bucket_normal: deque[tuple[int, Event]] = deque()
         self._seq = 0
@@ -464,7 +394,7 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
-        if self._fast and delay == 0.0:
+        if delay == 0.0:
             # Due *now*: a FIFO append preserves the (time, priority, seq)
             # order the heap would have produced, at deque cost.
             bucket = (self._bucket_urgent if priority == URGENT

@@ -14,8 +14,7 @@ The job state (remaining bytes, weights) is array-backed: integration and
 the next-completion scan are numpy element-wise operations over the active
 prefix instead of per-job Python arithmetic.  The element-wise expressions
 mirror the scalar formulas exactly (same operations, same order per
-element), so results are unchanged; ``tests/differential`` holds the whole
-simulator to byte-identical outputs across kernels on top of this.
+element), so results are unchanged.
 """
 
 from __future__ import annotations
@@ -74,22 +73,9 @@ class FluidShare:
 
     # -- public ------------------------------------------------------------
     @property
-    def active_jobs(self) -> int:
-        return self._n
-
-    @property
     def utilization(self) -> float:
         """1.0 while any job is active, else 0.0 (fluid model is work-conserving)."""
         return 1.0 if self._n else 0.0
-
-    def rate_of(self, job: FluidJob) -> float:
-        """Current instantaneous rate of ``job`` in bytes/second."""
-        if job not in self._jobs:
-            return 0.0
-        total_w = float(np.add.reduce(self._weights[: self._n]))
-        if total_w <= 0:
-            return 0.0
-        return self.capacity * job.weight / total_w
 
     def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
         """Start a transfer of ``nbytes``; returns its completion event."""

@@ -83,9 +83,6 @@ class ChunkMap:
         """Indices of the ``ModifiedSet``."""
         return np.flatnonzero(self.modified)
 
-    def present_set(self) -> np.ndarray:
-        return np.flatnonzero(self.present)
-
     def missing_in(self, chunks: np.ndarray) -> np.ndarray:
         """Subset of ``chunks`` that is not locally present."""
         chunks = np.asarray(chunks, dtype=np.intp)

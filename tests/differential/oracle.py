@@ -43,10 +43,6 @@ from repro.netsim.flows import Fabric
 from repro.netsim.topology import Topology
 from repro.simkernel.core import Environment, Event
 
-# Until the in-tree kernel switch is deleted, the oracle runs on top of
-# its fast mode, so the three swaps below are the only difference.
-from repro.simkernel.core import kernel_scope as _in_tree_scope
-
 __all__ = ["KERNELS", "ReferenceMaxMin", "kernel_scope"]
 
 #: ``fast`` is the production simulator, ``reference`` the oracle.
@@ -96,30 +92,32 @@ _SWAPS = (
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
     (Fabric, "_recompute", _reference_recompute),
 )
-_PRODUCTION = tuple(getattr(owner, name) for owner, name, _ in _SWAPS)
-
-_current = "fast"
 
 
-def _install(kernel: str) -> None:
-    for (owner, name, reference), production in zip(_SWAPS, _PRODUCTION):
-        setattr(owner, name, reference if kernel == "reference" else production)
+def _installed() -> tuple:
+    return tuple(getattr(owner, name) for owner, name, _ in _SWAPS)
+
+
+def _install(values: tuple) -> None:
+    for (owner, name, _), value in zip(_SWAPS, values):
+        setattr(owner, name, value)
+
+
+_PRODUCTION = _installed()
+_REFERENCE = tuple(reference for _, _, reference in _SWAPS)
 
 
 @contextmanager
 def kernel_scope(kernel: str) -> Iterator[None]:
     """Run the enclosed code on ``kernel``; scopes nest."""
-    global _current
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    previous, _current = _current, kernel
-    _install(kernel)
+    saved = _installed()
+    _install(_REFERENCE if kernel == "reference" else _PRODUCTION)
     try:
-        with _in_tree_scope("fast"):
-            yield
+        yield
     finally:
-        _current = previous
-        _install(previous)
+        _install(saved)
 
 
 _session = ExitStack()

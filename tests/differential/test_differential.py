@@ -1,13 +1,15 @@
-"""Differential harness: fast kernel vs the reference oracle.
+"""Differential harness: the production simulator vs the reference oracle.
 
-The simulator ships two kernels (``Environment(kernel=...)``):
+``oracle.kernel_scope`` runs code on one of two kernels:
 
-* ``fast`` — bucketed same-tick scheduling, incremental max-min with
-  memoization and touched-host compaction, dirty-skip recomputes.
-* ``reference`` — pure-heap scheduling and a from-scratch water-filling
-  solve on every recompute; no caches, no shortcuts.
+* ``fast`` — the production simulator: bucketed same-tick scheduling,
+  incremental max-min with memoization and touched-host compaction,
+  dirty-skip recomputes.
+* ``reference`` — the oracle (``oracle.py``): pure-heap scheduling and a
+  from-scratch water-filling solve on every recompute; no caches, no
+  shortcuts.
 
-Every optimization in the fast kernel carries an exactness argument (see
+Every fast path carries an exactness argument (see
 ``docs/architecture.md``); this harness is the empirical teeth.  Each
 scenario — the golden figure reproductions, the chaos-matrix fault cells,
 and the zero-byte edge cases — runs under both kernels and the digests
@@ -27,9 +29,9 @@ import pytest
 
 from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.config import MigrationConfig
-from repro.simkernel import Environment, kernel_scope
-from repro.simkernel.core import KERNELS
+from repro.simkernel import Environment
 
+from tests.differential.oracle import KERNELS, kernel_scope
 from tests.faults.test_chaos_matrix import (
     CHAOS_SPEC,
     FAULT_KINDS,
@@ -87,11 +89,8 @@ def _cluster_digest(env, cloud, vm, record) -> str:
 
 
 def _assert_kernels_agree(run, label: str) -> None:
-    """``run() -> str`` digest; both kernels must agree exactly."""
-    digests = {}
-    for kernel in KERNELS:
-        with kernel_scope(kernel):
-            digests[kernel] = run()
+    """``run(kernel) -> str`` digest; both kernels must agree exactly."""
+    digests = {k: run(k) for k in KERNELS}
     assert digests["fast"] == digests["reference"], (
         f"{label}: fast kernel diverged from the reference oracle.\n"
         "First differing lines:\n" + _first_diff(
@@ -126,113 +125,25 @@ def _strip_kernel_introspection(doc):
     return doc
 
 
-# ---------------------------------------------------------------- scenarios
-# Each builder returns a ``run() -> str`` digest function; the tests below
-# run it once per kernel.
-
-
-def golden_scenario(figure: str):
-    """One golden figure scenario, reduced to its exact digest.
+# ---------------------------------------------------------------- goldens
+@pytest.mark.parametrize("figure", sorted(GOLDENS))
+def test_golden_scenario_differential(figure):
+    """Every golden figure scenario, bit-identical under both kernels.
 
     The golden fixtures round to 9 significant digits; here the raw
     digest dicts are compared at full precision.
     """
-    def run():
-        if figure == "fig2_series":
-            # The golden pins the fast kernel; compare the unpinned
-            # document instead, minus scheduler introspection.
-            return exact_json(_strip_kernel_introspection(fig2_series_doc()))
-        return exact_json(GOLDENS[figure]())
+    def run(kernel):
+        with kernel_scope(kernel):
+            if figure == "fig2_series":
+                # The golden pins the fast kernel; compare the unpinned
+                # document instead, minus scheduler introspection.
+                doc = _strip_kernel_introspection(fig2_series_doc())
+            else:
+                doc = GOLDENS[figure]()
+            return exact_json(doc)
 
-    return run
-
-
-def chaos_scenario(approach: str, kind: str):
-    """One chaos-matrix cell: migrate at t=1 s, run to the plan horizon."""
-    def run():
-        plan = _plan(kind)
-        env, cloud, vm = _build(approach, plan)
-        out = {}
-
-        def migrator():
-            yield env.timeout(1.0)
-            out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
-
-        env.process(migrator())
-        env.run(until=plan.horizon)
-        return _cluster_digest(env, cloud, vm, out.get("record"))
-
-    return run
-
-
-def zero_byte_transfers() -> str:
-    """Zero-byte transfers and messages: no traffic, same event counts."""
-    from repro.netsim.flows import Fabric
-    from repro.netsim.topology import Topology
-
-    env = Environment()
-    topo = Topology()
-    h0 = topo.add_host("h0", 100e6)
-    h1 = topo.add_host("h1", 100e6)
-    fabric = Fabric(env, topo, latency=1e-4)
-    seen = []
-
-    def proc():
-        yield fabric.transfer(h0, h1, 0.0, tag="storage-push", cause="push")
-        seen.append(env.now)
-        yield fabric.message(h0, h1, nbytes=0.0, tag="control", cause="control")
-        seen.append(env.now)
-        # A zero-byte flow sharing the fabric with a real one.
-        ev = fabric.transfer(h0, h1, 10 * MB, tag="storage-pull",
-                             cause="prefetch")
-        yield fabric.transfer(h1, h0, 0.0, tag="control", cause="control")
-        yield ev
-        seen.append(env.now)
-
-    env.process(proc())
-    env.run()
-    return exact_json({
-        "meter": _meter_digest(fabric.meter),
-        "events_processed": env.events_processed,
-        "timestamps": seen,
-        "now": env.now,
-    })
-
-
-def zero_write_migration() -> str:
-    """A migration with no guest workload at all (push drains everything;
-    TRANSFER_IO_CONTROL ships an empty remaining set)."""
-    spec = dict(CHAOS_SPEC)
-    spec.pop("repo_replication", None)
-    env = Environment()
-    cluster = Cluster(env, ClusterSpec(**spec))
-    cloud = CloudMiddleware(
-        cluster, config=MigrationConfig(push_batch=8, pull_batch=8)
-    )
-    vm = cloud.deploy("vm0", cluster.node(0), approach="our-approach",
-                      working_set=16 * MB)
-    out = {}
-
-    def migrator():
-        yield env.timeout(0.5)
-        out["record"] = yield cloud.migrate(vm, cluster.node(1))
-
-    env.process(migrator())
-    env.run(until=300.0)
-    record = out.get("record")
-    assert record is not None and not record.aborted
-    return _cluster_digest(env, cloud, vm, record)
-
-
-#: The non-hybrid approaches sampled with one representative fault.
-OTHER_APPROACHES = ("precopy", "postcopy")
-
-
-# ---------------------------------------------------------------- goldens
-@pytest.mark.parametrize("figure", sorted(GOLDENS))
-def test_golden_scenario_differential(figure):
-    """Every golden figure scenario, bit-identical under both kernels."""
-    _assert_kernels_agree(golden_scenario(figure), f"golden:{figure}")
+    _assert_kernels_agree(run, f"golden:{figure}")
 
 
 # ------------------------------------------------------------ chaos cells
@@ -240,22 +151,111 @@ def test_golden_scenario_differential(figure):
 def test_chaos_cell_differential(kind):
     """Fault-path cells: the kernels must agree through degrades,
     partitions, crashes, repository outages and slow disks."""
-    _assert_kernels_agree(chaos_scenario("our-approach", kind),
-                          f"chaos:{kind}")
+    def run(kernel):
+        with kernel_scope(kernel):
+            plan = _plan(kind)
+            env, cloud, vm = _build("our-approach", plan)
+            out = {}
+
+            def migrator():
+                yield env.timeout(1.0)
+                out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+            env.process(migrator())
+            env.run(until=plan.horizon)
+            return _cluster_digest(env, cloud, vm, out.get("record"))
+
+    _assert_kernels_agree(run, f"chaos:{kind}")
 
 
-@pytest.mark.parametrize("approach", OTHER_APPROACHES)
+@pytest.mark.parametrize("approach", ["precopy", "postcopy"])
 def test_chaos_cell_other_approaches_differential(approach):
     """One representative fault for the non-hybrid approaches."""
-    _assert_kernels_agree(chaos_scenario(approach, "link-degraded"),
-                          f"chaos:{approach}:link-degraded")
+    def run(kernel):
+        with kernel_scope(kernel):
+            plan = _plan("link-degraded")
+            env, cloud, vm = _build(approach, plan)
+            out = {}
+
+            def migrator():
+                yield env.timeout(1.0)
+                out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+            env.process(migrator())
+            env.run(until=plan.horizon)
+            return _cluster_digest(env, cloud, vm, out.get("record"))
+
+    _assert_kernels_agree(run, f"chaos:{approach}:link-degraded")
 
 
 # -------------------------------------------------------- zero-byte edges
 def test_zero_byte_transfers_differential():
-    _assert_kernels_agree(zero_byte_transfers, "zero-byte:transfers")
+    """Zero-byte transfers and messages: no traffic, same event counts."""
+    def run(kernel):
+        with kernel_scope(kernel):
+            from repro.netsim.flows import Fabric
+            from repro.netsim.topology import Topology
+
+            env = Environment()
+            topo = Topology()
+            h0 = topo.add_host("h0", 100e6)
+            h1 = topo.add_host("h1", 100e6)
+            fabric = Fabric(env, topo, latency=1e-4)
+            seen = []
+
+            def proc():
+                yield fabric.transfer(h0, h1, 0.0, tag="storage-push",
+                                      cause="push")
+                seen.append(env.now)
+                yield fabric.message(h0, h1, nbytes=0.0,
+                                     tag="control", cause="control")
+                seen.append(env.now)
+                # A zero-byte flow sharing the fabric with a real one.
+                ev = fabric.transfer(h0, h1, 10 * MB, tag="storage-pull",
+                                     cause="prefetch")
+                yield fabric.transfer(h1, h0, 0.0, tag="control",
+                                      cause="control")
+                yield ev
+                seen.append(env.now)
+
+            env.process(proc())
+            env.run()
+            return exact_json({
+                "meter": _meter_digest(fabric.meter),
+                "events_processed": env.events_processed,
+                "timestamps": seen,
+                "now": env.now,
+            })
+
+    _assert_kernels_agree(run, "zero-byte:transfers")
 
 
 def test_zero_write_migration_differential():
-    _assert_kernels_agree(zero_write_migration,
-                          "zero-byte:no-workload-migration")
+    """A migration with no guest workload at all (push drains everything;
+    TRANSFER_IO_CONTROL ships an empty remaining set)."""
+    spec = dict(CHAOS_SPEC)
+    spec.pop("repo_replication", None)
+
+    def run(kernel):
+        with kernel_scope(kernel):
+            env = Environment()
+            cluster = Cluster(env, ClusterSpec(**spec))
+            cloud = CloudMiddleware(
+                cluster, config=MigrationConfig(push_batch=8, pull_batch=8)
+            )
+            vm = cloud.deploy("vm0", cluster.node(0),
+                              approach="our-approach",
+                              working_set=16 * MB)
+            out = {}
+
+            def migrator():
+                yield env.timeout(0.5)
+                out["record"] = yield cloud.migrate(vm, cluster.node(1))
+
+            env.process(migrator())
+            env.run(until=300.0)
+            record = out.get("record")
+            assert record is not None and not record.aborted
+            return _cluster_digest(env, cloud, vm, record)
+
+    _assert_kernels_agree(run, "zero-byte:no-workload-migration")

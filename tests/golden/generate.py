@@ -165,7 +165,7 @@ def _fig2_analyze_summary(approach: str, kernel: str | None = None) -> dict:
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability
     from repro.obs.analyze import analyze_tracer
-    from repro.simkernel import kernel_scope
+    from tests.differential.oracle import kernel_scope
 
     obs = Observability(trace=True, causal=True)
     scope = kernel_scope(kernel) if kernel else contextlib.nullcontext()
@@ -179,9 +179,10 @@ def fig2_summary_fast_golden() -> dict:
 
 
 def fig2_summary_reference_golden() -> dict:
-    """Must be byte-identical to the fast-kernel summary — the two
-    kernels guarantee bit-identical simulation output, and this fixture
-    pair pins that guarantee at the artifact level."""
+    """The same run on the reference oracle (``tests/differential/
+    oracle.py``).  Must be byte-identical to the production summary — the
+    oracle changes no simulation output, and this fixture pair pins that
+    guarantee at the artifact level."""
     return _fig2_analyze_summary("our-approach", kernel="reference")
 
 
@@ -190,8 +191,8 @@ def fig2_summary_precopy_golden() -> dict:
 
 
 def fig2_series_doc() -> dict:
-    """The ``repro.series/1`` document for a fig2 run on the default
-    kernel."""
+    """The ``repro.series/1`` document for a fig2 run on whichever kernel
+    is in force."""
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability
 
@@ -201,7 +202,7 @@ def fig2_series_doc() -> dict:
 
 
 def fig2_series_golden() -> dict:
-    """The fig2 series document, on the fast kernel.
+    """The fig2 series document, on the production kernel.
 
     Pins every signal the probe writes — remaining-set drain, per-tag
     byte curves, dirty-rate samples, kernel depth — plus the per-run
@@ -210,7 +211,7 @@ def fig2_series_golden() -> dict:
     ``kernel.*`` gauges observe scheduler internals, hence the pinned
     kernel.
     """
-    from repro.simkernel import kernel_scope
+    from tests.differential.oracle import kernel_scope
 
     with kernel_scope("fast"):
         return fig2_series_doc()
@@ -306,12 +307,12 @@ def fig2_exports_golden() -> dict:
     them unnoticed.  The fig2 run records everything at once (the
     equivalent of ``repro fig2 --trace-detail full --causal
     --metrics-out --series-out``); the two chaos cells add the fault
-    paths.  Generated on the fast kernel: the series ``kernel.*``
-    gauges are scheduler introspection and differ by design.
+    paths.  Generated on the production kernel: the series ``kernel.*``
+    gauges are scheduler introspection and differ on the oracle by design.
     """
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability
-    from repro.simkernel import kernel_scope
+    from tests.differential.oracle import kernel_scope
 
     out = {}
     with kernel_scope("fast"):
@@ -334,7 +335,7 @@ def _diff_fixture(name_a: str, name_b: str) -> dict:
 
 
 def fig2_diff_kernels_golden() -> dict:
-    """fast vs reference kernel: the all-zero delta (differential
+    """production vs reference oracle: the all-zero delta (differential
     testing surfaced as a diff artifact)."""
     return _diff_fixture("fig2_summary_fast", "fig2_summary_reference")
 
@@ -382,13 +383,13 @@ def fig2_reports_golden() -> dict:
     and diff report (HTML and text).
 
     Inputs are the committed summary, series and diff fixtures plus the
-    two chaos cells analyzed on the fast kernel, so any change to the
+    two chaos cells analyzed on the production kernel, so any change to the
     rendering code that moves a single output byte fails here.
     """
     from repro.obs import Observability
     from repro.obs.analyze import analyze_tracer, render_html, render_text
     from repro.obs.diff import render_diff_html, render_diff_text
-    from repro.simkernel import kernel_scope
+    from tests.differential.oracle import kernel_scope
 
     def fixture(name: str) -> dict:
         return json.loads((FIXTURES / f"{name}.json").read_text())

@@ -45,7 +45,7 @@ class TestLazyValues:
 
 def _profiled_env():
     obs = Observability(trace=False, metrics=False, profile=True)
-    env = Environment(kernel="fast")
+    env = Environment()
     obs.install(env)
     return obs.profiler, env
 

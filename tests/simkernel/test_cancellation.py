@@ -8,19 +8,22 @@ whenever the guard was rebuilt between the two deliveries — starving other
 same-tick work of its expected ordering.  The kernel now carries a real
 ``_cancelled`` flag honoured by ``step()``, and :class:`RearmableTimer`
 packages the arm/cancel pattern.  These tests pin the contract down for
-both the fast (bucketed) and reference (pure-heap) kernels, since
-zero-delay entries live in different structures under each.
+both the production (bucketed) kernel and the reference (pure-heap)
+oracle, since zero-delay entries live in different structures under each.
 """
 
 import pytest
 
 from repro.simkernel import Environment, RearmableTimer
-from repro.simkernel.core import KERNELS, NORMAL, Event
+from repro.simkernel.core import NORMAL, Event
+
+from tests.differential.oracle import KERNELS, kernel_scope
 
 
 @pytest.fixture(params=KERNELS)
 def env(request):
-    return Environment(kernel=request.param)
+    with kernel_scope(request.param):
+        yield Environment()
 
 
 def test_cancelled_event_not_delivered(env):

@@ -10,11 +10,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_grid_parsing():
+def test_grid_parsing(capsys):
     args = build_parser().parse_args(["fig5", "--grid", "2x3"])
     assert args.grid == (2, 3)
+    # No default here: run_fig5 picks 2x2 under --quick, 4x4 otherwise.
+    assert build_parser().parse_args(["fig5", "--quick"]).grid is None
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig5", "--grid", "nope"])
+    for text in ("0x4", "4x0", "-1x2"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig5", f"--grid={text}"])
+        assert "at least 1" in capsys.readouterr().err
 
 
 def test_unknown_approach_rejected():
