@@ -27,6 +27,9 @@ Loaded as a pytest plugin, the module runs a whole session on the
 oracle::
 
     PYTHONPATH=src python -m pytest -x -q -p tests.differential.oracle
+
+The swaps patch this interpreter only: a simulation a test runs in a
+child interpreter runs on production.
 """
 
 from __future__ import annotations

@@ -1,56 +1,61 @@
 """Smoke tests: every example script runs end-to-end and prints its
-headline results."""
+headline results.
+
+Each example runs in this process, as ``__main__``, so a session-wide
+kernel swap (``-p tests.differential.oracle``) reaches it too.
+"""
 
 import pathlib
-import subprocess
-import sys
+import runpy
+
+import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
-def run_example(name: str) -> str:
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+@pytest.fixture
+def run_example(capsys):
+    """Run ``examples/<name>`` and return what it printed."""
+
+    def run(name: str) -> str:
+        runpy.run_path(str(EXAMPLES / name), run_name="__main__")
+        return capsys.readouterr().out
+
+    return run
 
 
-def test_quickstart():
+def test_quickstart(run_example):
     out = run_example("quickstart.py")
     assert "migration time" in out
     assert "consistency check passed" in out
 
 
-def test_datacenter_evacuation():
+def test_datacenter_evacuation(run_example):
     out = run_example("datacenter_evacuation.py")
     assert "our-approach" in out and "precopy" in out
     assert "pin time" in out
 
 
-def test_hpc_stencil_rebalancing():
+def test_hpc_stencil_rebalancing(run_example):
     out = run_example("hpc_stencil_rebalancing.py")
     assert "BSP-amplified slowdown" in out
     assert "pvfs-shared" in out
 
 
-def test_postcopy_memory_extension():
+def test_postcopy_memory_extension(run_example):
     out = run_example("postcopy_memory_extension.py")
     assert "pre-copy" in out and "post-copy" in out
     assert "time to control" in out
 
 
-def test_dedup_and_advisor():
+def test_dedup_and_advisor(run_example):
     out = run_example("dedup_and_advisor.py")
     assert "de-duplication" in out
     assert "Phase timeline" in out
     assert "downtime" in out
 
 
-def test_cloud_operations():
+def test_cloud_operations(run_example):
     out = run_example("cloud_operations.py")
     assert "balanced" in out
     assert "evacuated for maintenance" in out
@@ -58,14 +63,14 @@ def test_cloud_operations():
     assert "checkpointed" in out
 
 
-def test_proactive_fault_tolerance():
+def test_proactive_fault_tolerance(run_example):
     out = run_example("proactive_fault_tolerance.py")
     assert "PREDICTED FAILURE" in out
     assert "UNEXPECTED FAILURE" in out
     assert "restored on node5" in out
 
 
-def test_trace_a_migration():
+def test_trace_a_migration(run_example):
     out = run_example("trace_a_migration.py")
     assert "migration traced" in out
     assert "trace events recorded" in out
@@ -73,7 +78,7 @@ def test_trace_a_migration():
     assert "load it in Perfetto" in out
 
 
-def test_mapreduce_scratch_study():
+def test_mapreduce_scratch_study(run_example):
     out = run_example("mapreduce_scratch_study.py")
     assert "local scratch (ceiling)" in out
     assert "pvfs-shared scratch" in out
