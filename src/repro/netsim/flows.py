@@ -8,6 +8,9 @@ changes (a transfer starts or completes) it
 2. recomputes the weighted max-min fair rates via progressive filling,
 3. schedules a wakeup at the earliest next completion.
 
+A caller that starts several flows at one instant wraps them in
+:meth:`Fabric.batch`, so steps 2 and 3 run once for all of them.
+
 This makes interference between memory migration, storage push/pull,
 repository fetches and guest remote I/O fully emergent: they are just flows
 competing for NICs and the backplane.
@@ -111,6 +114,33 @@ class Fabric:
         #: no-op — the standing rates are still the solution.
         self._dirty = True
         self._topo_version_seen = -1
+        #: Open :meth:`batch` scopes, and whether a flow joined inside one.
+        self._batch_depth = 0
+        self._batch_pending = False
+
+    @contextmanager
+    def batch(self):
+        """Start several flows at this instant with one reshare.
+
+        Inside the scope :meth:`transfer` integrates and adds its flow as
+        usual but defers the max-min solve and the wakeup; when the
+        outermost scope exits, one reshare covers every flow that joined.
+        This is exact: the body must not yield (simlint K405), so the clock
+        cannot move and no other process runs, each skipped solve would
+        have integrated zero bytes, and the final solve sees the same flow
+        list, in the same order, as the last per-transfer solve would.  The
+        reshare runs even when the body raises, so legs started before the
+        exception still get rates.
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0 and self._batch_pending:
+                self._batch_pending = False
+                self._recompute()
+                self._reschedule()
 
     @contextmanager
     def cause_scope(self, cause: str):
@@ -185,7 +215,8 @@ class Fabric:
 
         ``cause`` labels *why* the bytes move (``push``, ``prefetch``,
         ``pull.demand``, ...); it defaults to the innermost
-        :meth:`cause_scope` override, then to the tag itself.
+        :meth:`cause_scope` override, then to the tag itself.  Inside a
+        :meth:`batch` the new flow's rate is set when the batch exits.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -210,8 +241,11 @@ class Fabric:
         self._advance()
         self._flows.append(flow)
         self._dirty = True
-        self._recompute()
-        self._reschedule()
+        if self._batch_depth:
+            self._batch_pending = True
+        else:
+            self._recompute()
+            self._reschedule()
         return flow.done
 
     def message(self, src: Host, dst: Host, nbytes: float = 512,

@@ -82,6 +82,34 @@ class StripedRepository:
         # when the node hosting it crashed (host-level fault injection).
         return index not in self._failed and not self.servers[index].failed
 
+    def _pick_replicas(self, chunk_ids: np.ndarray) -> list[tuple[int, int]]:
+        """``[(server, chunks)]`` to read ``chunk_ids`` from, servers in the
+        order they are first picked.
+
+        Each chunk goes to its least-loaded live replica; a tie goes to the
+        replica listed first by :meth:`replicas_of`.  Raises
+        :class:`RepositoryUnavailable` for the first chunk with no live
+        replica.
+        """
+        n = len(self.servers)
+        candidates = (chunk_ids[:, None] + np.arange(self.replication)) % n
+        alive = np.array([not s.failed for s in self.servers], dtype=bool)
+        alive[list(self._failed)] = False
+        live = alive[candidates]
+        dead = ~live.any(axis=1)
+        if dead.any():
+            chunk = int(chunk_ids[int(np.argmax(dead))])
+            raise RepositoryUnavailable(
+                f"all {self.replication} replica(s) of chunk {chunk} "
+                "are on failed servers"
+            )
+        load = np.where(live, self._load[candidates], np.inf)
+        best = candidates[np.arange(len(chunk_ids)), np.argmin(load, axis=1)]
+        servers, first, counts = np.unique(best, return_index=True,
+                                           return_counts=True)
+        order = np.argsort(first)
+        return list(zip(servers[order].tolist(), counts[order].tolist()))
+
     def fetch(
         self,
         chunk_ids: np.ndarray,
@@ -97,33 +125,22 @@ class StripedRepository:
             ev.succeed(0.0)
             return ev
 
-        per_server: dict[int, int] = defaultdict(int)
-        for chunk in chunk_ids:
-            replicas = [
-                s for s in self.replicas_of(int(chunk)) if self._server_alive(s)
-            ]
-            if not replicas:
-                raise RepositoryUnavailable(
-                    f"all {self.replication} replica(s) of chunk {int(chunk)} "
-                    "are on failed servers"
-                )
-            best = min(replicas, key=lambda s: self._load[s])
-            per_server[best] += 1
-
+        per_server = self._pick_replicas(chunk_ids)
         p = self.env.probe
         if p.enabled:
             p.repo_fetch(int(len(chunk_ids)), len(per_server), dest)
         transfers = []
-        for sidx, count in per_server.items():
-            nbytes = count * self.chunk_size
-            self._load[sidx] += nbytes
-            self.bytes_served += nbytes
-            ev = self.fabric.transfer(
-                self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
-                cause=cause,
-            )
-            ev.add_callback(self._make_unloader(sidx, nbytes))
-            transfers.append(ev)
+        with self.fabric.batch():
+            for sidx, count in per_server:
+                nbytes = count * self.chunk_size
+                self._load[sidx] += nbytes
+                self.bytes_served += nbytes
+                ev = self.fabric.transfer(
+                    self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
+                    cause=cause,
+                )
+                ev.add_callback(self._make_unloader(sidx, nbytes))
+                transfers.append(ev)
         return self.env.all_of(transfers)
 
     def store(
@@ -156,15 +173,14 @@ class StripedRepository:
         p = self.env.probe
         if p.enabled:
             p.repo_store(int(len(chunk_ids)), len(per_server), src)
-        transfers = []
-        for sidx, count in per_server.items():
-            nbytes = count * self.chunk_size
-            transfers.append(
+        with self.fabric.batch():
+            transfers = [
                 self.fabric.transfer(
-                    src, self.servers[sidx], nbytes, tag=tag, weight=weight,
-                    cause=cause,
+                    src, self.servers[sidx], count * self.chunk_size, tag=tag,
+                    weight=weight, cause=cause,
                 )
-            )
+                for sidx, count in per_server.items()
+            ]
         return self.env.all_of(transfers)
 
     def _make_unloader(self, sidx: int, nbytes: float):

@@ -107,15 +107,14 @@ class CM1Workload(Workload):
         synchronization semantics, so each pair of borders is modeled as
         one flow per direction per step.
         """
-        sends = []
-        for nb in self._neighbours():
-            peer_vm = self.peers[nb]
-            sends.append(
+        with self.fabric.batch():
+            sends = [
                 self.fabric.transfer(
-                    self.vm.host, peer_vm.host, float(self.halo_bytes), tag="app",
-                    cause="workload"
+                    self.vm.host, self.peers[nb].host, float(self.halo_bytes),
+                    tag="app", cause="workload"
                 )
-            )
+                for nb in self._neighbours()
+            ]
         if sends:
             yield self.env.all_of(sends)
 

@@ -96,16 +96,15 @@ class MapReduceWorker(Workload):
         n = len(self.peers)
         spill = int(self.input_split * self.spill_ratio)
         partition = spill // max(n, 1)
-        sends = []
-        for r, peer_vm in enumerate(self.peers):
-            if r == self.rank or partition == 0:
-                continue
-            sends.append(
+        with self.fabric.batch():
+            sends = [
                 self.fabric.transfer(
                     self.vm.host, peer_vm.host, float(partition), tag="app",
                     cause="workload"
                 )
-            )
+                for r, peer_vm in enumerate(self.peers)
+                if r != self.rank and partition != 0
+            ]
         if sends:
             yield self.env.all_of(sends)
         self.phase_times["shuffle"] = self.env.now

@@ -1,7 +1,7 @@
 """The reference oracle: the simulator with every fast path swapped out.
 
 Production runs one scheduler and one solver.  The oracle is the same
-simulator with three production pieces replaced by their obvious,
+simulator with four production pieces replaced by their obvious,
 from-scratch forms:
 
 1. ``Environment._schedule`` pushes every event through the binary heap
@@ -10,9 +10,11 @@ from-scratch forms:
    becomes :class:`ReferenceMaxMin`, a water-filling solve on the full
    host arrays (no memo, no touched-host compaction);
 3. ``Fabric._recompute`` marks the fabric dirty first, so it re-solves on
-   every call (production skips a clean recompute).
+   every call (production skips a clean recompute);
+4. ``Fabric.batch`` does nothing, so every transfer reshares on its own
+   (production reshares once per batch of same-instant transfers).
 
-Inside ``kernel_scope("reference")`` all three swaps are in force;
+Inside ``kernel_scope("reference")`` all four swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
 events in the identical ``(time, priority, seq)`` order and produce
 bitwise-identical rates, which ``test_differential.py`` checks scenario
@@ -89,11 +91,18 @@ def _reference_recompute(self: Fabric) -> None:
     _production_recompute(self)
 
 
+@contextmanager
+def _reference_batch(self: Fabric) -> Iterator[None]:
+    """No batching: each transfer in the scope reshares when it starts."""
+    yield
+
+
 #: ``(owner, attribute, reference value)`` for each swapped piece.
 _SWAPS = (
     (Environment, "_schedule", _reference_schedule),
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
     (Fabric, "_recompute", _reference_recompute),
+    (Fabric, "batch", _reference_batch),
 )
 
 
