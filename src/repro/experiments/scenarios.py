@@ -16,6 +16,7 @@ degradation metrics have their reference, and returns a
 
 from __future__ import annotations
 
+import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -116,6 +117,12 @@ def _make_cloud(
     obs: Optional[Observability] = None,
     **spec_overrides,
 ):
+    # A finished scenario is one reference cycle (environment, processes,
+    # events) that refcounting never frees, and it holds every array the
+    # run allocated.  Collect it before building the next one: left to the
+    # collector's own schedule, dead scenarios pile up and set a sweep's
+    # peak memory.
+    gc.collect()
     env = Environment()
     if obs is not None:
         obs.install(env)

@@ -1,9 +1,13 @@
 """Tests for the scenario builders (scaled-down parameters)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.scenarios import (
     ScenarioOutcome,
+    _make_cloud,
     run_cm1_successive,
     run_concurrent_migrations,
     run_single_migration,
@@ -99,3 +103,21 @@ class TestCM1:
         o = ScenarioOutcome(approach="x", workload="y")
         with pytest.raises(ValueError):
             _ = o.avg_migration_time
+
+
+def test_building_a_scenario_frees_the_previous_one():
+    """A finished scenario is a reference cycle that refcounting never
+    frees; building the next one collects it, so a sweep holds one
+    scenario's memory at a time."""
+    was_enabled = gc.isenabled()
+    gc.disable()  # only the explicit collection may free it
+    try:
+        env, cloud = _make_cloud(2, None)
+        fabric = weakref.ref(cloud.cluster.fabric)
+        del env, cloud
+        assert fabric() is not None
+        _make_cloud(2, None)
+        assert fabric() is None
+    finally:
+        if was_enabled:
+            gc.enable()
