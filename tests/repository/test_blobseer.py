@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import Fabric, Topology
-from repro.repository.blobseer import StripedRepository
+from repro.repository.blobseer import RepositoryUnavailable, StripedRepository
 from repro.simkernel import Environment
 
 
@@ -196,3 +198,67 @@ class TestFaultInjection:
         env.run()
         assert done
         assert vm.manager.chunks.present[:16].all()
+
+
+def _pick_model(repo, chunk_ids):
+    """The per-chunk replica loop ``fetch`` ran before it was vectorised:
+    ``[(server, chunks)]`` in first-pick order."""
+    per_server = {}
+    for chunk in chunk_ids:
+        replicas = [s for s in repo.replicas_of(int(chunk))
+                    if repo._server_alive(s)]
+        if not replicas:
+            raise RepositoryUnavailable(
+                f"all {repo.replication} replica(s) of chunk {int(chunk)} "
+                "are on failed servers"
+            )
+        best = min(replicas, key=lambda s: repo._load[s])
+        per_server[best] = per_server.get(best, 0) + 1
+    return list(per_server.items())
+
+
+@st.composite
+def pick_cases(draw):
+    """``(n_servers, replication, chunk ids, failed, crashed, loads)``;
+    few distinct loads, so ties between replicas are common."""
+    n = draw(st.integers(1, 6))
+    servers = st.integers(0, n - 1)
+    return (
+        n,
+        draw(st.integers(1, n)),
+        draw(st.lists(st.integers(0, 3 * n), min_size=1, max_size=24)),
+        draw(st.sets(servers)),
+        draw(st.sets(servers)),
+        draw(st.lists(st.sampled_from((0.0, 100.0, 250.0)), min_size=n,
+                      max_size=n)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick_cases())
+def test_property_fetch_picks_replicas_like_the_per_chunk_loop(case):
+    n, replication, chunk_ids, failed, crashed, loads = case
+    env, fabric, repo, servers, clients = make_repo(
+        n_servers=n, replication=replication)
+    for index in failed:
+        repo.fail_server(index)
+    for index in crashed:
+        servers[index].failed = True
+    repo._load[:] = loads
+    ids = np.array(chunk_ids, dtype=np.intp)
+    try:
+        expected = _pick_model(repo, ids)
+    except RepositoryUnavailable as exc:
+        with pytest.raises(RepositoryUnavailable) as raised:
+            repo.fetch(ids, clients[0])
+        assert str(raised.value) == str(exc)
+        return
+    legs = []
+
+    def record(src, dst, nbytes, **kwargs):
+        legs.append((servers.index(src), nbytes // repo.chunk_size))
+        return env.event()
+
+    fabric.transfer = record
+    repo.fetch(ids, clients[0])
+    assert legs == expected
