@@ -655,8 +655,24 @@ def _cmd_compare(args, obs=None) -> str:
     )
 
 
+def _check_fig5_grid(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a ``--grid`` with fewer ranks than the sweep migrates."""
+    from repro.experiments.fig5 import migration_counts
+
+    if args.grid is None:
+        return
+    ranks = args.grid[0] * args.grid[1]
+    most = max(migration_counts(quick=args.quick))
+    if most > ranks:
+        parser.error(f"--grid {args.grid[0]}x{args.grid[1]} has {ranks} "
+                     f"rank(s), but the sweep migrates up to {most}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fig5":
+        _check_fig5_grid(parser, args)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "analyze":

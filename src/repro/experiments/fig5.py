@@ -20,9 +20,19 @@ from repro.core.registry import APPROACHES
 from repro.experiments.runner import SeriesResult, render_series
 from repro.experiments.scenarios import ScenarioOutcome, run_cm1_successive
 
-__all__ = ["run_fig5", "render_fig5", "MIGRATION_COUNTS"]
+__all__ = ["run_fig5", "render_fig5", "migration_counts", "MIGRATION_COUNTS"]
 
 MIGRATION_COUNTS = (1, 3, 5, 7)
+
+
+def migration_counts(counts: Iterable[int] = MIGRATION_COUNTS,
+                     quick: bool = False) -> list[int]:
+    """The migration counts a sweep runs: ``quick`` keeps those up to 3,
+    and at least one."""
+    counts = list(counts)
+    if quick:
+        counts = [n for n in counts if n <= 3] or [1]
+    return counts
 
 
 def run_fig5(
@@ -40,12 +50,11 @@ def run_fig5(
     ``quick`` and 4x4 otherwise; a grid the caller passes is always used.
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
-    counts = list(counts)
+    counts = migration_counts(counts, quick)
     workload_kwargs: dict = {}
     if grid is None:
         grid = (2, 2) if quick else (4, 4)
     if quick:
-        counts = [n for n in counts if n <= 3] or [1]
         workload_kwargs = dict(n_steps=40, dump_every=8)
 
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}

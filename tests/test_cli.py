@@ -23,6 +23,26 @@ def test_grid_parsing(capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig5", "--quick", "--grid", "1x1"],
+     "--grid 1x1 has 1 rank(s), but the sweep migrates up to 3"),
+    (["fig5", "--grid", "2x2"],
+     "--grid 2x2 has 4 rank(s), but the sweep migrates up to 7"),
+])
+def test_fig5_grid_smaller_than_a_migration_count_is_a_usage_error(
+        monkeypatch, capsys, argv, message):
+    from repro.experiments import fig5
+
+    runs = []
+    monkeypatch.setattr(fig5, "run_cm1_successive",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert runs == []
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_approach_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["single", "--approach", "teleport"])
