@@ -11,7 +11,7 @@ Counts are taken under ``kernel_scope("fast")``, so they also hold when
 the whole session runs on the oracle, whose batch does nothing.
 """
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -28,12 +28,6 @@ from tests.conftest import SMALL_SPEC
 from tests.differential.oracle import kernel_scope
 
 MB = 2**20
-
-
-@contextmanager
-def _unbatched(self):
-    """``Fabric.batch`` as it would be without batching."""
-    yield
 
 
 def _small_fabric(n_servers=4):
@@ -110,8 +104,8 @@ def _fan_out(build, batched):
     Returns the solves it cost, the flows it added, every flow's rate
     right after it, and when and with what durations its legs completed.
     """
-    patch = nullcontext() if batched else mock.patch.object(Fabric, "batch",
-                                                            _unbatched)
+    patch = (nullcontext() if batched else
+             mock.patch.object(Fabric, "batch", lambda self: nullcontext()))
     with kernel_scope("fast"), patch:
         env, fabric, start = build()
         obs = Observability(trace=False, metrics=False, profile=True)
