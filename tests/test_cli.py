@@ -28,7 +28,7 @@ def test_grid_parsing(capsys):
      "--grid 1x1 has 1 rank(s), but the sweep migrates up to 3"),
     (["fig5", "--grid", "2x2"],
      "--grid 2x2 has 4 rank(s), but the sweep migrates up to 7"),
-])
+], ids=["quick-1x1", "full-2x2"])
 def test_fig5_grid_smaller_than_a_migration_count_is_a_usage_error(
         monkeypatch, capsys, argv, message):
     from repro.experiments import fig5
