@@ -1,15 +1,11 @@
-"""The IaaS cloud: compute nodes, cluster wiring, middleware, advisor."""
+"""The IaaS cloud: compute nodes, cluster wiring, middleware."""
 
-from repro.cluster.advisor import MigrationAdvisor
 from repro.cluster.cloud import CloudMiddleware, Cluster, ClusterSpec
 from repro.cluster.node import ComputeNode
-from repro.cluster.scheduler import DatacenterScheduler
 
 __all__ = [
     "CloudMiddleware",
     "Cluster",
     "ClusterSpec",
     "ComputeNode",
-    "DatacenterScheduler",
-    "MigrationAdvisor",
 ]

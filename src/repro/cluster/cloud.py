@@ -169,47 +169,6 @@ class CloudMiddleware:
         self.vms[name] = vm
         return vm
 
-    def checkpoint(self, vm: VMInstance, service) -> Process:
-        """BlobCR-style crash-consistent disk checkpoint: pause the VM,
-        drain its in-flight I/O, snapshot, resume.
-
-        Returns a process yielding the
-        :class:`~repro.core.snapshot.DiskSnapshot`.
-        """
-
-        def run():
-            vm.pause()
-            yield from vm.drain_io()
-            try:
-                snapshot = yield from service.take(vm.manager)
-            finally:
-                vm.resume()
-            return snapshot
-
-        return self.env.process(run(), name=f"checkpoint:{vm.name}")
-
-    def deploy_from_snapshot(
-        self,
-        name: str,
-        node: ComputeNode,
-        snapshot,
-        service,
-        approach: str = "our-approach",
-        **vm_kwargs,
-    ) -> tuple[VMInstance, Process]:
-        """Deploy a new VM whose disk starts from ``snapshot`` (the
-        multideployment pattern of [26]).
-
-        Returns ``(vm, restore_process)``; the VM's disk view is ready
-        once the restore process completes.
-        """
-        vm = self.deploy(name, node, approach=approach, **vm_kwargs)
-        proc = self.env.process(
-            service.restore_into(snapshot, vm.manager),
-            name=f"restore:{name}",
-        )
-        return vm, proc
-
     def migrate(
         self,
         vm: VMInstance,

@@ -30,7 +30,6 @@ from repro.core.postcopy import PostcopyManager
 from repro.core.precopy import PrecopyManager
 from repro.core.registry import APPROACHES, approach_summary, manager_class
 from repro.core.shared import SharedStorageManager
-from repro.core.snapshot import DiskSnapshot, SnapshotService
 
 __all__ = [
     "APPROACHES",
@@ -40,9 +39,7 @@ __all__ = [
     "MirrorManager",
     "PostcopyManager",
     "PrecopyManager",
-    "DiskSnapshot",
     "SharedStorageManager",
-    "SnapshotService",
     "TransferCodec",
     "approach_summary",
     "content_fingerprints",

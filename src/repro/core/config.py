@@ -61,7 +61,7 @@ class MigrationConfig:
     precopy_dirty_target: float = 16 * 256 * 1024
     precopy_force_after: float = 1800.0
     #: QEMU block migration flattens the backing chain: the bulk phase
-    #: carries the allocated base image too (see storage.qcow2).  False
+    #: carries the allocated base image too (see core.precopy).  False
     #: models a destination that re-opens the shared backing file and
     #: receives only the snapshot layer — this single switch is what
     #: moves the paper's precopy numbers between the Figure 4(b) regime

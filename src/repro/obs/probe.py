@@ -326,22 +326,6 @@ class Probe:
         if gave_up:
             self._count("repo.fetch.gaveup")
 
-    def snapshot_taken(self, vm: str, t0: float, n_chunks: int) -> None:
-        if self.tracer is not None:
-            self.tracer.complete("snapshot.take", t0, self._env.now,
-                                 cat="snapshot", tid=f"snap:{vm}",
-                                 args={"chunks": n_chunks})
-        self._count("snapshot.take.chunks", n_chunks)
-
-    def snapshot_restored(self, vm: str, t0: float, snapshot_id: str,
-                          n_chunks: int) -> None:
-        if self.tracer is not None:
-            self.tracer.complete("snapshot.restore", t0, self._env.now,
-                                 cat="snapshot", tid=f"snap:{vm}",
-                                 args={"snapshot": snapshot_id,
-                                       "chunks": n_chunks})
-        self._count("snapshot.restore.chunks", n_chunks)
-
     # -- migration managers: guest I/O path and failure handling --------------
     def cor_fetch(self, n_chunks: int) -> None:
         """Copy-on-reference: base-image chunks fetched for a guest read."""

@@ -155,7 +155,8 @@ class StripedRepository:
 
         Each chunk lands on all of its replica servers (BlobSeer writes
         are replicated); completion = every stripe persisted.  This is the
-        write path used by snapshotting ([26]/BlobCR [27]).
+        write path of repository snapshotting ([26]/BlobCR [27]); the
+        evaluation itself only reads from the repository.
         """
         chunk_ids = np.asarray(chunk_ids, dtype=np.intp)
         if len(chunk_ids) == 0:

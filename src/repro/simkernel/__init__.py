@@ -13,9 +13,6 @@ Public surface:
   :class:`~repro.simkernel.events.AnyOf`,
   :class:`~repro.simkernel.events.AllOf`,
   :class:`~repro.simkernel.events.Interrupt` — composition and preemption.
-* :class:`~repro.simkernel.resources.Resource`,
-  :class:`~repro.simkernel.resources.Store`,
-  :class:`~repro.simkernel.resources.Container` — queued contention points.
 * :class:`~repro.simkernel.fluid.FluidShare` — equal-share fluid resource
   used for disks and single-constraint links.
 """
@@ -23,20 +20,16 @@ Public surface:
 from repro.simkernel.core import Environment, Event, Process, StopSimulation
 from repro.simkernel.events import AllOf, AnyOf, Interrupt, RearmableTimer, Timeout
 from repro.simkernel.fluid import FluidShare
-from repro.simkernel.resources import Container, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "FluidShare",
     "Interrupt",
     "Process",
     "RearmableTimer",
-    "Resource",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -15,7 +15,6 @@
 from repro.storage.chunks import ChunkMap
 from repro.storage.disk import LocalDisk
 from repro.storage.pagecache import PageCache
-from repro.storage.qcow2 import Qcow2Image
 from repro.storage.virtualdisk import VirtualDisk
 
-__all__ = ["ChunkMap", "LocalDisk", "PageCache", "Qcow2Image", "VirtualDisk"]
+__all__ = ["ChunkMap", "LocalDisk", "PageCache", "VirtualDisk"]

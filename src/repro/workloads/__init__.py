@@ -16,13 +16,6 @@ from repro.workloads.asyncwr import AsyncWRWorkload
 from repro.workloads.base import Workload
 from repro.workloads.cm1 import Barrier, CM1Workload
 from repro.workloads.ior import IORWorkload
-from repro.workloads.mapreduce import MapReduceWorker, build_mapreduce_ensemble
-from repro.workloads.trace import (
-    TraceOp,
-    TraceWorkload,
-    generate_bursty_trace,
-    load_trace_csv,
-)
 from repro.workloads.synthetic import (
     HotspotWriter,
     MixedOLTP,
@@ -37,15 +30,9 @@ __all__ = [
     "CM1Workload",
     "HotspotWriter",
     "IORWorkload",
-    "MapReduceWorker",
     "MixedOLTP",
     "PacedReader",
     "RandomWriter",
     "SequentialWriter",
-    "TraceOp",
-    "TraceWorkload",
     "Workload",
-    "build_mapreduce_ensemble",
-    "generate_bursty_trace",
-    "load_trace_csv",
 ]

@@ -115,6 +115,30 @@ class TestPrecopy:
         # The never-local base content was materialized from the repo.
         assert meter.bytes("repo-fetch") > 0
 
+    def test_unflattened_precopy_skips_base(self):
+        """``precopy_flatten=False``: the destination re-opens the shared
+        backing image, so only the snapshot layer crosses the wire."""
+
+        def run(flatten):
+            env, cloud = make_cloud(precopy_flatten=flatten)
+            vm = deploy_small_vm(cloud, "precopy")
+            done = {}
+
+            def proc():
+                yield from vm.write(128 * MB, 16 * MB)
+                done["rec"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+            env.process(proc())
+            env.run()
+            return cloud.cluster.fabric.meter.bytes("storage-push"), done["rec"]
+
+        flat_bytes, flat_rec = run(True)
+        thin_bytes, thin_rec = run(False)
+        base = 64 * MB  # SMALL_SPEC base_allocated
+        assert flat_bytes >= base
+        assert thin_bytes < base
+        assert thin_rec.migration_time < flat_rec.migration_time
+
     def test_redirtied_chunks_resent(self):
         env, cloud = make_cloud()
         vm = deploy_small_vm(cloud, "precopy")

@@ -4,7 +4,7 @@ Every benchmark workload under every Table 1 strategy, migrated
 mid-execution: the workload completes, the migration completes, and the
 destination converges to the guest's content clock.  Each cell exercises
 a genuinely different interleaving (sequential rewrite, async double
-buffering, random transactional I/O, bursty trace replay).
+buffering, random transactional I/O).
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.core import APPROACHES
 from repro.workloads.asyncwr import AsyncWRWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import MixedOLTP
-from repro.workloads.trace import TraceWorkload, generate_bursty_trace
 from tests.conftest import deploy_small_vm
 
 MB = 2**20
@@ -37,20 +36,10 @@ def make_oltp(vm):
                      region_offset=64 * MB, region_size=128 * MB, seed=9)
 
 
-def make_trace(vm):
-    trace = generate_bursty_trace(
-        duration=10.0, burst_rate=12e6, burst_len=1.5, quiet_len=1.0,
-        op_size=MB, read_fraction=0.25, region_offset=64 * MB,
-        region_size=128 * MB, seed=4,
-    )
-    return TraceWorkload(vm, trace)
-
-
 WORKLOADS = {
     "ior": make_ior,
     "asyncwr": make_asyncwr,
     "oltp": make_oltp,
-    "trace": make_trace,
 }
 
 

@@ -1,8 +1,8 @@
 """``Fabric.batch``: flows started at one instant share one reshare.
 
 Every caller that starts several flows without yielding opens a batch:
-repository fetch and store, PVFS read and write, the CM1 halo exchange
-and the MapReduce shuffle.  A batch must save solves and change nothing
+repository fetch and store, PVFS read and write, and the CM1 halo
+exchange.  A batch must save solves and change nothing
 else.  Each fan-out below costs exactly one ``maxmin.invocations``, and
 the rates it leaves and the times its legs complete equal those of the
 same legs started one reshare at a time.
@@ -23,7 +23,6 @@ from repro.repository.blobseer import StripedRepository
 from repro.repository.pvfs import PVFS
 from repro.simkernel import Environment
 from repro.workloads.cm1 import build_cm1_ensemble
-from repro.workloads.mapreduce import build_mapreduce_ensemble
 from tests.conftest import SMALL_SPEC
 from tests.differential.oracle import kernel_scope
 
@@ -82,19 +81,12 @@ def _halo_step():
     return env, fabric, lambda: next(ranks[0]._halo_exchange())
 
 
-def _shuffle():
-    env, fabric, vms = _cloud(4)
-    workers = build_mapreduce_ensemble(env, vms, fabric, input_split=8 * MB)
-    return env, fabric, lambda: next(workers[0]._shuffle())
-
-
 FAN_OUTS = {
     "blobseer-fetch": _fetch,
     "blobseer-store": _store,
     "pvfs-read": _pvfs("read"),
     "pvfs-write": _pvfs("write"),
     "cm1-halo": _halo_step,
-    "mapreduce-shuffle": _shuffle,
 }
 
 

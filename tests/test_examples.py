@@ -48,38 +48,9 @@ def test_postcopy_memory_extension(run_example):
     assert "time to control" in out
 
 
-def test_dedup_and_advisor(run_example):
-    out = run_example("dedup_and_advisor.py")
-    assert "de-duplication" in out
-    assert "Phase timeline" in out
-    assert "downtime" in out
-
-
-def test_cloud_operations(run_example):
-    out = run_example("cloud_operations.py")
-    assert "balanced" in out
-    assert "evacuated for maintenance" in out
-    assert "power down" in out
-    assert "checkpointed" in out
-
-
-def test_proactive_fault_tolerance(run_example):
-    out = run_example("proactive_fault_tolerance.py")
-    assert "PREDICTED FAILURE" in out
-    assert "UNEXPECTED FAILURE" in out
-    assert "restored on node5" in out
-
-
 def test_trace_a_migration(run_example):
     out = run_example("trace_a_migration.py")
     assert "migration traced" in out
     assert "trace events recorded" in out
     assert "push.chunks" in out
     assert "load it in Perfetto" in out
-
-
-def test_mapreduce_scratch_study(run_example):
-    out = run_example("mapreduce_scratch_study.py")
-    assert "local scratch (ceiling)" in out
-    assert "pvfs-shared scratch" in out
-    assert "vs local ceiling" in out
