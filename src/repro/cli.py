@@ -87,7 +87,7 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
              "timeout/retry knobs; see repro.faults.FaultPlan)",
     )
     p.add_argument(
-        "--restarts", type=int, default=0,
+        "--restarts", type=_parse_restarts, default=0,
         help="re-issue an aborted migration up to N extra times",
     )
 
@@ -188,6 +188,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
             f"grid sizes must be at least 1, got {text!r}"
         )
     return grid
+
+
+def _parse_restarts(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"restarts must be a whole number, got {text!r}"
+        ) from exc
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"restarts must be at least 0, got {text!r}"
+        )
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -204,7 +204,8 @@ class CloudMiddleware:
 
         def attempts():
             record = yield one_attempt()
-            for n in range(restarts):
+            started = 0  # restarts that actually ran, not retries skipped
+            for _ in range(restarts):
                 if not record.aborted:
                     return record
                 yield self.env.timeout(vm.manager.config.restart_backoff)
@@ -212,9 +213,10 @@ class CloudMiddleware:
                     # The destination is (still) down; a fresh attempt
                     # would abort again without moving a byte.
                     continue
+                started += 1
                 p = self.env.probe
                 if p.enabled:
-                    p.migration_restart(vm.name, n + 1)
+                    p.migration_restart(vm.name, started)
                 record = yield one_attempt()
             return record
 

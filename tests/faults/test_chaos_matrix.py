@@ -86,9 +86,9 @@ def _plan(kind: str) -> FaultPlan:
     )
 
 
-def _build(approach: str, plan: FaultPlan):
+def _build(approach: str, plan: FaultPlan, obs=None):
     env = Environment()
-    Observability(trace=False).install(env)
+    (obs if obs is not None else Observability(trace=False)).install(env)
     cluster = Cluster(env, ClusterSpec(**CHAOS_SPEC))
     config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
     cloud = CloudMiddleware(cluster, config=config)
@@ -182,6 +182,47 @@ def test_destination_crash_always_aborts():
         assert record is not None, f"{approach}: migration hung after crash"
         assert record.aborted, f"{approach}: completed against a dead node"
         assert vm.node is cloud.cluster.node(0) and not vm.paused
+
+
+def test_destination_outage_aborts_then_restart_completes():
+    """Abort-and-restart: the 5 s watchdog aborts the first attempt while
+    the destination is down (t=1.3..31.3), the restarts due at t=16 and
+    t=26 are skipped because the node is still down, and the one at t=36
+    starts and completes.  The restart instant numbers attempts that
+    started, so it reads 1 — the attempt ``repro analyze`` labels #2."""
+    plan = FaultPlan(
+        faults=[FaultSpec("node-crash", "node1", at=1.3, duration=30.0)],
+        chunk_timeout=8.0,
+        retry_max=6,
+        retry_backoff=0.25,
+        migration_timeout=5.0,
+        restart_backoff=10.0,
+        horizon=600.0,
+    )
+    obs = Observability(trace=True)
+    env, cloud, vm = _build("our-approach", plan, obs)
+    out = {}
+
+    def migrator():
+        yield env.timeout(1.0)
+        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1),
+                                            restarts=3)
+
+    env.process(migrator())
+    env.run(until=plan.horizon)
+
+    first, second = cloud.collector.records
+    assert first.aborted and first.released_at is None
+    assert not second.aborted and second.released_at is not None
+    assert out["record"] is second
+    # Two restarts fell inside the outage and never started.
+    assert second.requested_at == pytest.approx(36.0)
+    assert vm.node is cloud.cluster.node(1) and not vm.paused
+    _check_content_clock(vm)
+    assert obs.metrics.counter("migration.restarts").value == 1
+    restarts = [ev["args"]["attempt"] for ev in obs.tracer.events
+                if ev["name"] == "migration.restart"]
+    assert restarts == [1]
 
 
 def test_repo_outage_survived_by_retry_without_replication():

@@ -43,6 +43,19 @@ def test_fig5_grid_smaller_than_a_migration_count_is_a_usage_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["single", "compare"])
+def test_restarts_parsing(capsys, command):
+    assert build_parser().parse_args([command]).restarts == 0
+    assert build_parser().parse_args([command, "--restarts", "2"]).restarts == 2
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--restarts", "-3"])
+    assert exc.value.code == 2
+    assert "restarts must be at least 0, got '-3'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--restarts", "two"])
+    assert "whole number" in capsys.readouterr().err
+
+
 def test_unknown_approach_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["single", "--approach", "teleport"])
