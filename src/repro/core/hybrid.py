@@ -34,7 +34,7 @@ from typing import Generator
 import numpy as np
 
 from repro.core.chunkqueue import ChunkQueue, take_valid
-from repro.core.manager import MigrationManager
+from repro.core.manager import ChunkTransferStalled, MigrationManager
 from repro.obs.causal.record import annotate
 from repro.simkernel.core import Event
 from repro.simkernel.events import Interrupt
@@ -327,8 +327,6 @@ class HybridManager(MigrationManager):
             "transfer-io-control",
         )
         if not ok:
-            from repro.core.manager import ChunkTransferStalled
-
             raise ChunkTransferStalled(
                 "TRANSFER_IO_CONTROL undeliverable: destination unreachable "
                 "during downtime"
@@ -568,8 +566,6 @@ class HybridManager(MigrationManager):
                     cause="pull.demand",
                 )
                 if not ok:
-                    from repro.core.manager import ChunkTransferStalled
-
                     raise ChunkTransferStalled(
                         f"on-demand pull of {int(needed.size)} chunk(s) "
                         "stalled: source unreachable after control transfer"
@@ -585,6 +581,14 @@ class HybridManager(MigrationManager):
         for ev in inflight:
             if not ev.processed:
                 yield ev
+        if inflight and self.pull_pending[span].any():
+            # A pull this read waited on stalled and re-marked its chunks
+            # pending: the data never arrived, so the read must not fall
+            # through to the base image.
+            raise ChunkTransferStalled(
+                "prefetch of a chunk this read waited on stalled: source "
+                "unreachable after control transfer"
+            )
 
     def _remaining_write_count_cells(self) -> list[list]:
         """Write-count histogram over the remaining set, as

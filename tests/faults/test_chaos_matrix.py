@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.config import MigrationConfig
+from repro.core.manager import ChunkTransferStalled
 from repro.core.registry import APPROACHES
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.chunkview import render_migration_state
@@ -223,6 +224,78 @@ def test_destination_outage_aborts_then_restart_completes():
     restarts = [ev["args"]["attempt"] for ev in obs.tracer.events
                 if ev["name"] == "migration.restart"]
     assert restarts == [1]
+
+
+def test_source_lost_after_control_stalls_the_pull():
+    """The unsafe corner the paper concedes (Section 6): the source is
+    partitioned for good after control transfer, while the first prefetch
+    batch is in flight (control at t~1.81).  Prefetching stops, the batch
+    is pending again except the chunk the guest overwrote meanwhile, the
+    source is never released, and destination reads of the lost chunks
+    raise instead of falling through to the base image."""
+    plan = FaultPlan(
+        faults=[FaultSpec("link-partition", "node0", at=1.81)],  # permanent
+        chunk_timeout=2.0,
+        retry_max=1,
+        retry_backoff=0.25,
+        migration_timeout=90.0,
+        horizon=60.0,
+    )
+    env, cloud, vm = _build("our-approach", plan)
+    dst_node = cloud.cluster.node(1)
+    out, seen = {}, {}
+
+    def migrator():
+        yield env.timeout(1.0)
+        out["record"] = yield cloud.migrate(vm, dst_node)
+
+    def guest():
+        yield env.timeout(1.815)
+        dst = vm.manager
+        assert vm.node is dst_node and dst.is_destination
+        batch = np.array(sorted(dst._pull_inflight))
+        seen["batch"] = batch
+        # Overwrite one chunk of the stalled batch: its pull is cancelled
+        # and the local copy is authoritative.
+        yield from vm.write(int(batch[0]) * MB, MB)
+        # Case 1 of Algorithm 4: wait for a chunk already being pulled.
+        with pytest.raises(ChunkTransferStalled):
+            yield from vm.read(int(batch[1]) * MB, MB)
+        seen["pending"] = dst.pull_pending[batch].copy()
+        seen["cancelled"] = dst._pull_cancelled[batch].copy()
+        seen["pulled"] = dst.stats["pulled_chunks"]
+        # Case 2: an on-demand pull of a chunk pending again stalls too,
+        # and leaves it pending unless the guest overwrote it meanwhile.
+        lost = int(batch[seen["pending"]][-1])
+        with pytest.raises(ChunkTransferStalled):
+            yield from vm.read(lost * MB, MB)
+        seen["lost"] = (dst.pull_pending[lost], dst._pull_cancelled[lost])
+
+    env.process(migrator())
+    env.process(guest())
+    env.run(until=plan.horizon)
+
+    dst = vm.manager
+    src = dst.peer
+    batch = seen["batch"]
+    assert batch.size == 8
+    pending, cancelled = seen["lost"]
+    assert pending != cancelled
+    # The batch is pending again, minus the locally overwritten chunks.
+    np.testing.assert_array_equal(seen["pending"], ~seen["cancelled"])
+    assert not seen["pending"][0] and seen["pending"][1]
+    # Prefetching stopped: the pull engine exited and nothing landed later.
+    assert not dst._pull_proc.is_alive
+    assert seen["pulled"] == dst.stats["pulled_chunks"] == 0
+    assert env.probe.metrics.counter("pull.stalled.chunks").value >= batch.size
+    # The source is never released; the migration neither completes nor
+    # aborts (the guest already runs on the destination).
+    assert "record" not in out
+    record, = cloud.collector.records
+    assert record.control_at is not None
+    assert not record.aborted and record.released_at is None
+    assert not src.release_event.triggered
+    assert vm.node is dst_node and not vm.paused
 
 
 def test_repo_outage_survived_by_retry_without_replication():
