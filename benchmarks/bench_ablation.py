@@ -5,8 +5,6 @@ argues for: the write-count Threshold, the prioritized prefetch order, the
 push phase itself, and repository striping.
 """
 
-import pytest
-
 from repro.core.config import MigrationConfig
 from repro.experiments.runner import render_table
 from repro.experiments.scenarios import run_single_migration
@@ -237,44 +235,3 @@ def test_striping(benchmark, results_sink):
         ),
     )
     assert results["striped (7 servers)"] < results["single server"]
-
-
-def test_codec(benchmark, results_sink):
-    """Future-work codec: compression and dedup against the plain scheme,
-    same IOR run.  Compression cuts wire bytes ~2x; dedup wins only when
-    the content is redundant."""
-
-    def sweep():
-        out = {}
-        out["plain"] = _run(config=MigrationConfig())
-        out["compress 2x"] = _run(config=MigrationConfig(compression_ratio=2.0))
-        out["dedup (unique content)"] = _run(config=MigrationConfig(dedup=True))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = {
-        name: [
-            o.migration_time,
-            (o.traffic_by_tag.get("storage-push", 0)
-             + o.traffic_by_tag.get("storage-pull", 0)) / 2**20,
-        ]
-        for name, o in results.items()
-    }
-    results_sink(
-        "ablation_codec",
-        render_table(
-            "Ablation: transfer codec (IOR, quick)",
-            ["mig time (s)", "storage wire (MB)"],
-            rows,
-        ),
-    )
-
-    def wire(o):
-        return (o.traffic_by_tag.get("storage-push", 0)
-                + o.traffic_by_tag.get("storage-pull", 0))
-
-    assert wire(results["compress 2x"]) < 0.7 * wire(results["plain"])
-    # Dedup on unique content costs only reference overhead.
-    assert wire(results["dedup (unique content)"]) == pytest.approx(
-        wire(results["plain"]), rel=0.02
-    )

@@ -87,7 +87,7 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
              "timeout/retry knobs; see repro.faults.FaultPlan)",
     )
     p.add_argument(
-        "--restarts", type=_parse_restarts, default=0,
+        "--restarts", type=_at_least(int, 0, "restarts"), default=0,
         help="re-issue an aborted migration up to N extra times",
     )
 
@@ -190,18 +190,28 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return grid
 
 
-def _parse_restarts(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"restarts must be a whole number, got {text!r}"
-        ) from exc
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"restarts must be at least 0, got {text!r}"
-        )
-    return n
+def _at_least(convert, minimum, what: str):
+    """argparse type: ``convert(text)``, rejected below ``minimum`` (and
+    NaN) with a usage error instead of a traceback deep in the run."""
+    kind = "a whole number" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be {kind}, got {text!r}"
+            ) from exc
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be at least {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_parse_warmup = _at_least(float, 0, "warmup")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table 1 (approach summary)")
 
     fig1 = sub.add_parser("fig1", help="render the architecture inventory")
-    fig1.add_argument("--nodes", type=int, default=8)
+    fig1.add_argument("--nodes", type=_at_least(int, 2, "nodes"), default=8,
+                      help="compute nodes in the cluster (at least 2)")
 
     fig2 = sub.add_parser("fig2", help="run + render one migration's phase timeline")
     fig2.add_argument("--approach", choices=sorted(APPROACHES),
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--approach", choices=sorted(APPROACHES),
                         default="our-approach")
     single.add_argument("--workload", choices=["ior", "asyncwr"], default="ior")
-    single.add_argument("--warmup", type=float, default=10.0,
+    single.add_argument("--warmup", type=_parse_warmup, default=10.0,
                         help="seconds before the migration request")
     single.add_argument("--seed", type=int, default=0)
     _add_obs_flags(single)
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run all five approaches on one workload"
     )
     compare.add_argument("--workload", choices=["ior", "asyncwr"], default="ior")
-    compare.add_argument("--warmup", type=float, default=10.0)
+    compare.add_argument("--warmup", type=_parse_warmup, default=10.0)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--diff", action="store_true",
                          help="after the table, attribute each approach's "

@@ -21,7 +21,6 @@ Table 1 is a subclass:
 paper's Table 1.
 """
 
-from repro.core.codec import TransferCodec, content_fingerprints
 from repro.core.config import MigrationConfig
 from repro.core.hybrid import HybridManager
 from repro.core.manager import MigrationManager
@@ -40,8 +39,6 @@ __all__ = [
     "PostcopyManager",
     "PrecopyManager",
     "SharedStorageManager",
-    "TransferCodec",
     "approach_summary",
-    "content_fingerprints",
     "manager_class",
 ]

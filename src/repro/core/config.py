@@ -41,9 +41,6 @@ class MigrationConfig:
         Seconds after the migration request at which pre-copy stops
         waiting for its dirty set to drain and accepts a long final flush
         (termination safety valve for endless write pressure).
-    mirror_sync_writes:
-        When True (the mirror baseline), guest writes complete only after
-        the destination acknowledged them.
     ondemand_weight:
         Fair-share weight of on-demand pulls relative to background
         prefetch flows (the paper suspends prefetching entirely; a large
@@ -68,14 +65,7 @@ class MigrationConfig:
     #: (flattened, ~2.2 GB per migration) and the Figure 5(b) regime
     #: (snapshot-only, precopy within ~15 % of our-approach).
     precopy_flatten: bool = True
-    mirror_sync_writes: bool = True
     ondemand_weight: float = 8.0
-    #: Wire-byte codec for the hybrid engines (paper future work):
-    #: ``compression_ratio`` > 1 and/or ``dedup`` enable it; see
-    #: :mod:`repro.core.codec`.
-    compression_ratio: float = 1.0
-    compression_bw: float = float("inf")
-    dedup: bool = False
     #: Per-batch transfer timeout (seconds) for the migration data path.
     #: Infinite by default so fault-free runs take a single attempt with
     #: no timer events — byte-identical to the pre-fault engines (the
@@ -95,16 +85,6 @@ class MigrationConfig:
     restart_backoff: float = 5.0
     seed: int = 0
 
-    def codec(self):
-        """The TransferCodec these settings describe."""
-        from repro.core.codec import TransferCodec
-
-        return TransferCodec(
-            compression_ratio=self.compression_ratio,
-            compression_bw=self.compression_bw,
-            dedup=self.dedup,
-        )
-
     def __post_init__(self) -> None:
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -114,10 +94,6 @@ class MigrationConfig:
             raise ValueError(f"unknown prefetch policy {self.prefetch_policy!r}")
         if self.ondemand_weight <= 0:
             raise ValueError("ondemand_weight must be positive")
-        if self.compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1")
-        if self.compression_bw <= 0:
-            raise ValueError("compression_bw must be positive")
         if self.chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be positive")
         if self.retry_max < 0:

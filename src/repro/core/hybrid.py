@@ -102,60 +102,7 @@ class HybridManager(MigrationManager):
             "ondemand_chunks": 0,
             "skipped_hot_chunks": 0,
             "cancelled_pulls": 0,
-            "wire_bytes_saved": 0.0,
         }
-        # Wire codec (dedup/compression, off by default).
-        self._codec = self.config.codec()
-        self._known_fps: set[int] = set()
-        self._compressor = None
-        if self._codec.enabled and self._codec.compression_bw != float("inf"):
-            from repro.simkernel.fluid import FluidShare
-
-            self._compressor = FluidShare(
-                self.env, self._codec.compression_bw,
-                name=f"compressor:{self.vm.name}",
-            )
-
-    # ---------------------------------------------------------------- codec
-    def _fps(self, chunk_ids: np.ndarray, versions: np.ndarray) -> np.ndarray:
-        from repro.core.codec import content_fingerprints
-
-        return content_fingerprints(
-            chunk_ids, versions, self.vm.content_pool, seed=self.config.seed
-        )
-
-    def _note_content(self, chunk_ids: np.ndarray, versions: np.ndarray) -> None:
-        if self._codec.dedup:
-            self._known_fps.update(
-                int(x) for x in self._fps(chunk_ids, versions)
-            )
-
-    def receive_chunks(self, chunk_ids: np.ndarray, versions: np.ndarray) -> None:
-        super().receive_chunks(chunk_ids, versions)
-        self._note_content(chunk_ids, versions)
-
-    def _wire_events(
-        self, sender: "HybridManager", batch: np.ndarray,
-        versions: np.ndarray, nbytes: float,
-    ) -> tuple[float, list]:
-        """Wire bytes + extra pipeline stages the codec imposes.
-
-        The receiver is always ``self`` when pulling and ``self.peer``
-        when pushing — callers pass the *sender*; the receiver is the
-        other side.
-        """
-        receiver = self.peer if sender is self else self
-        if not self._codec.enabled:
-            return nbytes, []
-        fps = sender._fps(batch, versions)
-        wire, compress_in, _ = self._codec.wire_cost(
-            fps, self.chunk_size, receiver._known_fps
-        )
-        sender.stats["wire_bytes_saved"] += max(nbytes - wire, 0.0)
-        extra = []
-        if sender._compressor is not None and compress_in > 0:
-            extra.append(sender._compressor.transfer(compress_in))
-        return wire, extra
 
     # ------------------------------------------------------------------ source
     def on_migration_request(self, dst_node) -> Generator:
@@ -231,20 +178,17 @@ class HybridManager(MigrationManager):
             # write path (contending with guest writes there).  The stages
             # pipeline, so batch completion is governed by the slowest;
             # arriving data is cache-absorbed and written back lazily.
-            wire, extra = self._wire_events(self, batch, versions, nbytes)
             t0 = self.env.now
 
-            def batch_events(peer=peer, batch=batch, nbytes=nbytes,
-                             wire=wire, extra=extra):
+            def batch_events(peer=peer, batch=batch, nbytes=nbytes):
                 return [
                     self.vdisk.load(batch),
                     self.pagecache.read(nbytes),
                     self.fabric.transfer(
-                        self.host, peer.host, wire, tag="storage-push",
+                        self.host, peer.host, nbytes, tag="storage-push",
                         cause="push",
                     ),
                     peer.pagecache.write(nbytes),
-                    *extra,
                 ]
 
             ok = yield from self._transfer_attempts(batch_events, "push")
@@ -259,7 +203,7 @@ class HybridManager(MigrationManager):
             self.stats["pushed_chunks"] += int(batch.size)
             p = self.env.probe
             if p.enabled:
-                p.push_batch(self.vm.name, t0, int(batch.size), wire,
+                p.push_batch(self.vm.name, t0, int(batch.size), nbytes,
                              self.remaining)
 
     def _notify_push(self) -> None:
@@ -269,7 +213,6 @@ class HybridManager(MigrationManager):
 
     def _after_write(self, span: np.ndarray, nbytes: int) -> Generator:
         """Algorithm 2, source part: re-queue written chunks and notify."""
-        self._note_content(span, self.chunks.version[span])
         if self.is_source and self._count_writes:
             self.remaining[span] = True
             hot = self.chunks.write_count[span] >= self.config.threshold
@@ -485,20 +428,17 @@ class HybridManager(MigrationManager):
             self._pull_failed(batch, arrival)
             return False
         nbytes = float(batch.size * self.chunk_size)
-        versions = src.chunks.version[batch].copy()
-        wire, extra = self._wire_events(src, batch, versions, nbytes)
 
         def batch_events(src=src, batch=batch, nbytes=nbytes,
-                         wire=wire, extra=extra, weight=weight, cause=cause):
+                         weight=weight, cause=cause):
             return [
                 src.vdisk.load(batch),
                 src.pagecache.read(nbytes),
                 self.fabric.transfer(
-                    src.host, self.host, wire, tag="storage-pull",
+                    src.host, self.host, nbytes, tag="storage-pull",
                     weight=weight, cause=cause,
                 ),
                 self.pagecache.write(nbytes),
-                *extra,
             ]
 
         ok = yield from self._transfer_attempts(batch_events, "pull")

@@ -118,10 +118,6 @@ class MirrorManager(MigrationManager):
                     "mirrored write stalled past its retry budget"
                 )
                 return
-            if not self.config.mirror_sync_writes:
-                # Async variant (ablation): ack without waiting for the
-                # destination's persistence.
-                pass
             if self.peer is peer:
                 peer.receive_chunks(span, versions)
                 peer.vdisk.disk.touch(span)

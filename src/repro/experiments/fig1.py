@@ -23,7 +23,6 @@ def run_fig1(cluster: Cluster, cloud=None) -> dict:
             "nic_bw": spec.nic_bw,
             "backplane_bw": spec.backplane_bw,
             "latency": spec.latency,
-            "racks": sorted({h.rack for h in cluster.topology.hosts}),
         },
         "shared_repository": {
             "kind": type(cluster.repository).__name__,

@@ -50,22 +50,15 @@ class VMInstance:
         working_set: float = 1 * 2**30,
         read_bw: float = 1e9,
         write_bw: float = 266e6,
-        content_pool: Optional[int] = None,
     ):
         if working_set > memory_size:
             raise ValueError("working_set cannot exceed memory_size")
-        if content_pool is not None and content_pool < 1:
-            raise ValueError("content_pool must be >= 1 when set")
         self.env = env
         self.name = name
         self.memory_size = float(memory_size)
         self.working_set = float(working_set)
         self.read_bw = float(read_bw)
         self.write_bw = float(write_bw)
-        #: Content-redundancy profile: None = every written chunk version
-        #: is unique content; k = content drawn from a pool of k distinct
-        #: blocks (enables de-duplication savings; see repro.core.codec).
-        self.content_pool = content_pool
 
         self.node = None
         self.manager = None

@@ -28,7 +28,6 @@ _HINT = ("pass the keyword explicitly so byte attribution stays "
 _SURFACES = {
     "transfer": ("fabric", ("tag", "cause")),
     "message": ("fabric", ("tag", "cause")),
-    "rpc": ("fabric", ("tag", "cause")),
     "fetch": ("repo", ("tag", "cause")),
     "store": ("repo", ("tag", "cause")),
     "add": ("meter", ("cause",)),

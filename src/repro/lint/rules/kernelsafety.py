@@ -107,7 +107,7 @@ def check(ctx: FileContext) -> list[Finding]:
 
 #: Call targets (final attribute or bare name) that produce Events.
 _EVENT_FACTORIES = {"event", "timeout", "process", "any_of", "all_of",
-                    "transfer", "message", "rpc", "fetch", "store", "wait",
+                    "transfer", "message", "fetch", "store", "wait",
                     "acquire", "request", "annotate", "arm"}
 _EVENT_CTORS = {"Event", "Timeout", "Process", "Condition", "AnyOf",
                 "AllOf", "Interrupt"}

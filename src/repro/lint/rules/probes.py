@@ -27,7 +27,7 @@ property statically, per guarded block, inside the simulation packages
     friends.  A probe that schedules work changes the event sequence.
 ``P703``
     A byte-moving surface called inside a probe block: ``meter.add``,
-    ``fabric.transfer/message/rpc``, ``repo.fetch/store`` (the same
+    ``fabric.transfer/message``, ``repo.fetch/store`` (the same
     receiver heuristics the C family uses).  Telemetry must never move
     or account bytes itself — it reads the meters others wrote.
 
@@ -244,7 +244,7 @@ def _check_call(ctx: FileContext, node: ast.Call,
 
     if (matches(ctx.config.meter_receivers) and method == "add") \
             or (matches(ctx.config.fabric_receivers)
-                and method in ("transfer", "message", "rpc")) \
+                and method in ("transfer", "message")) \
             or (matches(ctx.config.repo_receivers)
                 and method in ("fetch", "store")):
         emit(node, "P703",

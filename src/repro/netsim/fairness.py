@@ -142,28 +142,25 @@ def maxmin_single_switch(
     nic_out: np.ndarray,
     nic_in: np.ndarray,
     backplane: float | None,
-    host_racks: np.ndarray | None = None,
-    uplink_caps: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Structured fast path of :func:`progressive_filling` for the
-    switched topology: per-host egress/ingress caps, optional per-rack
-    uplink caps (cross-rack flows consume the uplink of *both* racks, one
-    per direction), and one core backplane.
+    single-switch topology: per-host egress/ingress caps and one
+    backplane shared by every flow.
 
     Mathematically identical to building the explicit constraints and
-    running progressive filling, but uses ``np.bincount`` over hosts/racks
-    so a rate recomputation costs O(F + H + R) per water-filling round —
-    this runs on every flow arrival/departure, so it is the simulator's
+    running progressive filling, but uses ``np.bincount`` over hosts so
+    a rate recomputation costs O(F + H) per water-filling round — this
+    runs on every flow arrival/departure, so it is the simulator's
     hottest path.
 
     When ``stats`` is given, ``stats["rounds"]`` and
     ``stats["links_visited"]`` are incremented with the number of
     water-filling rounds and the total capacity constraints examined
-    (2 per host NIC pair, 2 per rack uplink, 1 backplane, per round) —
-    the work an incremental dirty-link recompute would avoid.  Collecting
-    them is pure integer arithmetic on already-known sizes, so passing
-    ``stats`` never changes the returned rates.
+    (2 per host NIC pair, 1 backplane, per round) — the work an
+    incremental dirty-link recompute would avoid.  Collecting them is
+    pure integer arithmetic on already-known sizes, so passing ``stats``
+    never changes the returned rates.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = weights.shape[0]
@@ -176,20 +173,8 @@ def maxmin_single_switch(
     active = np.ones(n, dtype=bool)
     bp_active = backplane is not None
 
-    racked = host_racks is not None and uplink_caps is not None
-    if racked:
-        n_racks = len(uplink_caps)
-        src_rack = host_racks[srcs]
-        dst_rack = host_racks[dsts]
-        cross = src_rack != dst_rack
-        finite_up = np.isfinite(uplink_caps)
-
     n_constraints = 2 * n_hosts + 2
-    if racked:
-        n_constraints += 2 * n_racks
-    links_per_round = 2 * n_hosts + (2 * n_racks if racked else 0) + (
-        1 if bp_active else 0
-    )
+    links_per_round = 2 * n_hosts + (1 if bp_active else 0)
     rounds = 0
     for _ in range(n_constraints):
         if not active.any():
@@ -205,25 +190,6 @@ def maxmin_single_switch(
             eg_inc = np.where(eg_w > 0, (nic_out - eg_load) / eg_w, np.inf)
             in_inc = np.where(in_w > 0, (nic_in - in_load) / in_w, np.inf)
         increment = min(float(eg_inc.min()), float(in_inc.min()))
-        if racked and cross.any():
-            w_cross = np.where(cross, w_act, 0.0)
-            r_cross = np.where(cross, rates, 0.0)
-            up_out_w = np.bincount(src_rack, weights=w_cross, minlength=n_racks)
-            up_in_w = np.bincount(dst_rack, weights=w_cross, minlength=n_racks)
-            up_out_load = np.bincount(src_rack, weights=r_cross, minlength=n_racks)
-            up_in_load = np.bincount(dst_rack, weights=r_cross, minlength=n_racks)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uo_inc = np.where(
-                    (up_out_w > 0) & finite_up,
-                    (uplink_caps - up_out_load) / up_out_w,
-                    np.inf,
-                )
-                ui_inc = np.where(
-                    (up_in_w > 0) & finite_up,
-                    (uplink_caps - up_in_load) / up_in_w,
-                    np.inf,
-                )
-            increment = min(increment, float(uo_inc.min()), float(ui_inc.min()))
         if bp_active:
             w_sum = w_act.sum()
             if w_sum > 0:
@@ -239,13 +205,6 @@ def maxmin_single_switch(
         sat_eg = eg_load >= nic_out * (1 - 1e-9) - _EPS
         sat_in = in_load >= nic_in * (1 - 1e-9) - _EPS
         froze = sat_eg[srcs] | sat_in[dsts]
-        if racked and cross.any():
-            r_cross = np.where(cross, rates, 0.0)
-            up_out_load = np.bincount(src_rack, weights=r_cross, minlength=n_racks)
-            up_in_load = np.bincount(dst_rack, weights=r_cross, minlength=n_racks)
-            sat_uo = finite_up & (up_out_load >= uplink_caps * (1 - 1e-9) - _EPS)
-            sat_ui = finite_up & (up_in_load >= uplink_caps * (1 - 1e-9) - _EPS)
-            froze |= cross & (sat_uo[src_rack] | sat_ui[dst_rack])
         if bp_active and rates.sum() >= backplane * (1 - 1e-9) - _EPS:
             froze[:] = True
         if not (froze & active).any():
@@ -272,13 +231,13 @@ class IncrementalMaxMin:
 
     1. **Solution memo** — an LRU keyed on
        ``(capacity signature, flow signature)``.  The capacity signature
-       is the byte content of every solver capacity input (NIC arrays,
-       backplane, rack map, uplink caps), recomputed whenever
-       ``topology.version`` changes: every capacity-affecting mutation
-       (degrade, restore, backplane/uplink change, host added) bumps the
-       version, so a fault instantly invalidates every cached solution —
-       serving a stale rate across a fault is the bug the fault-path
-       regression tests exist to catch.  Keying on *content* rather than
+       is the byte content of every solver capacity input (NIC arrays
+       and backplane), recomputed whenever ``topology.version``
+       changes: every capacity-affecting mutation (degrade, restore,
+       backplane change, host added) bumps the version, so a fault
+       instantly invalidates every cached solution — serving a stale
+       rate across a fault is the bug the fault-path regression tests
+       exist to catch.  Keying on *content* rather than
        the version itself means a restore (degrade undone) returns to
        the pre-fault signature and the pre-fault solutions become valid
        again — which they are, exactly: same inputs, same output.
@@ -289,8 +248,8 @@ class IncrementalMaxMin:
        (its NICs never saturate, so it never freezes anyone), so deleting
        it from the solve leaves every round's increment, freeze set and
        float accumulation order untouched: the compacted solve is
-       float-for-float the from-scratch solve.  Rack uplinks and the
-       backplane are kept whole.
+       float-for-float the from-scratch solve.  The backplane is kept
+       whole.
 
     The memo stores solver *outputs* and the compaction is exact, so
     ``solve`` is bitwise identical to calling
@@ -312,13 +271,10 @@ class IncrementalMaxMin:
         version (the version only tells us *when* to re-derive it)."""
         topo = self.topology
         if self._sig_version != topo.version:
-            uplinks = topo.uplink_caps_array()
             self._sig = (
                 topo.nic_out_array().tobytes(),
                 topo.nic_in_array().tobytes(),
                 topo.backplane,
-                topo.rack_array().tobytes() if topo.rack_uplinks else b"",
-                uplinks.tobytes() if uplinks is not None else b"",
             )
             self._sig_version = topo.version
         return self._sig
@@ -356,24 +312,18 @@ class IncrementalMaxMin:
 
         nic_out = topo.nic_out_array()
         nic_in = topo.nic_in_array()
-        host_racks = topo.rack_array() if topo.rack_uplinks else None
-        uplink_caps = topo.uplink_caps_array()
         touched = np.unique(np.concatenate((srcs, dsts)))
         if touched.size < nic_out.shape[0]:
             solve_srcs = np.searchsorted(touched, srcs)
             solve_dsts = np.searchsorted(touched, dsts)
             solve_out = nic_out[touched]
             solve_in = nic_in[touched]
-            solve_racks = (host_racks[touched]
-                           if host_racks is not None else None)
         else:
             solve_srcs, solve_dsts = srcs, dsts
             solve_out, solve_in = nic_out, nic_in
-            solve_racks = host_racks
         rates = maxmin_single_switch(
             weights, solve_srcs, solve_dsts, solve_out, solve_in,
-            topo.backplane, host_racks=solve_racks,
-            uplink_caps=uplink_caps, stats=stats,
+            topo.backplane, stats=stats,
         )
         rates.flags.writeable = False
         self._memo[key] = rates

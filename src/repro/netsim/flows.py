@@ -336,12 +336,6 @@ class Fabric:
         return annotate(self.env, Event(self.env), "net.blackhole",
                         tag=tag, cause=cause)
 
-    def rpc(self, src: Host, dst: Host, nbytes: float = 512,
-            tag: str = "control", cause: Optional[str] = None):
-        """Generator helper: request + reply round trip."""
-        yield self.message(src, dst, nbytes, tag=tag, cause=cause)
-        yield self.message(dst, src, nbytes, tag=tag, cause=cause)
-
     # -- internals -----------------------------------------------------------
     def _advance(self) -> None:
         now = self.env.now

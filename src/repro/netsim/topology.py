@@ -14,16 +14,13 @@ class Host:
     """A compute node's network attachment point.
 
     NICs are full duplex: ``nic_out`` caps the sum of egress flow rates,
-    ``nic_in`` the sum of ingress flow rates, independently.  ``rack``
-    places the host behind a top-of-rack switch; flows between racks also
-    consume the racks' uplinks (when the topology constrains them).
+    ``nic_in`` the sum of ingress flow rates, independently.
     """
 
     name: str
     index: int
     nic_out: float
     nic_in: float
-    rack: int = 0
     #: Set by fault injection (node crash / permanent partition): the
     #: fabric refuses new flows touching a failed host.
     failed: bool = False
@@ -31,8 +28,6 @@ class Host:
     def __post_init__(self) -> None:
         if self.nic_out <= 0 or self.nic_in <= 0:
             raise ValueError(f"host {self.name!r}: NIC capacities must be > 0")
-        if self.rack < 0:
-            raise ValueError(f"host {self.name!r}: rack must be >= 0")
         # Undegraded capacities, so link faults can scale and restore.
         self.nic_out_base = self.nic_out
         self.nic_in_base = self.nic_in
@@ -46,7 +41,10 @@ class Host:
 
 @dataclass
 class Topology:
-    """A single-switch datacenter topology.
+    """A single-switch datacenter topology, as on the paper's testbed.
+
+    Every host hangs off one switch through its full-duplex NIC; the
+    only shared constraint beyond the NICs is the switch backplane.
 
     Parameters
     ----------
@@ -57,17 +55,13 @@ class Topology:
 
     backplane: float | None = None
     hosts: list[Host] = field(default_factory=list)
-    #: Per-rack uplink capacity in bytes/second (each direction); racks
-    #: not listed here have unconstrained uplinks.
-    rack_uplinks: dict[int, float] = field(default_factory=dict)
     _by_name: dict[str, Host] = field(default_factory=dict)
     _nic_out_cache: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _nic_in_cache: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _rack_cache: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     #: Epoch counter bumped on every capacity-affecting mutation (host
-    #: added, NIC degrade/restore, backplane or uplink change).  The
-    #: incremental max-min solver keys its caches on this: a stale rate
-    #: surviving a fault is a correctness bug, not a performance one.
+    #: added, NIC degrade/restore, backplane change).  The incremental
+    #: max-min solver keys its caches on this: a stale rate surviving a
+    #: fault is a correctness bug, not a performance one.
     version: int = 0
 
     def __post_init__(self) -> None:
@@ -79,7 +73,6 @@ class Topology:
         name: str,
         nic_out: float,
         nic_in: float | None = None,
-        rack: int = 0,
     ) -> Host:
         """Register a host; ``nic_in`` defaults to ``nic_out`` (full duplex)."""
         if name in self._by_name:
@@ -89,20 +82,11 @@ class Topology:
             index=len(self.hosts),
             nic_out=float(nic_out),
             nic_in=float(nic_in if nic_in is not None else nic_out),
-            rack=int(rack),
         )
         self.hosts.append(host)
         self._by_name[name] = host
         self.version += 1
         return host
-
-    def set_rack_uplink(self, rack: int, capacity: float) -> None:
-        """Constrain rack ``rack``'s uplink to ``capacity`` bytes/s per
-        direction (cross-rack flows consume it at both ends)."""
-        if capacity <= 0:
-            raise ValueError("uplink capacity must be positive")
-        self.rack_uplinks[int(rack)] = float(capacity)
-        self.version += 1
 
     def __getitem__(self, name: str) -> Host:
         return self._by_name[name]
@@ -123,26 +107,6 @@ class Topology:
         if len(self._nic_in_cache) != len(self.hosts):
             self._nic_in_cache = np.array([h.nic_in for h in self.hosts])
         return self._nic_in_cache
-
-    def rack_array(self) -> np.ndarray:
-        """Per-host rack ids, indexed by host index (cached)."""
-        if len(self._rack_cache) != len(self.hosts):
-            self._rack_cache = np.array(
-                [h.rack for h in self.hosts], dtype=np.intp
-            )
-        return self._rack_cache
-
-    def uplink_caps_array(self) -> "np.ndarray | None":
-        """Per-rack uplink caps indexed by rack id (``inf`` where
-        unconstrained), or ``None`` when no uplink is constrained."""
-        if not self.rack_uplinks:
-            return None
-        n_racks = int(self.rack_array().max()) + 1
-        caps = np.full(n_racks, np.inf)
-        for rack, cap in self.rack_uplinks.items():
-            if rack < n_racks:
-                caps[rack] = cap
-        return caps
 
     # -- fault hooks ---------------------------------------------------------
 

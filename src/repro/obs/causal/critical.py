@@ -69,8 +69,6 @@ def classify(desc: dict) -> Optional[str]:
             return "disk"
         if name.startswith("pagecache"):
             return "pagecache"
-        if name.startswith("compressor"):
-            return "codec"
         return "fluid.other"
     return _DIRECT.get(k)
 

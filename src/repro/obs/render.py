@@ -93,7 +93,7 @@ _SLOTS = {
     # critical-path resources
     "net.push": 1, "net.prefetch": 2, "net.demand": 3, "net.repo": 4,
     "net.memory": 5, "net.workload": 6, "net.control": 7, "net.retry": 8,
-    "disk": 4, "pagecache": 3, "codec": 6,
+    "disk": 4, "pagecache": 3,
     # traffic tags
     "storage-push": 1, "storage-pull": 2, "storage-mirror": 3, "repo": 4,
     # remaining-set drain gauges

@@ -12,8 +12,7 @@
   qcow2-over-PVFS synchronization costs.
 """
 
-from repro.repository.base import Repository
 from repro.repository.blobseer import StripedRepository
 from repro.repository.pvfs import PVFS
 
-__all__ = ["PVFS", "Repository", "StripedRepository"]
+__all__ = ["PVFS", "StripedRepository"]

@@ -11,14 +11,9 @@ calibrated facts drive the model:
 * Guest writes through a shared qcow2 snapshot pay synchronization and
   metadata costs; the paper measures <5 % of 266 MB/s.  A per-client write
   ceiling (default ~14 MB/s) models this.
-
-PVFS also implements the :class:`~repro.repository.base.Repository`
-protocol so it can serve base-image chunks.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.netsim.flows import Fabric
 from repro.netsim.topology import Host
@@ -122,19 +117,6 @@ class PVFS:
                       for s in picked]
         events.append(self._write_limiter(client).transfer(nbytes))
         return self.env.all_of(events)
-
-    # -- Repository protocol -------------------------------------------------
-    def fetch(
-        self,
-        chunk_ids: np.ndarray,
-        dest: Host,
-        weight: float = 1.0,
-        tag: str = "repo-fetch",
-        cause: str = "repo.fetch",
-    ) -> Event:
-        chunk_ids = np.asarray(chunk_ids, dtype=np.intp)
-        return self.read(dest, float(len(chunk_ids) * self.chunk_size),
-                         tag=tag, cause=cause)
 
     def __repr__(self) -> str:
         return f"<PVFS {len(self.servers)} servers stripe_width={self.stripe_width}>"

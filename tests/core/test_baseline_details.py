@@ -81,19 +81,6 @@ class TestMirror:
         # Bounded by bulk (pre-request modified) + all post-request writes.
         assert sent <= 32 * MB + src.stats["bulk_chunks"] * MB + MB
 
-    def test_async_variant_config(self):
-        env, cloud = make_cloud(mirror_sync_writes=False)
-        vm = deploy_small_vm(cloud, "mirror")
-        done = {}
-
-        def proc():
-            yield from vm.write(0, 16 * MB)
-            done["rec"] = yield cloud.migrate(vm, cloud.cluster.node(1))
-
-        env.process(proc())
-        env.run()
-        assert done["rec"].released_at is not None
-
 
 class TestPrecopy:
     def test_bulk_includes_base_image(self):

@@ -76,9 +76,7 @@ class ReferenceMaxMin:
         topo = self.topology
         return maxmin_single_switch(
             weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
-            topo.backplane,
-            host_racks=topo.rack_array() if topo.rack_uplinks else None,
-            uplink_caps=topo.uplink_caps_array(), stats=stats,
+            topo.backplane, stats=stats,
         )
 
 

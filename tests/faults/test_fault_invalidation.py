@@ -51,8 +51,6 @@ def _fabric_oracle_rates(fabric: Fabric) -> dict[int, float]:
     rates = maxmin_single_switch(
         weights, srcs, dsts,
         topo.nic_out_array(), topo.nic_in_array(), topo.backplane,
-        host_racks=topo.rack_array() if topo.rack_uplinks else None,
-        uplink_caps=topo.uplink_caps_array(),
     )
     expected: dict[int, float] = {}
     for gi, key in enumerate(order):

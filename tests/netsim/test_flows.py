@@ -188,18 +188,6 @@ class TestMessages:
         assert done == [pytest.approx(0.5 + 1.0)]
         assert fabric.meter.bytes("ctl") == pytest.approx(100.0)
 
-    def test_rpc_round_trip(self):
-        env, topo, fabric = make_fabric(latency=0.25)
-        done = []
-
-        def proc():
-            yield from fabric.rpc(topo["h0"], topo["h1"], nbytes=0.0)
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [pytest.approx(0.5)]
-
     def test_loopback_message_free(self):
         env, topo, fabric = make_fabric(latency=0.5)
         ev = fabric.message(topo["h0"], topo["h0"])

@@ -3,11 +3,11 @@
 :class:`~repro.netsim.fairness.IncrementalMaxMin` promises *bitwise*
 agreement with a from-scratch :func:`maxmin_single_switch` over the full
 host arrays, no matter what sequence of mutations hit the topology or the
-flow set.  Hypothesis drives random topologies (hosts, racks, uplinks,
-backplane) through random edit scripts — add flow, remove flow, degrade /
-restore / fail hosts, scale the backplane — re-solving incrementally
-after every edit and checking ``np.array_equal`` (exact, not allclose)
-against the oracle.
+flow set.  Hypothesis drives random topologies (hosts, NICs, backplane)
+through random edit scripts — add flow, remove flow, degrade / restore /
+fail hosts, scale the backplane — re-solving incrementally after every
+edit and checking ``np.array_equal`` (exact, not allclose) against the
+oracle.
 
 Two classical max-min invariants are also checked with ``Fraction``
 arithmetic (no float tolerance on the *bookkeeping*, only a 1-ULP-scale
@@ -44,7 +44,6 @@ REL_EPS = 1e-9
 # ------------------------------------------------------------- strategies
 def topologies(draw):
     n_hosts = draw(st.integers(min_value=2, max_value=8))
-    n_racks = draw(st.integers(min_value=1, max_value=min(3, n_hosts)))
     backplane = draw(st.one_of(
         st.none(),
         st.floats(min_value=50e6, max_value=400e6, allow_nan=False),
@@ -52,10 +51,7 @@ def topologies(draw):
     topo = Topology(backplane=backplane)
     for i in range(n_hosts):
         nic = draw(st.sampled_from([50e6, 100e6, 125e6, 1e9]))
-        topo.add_host(f"h{i}", nic, rack=i % n_racks)
-    if n_racks > 1 and draw(st.booleans()):
-        rack = draw(st.integers(min_value=0, max_value=n_racks - 1))
-        topo.set_rack_uplink(rack, draw(st.sampled_from([80e6, 200e6])))
+        topo.add_host(f"h{i}", nic)
     return topo
 
 
@@ -117,8 +113,6 @@ def _oracle(topo: Topology, srcs, dsts, weights) -> np.ndarray:
     return maxmin_single_switch(
         weights, srcs, dsts,
         topo.nic_out_array(), topo.nic_in_array(), topo.backplane,
-        host_racks=topo.rack_array() if topo.rack_uplinks else None,
-        uplink_caps=topo.uplink_caps_array(),
     )
 
 
@@ -174,19 +168,6 @@ def _constraint_loads(topo: Topology, srcs, dsts, rates):
                   Fraction(0))
         if any(dsts[i] == h for i in range(n_flows)):
             yield Fraction(host.nic_in), inn
-    if topo.rack_uplinks:
-        racks = topo.rack_array()
-        for rack, cap in topo.rack_uplinks.items():
-            out_ids = [i for i in range(n_flows)
-                       if racks[srcs[i]] == rack != racks[dsts[i]]]
-            in_ids = [i for i in range(n_flows)
-                      if racks[dsts[i]] == rack != racks[srcs[i]]]
-            if out_ids:
-                yield Fraction(cap), sum(
-                    (frates[i] for i in out_ids), Fraction(0))
-            if in_ids:
-                yield Fraction(cap), sum(
-                    (frates[i] for i in in_ids), Fraction(0))
     if topo.backplane is not None:
         yield Fraction(topo.backplane), sum(frates, Fraction(0))
 
@@ -199,20 +180,6 @@ def _flow_constraints(topo: Topology, srcs, dsts, i):
                     [j for j in range(n_flows) if srcs[j] == srcs[i]]))
     members.append((Fraction(topo.hosts[dsts[i]].nic_in),
                     [j for j in range(n_flows) if dsts[j] == dsts[i]]))
-    if topo.rack_uplinks:
-        racks = topo.rack_array()
-        sr, dr = racks[srcs[i]], racks[dsts[i]]
-        if sr != dr:
-            if int(sr) in topo.rack_uplinks:
-                members.append((Fraction(topo.rack_uplinks[int(sr)]), [
-                    j for j in range(n_flows)
-                    if racks[srcs[j]] == sr != racks[dsts[j]]
-                ]))
-            if int(dr) in topo.rack_uplinks:
-                members.append((Fraction(topo.rack_uplinks[int(dr)]), [
-                    j for j in range(n_flows)
-                    if racks[dsts[j]] == dr != racks[srcs[j]]
-                ]))
     if topo.backplane is not None:
         members.append((Fraction(topo.backplane), list(range(n_flows))))
     return members

@@ -1,6 +1,5 @@
 """Tests for the PVFS baseline model."""
 
-import numpy as np
 import pytest
 
 from repro.netsim import Fabric, Topology
@@ -77,20 +76,6 @@ def test_zero_io_instant():
     env, fabric, fs, client = make_pvfs()
     assert fs.read(client, 0).triggered
     assert fs.write(client, 0).triggered
-
-
-def test_fetch_protocol():
-    env, fabric, fs, client = make_pvfs()
-    done = []
-
-    def proc():
-        yield fs.fetch(np.arange(2), client)
-        done.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert done == [pytest.approx(2.0)]
-    assert fs.bytes_read == pytest.approx(200.0)
 
 
 def test_round_robin_striping_rotates():

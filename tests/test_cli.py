@@ -56,6 +56,35 @@ def test_restarts_parsing(capsys, command):
     assert "whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig1", "--nodes", "1"], "nodes must be at least 2, got '1'"),
+    (["fig1", "--nodes", "0"], "nodes must be at least 2, got '0'"),
+    (["fig1", "--nodes", "-3"], "nodes must be at least 2, got '-3'"),
+    (["single", "--warmup", "-5"], "warmup must be at least 0, got '-5'"),
+    (["compare", "--warmup", "-5"], "warmup must be at least 0, got '-5'"),
+])
+def test_bad_nodes_and_warmup_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nodes_and_warmup_parsing(capsys):
+    assert build_parser().parse_args(["fig1"]).nodes == 8
+    assert build_parser().parse_args(["fig1", "--nodes", "2"]).nodes == 2
+    assert build_parser().parse_args(["single", "--warmup", "0"]).warmup == 0.0
+    assert build_parser().parse_args(["compare"]).warmup == 10.0
+    for argv, message in (
+        (["fig1", "--nodes", "two"], "nodes must be a whole number"),
+        (["single", "--warmup", "nan"], "warmup must be at least 0"),
+        (["compare", "--warmup", "soon"], "warmup must be a number"),
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert message in capsys.readouterr().err
+
+
 def test_unknown_approach_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["single", "--approach", "teleport"])
