@@ -11,6 +11,16 @@ changes (a transfer starts or completes) it
 A caller that starts several flows at one instant wraps them in
 :meth:`Fabric.batch`, so steps 2 and 3 run once for all of them.
 
+The in-flight flows form a struct-of-arrays table: ``Fabric._flows`` lists
+the :class:`NetFlow` handles in arrival order, aligned with the first
+``n`` columns of one float table (weight, remaining, rate, accounted) and
+one integer table (arrival number, source, destination, group key, meter
+cell).  Each step is a few whole-array operations that repeat the per-flow
+scalar arithmetic element by element, so results are bit-identical to a
+loop over the flows.  Up to :data:`_LOOP_MAX` flows, steps 1 and 3 run as
+that loop instead: numpy's per-call cost would outweigh the arithmetic.
+``docs/architecture.md`` §2 gives the exactness rules.
+
 This makes interference between memory migration, storage push/pull,
 repository fetches and guest remote I/O fully emergent: they are just flows
 competing for NICs and the backplane.
@@ -18,8 +28,9 @@ competing for NICs and the backplane.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from typing import Optional
+from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,13 +48,38 @@ __all__ = ["NetFlow", "Fabric"]
 _DONE_EPS = 1e-3
 # Minimum wakeup delta, so the clock always advances past float spacing.
 _MIN_ETA = 1e-9
+#: Largest flow count integrated and scanned for the next completion by a
+#: per-flow loop rather than by whole-array operations: numpy's ~1-2 us
+#: per call loses to scalar arithmetic on a few flows.  Measured per
+#: fabric event, the loop is ahead up to 16 flows and the arrays from 24.
+_LOOP_MAX = 16
+# Row of ``remaining`` in the float table; ``rate`` and ``accounted``
+# follow it, so the per-flow loops read the three as one block.
+_REMAINING = 1
+
+_Label = TypeVar("_Label")
+
+
+def _label_sums(labels: np.ndarray, values: np.ndarray,
+                names: Sequence[_Label]) -> dict[_Label, float]:
+    """``{names[j]: sum of values[i] over labels[i] == j}`` for each label
+    present; ``np.bincount`` adds each label's values in row order."""
+    total = np.bincount(labels, values, len(names)).tolist()
+    present = np.flatnonzero(np.bincount(labels, minlength=len(names)))
+    return {names[j]: total[j] for j in present.tolist()}
 
 
 class NetFlow:
-    """One in-flight bulk transfer."""
+    """One bulk transfer: a handle on its row of the fabric's flow table.
 
-    __slots__ = ("src", "dst", "tag", "cause", "weight", "nbytes", "remaining",
-                 "rate", "done", "started_at", "_accounted")
+    While the flow is in flight, :attr:`rate` and :attr:`remaining` read
+    its row; when it leaves the table (completed, cancelled or aborted)
+    their last values stay on the handle.
+    """
+
+    __slots__ = ("src", "dst", "tag", "cause", "weight", "nbytes", "done",
+                 "started_at", "_fabric", "_arrival", "_key", "_cell", "_rate",
+                 "_remaining")
 
     def __init__(
         self,
@@ -61,11 +97,28 @@ class NetFlow:
         self.cause = cause if cause is not None else tag
         self.weight = float(weight)
         self.nbytes = float(nbytes)
-        self.remaining = float(nbytes)
-        self.rate = 0.0
         self.done = Event(env)
         self.started_at = env.now
-        self._accounted = 0.0
+        #: The fabric whose table holds the flow, while it is in flight.
+        #: Joining a table also sets ``_arrival`` (the table is sorted on
+        #: it), ``_key`` and ``_cell``, copies of the flow's row.
+        self._fabric: Optional[Fabric] = None
+        self._rate = 0.0
+        self._remaining = self.nbytes
+
+    @property
+    def rate(self) -> float:
+        fabric = self._fabric
+        if fabric is None:
+            return self._rate
+        return fabric._rate.item(fabric._slot(self))
+
+    @property
+    def remaining(self) -> float:
+        fabric = self._fabric
+        if fabric is None:
+            return self._remaining
+        return fabric._remaining.item(fabric._slot(self))
 
     def __repr__(self) -> str:
         return (
@@ -102,7 +155,24 @@ class Fabric:
         self.topology = topology
         self.latency = float(latency)
         self.meter = meter if meter is not None else TrafficMeter()
+        #: In-flight flows in arrival order, aligned with the first
+        #: ``_n`` columns of the tables.
         self._flows: list[NetFlow] = []
+        self._n = 0
+        self._arrivals = 0
+        self._cap = 8
+        self._ftab = np.zeros((4, self._cap))
+        self._itab = np.zeros((5, self._cap), dtype=np.intp)
+        self._bind_rows()
+        #: Group keys: one per (src index, dst index, tag), with the
+        #: number of live flows on each; ``_shared_keys`` counts the keys
+        #: holding two or more, so zero means no grouping work.
+        self._key_ids: dict[tuple[int, int, str], int] = {}
+        #: ``(group key, meter cell)`` per (src index, dst index, tag, cause).
+        self._ids: dict[tuple[int, int, str, str], tuple[int, int]] = {}
+        self._key_live: list[int] = []
+        self._key_tag: list[str] = []
+        self._shared_keys = 0
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
         self._cause_override: list[str] = []
@@ -117,6 +187,11 @@ class Fabric:
         #: Open :meth:`batch` scopes, and whether a flow joined inside one.
         self._batch_depth = 0
         self._batch_pending = False
+
+    def _bind_rows(self) -> None:
+        """Name the table rows (views, rebound when the tables grow)."""
+        self._weight, self._remaining, self._rate, self._accounted = self._ftab
+        self._arrival, self._src, self._dst, self._key, self._cell = self._itab
 
     @contextmanager
     def batch(self):
@@ -170,12 +245,14 @@ class Fabric:
     # -- public ------------------------------------------------------------
     @property
     def active_flows(self) -> int:
-        return len(self._flows)
+        return self._n
 
     def flow_rates(self) -> dict[str, float]:
         """Snapshot ``{src->dst/tag: rate}`` for diagnostics."""
+        rates = self._rate[:self._n].tolist()
         return {
-            f"{fl.src.name}->{fl.dst.name}/{fl.tag}": fl.rate for fl in self._flows
+            f"{fl.src.name}->{fl.dst.name}/{fl.tag}": rate
+            for fl, rate in zip(self._flows, rates)
         }
 
     def host_load(self, host: Host) -> tuple[float, float]:
@@ -183,10 +260,32 @@ class Fabric:
 
         Used by the CPU-coupling model: moving bytes costs host CPU
         (vhost/softirq work), which slows guest compute proportionally.
+        ``np.bincount`` adds each host's rates in arrival order, one at a
+        time, as a running sum over the flows would.
         """
-        inbound = sum(fl.rate for fl in self._flows if fl.dst is host)
-        outbound = sum(fl.rate for fl in self._flows if fl.src is host)
-        return inbound, outbound
+        n = self._n
+        if not n:
+            return 0.0, 0.0
+        rate = self._rate[:n]
+        size = host.index + 1
+        inbound = np.bincount(self._dst[:n], rate, size)[host.index]
+        outbound = np.bincount(self._src[:n], rate, size)[host.index]
+        return float(inbound), float(outbound)
+
+    def rate_sums(self) -> tuple[dict[str, float], dict[Host, float],
+                                 dict[Host, float]]:
+        """The standing rates summed per tag, per source host and per
+        destination host, over the tags and hosts that carry a flow."""
+        n = self._n
+        rate = self._rate[:n]
+        tags = sorted(set(self._key_tag))
+        tag_no = {tag: i for i, tag in enumerate(tags)}
+        key_tag = np.array([tag_no[tag] for tag in self._key_tag],
+                           dtype=np.intp)
+        hosts = self.topology.hosts
+        return (_label_sums(key_tag[self._key[:n]], rate, tags),
+                _label_sums(self._src[:n], rate, hosts),
+                _label_sums(self._dst[:n], rate, hosts))
 
     def sync(self) -> None:
         """Integrate all in-flight flows' progress up to *now*.
@@ -218,10 +317,11 @@ class Fabric:
         :meth:`cause_scope` override, then to the tag itself.  Inside a
         :meth:`batch` the new flow's rate is set when the batch exits.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        # Chained comparisons are False for NaN as well as out of range.
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         cause = self._resolve_cause(cause, tag)
         if src is dst:
             ev = Event(self.env)
@@ -239,7 +339,7 @@ class Fabric:
         annotate(self.env, flow.done, "net.flow",
                  tag=tag, cause=cause, src=src.name, dst=dst.name)
         self._advance()
-        self._flows.append(flow)
+        self._admit(flow)
         self._dirty = True
         if self._batch_depth:
             self._batch_pending = True
@@ -256,6 +356,8 @@ class Fabric:
         are tiny compared to bulk flows and modeling them as flows would only
         add noise and event churn.
         """
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
         cause = self._resolve_cause(cause, tag)
         if src is dst:
             ev = Event(self.env)
@@ -287,12 +389,12 @@ class Fabric:
         transfers and non-flow events).
         """
         flow = getattr(done_event, "flow", None)
-        if flow is None or flow not in self._flows:
+        if flow is None or flow._fabric is not self:
             return False
         self._advance()
-        if flow not in self._flows:
+        if flow._fabric is not self:
             return False  # crossed the finish line at the integration step
-        self._flows.remove(flow)
+        self._drop([self._slot(flow)])
         self._dirty = True
         p = self.env.probe
         if p.enabled:
@@ -309,18 +411,19 @@ class Fabric:
         Returns the number of flows removed.
         """
         self._advance()
-        doomed = [fl for fl in self._flows if fl.src is host or fl.dst is host]
-        if not doomed:
+        n = self._n
+        h = host.index
+        doomed = np.flatnonzero((self._src[:n] == h) | (self._dst[:n] == h))
+        if not doomed.size:
             return 0
-        for fl in doomed:
-            self._flows.remove(fl)
+        self._drop(doomed.tolist())
         self._dirty = True
         p = self.env.probe
         if p.enabled:
-            p.flows_aborted(host, len(doomed))
+            p.flows_aborted(host, int(doomed.size))
         self._recompute()
         self._reschedule()
-        return len(doomed)
+        return int(doomed.size)
 
     def _black_hole(self, src: Host, dst: Host, tag: str,
                     cause: Optional[str] = None) -> Event:
@@ -336,52 +439,179 @@ class Fabric:
         return annotate(self.env, Event(self.env), "net.blackhole",
                         tag=tag, cause=cause)
 
+    # -- the flow table --------------------------------------------------------
+    def _admit(self, flow: NetFlow) -> None:
+        """Append ``flow`` as the table's last row."""
+        src = flow.src.index
+        dst = flow.dst.index
+        ids = self._ids.get((src, dst, flow.tag, flow.cause))
+        if ids is None:
+            ids = self._new_ids(flow)
+        key, cell = ids
+        live = self._key_live[key]
+        self._key_live[key] = live + 1
+        if live == 1:
+            self._shared_keys += 1
+        n = self._n
+        if n == self._cap:
+            self._cap *= 2
+            self._ftab = np.concatenate((self._ftab, self._ftab), axis=1)
+            self._itab = np.concatenate((self._itab, self._itab), axis=1)
+            self._bind_rows()
+        self._arrivals += 1
+        flow._fabric = self
+        flow._arrival = self._arrivals
+        flow._key = key
+        flow._cell = cell
+        self._weight[n] = flow.weight
+        self._remaining[n] = flow.nbytes
+        self._rate[n] = 0.0
+        self._accounted[n] = 0.0
+        self._arrival[n] = self._arrivals
+        self._src[n] = src
+        self._dst[n] = dst
+        self._key[n] = key
+        self._cell[n] = cell
+        self._flows.append(flow)
+        self._n = n + 1
+
+    def _new_ids(self, flow: NetFlow) -> tuple[int, int]:
+        """Group key and meter cell of a new (src, dst, tag, cause)."""
+        group = (flow.src.index, flow.dst.index, flow.tag)
+        key = self._key_ids.get(group)
+        if key is None:
+            key = self._key_ids[group] = len(self._key_live)
+            self._key_live.append(0)
+            self._key_tag.append(flow.tag)
+        ids = key, self.meter.cell(flow.tag, flow.cause)
+        self._ids[group + (flow.cause,)] = ids
+        return ids
+
+    def _slot(self, flow: NetFlow) -> int:
+        """Table row of the in-flight ``flow``."""
+        return int(np.searchsorted(self._arrival[:self._n], flow._arrival))
+
+    def _drop(self, rows: list[int]) -> list[float]:
+        """Take the flows at ascending ``rows`` out of the table, keeping
+        the rest in arrival order; their handles keep their last rate and
+        remaining bytes.  Returns their accounted bytes, row by row."""
+        n = self._n
+        flows = self._flows
+        rate = self._rate
+        remaining = self._remaining
+        accounted = self._accounted
+        live = self._key_live
+        accs = []
+        for i in rows:
+            fl = flows[i]
+            fl._fabric = None
+            fl._rate = rate.item(i)
+            fl._remaining = remaining.item(i)
+            accs.append(accounted.item(i))
+            left = live[fl._key] - 1
+            live[fl._key] = left
+            if left == 1:
+                self._shared_keys -= 1
+        kept = n - len(rows)
+        # The runs of kept rows behind the first row leaving, as [a, b).
+        runs = [(a + 1, b) for a, b in zip(rows, rows[1:] + [n]) if b > a + 1]
+        if len(runs) <= 2:
+            # Slide each run down over the gap: the last rows leaving move
+            # nothing, one row or one block of rows moves one run.
+            write = rows[0]
+            for a, b in runs:
+                self._ftab[:, write:write + b - a] = self._ftab[:, a:b]
+                self._itab[:, write:write + b - a] = self._itab[:, a:b]
+                write += b - a
+            for i in reversed(rows):
+                del flows[i]
+        else:
+            # Scattered rows: one keep-mask costs less than many slides.
+            keep = np.ones(n, dtype=bool)
+            keep[rows] = False
+            self._ftab[:, :kept] = self._ftab[:, :n][:, keep]
+            self._itab[:, :kept] = self._itab[:, :n][:, keep]
+            self._flows = [fl for fl in flows if fl._fabric is self]
+        self._n = kept
+        return accs
+
     # -- internals -----------------------------------------------------------
     def _advance(self) -> None:
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        n = self._n
+        if dt <= 0 or not n:
             return
         p = self.env.probe
         if p.enabled:
-            p.fabric_advance(len(self._flows))
+            p.fabric_advance(n)
         try:
-            finished: list[NetFlow] = []
-            for fl in self._flows:
-                moved = min(fl.rate * dt, fl.remaining)
-                fl.remaining -= moved
-                fl._accounted += moved
-                self.meter.add(fl.tag, moved, cause=fl.cause)
-                if p.enabled:
-                    p.net_credit(fl.tag, fl.cause, moved)
-                if fl.remaining <= _DONE_EPS:
-                    fl.remaining = 0.0
-                    finished.append(fl)
-            if finished:
-                self._dirty = True
-            for fl in finished:
-                self._flows.remove(fl)
+            finished = self._integrate(dt)
+            if not finished:
+                return
+            self._dirty = True
+            gone = [self._flows[i] for i in finished]
+            for fl, acc in zip(gone, self._drop(finished)):
                 # Credit any residual rounding so accounting is exact.
-                if fl._accounted < fl.nbytes:
-                    residual = fl.nbytes - fl._accounted
-                    self.meter.add(fl.tag, residual, cause=fl.cause)
+                if acc < fl.nbytes:
+                    residual = fl.nbytes - acc
+                    self.meter.credit_cell(fl._cell, residual)
                     if p.enabled:
                         p.net_credit(fl.tag, fl.cause, residual)
-                    fl._accounted = fl.nbytes
                 if p.enabled:
                     p.flow_done(fl)
-                fl.done.succeed(self.env.now - fl.started_at)
+                fl.done.succeed(now - fl.started_at)
         finally:
             if p.enabled:
                 p.scope_end()
 
+    def _integrate(self, dt: float) -> list[int]:
+        """Move every flow ``dt`` seconds at its rate and credit the meter;
+        returns the rows (ascending) of the flows that finished."""
+        n = self._n
+        p = self.env.probe
+        if n <= _LOOP_MAX:
+            rems, rates, accs = self._ftab[_REMAINING:, :n].tolist()
+            remaining = self._remaining
+            accounted = self._accounted
+            credit = self.meter.credit_cell
+            finished = []
+            for i, fl in enumerate(self._flows):
+                rem = rems[i]
+                step = rates[i] * dt
+                if rem < step:
+                    step = rem
+                rem -= step
+                accounted[i] = accs[i] + step
+                credit(fl._cell, step)
+                if p.enabled:
+                    p.net_credit(fl.tag, fl.cause, step)
+                if rem <= _DONE_EPS:
+                    rem = 0.0
+                    finished.append(i)
+                remaining[i] = rem
+            return finished
+        remaining = self._remaining[:n]
+        step = np.minimum(self._rate[:n] * dt, remaining)
+        remaining -= step
+        self._accounted[:n] += step
+        self.meter.credit(self._cell[:n], step)
+        if p.enabled:
+            p.net_credits(self._flows, step.tolist())
+        if remaining.item(remaining.argmin()) > _DONE_EPS:
+            return []
+        done = np.flatnonzero(remaining <= _DONE_EPS)
+        remaining[done] = 0.0
+        return done.tolist()
+
     def _recompute(self) -> None:
         p = self.env.probe
+        n = self._n
         if p.enabled:
-            p.fabric_reshare(len(self._flows))
+            p.fabric_reshare(n)
         topo = self.topology
-        if not self._flows:
+        if not n:
             self._dirty = False
             self._topo_version_seen = topo.version
             return
@@ -398,61 +628,77 @@ class Fabric:
         # The solver's stats out-param (kept only while profiling).
         stats = None
         if p.enabled:
-            stats = p.fabric_recompute(len(self._flows))
+            stats = p.fabric_recompute(n)
         try:
-            # Coalesce same-(src, dst, traffic-class) flows into one solver
-            # variable of the summed weight.  Members of such a group cross
-            # *identical* constraint sets, so under weighted max-min they
-            # rise and freeze together and the group allocation splits
-            # proportionally to member weights — the coalesced solve is
-            # mathematically the per-flow solve, at a fraction of the
-            # variable count.
-            group_key: dict[tuple[int, int, str], int] = {}
-            g_srcs: list[int] = []
-            g_dsts: list[int] = []
-            g_weights: list[float] = []
-            members: list[list[NetFlow]] = []
-            for fl in self._flows:
-                key = (fl.src.index, fl.dst.index, fl.tag)
-                gi = group_key.get(key)
-                if gi is None:
-                    group_key[key] = len(g_srcs)
-                    g_srcs.append(fl.src.index)
-                    g_dsts.append(fl.dst.index)
-                    g_weights.append(fl.weight)
-                    members.append([fl])
-                else:
-                    g_weights[gi] += fl.weight
-                    members[gi].append(fl)
-            srcs = np.array(g_srcs, dtype=np.intp)
-            dsts = np.array(g_dsts, dtype=np.intp)
-            weights = np.array(g_weights, dtype=np.float64)
-            rates = self._maxmin.solve(weights, srcs, dsts, stats=stats)
-            for gi in range(len(members)):
-                group = members[gi]
-                rate = float(rates[gi])
-                if len(group) == 1:
-                    group[0].rate = rate
-                else:
-                    total_w = g_weights[gi]
-                    for fl in group:
-                        fl.rate = rate * (fl.weight / total_w)
+            self._share(stats)
             if p.enabled:
-                p.fabric_rates(self._flows)
+                p.fabric_rates(self)
             self._dirty = False
             self._topo_version_seen = topo.version
         finally:
             if stats is not None:
                 p.fabric_recompute_end(stats)
 
+    def _share(self, stats: Optional[dict]) -> None:
+        """Solve weighted max-min over the table and write the rate column.
+
+        Same-(src, dst, traffic-class) flows coalesce into one solver
+        variable of the summed weight.  Members of such a group cross
+        *identical* constraint sets, so under weighted max-min they rise
+        and freeze together and the group allocation splits proportionally
+        to member weights — the coalesced solve is mathematically the
+        per-flow solve, at a fraction of the variable count.  Groups are
+        ordered by first appearance; ``np.bincount`` sums each group's
+        weights sequentially from its first member's, and a lone member's
+        share ``w / w`` is exactly 1.0.
+        """
+        n = self._n
+        src = self._src[:n]
+        dst = self._dst[:n]
+        weight = self._weight[:n]
+        if not self._shared_keys:
+            self._rate[:n] = self._maxmin.solve(weight, src, dst, stats=stats)
+            return
+        _, first, inverse = np.unique(self._key[:n], return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        group = rank[inverse]
+        heads = first[order]
+        group_w = np.bincount(group, weight)
+        rates = self._maxmin.solve(group_w, src[heads], dst[heads],
+                                   stats=stats)
+        self._rate[:n] = rates[group] * (weight / group_w[group])
+
+    def _next_eta(self) -> Optional[float]:
+        """Seconds until the first flow finishes at the standing rates,
+        or ``None`` when every flow is throttled to zero."""
+        n = self._n
+        if n <= _LOOP_MAX:
+            eta = None
+            for rem, rate in zip(*self._ftab[_REMAINING:_REMAINING + 2, :n].tolist()):
+                if rate > 0:
+                    t = rem / rate
+                    if eta is None or t < eta:
+                        eta = t
+            return eta
+        rate = self._rate[:n]
+        remaining = self._remaining[:n]
+        if rate.item(rate.argmin()) > 0:
+            etas = remaining / rate
+        else:
+            moving = rate > 0
+            if not moving.any():
+                return None
+            etas = remaining[moving] / rate[moving]
+        return etas.item(etas.argmin())
+
     def _reschedule(self) -> None:
-        if not self._flows:
+        if not self._n:
             self._timer.cancel()
             return
-        eta = min(
-            (fl.remaining / fl.rate for fl in self._flows if fl.rate > 0),
-            default=None,
-        )
+        eta = self._next_eta()
         if eta is None:
             # Degenerate: every flow throttled to zero (cannot normally
             # happen with positive capacities); retry after a tick rather

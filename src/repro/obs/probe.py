@@ -200,6 +200,15 @@ class Probe:
         if self.series is not None:
             self.series.credit_net(tag, cause, self._env.now, nbytes)
 
+    def net_credits(self, flows: list, moved: list) -> None:
+        """Shadow one integration step's credits, ``moved[i]`` bytes for
+        ``flows[i]``, in flow order."""
+        sr = self.series
+        if sr is not None:
+            now = self._env.now
+            for flow, nbytes in zip(flows, moved):
+                sr.credit_net(flow.tag, flow.cause, now, nbytes)
+
     def net_message(self, tag: str, cause: str, src: Any, dst: Any,
                     nbytes: float) -> None:
         self.net_credit(tag, cause, nbytes)
@@ -277,20 +286,14 @@ class Probe:
             prof.count(f"maxmin.{key}", stats.get(key, 0))
         prof.exit()
 
-    def fabric_rates(self, flows: list) -> None:
+    def fabric_rates(self, fabric: Any) -> None:
         """The just-solved max-min rates: allocated rate per traffic tag
         and the utilization of every NIC a live flow touches."""
         sr = self.series
         if sr is None:
             return
         now = self._env.now
-        by_tag: dict[str, float] = {}
-        egress: dict[Any, float] = {}
-        ingress: dict[Any, float] = {}
-        for fl in flows:
-            by_tag[fl.tag] = by_tag.get(fl.tag, 0.0) + fl.rate
-            egress[fl.src] = egress.get(fl.src, 0.0) + fl.rate
-            ingress[fl.dst] = ingress.get(fl.dst, 0.0) + fl.rate
+        by_tag, egress, ingress = fabric.rate_sums()
         for tag in sorted(by_tag):
             sr.gauge(f"net.rate.{tag}", now, by_tag[tag], unit="B/s")
         for host in sorted(egress, key=lambda h: h.name):

@@ -1,7 +1,7 @@
 """The reference oracle: the simulator with every fast path swapped out.
 
 Production runs one scheduler and one solver.  The oracle is the same
-simulator with four production pieces replaced by their obvious,
+simulator with five production pieces replaced by their obvious,
 from-scratch forms:
 
 1. ``Environment._schedule`` pushes every event through the binary heap
@@ -12,9 +12,13 @@ from-scratch forms:
 3. ``Fabric._recompute`` marks the fabric dirty first, so it re-solves on
    every call (production skips a clean recompute);
 4. ``Fabric.batch`` does nothing, so every transfer reshares on its own
-   (production reshares once per batch of same-instant transfers).
+   (production reshares once per batch of same-instant transfers);
+5. the fabric's flow-table arithmetic (``_integrate``, ``_share``,
+   ``_next_eta`` and ``host_load``) runs as a per-flow loop over the
+   table at every flow count, with one ``TrafficMeter.credit_cell`` per
+   flow (production uses whole-array operations above a crossover).
 
-Inside ``kernel_scope("reference")`` all four swaps are in force;
+Inside ``kernel_scope("reference")`` all five swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
 events in the identical ``(time, priority, seq)`` order and produce
 bitwise-identical rates, which ``test_differential.py`` checks scenario
@@ -44,8 +48,8 @@ import numpy as np
 
 import repro.netsim.flows as flows
 from repro.netsim.fairness import maxmin_single_switch
-from repro.netsim.flows import Fabric
-from repro.netsim.topology import Topology
+from repro.netsim.flows import _DONE_EPS, Fabric
+from repro.netsim.topology import Host, Topology
 from repro.simkernel.core import Environment, Event
 
 __all__ = ["KERNELS", "ReferenceMaxMin", "kernel_scope"]
@@ -95,12 +99,81 @@ def _reference_batch(self: Fabric) -> Iterator[None]:
     yield
 
 
+def _reference_integrate(self: Fabric, dt: float) -> list[int]:
+    """Integrate flow by flow, crediting the meter one flow at a time."""
+    p = self.env.probe
+    rate, remaining = self._rate, self._remaining
+    finished = []
+    for i, fl in enumerate(self._flows):
+        moved = min(rate.item(i) * dt, remaining.item(i))
+        remaining[i] -= moved
+        self._accounted[i] += moved
+        self.meter.credit_cell(self._cell.item(i), moved)
+        if p.enabled:
+            p.net_credit(fl.tag, fl.cause, moved)
+        if remaining.item(i) <= _DONE_EPS:
+            remaining[i] = 0.0
+            finished.append(i)
+    return finished
+
+
+def _reference_share(self: Fabric, stats: dict | None) -> None:
+    """Group same-(src, dst, tag) flows through a dict, in flow order."""
+    group_of: dict[tuple[int, int, str], int] = {}
+    srcs: list[int] = []
+    dsts: list[int] = []
+    weights: list[float] = []
+    members: list[list[int]] = []
+    for i, fl in enumerate(self._flows):
+        key = (fl.src.index, fl.dst.index, fl.tag)
+        g = group_of.get(key)
+        if g is None:
+            group_of[key] = len(srcs)
+            srcs.append(fl.src.index)
+            dsts.append(fl.dst.index)
+            weights.append(fl.weight)
+            members.append([i])
+        else:
+            weights[g] += fl.weight
+            members[g].append(i)
+    rates = self._maxmin.solve(np.array(weights), np.array(srcs, dtype=np.intp),
+                               np.array(dsts, dtype=np.intp), stats=stats)
+    for g, rows in enumerate(members):
+        rate = float(rates[g])
+        if len(rows) == 1:
+            self._rate[rows[0]] = rate
+        else:
+            for i in rows:
+                self._rate[i] = rate * (self._flows[i].weight / weights[g])
+
+
+def _reference_next_eta(self: Fabric) -> float | None:
+    """Scan every flow for the earliest completion."""
+    rate, remaining = self._rate, self._remaining
+    return min((remaining.item(i) / rate.item(i) for i in range(self._n)
+                if rate.item(i) > 0), default=None)
+
+
+def _reference_host_load(self: Fabric, host: Host) -> tuple[float, float]:
+    """Running sums over the flows touching ``host``."""
+    rate = self._rate
+    inbound = sum(rate.item(i) for i, fl in enumerate(self._flows)
+                  if fl.dst is host)
+    outbound = sum(rate.item(i) for i, fl in enumerate(self._flows)
+                   if fl.src is host)
+    return inbound, outbound
+
+
 #: ``(owner, attribute, reference value)`` for each swapped piece.
 _SWAPS = (
     (Environment, "_schedule", _reference_schedule),
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
     (Fabric, "_recompute", _reference_recompute),
     (Fabric, "batch", _reference_batch),
+    (Fabric, "_integrate", _reference_integrate),
+    (Fabric, "_share", _reference_share),
+    (Fabric, "_next_eta", _reference_next_eta),
+    (Fabric, "host_load", _reference_host_load),
 )
 
 

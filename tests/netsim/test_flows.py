@@ -76,6 +76,23 @@ class TestFabricTransfer:
         with pytest.raises(ValueError):
             Fabric(env, topo, latency=-1.0)
 
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+    def test_non_finite_bytes_rejected(self, nbytes):
+        env, topo, fabric = make_fabric()
+        with pytest.raises(ValueError):
+            fabric.transfer(topo["h0"], topo["h1"], nbytes)
+        with pytest.raises(ValueError):
+            fabric.message(topo["h0"], topo["h1"], nbytes)
+        assert fabric.active_flows == 0
+        assert fabric.meter.by_pair() == {}
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        env, topo, fabric = make_fabric()
+        with pytest.raises(ValueError):
+            fabric.transfer(topo["h0"], topo["h1"], 1.0, weight=weight)
+        assert fabric.active_flows == 0
+
     def test_shared_egress_nic(self):
         """Two flows out of the same host share its egress NIC."""
         env, topo, fabric = make_fabric()

@@ -33,6 +33,13 @@ class TestMeter:
         with pytest.raises(ValueError):
             TrafficMeter().add("a", -1)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, nbytes):
+        m = TrafficMeter()
+        with pytest.raises(ValueError):
+            m.add("a", nbytes)
+        assert m.by_pair() == {}
+
     def test_reset(self):
         m = TrafficMeter()
         m.add("a", 5)
