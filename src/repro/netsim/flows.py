@@ -512,27 +512,18 @@ class Fabric:
             live[fl._key] = left
             if left == 1:
                 self._shared_keys -= 1
-        kept = n - len(rows)
-        # The runs of kept rows behind the first row leaving, as [a, b).
-        runs = [(a + 1, b) for a, b in zip(rows, rows[1:] + [n]) if b > a + 1]
-        if len(runs) <= 2:
-            # Slide each run down over the gap: the last rows leaving move
-            # nothing, one row or one block of rows moves one run.
-            write = rows[0]
-            for a, b in runs:
-                self._ftab[:, write:write + b - a] = self._ftab[:, a:b]
-                self._itab[:, write:write + b - a] = self._itab[:, a:b]
-                write += b - a
-            for i in reversed(rows):
-                del flows[i]
-        else:
-            # Scattered rows: one keep-mask costs less than many slides.
-            keep = np.ones(n, dtype=bool)
-            keep[rows] = False
-            self._ftab[:, :kept] = self._ftab[:, :n][:, keep]
-            self._itab[:, :kept] = self._itab[:, :n][:, keep]
-            self._flows = [fl for fl in flows if fl._fabric is self]
-        self._n = kept
+        # Slide each run of kept rows behind a leaving row down over the
+        # gap: rows leaving at the end move nothing.
+        write = rows[0]
+        for i, end in zip(rows, rows[1:] + [n]):
+            size = end - i - 1
+            if size:
+                self._ftab[:, write:write + size] = self._ftab[:, i + 1:end]
+                self._itab[:, write:write + size] = self._itab[:, i + 1:end]
+                write += size
+        for i in reversed(rows):
+            del flows[i]
+        self._n = n - len(rows)
         return accs
 
     # -- internals -----------------------------------------------------------

@@ -147,8 +147,10 @@ class SeriesRecorder:
         self.max_bins = max_bins
         self.runs: list[dict] = []
         self._signals: dict[str, _Signal] = {}
-        # Mirror of TrafficMeter._pairs: same keys, same accumulation
-        # order, same float operations — the basis of exact conservation.
+        # Mirror of TrafficMeter.by_pair(): same keys in the same
+        # first-credit order, each accumulated per credit with the same
+        # float operations as the meter's cell — the basis of exact
+        # conservation.
         self._net_pairs: dict[tuple[str, str], float] = {}
         self._net_tag_causes: dict[str, list[str]] = {}
         self._conservation: dict | None = None

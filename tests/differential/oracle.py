@@ -155,12 +155,19 @@ def _reference_next_eta(self: Fabric) -> float | None:
 
 
 def _reference_host_load(self: Fabric, host: Host) -> tuple[float, float]:
-    """Running sums over the flows touching ``host``."""
+    """Running sums, in flow order, over the flows touching ``host``.
+
+    An explicit ``+=`` rather than the builtin ``sum()``: from Python 3.12
+    ``sum()`` of floats compensates its rounding, which is not the
+    sequential addition the table's ``host_load`` promises.
+    """
     rate = self._rate
-    inbound = sum(rate.item(i) for i, fl in enumerate(self._flows)
-                  if fl.dst is host)
-    outbound = sum(rate.item(i) for i, fl in enumerate(self._flows)
-                   if fl.src is host)
+    inbound = outbound = 0.0
+    for i, fl in enumerate(self._flows):
+        if fl.dst is host:
+            inbound += rate.item(i)
+        if fl.src is host:
+            outbound += rate.item(i)
     return inbound, outbound
 
 
