@@ -212,6 +212,8 @@ def _at_least(convert, minimum, what: str):
 
 
 _parse_warmup = _at_least(float, 0, "warmup")
+_parse_seed = _at_least(int, 0, "seed")
+_parse_top = _at_least(int, 1, "top")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--workload", choices=["ior", "asyncwr"], default="ior")
     single.add_argument("--warmup", type=_parse_warmup, default=10.0,
                         help="seconds before the migration request")
-    single.add_argument("--seed", type=int, default=0)
+    single.add_argument("--seed", type=_parse_seed, default=0)
     _add_obs_flags(single)
     _add_fault_flags(single)
 
@@ -260,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--workload", choices=["ior", "asyncwr"], default="ior")
     compare.add_argument("--warmup", type=_parse_warmup, default=10.0)
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=_parse_seed, default=0)
     compare.add_argument("--diff", action="store_true",
                          help="after the table, attribute each approach's "
                               "delta against our-approach (bytes by cause, "
                               "critical path, migration wall)")
-    compare.add_argument("--top", type=int, default=5,
+    compare.add_argument("--top", type=_parse_top, default=5,
                          help="contributors per dimension in --diff tables")
     _add_obs_flags(compare)
     _add_fault_flags(compare)
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--approach", choices=sorted(APPROACHES),
                          default="our-approach")
-    profile.add_argument("--seed", type=int, default=0)
+    profile.add_argument("--seed", type=_parse_seed, default=0)
     profile.add_argument("--alloc", action="store_true",
                          help="also attribute heap allocations via "
                               "tracemalloc (slower)")
@@ -330,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="attribute the delta between two runs: consumes two artifacts "
              "of the same kind (analyze/critical-path/profile JSON, or "
-             "BENCH trajectory entries) and decomposes every changed total "
-             "into exactly-conserving per-key contributions",
+             "benchmarks/e2e results.json files) and decomposes every "
+             "changed total into exactly-conserving per-key contributions",
     )
     diff.add_argument("artifact_a", metavar="A",
                       help="first artifact (the baseline)")
@@ -343,14 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "the table (to stdout, or to OUT.json)")
     diff.add_argument("--report", metavar="OUT.html", default=None,
                       help="also write a side-by-side HTML delta panel")
-    diff.add_argument("--top", type=int, default=10,
+    diff.add_argument("--top", type=_parse_top, default=10,
                       help="ranked contributors shown per dimension "
                            "(default 10)")
-    diff.add_argument("--entry-a", type=int, default=None,
-                      help="entry index when A is a BENCH trajectory file "
-                           "(negative counts from the end)")
-    diff.add_argument("--entry-b", type=int, default=None,
-                      help="entry index when B is a BENCH trajectory file")
 
     series = sub.add_parser(
         "series",
@@ -373,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[], dest="signals",
                         help="only signals matching this glob "
                              "(repeatable, e.g. --signal 'net.*')")
-    series.add_argument("--width", type=int, default=60,
+    series.add_argument("--width", type=_at_least(int, 1, "width"),
+                        default=60,
                         help="sparkline width in columns (default 60)")
 
     lint = sub.add_parser(
@@ -552,8 +550,7 @@ def _cmd_diff(args) -> int:
     )
 
     try:
-        doc = diff_files(args.artifact_a, args.artifact_b,
-                         entry_a=args.entry_a, entry_b=args.entry_b)
+        doc = diff_files(args.artifact_a, args.artifact_b)
     except DiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

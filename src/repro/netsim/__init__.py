@@ -11,8 +11,6 @@ exceeds the backplane.
 
 Public surface:
 
-* :func:`~repro.netsim.fairness.progressive_filling` — weighted max-min
-  allocation.
 * :class:`~repro.netsim.topology.Host` /
   :class:`~repro.netsim.topology.Topology` — NICs and constraints.
 * :class:`~repro.netsim.flows.Fabric` — the live network: open flows,
@@ -20,17 +18,14 @@ Public surface:
 * :class:`~repro.netsim.traffic.TrafficMeter` — per-tag byte accounting.
 """
 
-from repro.netsim.fairness import Constraint, progressive_filling
 from repro.netsim.flows import Fabric, NetFlow
 from repro.netsim.topology import Host, Topology
 from repro.netsim.traffic import TrafficMeter
 
 __all__ = [
-    "Constraint",
     "Fabric",
     "Host",
     "NetFlow",
     "Topology",
     "TrafficMeter",
-    "progressive_filling",
 ]

@@ -6,9 +6,10 @@ every unfrozen flow proportionally to its weight until some constraint
 saturates, freezes the flows crossing saturated constraints, and repeats.
 The result is the unique (weighted) max-min fair allocation.
 
-The implementation is vectorized with numpy; each round costs
-``O(C + total membership)`` and there are at most ``C`` rounds, so it is
-cheap enough to re-run on every flow arrival/departure.
+:func:`maxmin_single_switch` runs it on the single-switch topology's
+constraints with ``np.bincount`` over hosts.  The generic form over
+explicit constraints is its test-side reference
+(``tests/differential/oracle.py``).
 
 :class:`IncrementalMaxMin` sits on top of :func:`maxmin_single_switch`
 and keeps the water-filling solution alive across recomputations:
@@ -22,7 +23,6 @@ scripts (``tests/netsim/test_incremental_maxmin.py``) hold it to that.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,109 +30,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.netsim.topology import Topology
 
-__all__ = ["Constraint", "progressive_filling", "maxmin_single_switch",
-           "IncrementalMaxMin"]
+__all__ = ["maxmin_single_switch", "IncrementalMaxMin"]
 
 _EPS = 1e-12
 
 #: Solutions :class:`IncrementalMaxMin` keeps (least recently used out).
 _MEMO_SIZE = 512
-
-
-@dataclass
-class Constraint:
-    """A capacity constraint over a set of flows.
-
-    Parameters
-    ----------
-    capacity:
-        Total bytes/second available to the member flows together.
-    members:
-        Indices (into the flow arrays) of flows that consume this capacity.
-    name:
-        Diagnostic label ("nic-out:node3", "backplane", ...).
-    """
-
-    capacity: float
-    members: np.ndarray
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"constraint {self.name!r}: capacity must be > 0")
-        self.members = np.asarray(self.members, dtype=np.intp)
-
-
-def progressive_filling(
-    weights: np.ndarray,
-    constraints: list[Constraint],
-) -> np.ndarray:
-    """Compute weighted max-min fair rates.
-
-    Parameters
-    ----------
-    weights:
-        Positive per-flow weights, shape ``(F,)``.
-    constraints:
-        Capacity constraints.  Every flow must appear in at least one
-        constraint, otherwise its fair share would be unbounded.
-
-    Returns
-    -------
-    rates:
-        Per-flow rates, shape ``(F,)``, satisfying every constraint with
-        the weighted max-min property.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if np.any(weights <= 0):
-        raise ValueError("all flow weights must be positive")
-
-    covered = np.zeros(n, dtype=bool)
-    for c in constraints:
-        covered[c.members] = True
-    if not covered.all():
-        missing = np.flatnonzero(~covered)
-        raise ValueError(f"flows {missing.tolist()} are not covered by any constraint")
-
-    rates = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-
-    # At most one constraint saturates per round, so <= len(constraints)
-    # rounds; the +1 guard catches numerical stalls.
-    for _ in range(len(constraints) + 1):
-        if not active.any():
-            break
-        increment = np.inf
-        for c in constraints:
-            member_active = active[c.members]
-            if not member_active.any():
-                continue
-            load = rates[c.members].sum()
-            wsum = weights[c.members][member_active].sum()
-            inc = (c.capacity - load) / wsum
-            if inc < increment:
-                increment = inc
-        if not np.isfinite(increment):
-            break
-        increment = max(increment, 0.0)
-        rates[active] += increment * weights[active]
-        # Freeze flows crossing any now-saturated constraint.
-        froze = False
-        for c in constraints:
-            load = rates[c.members].sum()
-            if load >= c.capacity * (1 - 1e-9) - _EPS:
-                was_active = active[c.members].any()
-                active[c.members] = False
-                froze = froze or bool(was_active)
-        if not froze:
-            # Numerical corner: nothing saturated despite a finite increment
-            # of ~0.  Freeze everything to guarantee termination.
-            break
-
-    return rates
 
 
 def maxmin_single_switch(
@@ -144,7 +47,7 @@ def maxmin_single_switch(
     backplane: float | None,
     stats: dict | None = None,
 ) -> np.ndarray:
-    """Structured fast path of :func:`progressive_filling` for the
+    """Structured fast path of progressive filling for the
     single-switch topology: per-host egress/ingress caps and one
     backplane shared by every flow.
 

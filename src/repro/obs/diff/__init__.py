@@ -3,8 +3,8 @@
 The rest of the observability stack explains *one* run exhaustively;
 this package answers the comparative questions: given two artifacts of
 the same kind (two flight-recorder summaries, two critical-path
-documents, two profiler trees, or two ``BENCH_simulator.json``
-entries), attribute the delta — simulated time, bytes, host wall-clock,
+documents, two profiler trees, or two ``benchmarks/e2e`` results
+files), attribute the delta — simulated time, bytes, host wall-clock,
 work counters — to specific keys, with the same telescoping exactness
 discipline as the byte attribution and critical-path tiling: per-key
 contributions sum to the total delta exactly, checked on rationals.
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Optional
 
 from repro.obs.diff.delta import dimension_delta, merge_conservation
 from repro.obs.diff.explain import explain_pair
 from repro.obs.diff.loaders import (
     DiffError,
     artifact_from_analyze_summary,
-    artifact_from_bench_entry,
+    artifact_from_bench_results,
     artifact_from_critical_path,
     artifact_from_prof_summary,
     artifact_from_series_doc,
@@ -37,7 +36,7 @@ __all__ = [
     "SCHEMA",
     "DiffError",
     "artifact_from_analyze_summary",
-    "artifact_from_bench_entry",
+    "artifact_from_bench_results",
     "artifact_from_critical_path",
     "artifact_from_prof_summary",
     "artifact_from_series_doc",
@@ -138,27 +137,9 @@ def diff_artifacts(a: dict, b: dict) -> dict:
 
 
 def diff_files(path_a: "str | pathlib.Path",
-               path_b: "str | pathlib.Path",
-               entry_a: Optional[int] = None,
-               entry_b: Optional[int] = None) -> dict:
-    """Load, normalize and diff two artifact files.
-
-    When the *same* BENCH trajectory file is given twice with no
-    explicit entries, default to its last two entries (``-2`` vs
-    ``-1``) — "what changed since the previous benchmark run".
-    """
-    import pathlib
-
-    if (entry_a is None and entry_b is None
-            and pathlib.Path(path_a).resolve()
-            == pathlib.Path(path_b).resolve()):
-        probe = load_artifact(path_a)
-        if probe["kind"] == "bench":
-            return diff_artifacts(load_artifact(path_a, entry=-2),
-                                  load_artifact(path_b, entry=-1))
-        return diff_artifacts(probe, load_artifact(path_b))
-    return diff_artifacts(load_artifact(path_a, entry=entry_a),
-                          load_artifact(path_b, entry=entry_b))
+               path_b: "str | pathlib.Path") -> dict:
+    """Load, normalize and diff two artifact files."""
+    return diff_artifacts(load_artifact(path_a), load_artifact(path_b))
 
 
 def diff_json(doc: dict) -> str:

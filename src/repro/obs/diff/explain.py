@@ -3,7 +3,7 @@
 A delta table per dimension says *what* moved; this module says *why it
 reads as a regression (or a win)* by joining the dimensions the way a
 human would: start from the headline time dimension (simulated
-migration wall, host wall per scenario, host wall per scope — whichever
+migration wall, host wall per layer, host wall per scope — whichever
 the artifact kind carries, else the first dimension that moved), name
 its top contributors, then correlate
 with the work counters that moved in the same run pair and with
@@ -26,7 +26,7 @@ __all__ = ["explain_pair"]
 #: Headline candidates, most meaningful first per artifact kind.
 _HEADLINE_DIMS = (
     "sim.wall.migrations",
-    "host.wall.by_scenario",
+    "host.wall.by_layer",
     "critical.by_resource",
     "host.wall.by_scope",
     "bytes.by_cause",
@@ -122,7 +122,7 @@ def explain_pair(dimensions: list) -> dict:
     contributor, the strongest-moving work counters and any new or grown
     ``retry.*`` byte causes.  ``findings`` carries one entry per
     dimension that moved at all, ranked-movers included, for programmatic
-    consumers (the trajectory gate, ``compare --diff``).
+    consumers of the ``--json`` document.
     """
     findings = []
     for dim in dimensions:

@@ -17,17 +17,17 @@ kind                      source document
                           (schema ``repro.critical-path/1``)
 ``prof``                  self-profiler summary (``repro profile --json``,
                           schema ``repro.prof/1``)
-``bench``                 one entry of ``BENCH_simulator.json``
-                          (schema ``repro.bench/1``; the file is an array —
-                          pick an entry by index)
+``bench``                 a figure-level benchmark result
+                          (``benchmarks/e2e`` ``results.json``,
+                          schema ``repro.bench.e2e/1``)
 ``series``                time-resolved telemetry (``--series-out`` output,
                           schema ``repro.series/1``)
 ========================  =====================================================
 
 Only *additive* quantities become dimensions (bytes, seconds, counts):
 those are the ones whose per-key deltas can telescope to the total
-delta.  Ratios like events/s are recomputed by the explainer from the
-additive parts.
+delta.  Ratios (a benchmark's memo hit rate, links per solve) are left
+out.
 
 Unknown or mismatched schemas raise :class:`DiffError` with a one-line
 actionable message *before* any output is produced — a diff across
@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 __all__ = [
     "DiffError",
     "artifact_from_analyze_summary",
-    "artifact_from_bench_entry",
+    "artifact_from_bench_results",
     "artifact_from_critical_path",
     "artifact_from_prof_summary",
     "artifact_from_series_doc",
@@ -57,7 +57,7 @@ _SCHEMA_KINDS = {
     "repro.analyze/1": "analyze",
     "repro.critical-path/1": "critical-path",
     "repro.prof/1": "prof",
-    "repro.bench/1": "bench",
+    "repro.bench.e2e/1": "bench",
     "repro.series/1": "series",
 }
 
@@ -160,32 +160,36 @@ def artifact_from_prof_summary(summary: dict, source: str) -> dict:
     return {"kind": "prof", "source": source, "runs": [run]}
 
 
-# -- benchmark trajectory entries ----------------------------------------------
+# -- figure-level benchmark results --------------------------------------------
 
-def artifact_from_bench_entry(entry: dict, source: str) -> dict:
-    """Normalize one ``BENCH_simulator.json`` entry (``repro.bench/1``)."""
-    label = entry.get("git") or entry.get("timestamp") or "entry"
-    run = _new_run(str(label))
-    wall: dict = {}
-    events: dict = {}
-    scope_wall: dict = {}
-    counters: dict = {}
-    for sc in entry.get("scenarios", []):
-        name = sc.get("name", "scenario")
-        wall[name] = sc.get("wall_s", 0.0)
-        if sc.get("events") is not None:
-            events[name] = sc["events"]
-        profile = sc.get("profile")
-        if profile:
-            for path, secs in profile.get("wall_s", {}).items():
-                scope_wall[f"{name}/{path}"] = secs
-            for counter, value in profile.get("counters", {}).items():
-                counters[f"{name}/{counter}"] = value
-    _series(run, "host.wall.by_scenario", "s", wall)
-    _series(run, "sim.events.by_scenario", "count", events)
-    _series(run, "host.wall.by_scope", "s", scope_wall)
-    _series(run, "work.counters", "count", counters)
-    return {"kind": "bench", "source": source, "runs": [run]}
+def artifact_from_bench_results(doc: dict, source: str) -> dict:
+    """Normalize a ``benchmarks/e2e`` ``results.json``
+    (``repro.bench.e2e/1``): one run per workload, from the per-layer
+    metrics of its traced run.
+
+    ``host.wall.by_layer`` holds the layers' self times (every
+    ``*.self_s``, and the solver layer's ``netsim.fairness.solve_s``),
+    which add up to the traced run's host time; ``work.counters`` holds
+    the integer work counts.  Ratios are left out, and so are the
+    profiler's inclusive scope times (``recompute_s``, ``fluid_s``),
+    which overlap the self times.
+    """
+    runs = []
+    for workload, result in doc.get("workloads", {}).items():
+        metrics = result.get("per_layer")
+        if not metrics:
+            raise DiffError(
+                f"workload {workload} in {source} has no per-layer metrics "
+                "— its traced run failed or was skipped (--trace 0); "
+                "re-run benchmarks/e2e/run.py without --trace 0")
+        run = _new_run(workload)
+        _series(run, "host.wall.by_layer", "s",
+                {k: v for k, v in metrics.items()
+                 if k.endswith(".self_s") or k == "netsim.fairness.solve_s"})
+        _series(run, "work.counters", "count",
+                {k: v for k, v in metrics.items() if isinstance(v, int)})
+        runs.append(run)
+    return {"kind": "bench", "source": source, "runs": runs}
 
 
 # -- time-series documents -----------------------------------------------------
@@ -248,33 +252,11 @@ def _read_json(path: pathlib.Path) -> Any:
         raise DiffError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_artifact(path: _PathLike, entry: Optional[int] = None) -> dict:
-    """Load + normalize one artifact file of any supported kind.
-
-    ``entry`` selects an entry of a ``BENCH_simulator.json`` array
-    (negative indices count from the end, default ``-1``); it is
-    rejected for single-document artifacts.
-    """
+def load_artifact(path: _PathLike) -> dict:
+    """Load + normalize one artifact file of any supported kind."""
     path = pathlib.Path(path)
     data = _read_json(path)
     source = path.name
-
-    if isinstance(data, list) and data and isinstance(data[0], dict) \
-            and data[0].get("schema") == "repro.bench/1":
-        idx = -1 if entry is None else entry
-        try:
-            picked = data[idx]
-        except IndexError:
-            raise DiffError(
-                f"{source} has {len(data)} entries; entry {idx} is out of "
-                "range") from None
-        return artifact_from_bench_entry(
-            picked, f"{source}[{idx if idx >= 0 else len(data) + idx}]")
-
-    if entry is not None:
-        raise DiffError(
-            f"--entry only applies to BENCH trajectory files; {source} is "
-            "a single-document artifact")
 
     if _looks_like_trace(data):
         from repro.obs.analyze import analyze_events
@@ -304,4 +286,4 @@ def load_artifact(path: _PathLike, entry: Optional[int] = None) -> dict:
         return artifact_from_prof_summary(data, source)
     if kind == "series":
         return artifact_from_series_doc(data, source)
-    return artifact_from_bench_entry(data, source)
+    return artifact_from_bench_results(data, source)

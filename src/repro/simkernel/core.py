@@ -345,8 +345,8 @@ class Environment:
         #: backends off) by default; ``repro.obs.Observability.install``
         #: replaces it.
         self.probe: Probe = NULL_PROBE
-        #: Lifetime count of processed events; the benchmark harness
-        #: (benchmarks/trajectory.py) divides by wall-clock for events/sec.
+        #: Lifetime count of processed events; the figure-level benchmark
+        #: (benchmarks/e2e) reports it as ``simkernel.events``.
         #: Cancelled entries are skipped, not processed — they don't count.
         self.events_processed = 0
 

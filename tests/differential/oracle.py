@@ -18,6 +18,10 @@ from-scratch forms:
    table at every flow count, with one ``TrafficMeter.credit_cell`` per
    flow (production uses whole-array operations above a crossover).
 
+It also keeps the generic max-min solver, progressive filling over
+explicit :class:`Constraint` objects, which ``tests/netsim/test_fairness.py``
+compares the production single-switch solver against.
+
 Inside ``kernel_scope("reference")`` all five swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
 events in the identical ``(time, priority, seq)`` order and produce
@@ -42,17 +46,19 @@ from __future__ import annotations
 
 import heapq
 from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 import repro.netsim.flows as flows
-from repro.netsim.fairness import maxmin_single_switch
+from repro.netsim.fairness import _EPS, maxmin_single_switch
 from repro.netsim.flows import _DONE_EPS, Fabric
 from repro.netsim.topology import Host, Topology
 from repro.simkernel.core import Environment, Event
 
-__all__ = ["KERNELS", "ReferenceMaxMin", "kernel_scope"]
+__all__ = ["KERNELS", "Constraint", "ReferenceMaxMin", "kernel_scope",
+           "progressive_filling"]
 
 #: ``fast`` is the production simulator, ``reference`` the oracle.
 KERNELS = ("fast", "reference")
@@ -82,6 +88,102 @@ class ReferenceMaxMin:
             weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
             topo.backplane, stats=stats,
         )
+
+
+@dataclass
+class Constraint:
+    """A capacity constraint over a set of flows.
+
+    Parameters
+    ----------
+    capacity:
+        Total bytes/second available to the member flows together.
+    members:
+        Indices (into the flow arrays) of flows that consume this capacity.
+    name:
+        Diagnostic label ("nic-out:node3", "backplane", ...).
+    """
+
+    capacity: float
+    members: np.ndarray
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if self.capacity <= 0:
+            raise ValueError(f"constraint {self.name!r}: capacity must be > 0")
+        self.members = np.asarray(self.members, dtype=np.intp)
+
+
+def progressive_filling(
+    weights: np.ndarray,
+    constraints: list[Constraint],
+) -> np.ndarray:
+    """Compute weighted max-min fair rates.
+
+    Parameters
+    ----------
+    weights:
+        Positive per-flow weights, shape ``(F,)``.
+    constraints:
+        Capacity constraints.  Every flow must appear in at least one
+        constraint, otherwise its fair share would be unbounded.
+
+    Returns
+    -------
+    rates:
+        Per-flow rates, shape ``(F,)``, satisfying every constraint with
+        the weighted max-min property.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    if np.any(weights <= 0):
+        raise ValueError("all flow weights must be positive")
+
+    covered = np.zeros(n, dtype=bool)
+    for c in constraints:
+        covered[c.members] = True
+    if not covered.all():
+        missing = np.flatnonzero(~covered)
+        raise ValueError(f"flows {missing.tolist()} are not covered by any constraint")
+
+    rates = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+
+    # At most one constraint saturates per round, so <= len(constraints)
+    # rounds; the +1 guard catches numerical stalls.
+    for _ in range(len(constraints) + 1):
+        if not active.any():
+            break
+        increment = np.inf
+        for c in constraints:
+            member_active = active[c.members]
+            if not member_active.any():
+                continue
+            load = rates[c.members].sum()
+            wsum = weights[c.members][member_active].sum()
+            inc = (c.capacity - load) / wsum
+            if inc < increment:
+                increment = inc
+        if not np.isfinite(increment):
+            break
+        increment = max(increment, 0.0)
+        rates[active] += increment * weights[active]
+        # Freeze flows crossing any now-saturated constraint.
+        froze = False
+        for c in constraints:
+            load = rates[c.members].sum()
+            if load >= c.capacity * (1 - 1e-9) - _EPS:
+                was_active = active[c.members].any()
+                active[c.members] = False
+                froze = froze or bool(was_active)
+        if not froze:
+            # Numerical corner: nothing saturated despite a finite increment
+            # of ~0.  Freeze everything to guarantee termination.
+            break
+
+    return rates
 
 
 _production_recompute = Fabric._recompute

@@ -127,6 +127,29 @@ def fig5_golden(obs=None) -> dict:
     }
 
 
+def work_counters_golden() -> dict:
+    """The profiler's work counters for the four figure goldens' runs.
+
+    The figure goldens pin what the runs compute; this one pins the work
+    spent computing it (heap operations, flows touched, links visited,
+    chunk scans), so a change that does more or less work at unchanged
+    outputs moves it, and the fixture diff names the counters.  Run on
+    the production kernel: the oracle's swaps do different work by
+    design.
+    """
+    from repro.obs import Observability
+    from tests.differential.oracle import kernel_scope
+
+    out = {}
+    with kernel_scope("fast"):
+        for name, build in (("fig2", fig2_golden), ("fig3", fig3_golden),
+                            ("fig4", fig4_golden), ("fig5", fig5_golden)):
+            obs = Observability(trace=False, metrics=False, profile=True)
+            build(obs)
+            out[name] = dict(obs.profiler.counters)
+    return out
+
+
 #: What-if scenarios priced into the critical-path golden (resource, factor
 #: as accepted by ``repro critical-path --what-if``).
 CRITICAL_PATH_WHAT_IFS = ("nic=2", "storage=2")
@@ -424,6 +447,7 @@ GOLDENS = {
     "fig3": fig3_golden,
     "fig4": fig4_golden,
     "fig5": fig5_golden,
+    "work_counters": work_counters_golden,
     "fig2_summary_fast": fig2_summary_fast_golden,
     "fig2_summary_reference": fig2_summary_reference_golden,
     "fig2_summary_precopy": fig2_summary_precopy_golden,

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fairness import (
-    Constraint,
-    maxmin_single_switch,
-    progressive_filling,
-)
+from repro.netsim.fairness import maxmin_single_switch
+from tests.differential.oracle import Constraint, progressive_filling
 
 
 def test_single_constraint_equal_split():

@@ -10,13 +10,13 @@ byte-deterministic.
 """
 
 import json
+import pathlib
 
 import pytest
 
 from repro.obs.diff import (
     DiffError,
     artifact_from_analyze_summary,
-    artifact_from_bench_entry,
     artifact_from_prof_summary,
     diff_artifacts,
     diff_files,
@@ -210,56 +210,77 @@ class TestLoaders:
             "kernel.step": 1.0, "kernel.step/fluid.advance": 2.0}
         assert run["series"]["work.counters"]["values"] == {"heap_pop": 42}
 
-    def test_bench_entry_selection(self, tmp_path):
-        entries = [
-            {
-                "schema": "repro.bench/1", "git": f"rev{i}", "mode": "quick",
-                "scenarios": [{"name": "event_loop", "wall_s": 1.0 + i,
-                               "events": 1000 * (i + 1),
-                               "events_per_s": 1000.0,
-                               "profile": {"wall_s": {"kernel.step": 0.5},
-                                           "counters": {"heap_pop": 10 * i}}}],
-            }
-            for i in range(3)
-        ]
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(entries))
-        art = load_artifact(path, entry=0)
-        assert art["source"] == "BENCH.json[0]"
-        assert art["runs"][0]["label"] == "rev0"
-        assert load_artifact(path)["runs"][0]["label"] == "rev2"  # default -1
-        with pytest.raises(DiffError, match="out of range"):
-            load_artifact(path, entry=7)
-        # Same trajectory file twice: defaults to previous-vs-latest.
-        doc = diff_files(path, path)
-        assert doc["pairs"][0]["a_label"] == "rev1"
-        assert doc["pairs"][0]["b_label"] == "rev2"
-        assert doc["conservation_ok"]
-
-    def test_entry_rejected_for_single_document(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text('{"schema": "repro.analyze/1", "runs": []}')
-        with pytest.raises(DiffError, match="--entry"):
-            load_artifact(path, entry=0)
-
     def test_empty_trace_names_trace_flag(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"traceEvents": []}')
         with pytest.raises(DiffError, match="--trace"):
             load_artifact(path)
 
-    def test_bench_entry_without_profile_sections(self):
-        # An aborted/old entry with no profile and no events: all series
-        # still materialize (possibly empty) and nothing divides by zero.
-        art = artifact_from_bench_entry(
-            {"schema": "repro.bench/1",
-             "scenarios": [{"name": "event_loop", "wall_s": 0.0}]},
-            "b.json")
-        run = art["runs"][0]
-        assert run["series"]["host.wall.by_scenario"]["values"] == {
-            "event_loop": 0.0}
-        doc = diff_artifacts(art, art)
-        assert doc["zero_delta"] and doc["conservation_ok"]
+# -- figure-level benchmark results (benchmarks/e2e) ---------------------------
+
+E2E_RESULTS = (pathlib.Path(__file__).resolve().parents[2]
+               / "benchmarks" / "e2e" / "results")
+
+
+def _baseline(side):
+    return json.loads((E2E_RESULTS / f"baseline-{side}.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def e2e_diff():
+    """The two committed back-to-back runs of the same tree."""
+    return diff_files(E2E_RESULTS / "baseline-a.json",
+                      E2E_RESULTS / "baseline-b.json")
+
+
+def _dims(pair):
+    return {d["name"]: d for d in pair["dimensions"]}
+
+
+class TestBenchResults:
+    def test_pairs_every_workload_with_exact_conservation(self, e2e_diff):
+        assert e2e_diff["kind"] == "bench"
+        assert [p["label"] for p in e2e_diff["pairs"]] == [
+            "fig4-precopy-x20", "fig4-pvfs-sweep", "fig3-3seeds", "fig5-cm1"]
+        assert e2e_diff["unmatched_a"] == e2e_diff["unmatched_b"] == []
+        assert e2e_diff["conservation_ok"]
+
+    def test_work_counters_are_zero_delta(self, e2e_diff):
+        # Two runs of one tree do the same work: all 18 integer per-layer
+        # counts match, while the nine self times move with host noise.
+        # No ratio or inclusive scope time is loaded beside them.
+        for pair in e2e_diff["pairs"]:
+            dims = _dims(pair)
+            assert sorted(dims) == ["host.wall.by_layer", "work.counters"]
+            counters = dims["work.counters"]["contributions"]
+            assert len(counters) == 18
+            assert all(c["delta"] == 0 and c["status"] == "unchanged"
+                       for c in counters)
+            assert len(dims["host.wall.by_layer"]["contributions"]) == 9
+            assert pair["headline"].startswith("host.wall.by_layer ")
+
+    def test_layer_self_times_tile_the_traced_host_time(self, e2e_diff):
+        for side in "ab":
+            workloads = _baseline(side)["workloads"]
+            for pair in e2e_diff["pairs"]:
+                traced = workloads[pair["label"]]["runs"]["traced"]
+                wall = _dims(pair)["host.wall.by_layer"]
+                assert wall[f"total_{side}"] == traced["host_s"]
+
+    def test_results_without_per_layer_metrics_refused(self, tmp_path):
+        doc = _baseline("a")
+        doc["workloads"]["fig3-3seeds"]["per_layer"] = {}  # a --trace 0 run
+        path = tmp_path / "untraced.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DiffError, match="fig3-3seeds .* --trace 0"):
+            load_artifact(path)
+
+    def test_old_trajectory_array_refused(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps([{"schema": "repro.bench/1",
+                                     "scenarios": []}]))
+        with pytest.raises(DiffError, match="not a recognized"):
+            load_artifact(path)
 
 
 # -- series documents: fractional values and the headline ----------------------

@@ -1,8 +1,12 @@
 """Tests for the command-line front end."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_parser_requires_command():
@@ -62,6 +66,18 @@ def test_restarts_parsing(capsys, command):
     (["fig1", "--nodes", "-3"], "nodes must be at least 2, got '-3'"),
     (["single", "--warmup", "-5"], "warmup must be at least 0, got '-5'"),
     (["compare", "--warmup", "-5"], "warmup must be at least 0, got '-5'"),
+    (["diff", "a.json", "b.json", "--top", "-1"],
+     "top must be at least 1, got '-1'"),
+    (["diff", "a.json", "b.json", "--top", "0"],
+     "top must be at least 1, got '0'"),
+    (["compare", "--diff", "--top", "0"], "top must be at least 1, got '0'"),
+    (["series", "s.json", "--width", "0"],
+     "width must be at least 1, got '0'"),
+    (["series", "s.json", "--width", "-3"],
+     "width must be at least 1, got '-3'"),
+    (["profile", "--seed", "-1"], "seed must be at least 0, got '-1'"),
+    (["single", "--seed", "-1"], "seed must be at least 0, got '-1'"),
+    (["compare", "--seed", "-1"], "seed must be at least 0, got '-1'"),
 ])
 def test_bad_nodes_and_warmup_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -232,6 +248,37 @@ def test_diff_unknown_schema_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "unsupported schema" in captured.err
     assert captured.out == ""  # refused before any partial output
+
+
+def test_diff_e2e_benchmark_results(capsys):
+    # Two back-to-back benchmarks/e2e runs of one tree: every workload
+    # pairs, the work counts match exactly, and each headline's host
+    # time is the traced run's host_s.
+    results = REPO_ROOT / "benchmarks" / "e2e" / "results"
+    assert main(["diff", str(results / "baseline-a.json"),
+                 str(results / "baseline-b.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== repro diff (bench): A = baseline-a.json  "
+                          "vs  B = baseline-b.json")
+    for workload, host_s in (("fig4-precopy-x20", "18.195 s -> 25.143 s"),
+                             ("fig4-pvfs-sweep", "6.639 s -> 6.687 s"),
+                             ("fig3-3seeds", "4.208 s -> 4.611 s"),
+                             ("fig5-cm1", "16.489 s -> 14.636 s")):
+        assert f"=== {workload}\n  host.wall.by_layer " in out
+        assert host_s in out
+    assert out.count("(delta 0) — conservation exact") == 4
+    assert "delta conservation across all dimensions: exact" in out
+
+
+def test_diff_old_trajectory_array_exits_2(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text('[{"schema": "repro.bench/1", "scenarios": []}]')
+    rc = main(["diff", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_analyze_empty_trace_one_line_error(tmp_path, capsys):
