@@ -13,9 +13,9 @@ Rule families (see ``docs/static-analysis.md``):
 
 * **D — determinism**: no wall clocks, calendar time or unseeded
   randomness inside the simulation packages.
-* **X — exactness**: modules declared exact (pragma or config) keep
-  float literals, ``math.*`` and ``float()`` coercions out of their
-  accounting arithmetic — :class:`fractions.Fraction` only.
+* **F — exact scope**: modules declaring ``# simlint: exact`` compute
+  no floats — no true division, non-integral float literal, computed
+  ``Fraction(...)`` argument or ``math``/``time`` import.
 * **C — cause-tag completeness**: every byte-moving call site passes
   ``tag=`` and ``cause=`` explicitly, so conservation can attribute it.
 * **K — kernel safety**: no blocking real I/O inside simulation process

@@ -60,7 +60,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="simlint: static invariant checks for the simulation "
-                    "stack (determinism, float-taint exactness, cause "
+                    "stack (determinism, float-free exact scope, cause "
                     "tags, kernel safety, probe purity, layering)",
     )
     add_lint_arguments(parser)

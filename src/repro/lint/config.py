@@ -91,17 +91,6 @@ class LintConfig:
         "repro.obs.prof",
     )
 
-    #: F rules (float-taint) apply to these modules (plus any carrying a
-    #: ``# simlint: exact`` pragma — now purely a scope declaration): the
-    #: Fraction-exact accounting code.
-    exact_modules: tuple[str, ...] = (
-        "repro.obs.analyze.attribution",
-        "repro.obs.causal.critical",
-        "repro.obs.causal.whatif",
-        "repro.obs.diff.delta",
-        "repro.obs.series.conserve",
-    )
-
     #: K rules apply to generator functions in modules under these
     #: prefixes — anything that may run as a simulation process.
     kernel_modules: tuple[str, ...] = (

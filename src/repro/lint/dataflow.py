@@ -1,16 +1,16 @@
 """Intraprocedural dataflow over the AST: definitions, chains, witnesses.
 
 This is the shared substrate under the proof-carrying rule families
-(F float-taint, P probe purity, the K yield/spawn upgrade).  It stays
-deliberately small and deterministic:
+(P probe purity, the K yield/spawn upgrade).  It stays deliberately
+small and deterministic:
 
 * **Reaching definitions, flow-insensitively merged per name.**
   :func:`collect_defs` walks one function body (never descending into
   nested ``def``/``lambda``) and records every statement that binds a
   local name — plain and annotated assignments, augmented assignments,
   ``for`` targets, ``with ... as`` aliases and walrus expressions.  A
-  domain (taint, Event-ness, probe handles) evaluates the recorded
-  value expressions and merges over all defs of a name, so loops and
+  domain (Event-ness, probe handles) evaluates the recorded value
+  expressions and merges over all defs of a name, so loops and
   branches are handled conservatively without a CFG.
 
 * **Name chains.**  :func:`attr_chain` flattens ``self.env.probe``
@@ -39,7 +39,6 @@ __all__ = [
     "attr_chain",
     "collect_defs",
     "hop",
-    "local_functions",
     "rooted_call_chain",
     "walk_own",
 ]
@@ -196,29 +195,3 @@ def rooted_call_chain(node: ast.expr) -> Optional[tuple[str, ...]]:
             return tuple(reversed(parts))
         else:
             return None
-
-
-def local_functions(tree: ast.AST) -> dict[str, ast.FunctionDef]:
-    """Module-local callables by bare name, for one-hop call summaries.
-
-    Collects top-level functions and class methods.  A name bound more
-    than once (two classes with a same-named method) is dropped — a
-    one-hop summary must never guess between bodies.
-    """
-    seen: dict[str, Optional[ast.FunctionDef]] = {}
-    if not isinstance(tree, ast.Module):
-        return {}
-    scopes: list[list[ast.stmt]] = [tree.body]
-    scopes.extend(
-        node.body for node in tree.body if isinstance(node, ast.ClassDef)
-    )
-    for scope in scopes:
-        for node in scope:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    continue
-                if node.name in seen:
-                    seen[node.name] = None  # ambiguous: refuse to summarise
-                else:
-                    seen[node.name] = node
-    return {name: fn for name, fn in seen.items() if fn is not None}

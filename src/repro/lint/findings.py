@@ -13,8 +13,8 @@ class Finding:
     """One simlint diagnostic.
 
     Orders by location first so rendered output is stable regardless of
-    the order rules ran in.  Dataflow-backed findings (the F/P families
-    and the K upgrade) carry a ``witness`` — the def → flow → sink hop
+    the order rules ran in.  Dataflow-backed findings (the P family and
+    the K upgrade) carry a ``witness`` — the def → flow → sink hop
     chain that proves the finding — which renders as indented steps in
     text and a list of ``{line, col, note}`` objects in JSON.
     """

@@ -2,9 +2,8 @@
 
 Five comment pragmas are recognised::
 
-    # simlint: exact                      (module-level: declare F-rule
-                                           exact scope — dataflow proves
-                                           the rest)
+    # simlint: exact                      (module-level: the one way to
+                                           declare F-rule exact scope)
     # simlint: host-time                  (module-level: waive D101/D102 —
                                            sanctioned host-clock reads)
     # simlint: module=repro.core.thing    (module-level: override identity)

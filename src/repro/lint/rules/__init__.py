@@ -12,9 +12,9 @@ from repro.lint.rules import (
 )
 
 #: family letter -> check(ctx) callable.  Order is the report order for
-#: same-location findings.  The X family (syntactic exactness) was
-#: retired in favour of F: same invariant, proven by dataflow instead of
-#: declared by marker.
+#: same-location findings.  F checks exact scope by syntax alone: exact
+#: modules compute no floats, so each float origin is flagged where it
+#: is written rather than traced to where it lands.
 ALL_RULES = {
     "D": determinism.check,
     "F": floattaint.check,

@@ -1,161 +1,120 @@
-"""F — float-taint rules: a dataflow proof of Fraction exactness.
+"""F — float-free exact scope, checked by syntax.
 
-The X family trusted the ``# simlint: exact`` marker and pattern-matched
-float syntax anywhere in the file.  The F family replaces it with an
-actual proof obligation: inside exact-scope modules (the configured
-``exact_modules`` plus anything carrying the marker, which is now a pure
-scope declaration), values that *originate in float-land* — non-integral
-float literals, true division, ``math.*``/``time.*`` returns — are
-tracked through assignments and local calls, and flagged only when they
-**reach an exact sink**:
+A module carrying ``# simlint: exact`` does its conservation arithmetic
+on :class:`fractions.Fraction`, where equality is exact by
+construction, and computes no floats at all.  A float may enter only as
+a value the module reads (an artifact field, a recorder timestamp) and
+may leave only through ``float(...)`` or :func:`repro.obs.render.ratio`.
+Under that discipline every float is flagged where it originates, so
+nothing has to be tracked:
 
 ``F601``
-    A tainted value is passed to a ``Fraction(...)`` constructor.
-    ``Fraction(0.1)`` captures the binary approximation, not the decimal
-    the author wrote, and every downstream "exact" comparison inherits
-    the lie.
+    A ``Fraction(...)`` argument is computed.  Allowed arguments are an
+    int or str literal, a read (a name, attribute, subscript or
+    ``.get(...)`` call) or ``float(<read>)``; do arithmetic on the
+    Fractions, not before building them.
 ``F602``
-    A tainted value is mixed into Fraction arithmetic — stored into a
-    name that elsewhere holds a ``Fraction`` accumulator, combined with
-    a Fraction operand in a binary expression, or compared against one.
-    Mixing coerces the Fraction to float and silently demotes a
-    zero-residual conservation check to an epsilon comparison.
+    A float origin anywhere in the file: a non-integral float literal
+    (``0.1``'s binary value already differs from its spelling) or a
+    true division (``/`` or ``/=``), which rounds even two ints.
 ``F603``
     The module imports ``math`` or ``time`` at runtime.  Both exist to
     produce floats (or wall-clock readings); an exact-scope module has
     no business importing either outside ``TYPE_CHECKING``.
-
-Float-land computation that never reaches a sink is *fine* — exact
-modules legitimately render percentages and speedups for humans.  That
-is precisely what the old X family could not express, and why its three
-standing suppressions in ``attribution.py`` are gone.
-
-Every F601/F602 finding carries a witness path: origin hop, each
-assignment the taint travelled through, and the sink.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.config import in_scope
-from repro.lint.dataflow import cap_hops, collect_defs, hop, walk_own
 from repro.lint.findings import Finding
-from repro.lint.rules.base import FileContext, iter_function_defs
-from repro.lint.taint import TaintAnalysis, Value
+from repro.lint.rules.base import FileContext, resolved_name
 
-_HINT_CTOR = ("construct Fractions from ints, strings or other Fractions; "
-              "a float argument bakes its binary approximation into the "
-              "'exact' value")
-_HINT_MIX = ("keep conservation arithmetic in Fraction-land end to end; "
-             "convert to float only at the rendering boundary, after the "
-             "exact checks")
+_HINT_CTOR = ("build Fractions from int or str literals or from values "
+              "read as they are (a name, attribute, subscript, .get(...) "
+              "or float(<read>)), then do the arithmetic on the Fractions")
+_HINT_DIV = ("exact modules compute no floats: write a Fraction quotient "
+             "as Fraction(n, d), and render a share or ratio with "
+             "repro.obs.render.ratio(a, b)")
+_HINT_LITERAL = ("exact modules compute no floats: spell the constant as "
+                 "Fraction(n, d) or an integral literal")
 _HINT_IMPORT = ("math/time produce floats and wall-clock readings; exact "
                 "modules must not import them (move the float math to a "
                 "non-exact rendering module)")
 
-_TAINT_IMPORTS = {"math", "time"}
+_FLOAT_IMPORTS = {"math", "time"}
 
 
 def check(ctx: FileContext) -> list[Finding]:
-    if not (in_scope(ctx.module, ctx.config.exact_modules)
-            or ctx.pragmas.exact):
+    if not ctx.pragmas.exact:
         return []
     out: list[Finding] = []
-    out.extend(_check_imports(ctx))
-    analysis = TaintAnalysis(ctx)
-    scopes: list[list[ast.stmt]] = [ctx.tree.body] if isinstance(
-        ctx.tree, ast.Module) else []
-    scopes.extend(fn.body for fn in iter_function_defs(ctx.tree))
-    for body in scopes:
-        out.extend(_check_scope(ctx, analysis, body))
-    return out
-
-
-def _check_imports(ctx: FileContext) -> list[Finding]:
-    out: list[Finding] = []
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            continue
-        if node.lineno in ctx.type_checking_lines:
-            continue
-        out.extend(
-            ctx.finding(node, "F603",
-                        f"exact-scope module imports '{name}'", _HINT_IMPORT)
-            for name in names if name.split(".")[0] in _TAINT_IMPORTS
-        )
+        if isinstance(node, ast.Call) and _is_fraction_ctor(ctx, node.func):
+            out.extend(
+                ctx.finding(arg, "F601", "computed argument to Fraction(...)",
+                            _HINT_CTOR)
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                if not _exact_argument(arg)
+            )
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Div)):
+            out.append(ctx.finding(node, "F602", "true division in exact scope",
+                                   _HINT_DIV))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, float)
+              and not _integral(node.value)):
+            out.append(ctx.finding(
+                node, "F602",
+                f"non-integral float literal {node.value!r} in exact scope",
+                _HINT_LITERAL))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and node.lineno not in ctx.type_checking_lines):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.module or ""] if node.level == 0 else []
+            out.extend(
+                ctx.finding(node, "F603",
+                            f"exact-scope module imports '{name}'", _HINT_IMPORT)
+                for name in names if name.split(".")[0] in _FLOAT_IMPORTS
+            )
     return out
 
 
-def _check_scope(ctx: FileContext, analysis: TaintAnalysis,
-                 body: list[ast.stmt]) -> list[Finding]:
-    out: list[Finding] = []
-    env = analysis.function_env(body)
-    defs = collect_defs(body)
-
-    # Names that are proven Fraction at some (non-augmented) definition:
-    # these are the module's exact accumulators, and every *other* def of
-    # the same name is a store into exact state.
-    fraction_names = {
-        name
-        for name, dlist in defs.items()
-        if any(d.expr is not None and not d.aug
-               and analysis.evaluate(d.expr, env).fraction
-               for d in dlist)
-    }
-
-    for name in sorted(fraction_names):
-        for d in defs[name]:
-            if d.expr is None:
-                continue
-            v = analysis.evaluate(d.expr, env)
-            if v.tainted:
-                out.append(_witnessed(
-                    ctx, d.node, "F602",
-                    f"float-tainted value stored into Fraction "
-                    f"accumulator '{name}'", _HINT_MIX,
-                    v, d.node, f"stored into exact '{name}'"))
-
-    for node in walk_own(body):
-        if isinstance(node, ast.Call) and analysis.is_fraction_ctor(node.func):
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                v = analysis.evaluate(arg, env)
-                if v.tainted:
-                    out.append(_witnessed(
-                        ctx, arg, "F601",
-                        "float-tainted value passed to Fraction(...)",
-                        _HINT_CTOR, v, node, "sink: Fraction(...)"))
-        elif isinstance(node, ast.BinOp):
-            lv = analysis.evaluate(node.left, env)
-            rv = analysis.evaluate(node.right, env)
-            bad = lv if (rv.fraction and lv.tainted) else (
-                rv if (lv.fraction and rv.tainted) else None)
-            if bad is not None:
-                out.append(_witnessed(
-                    ctx, node, "F602",
-                    "float-tainted operand mixed into Fraction arithmetic",
-                    _HINT_MIX, bad, node, "mixed with Fraction here"))
-        elif isinstance(node, ast.Compare):
-            sides = [node.left] + list(node.comparators)
-            values = [analysis.evaluate(s, env) for s in sides]
-            if any(v.fraction for v in values):
-                out.extend(
-                    _witnessed(ctx, side, "F602",
-                               "float-tainted value compared against a "
-                               "Fraction", _HINT_MIX,
-                               v, node, "compared with Fraction here")
-                    for side, v in zip(sides, values) if v.tainted
-                )
-    return out
+def _is_fraction_ctor(ctx: FileContext, func: ast.expr) -> bool:
+    if isinstance(func, ast.Name) and func.id == "Fraction":
+        return True
+    return resolved_name(ctx, func) == "fractions.Fraction"
 
 
-def _witnessed(ctx: FileContext, node: ast.AST, rule: str, message: str,
-               hint: str, value: Value, sink: ast.AST,
-               sink_note: str) -> Finding:
-    assert value.taint is not None
-    witness = cap_hops(value.taint + (hop(sink, sink_note),))
-    return ctx.finding(node, rule, message, hint).with_witness(witness)
+def _is_read(node: ast.expr) -> bool:
+    """A name, or an attribute, subscript or ``.get(...)`` of a read."""
+    if isinstance(node, ast.Name):
+        return True
+    if isinstance(node, (ast.Attribute, ast.Subscript)):
+        return _is_read(node.value)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and _is_read(node.func.value))
+
+
+def _exact_argument(arg: ast.expr) -> bool:
+    """An int or str literal, a read, or ``float(<read>)``."""
+    if isinstance(arg, ast.Constant):
+        return type(arg.value) in (int, str)
+    if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+            and arg.func.id == "float" and len(arg.args) == 1
+            and not arg.keywords):
+        return _is_read(arg.args[0])
+    return _is_read(arg)
+
+
+def _integral(value: float) -> bool:
+    """True when a float literal denotes exactly an integer (``0.0``, ``1e6``).
+
+    Such literals are exact by construction; an overflowing spelling
+    (``1e999`` is ``inf``) is non-integral.
+    """
+    try:
+        return value == int(value)
+    except (OverflowError, ValueError):
+        return False

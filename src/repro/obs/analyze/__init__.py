@@ -3,9 +3,11 @@
 The tracer (:mod:`repro.obs`) records *what happened when*; this package
 answers *why each byte crossed the wire* and *where the time went*:
 
-* :mod:`~repro.obs.analyze.attribution` — per-cause byte/time
-  attribution with an exact conservation check against the TrafficMeter
-  pair matrix embedded in the trace (``traffic.snapshot``);
+* :mod:`~repro.obs.analyze.attribution` — per-cause byte attribution
+  with an exact conservation check against the TrafficMeter pair matrix
+  embedded in the trace (``traffic.snapshot``);
+* :mod:`~repro.obs.analyze.flows` — per-cause wire time from traced
+  flow spans, and each run's full attribution block;
 * :mod:`~repro.obs.analyze.phases` — migration phase timelines
   (pre-push → control transfer → prefetch drain) overlaid with
   fault-degraded windows;
@@ -30,11 +32,8 @@ import json
 import pathlib
 from typing import Union
 
-from repro.obs.analyze.attribution import (
-    attribution_from_pairs,
-    flow_stats,
-    run_attribution,
-)
+from repro.obs.analyze.attribution import attribution_from_pairs
+from repro.obs.analyze.flows import flow_stats, run_attribution
 from repro.obs.analyze.heatmap import chunk_fate_maps, render_ascii
 from repro.obs.analyze.phases import fault_windows, migration_timelines, phase_report
 from repro.obs.analyze.report import render_html, render_text

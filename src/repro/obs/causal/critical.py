@@ -22,11 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from repro.obs.render import ratio
+
 __all__ = ["classify", "critical_paths", "extract_waits"]
 
 #: Window-snapping slack (seconds): generous vs. the ~1e-10 µs-roundtrip
 #: error, tiny vs. any real segment.
-SNAP_EPS = Fraction(1, 10**6)
+SNAP_EPS = Fraction(1, 1_000_000)
 
 #: Flow cause → resource class.  ``retry.*`` causes map to ``net.retry``
 #: before this table is consulted.
@@ -240,7 +242,7 @@ def critical_paths(events: list, tid_names: dict,
             {
                 "resource": res,
                 "seconds": float(secs),
-                "share": float(secs / wall) if wall > 0 else 0.0,
+                "share": ratio(secs, wall) if wall > 0 else 0.0,
             }
             for res, secs in sorted(
                 by_res.items(), key=lambda kv: (-kv[1], kv[0])

@@ -14,6 +14,8 @@ from __future__ import annotations
 # simlint: exact -- re-priced walls reuse the exact decomposition
 from fractions import Fraction
 
+from repro.obs.render import ratio
+
 __all__ = ["parse_what_if", "what_if", "RESOURCE_GROUPS"]
 
 #: Convenience groups accepted in ``--what-if`` specs, matched
@@ -82,11 +84,11 @@ def what_if(attempt: dict, resource_spec: str, factor: "Fraction | _Inf") -> dic
         saved = affected
         factor_out: float = float("inf")
     else:
-        saved = affected * (1 - Fraction(1) / factor)
+        saved = affected * (1 - Fraction(factor.denominator, factor.numerator))
         factor_out = float(factor)
     new_wall = wall - saved
     if new_wall > 0:
-        speedup = float(wall / new_wall)
+        speedup = ratio(wall, new_wall)
     else:
         speedup = float("inf")
     return {

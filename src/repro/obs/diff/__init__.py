@@ -109,7 +109,8 @@ def diff_artifacts(a: dict, b: dict) -> dict:
                 sa["values"] if sa else {},
                 sb["values"] if sb else {},
             ))
-        explained = explain_pair(dimensions)
+        explained = explain_pair(dimensions, (run_a.get("timed"),
+                                              run_b.get("timed")))
         if any(d["delta"] != 0 or d["new_keys"] or d["vanished_keys"]
                or any(c["delta"] != 0 for c in d["contributions"])
                for d in dimensions):

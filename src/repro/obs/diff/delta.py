@@ -28,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from repro.obs.render import ratio
+
 __all__ = ["dimension_delta", "merge_conservation"]
 
 
@@ -76,16 +78,17 @@ def dimension_delta(name: str, unit: str,
         # Share of the *gross* movement, so opposite-sign contributions
         # (one cause grew, another shrank) both register even when the
         # net Δtotal is small or zero.
-        c["share"] = float(abs(c["_delta"]) / abs_delta) if abs_delta else 0.0
+        c["share"] = ratio(abs(c["_delta"]), abs_delta) if abs_delta else 0.0
         del c["_delta"]
-    ratio: Optional[float] = float(total_b / total_a) if total_a != 0 else None
+    total_ratio: Optional[float] = (ratio(total_b, total_a)
+                                    if total_a != 0 else None)
     return {
         "name": name,
         "unit": unit,
         "total_a": float(total_a),
         "total_b": float(total_b),
         "delta": float(total_delta),
-        "ratio": ratio,
+        "ratio": total_ratio,
         "new_keys": sorted(k for k in b if k not in a),
         "vanished_keys": sorted(k for k in a if k not in b),
         "contributions": contributions,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.render import fmt_delta, fmt_quantity
+from repro.obs.render import fmt_delta, fmt_quantity, fmt_seconds
 
 __all__ = ["explain_pair"]
 
@@ -65,6 +65,31 @@ def _time_verdict(dim: dict) -> str:
     if 0 < ratio < 1.0 - _FLAT_REL:
         return f"sped up {_fmt_ratio(1.0 / ratio)}"
     return "held steady"
+
+
+def _fmt_timed(t: dict) -> str:
+    return (f"{fmt_seconds(t['median'], _DIGITS)} "
+            f"[{t['q1']:.{_DIGITS}f}, {t['q3']:.{_DIGITS}f}]")
+
+
+def _bench_verdict(timed: tuple, traced: str) -> tuple[str, str]:
+    """Verdict and totals for a benchmark's host wall.
+
+    One traced run per side is no evidence either way, so the timed runs
+    (median, q1, q3 per side) decide: a move only when the two [q1, q3]
+    ranges are disjoint, sized by the ratio of medians.  Without timed
+    runs there is no verdict.
+    """
+    a, b = timed
+    if a is None or b is None:
+        return "not judged (no timed runs)", f"traced {traced}"
+    verdict = "held steady"
+    if a["q3"] < b["q1"] or b["q3"] < a["q1"]:
+        ratio = b["median"] / a["median"]
+        verdict = (f"slowed {_fmt_ratio(ratio)}" if ratio > 1
+                   else f"sped up {_fmt_ratio(1.0 / ratio)}")
+    return verdict, (f"timed {_fmt_timed(a)} -> {_fmt_timed(b)}, "
+                     f"traced {traced}")
 
 
 def _totals(dim: dict) -> str:
@@ -115,14 +140,17 @@ def _cause_clause(dimensions: list) -> Optional[str]:
     return None
 
 
-def explain_pair(dimensions: list) -> dict:
+def explain_pair(dimensions: list,
+                 timed: tuple = (None, None)) -> dict:
     """``{"headline": str, "findings": [...]}`` for one diffed run pair.
 
     The headline joins the leading time dimension's verdict with its top
     contributor, the strongest-moving work counters and any new or grown
-    ``retry.*`` byte causes.  ``findings`` carries one entry per
-    dimension that moved at all, ranked-movers included, for programmatic
-    consumers of the ``--json`` document.
+    ``retry.*`` byte causes.  ``timed`` holds each side's timed-run
+    summary (a benchmark's untraced ``host_s`` median, q1 and q3), which
+    decides the ``host.wall.by_layer`` verdict.  ``findings`` carries
+    one entry per dimension that moved at all, ranked-movers included,
+    for programmatic consumers of the ``--json`` document.
     """
     findings = []
     for dim in dimensions:
@@ -155,9 +183,13 @@ def explain_pair(dimensions: list) -> dict:
         if dim is None or (dim["delta"] == 0 and not dim["new_keys"]
                            and not dim["vanished_keys"]):
             continue
-        verdict = (_time_verdict(dim) if dim["unit"] == "s"
-                   else _verdict(dim))
-        headline = f"{name} {verdict}: {_totals(dim)}"
+        if name == "host.wall.by_layer":
+            verdict, totals = _bench_verdict(timed, _totals(dim))
+        else:
+            verdict = (_time_verdict(dim) if dim["unit"] == "s"
+                       else _verdict(dim))
+            totals = _totals(dim)
+        headline = f"{name} {verdict}: {totals}"
         movers = _top_movers(dim, n=1)
         if movers:
             c = movers[0]

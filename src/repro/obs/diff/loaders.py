@@ -172,7 +172,10 @@ def artifact_from_bench_results(doc: dict, source: str) -> dict:
     which add up to the traced run's host time; ``work.counters`` holds
     the integer work counts.  Ratios are left out, and so are the
     profiler's inclusive scope times (``recompute_s``, ``fluid_s``),
-    which overlap the self times.
+    which overlap the self times.  Each run also carries ``timed``: the
+    median, q1 and q3 of the untraced runs' ``host_s``, which the
+    explainer judges the time verdict by (None for a ``--trace 1``
+    result, which has no timed summary and so gets no verdict).
     """
     runs = []
     for workload, result in doc.get("workloads", {}).items():
@@ -188,6 +191,10 @@ def artifact_from_bench_results(doc: dict, source: str) -> dict:
                  if k.endswith(".self_s") or k == "netsim.fairness.solve_s"})
         _series(run, "work.counters", "count",
                 {k: v for k, v in metrics.items() if isinstance(v, int)})
+        host_s = result.get("end_to_end", {}).get("host_s")
+        run["timed"] = (None if host_s is None else
+                        {"median": host_s["value"], "q1": host_s["q1"],
+                         "q3": host_s["q3"]})
         runs.append(run)
     return {"kind": "bench", "source": source, "runs": runs}
 

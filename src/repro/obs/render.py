@@ -19,17 +19,27 @@ plain text, escaped here.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from html import escape
 from typing import Iterable, Sequence
 
 __all__ = [
     "badge", "bar", "card", "color", "fmt_bytes", "fmt_count", "fmt_delta",
     "fmt_quantity", "fmt_seconds", "fmt_value", "lane_chart", "legend",
-    "note", "page", "rect", "slot", "svg", "table", "table_view", "text",
-    "time_grid", "value_axis", "vline",
+    "note", "page", "ratio", "rect", "slot", "svg", "table", "table_view",
+    "text", "time_grid", "value_axis", "vline",
 ]
 
 # -- units ---------------------------------------------------------------------
+
+
+def ratio(a: Fraction, b: Fraction) -> float:
+    """The exact quotient ``a / b``, rounded once to a float.
+
+    The exact-scope modules divide nowhere else: a share, speedup or
+    ratio leaves their Fraction arithmetic through this one call.
+    """
+    return float(a / b)
 
 
 def fmt_bytes(b: float) -> str:

@@ -7,12 +7,13 @@ a telescoping Fraction sum of successive deltas, so it collapses to the
 final sample with zero rounding — and the conservation check compares
 that against the meter's tag total as exact rationals, never floats.
 
-This is F-rule scope (``simlint`` float-taint): the dataflow engine
-proves no float-land value reaches the Fraction arithmetic below.
+The module is exact scope (``simlint`` F rules): it computes no floats,
+so every value below is a sample it read or a Fraction built from one.
 """
 
 from __future__ import annotations
 
+# simlint: exact -- the series integral must equal the meter total exactly
 from fractions import Fraction
 from typing import Protocol
 

@@ -15,6 +15,8 @@ calibrated facts drive the model:
 
 from __future__ import annotations
 
+import math
+
 from repro.netsim.flows import Fabric
 from repro.netsim.topology import Host
 from repro.simkernel.core import Environment, Event
@@ -81,8 +83,8 @@ class PVFS:
     def read(self, client: Host, nbytes: float, tag: str = "pvfs-io",
              cause: str = "workload") -> Event:
         """Stream ``nbytes`` from the server pool to ``client``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
         if nbytes == 0:
             ev = Event(self.env)
             ev.succeed(0.0)
@@ -102,8 +104,8 @@ class PVFS:
         Completion requires both the network transfer and the client-side
         qcow2/PVFS synchronization budget (whichever is slower governs).
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
         if nbytes == 0:
             ev = Event(self.env)
             ev.succeed(0.0)

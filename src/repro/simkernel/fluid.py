@@ -19,6 +19,8 @@ element), so results are unchanged.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.obs.causal.record import annotate
@@ -56,8 +58,8 @@ class FluidShare:
     """A processor-sharing fluid server of fixed ``capacity`` bytes/second."""
 
     def __init__(self, env: Environment, capacity: float, name: str = "") -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise ValueError("capacity must be finite and positive")
         self.env = env
         self.capacity = float(capacity)
         self.name = name
@@ -79,10 +81,10 @@ class FluidShare:
 
     def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
         """Start a transfer of ``nbytes``; returns its completion event."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         job = FluidJob(self.env, nbytes, weight)
         if nbytes == 0:
             job.done.succeed(0.0)
@@ -95,8 +97,8 @@ class FluidShare:
 
     def set_capacity(self, capacity: float) -> None:
         """Change capacity on the fly (integrates progress first)."""
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise ValueError("capacity must be finite and positive")
         self._advance()
         self.capacity = float(capacity)
         self._reschedule()

@@ -23,6 +23,7 @@ would change results).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable
 
@@ -195,8 +196,10 @@ class LocalDisk:
         The fluid model does not distinguish reads from writes (both consume
         sequential bandwidth); callers use tags in their own accounting.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         ids = _as_ids(chunks) if chunks is not None else None
         warm_frac = self.warm_fraction(ids) if ids is not None else 0.0
         cold_bytes = nbytes * (1.0 - warm_frac)

@@ -1,6 +1,6 @@
 # simlint: module=repro.obs.analyze.fixture
 # simlint: exact
-"""Float taint reaching exact sinks: each F rule fires with a witness."""
+"""Float origins in an exact module: each F rule fires where one is written."""
 
 import math
 
@@ -8,14 +8,13 @@ from fractions import Fraction
 
 
 def poisoned_fraction(raw):
-    ratio = raw / 2.5            # true division + non-integral literal
-    share = ratio * 3            # taint rides through arithmetic
-    return Fraction(share)       # F601: tainted value into Fraction(...)
+    ratio = raw / 2.5            # F602 twice: true division, non-integral literal
+    return Fraction(ratio * 3)   # F601: computed Fraction argument
 
 
 def poisoned_accumulator(deltas):
     total = Fraction(0)
     for d in deltas:
-        drift = math.sqrt(d)     # math.* return is tainted
-        total += drift           # F602: tainted store into the accumulator
+        total += Fraction(math.sqrt(d))  # F601: a call is not a read
+    total /= 2                   # F602: true division, even on a Fraction
     return total

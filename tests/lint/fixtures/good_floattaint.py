@@ -1,25 +1,25 @@
 # simlint: module=repro.obs.analyze.fixture
 # simlint: exact
-"""Exact accounting with float-land kept away from the sinks: F stays quiet."""
+"""Float-free exact accounting: F stays quiet."""
 
 from fractions import Fraction
 
+from repro.obs.render import ratio
+
 
 def exact_total(values):
-    # Fraction end to end: sum seeded exactly, division exact by type.
+    # Fraction end to end: sum seeded exactly, the half built as a Fraction.
     total = sum((Fraction(v) for v in values), Fraction(0))
-    half = total / 2
+    half = total * Fraction(1, 2)
     return total, half
 
 
-def boundary_conversions(events, wall_us):
-    # float() is a coercion, not an origin: converting integral byte
-    # counts for Fraction construction is exact.
+def boundary_conversions(events, wall):
+    # Floats enter as reads (float(<read>) converts exactly) and leave
+    # through float() or ratio(), never through arithmetic here.
     total = Fraction(0)
-    for nbytes in events:
-        total += Fraction(float(nbytes))
-    # Float-land rendering that never reaches an exact sink is fine —
-    # this is what the retired X family could not express.
-    seconds = wall_us / 1e6
-    percent = 100.0 * seconds
-    return {"total_bytes": total, "wall_s": seconds, "pct": percent}
+    for ev in events:
+        total += Fraction(float(ev["bytes"]))
+    wall_s = Fraction(wall.get("seconds", 0))
+    rate = ratio(total, wall_s) if wall_s else 0.0
+    return {"total_bytes": float(total), "rate": rate}

@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint.cli import main
+from tests.lint.test_rules import BAD_CASES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parents[2] / "src")
@@ -47,19 +50,20 @@ def test_repro_cli_dispatches_lint(capsys):
     assert repro_main(["lint", SRC]) == 0
 
 
-def test_rule_f_fires_on_exactly_its_fixture(capsys):
-    # --rule F must trip the float-taint fixture, stay quiet on its good
-    # twin, and ignore fixtures from other families entirely.
-    assert main([str(FIXTURES / "bad_floattaint.py"), "--rule", "F"]) == 1
-    payload_out = capsys.readouterr().out
-    assert "F601" in payload_out
-    assert main([str(FIXTURES / "good_floattaint.py"), "--rule", "F"]) == 0
-    assert main([str(FIXTURES / "bad_probe.py"), "--rule", "F"]) == 0
-    assert main([str(FIXTURES / "bad_kernelflow.py"), "--rule", "F"]) == 0
+@pytest.mark.parametrize("name,family",
+                         [(name, family) for name, family, _ids in BAD_CASES])
+def test_rule_family_fires_on_exactly_its_fixture(name, family, capsys):
+    # --rule <family> must trip the bad fixture and report only that
+    # family's rules; the good twin must be clean under every rule.
+    assert main([str(FIXTURES / name), "--rule", family, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    rules = {f["rule"] for f in payload["findings"]}
+    assert rules and all(rule.startswith(family) for rule in rules)
+    assert main([str(FIXTURES / name.replace("bad_", "good_", 1))]) == 0
 
 
 def test_json_witness_paths(capsys):
-    code = main([str(FIXTURES / "bad_floattaint.py"), "--json"])
+    code = main([str(FIXTURES / "bad_probe.py"), "--json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     witnessed = [f for f in payload["findings"] if "witness" in f]

@@ -96,13 +96,13 @@ def test_pycache_and_hidden_dirs_are_skipped(tmp_path):
 
 def test_witness_json_is_byte_identical_across_runs():
     fixtures = Path(__file__).parent / "fixtures"
-    target = str(fixtures / "bad_floattaint.py")
+    target = str(fixtures / "bad_probe.py")
     a = render_json(lint_paths([target]))
     b = render_json(lint_paths([target]))
     assert a == b
     payload = json.loads(a)
-    f601 = [f for f in payload["findings"] if f["rule"] == "F601"]
-    assert f601 and f601[0]["witness"][0]["note"].startswith("float literal")
+    p701 = [f for f in payload["findings"] if f["rule"] == "P701"]
+    assert p701 and p701[0]["witness"][0]["note"].startswith("probe handle")
 
 
 def test_budget_reports_reasons():

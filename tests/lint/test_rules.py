@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths
+from repro.lint.pragmas import parse_pragmas
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,6 +33,20 @@ BAD_CASES = [
     ("bad_probe.py", "P", {"P701", "P702", "P703"}),
     ("bad_structure.py", "S", {"S501"}),
     ("bad_obsdag.py", "S", {"S502"}),
+    ("bad_seriesdag.py", "S", {"S502"}),
+]
+
+GOOD_CASES = [
+    "good_determinism.py",
+    "good_hosttime.py",
+    "good_floattaint.py",
+    "good_causetags.py",
+    "good_kernel.py",
+    "good_kernelflow.py",
+    "good_probe.py",
+    "good_structure.py",
+    "good_obsdag.py",
+    "good_seriesdag.py",
 ]
 
 
@@ -44,21 +59,18 @@ def test_bad_fixture_trips_exactly_its_family(name, family, expected_ids):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("name", [
-    "good_determinism.py",
-    "good_hosttime.py",
-    "good_floattaint.py",
-    "good_causetags.py",
-    "good_kernel.py",
-    "good_kernelflow.py",
-    "good_probe.py",
-    "good_structure.py",
-    "good_obsdag.py",
-])
+@pytest.mark.parametrize("name", GOOD_CASES)
 def test_good_fixture_is_clean(name):
     result = lint_fixture(name)
     assert result.findings == []
     assert result.exit_code == 0
+
+
+def test_every_fixture_is_in_the_tables():
+    # A fixture missing from the tables would be checked by nothing.
+    on_disk = {p.name for pattern in ("bad_*.py", "good_*.py")
+               for p in FIXTURES.glob(pattern)}
+    assert on_disk == {name for name, _f, _ids in BAD_CASES} | set(GOOD_CASES)
 
 
 @pytest.mark.parametrize("name,family,expected_ids", BAD_CASES)
@@ -89,8 +101,7 @@ def test_every_bad_finding_names_its_fixture_line():
 def test_dataflow_findings_carry_witness_paths():
     # Witnesses walk origin -> assignments -> sink, each hop located
     # inside the fixture, ending at the finding's own line.
-    for name, rule in [("bad_floattaint.py", "F601"),
-                       ("bad_probe.py", "P701"),
+    for name, rule in [("bad_probe.py", "P701"),
                        ("bad_kernelflow.py", "K403")]:
         result = lint_fixture(name)
         found = [f for f in result.findings if f.rule == rule]
@@ -105,12 +116,59 @@ def test_dataflow_findings_carry_witness_paths():
 
 
 def test_float_taint_clears_boundary_conversions():
-    # float() is a coercion, not an origin: Fraction(float(nbytes)) in
-    # the good fixture must never fire, while the same module's
-    # rendering floats (wall_us / 1e6) stay legal because they never
-    # reach a sink.  This is the proof-over-marker payoff.
+    # Floats may enter an exact module as reads (Fraction(float(<read>))
+    # converts exactly) and leave through float() or ratio(): the good
+    # fixture does both and must never fire.
     result = lint_fixture("good_floattaint.py")
     assert result.findings == []
+
+
+#: Float paths into Fraction arithmetic, each with the F rules that must
+#: fire on it: through a local, a helper, a comparison, an accumulator,
+#: a computed argument and a division of a Fraction.
+EXACT_SNIPPETS = [
+    ("def f(x):\n    return Fraction(x / 2.5)\n", {"F601", "F602"}),
+    ("def f(x):\n    total = Fraction(0)\n    y = x / 3\n"
+     "    total += y\n    return total\n", {"F602"}),
+    ("def f():\n    total = Fraction(0)\n    total = total + 0.1\n"
+     "    return total\n", {"F602"}),
+    ("import math\n", {"F603"}),
+    ("def h(a, b):\n    return a / b\n\n\ndef f(a, b):\n"
+     "    return Fraction(h(a, b))\n", {"F601", "F602"}),
+    ("def f(raw):\n    ratio = raw / 2.5\n    share = ratio * 3\n"
+     "    return Fraction(share)\n", {"F602"}),
+    ("def f(a, w):\n    w = Fraction(w)\n    return Fraction(a) < w * 0.5\n",
+     {"F602"}),
+    ("def f(d):\n    return Fraction(d[\"a\"] + d[\"b\"])\n", {"F601"}),
+    ("def f(x):\n    total = Fraction(x)\n    return total / 2\n", {"F602"}),
+]
+
+
+@pytest.mark.parametrize("body,expected", EXACT_SNIPPETS, ids=[
+    f"snippet{i}" for i in range(1, len(EXACT_SNIPPETS) + 1)])
+def test_exact_scope_flags_every_float_path(tmp_path, body, expected):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text("# simlint: exact\nfrom fractions import Fraction\n\n\n"
+                       + body)
+    result = lint_paths([str(snippet)])
+    assert {f.rule for f in result.findings} == expected
+
+
+def test_exact_scope_is_the_five_pragma_modules():
+    # The pragma is the only scope declaration: these five modules, and
+    # no other file under src, carry it.
+    src = Path(__file__).parents[2] / "src"
+    exact = sorted(
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if parse_pragmas(path.read_text()).exact
+    )
+    assert exact == [
+        "repro/obs/analyze/attribution.py",
+        "repro/obs/causal/critical.py",
+        "repro/obs/causal/whatif.py",
+        "repro/obs/diff/delta.py",
+        "repro/obs/series/conserve.py",
+    ]
 
 
 def test_daemon_pragma_counts_in_budget():

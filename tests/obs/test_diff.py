@@ -237,6 +237,24 @@ def _dims(pair):
     return {d["name"]: d for d in pair["dimensions"]}
 
 
+#: Headline starts on the committed pair: the verdict reads the timed
+#: runs' host_s (median [q1, q3]), the traced totals follow.
+BENCH_HEADLINES = {
+    "fig4-precopy-x20": (
+        "host.wall.by_layer held steady: timed 17.492 s [17.105, 17.815]"
+        " -> 17.175 s [16.810, 17.713], traced 18.195 s -> 25.143 s; "),
+    "fig4-pvfs-sweep": (
+        "host.wall.by_layer slowed 1.11x: timed 4.510 s [4.401, 4.632]"
+        " -> 5.020 s [4.791, 5.329], traced 6.639 s -> 6.687 s; "),
+    "fig3-3seeds": (
+        "host.wall.by_layer slowed 1.20x: timed 2.036 s [1.991, 2.120]"
+        " -> 2.446 s [2.182, 2.693], traced 4.208 s -> 4.611 s; "),
+    "fig5-cm1": (
+        "host.wall.by_layer held steady: timed 10.479 s [10.401, 10.863]"
+        " -> 11.702 s [10.487, 13.036], traced 16.489 s -> 14.636 s; "),
+}
+
+
 class TestBenchResults:
     def test_pairs_every_workload_with_exact_conservation(self, e2e_diff):
         assert e2e_diff["kind"] == "bench"
@@ -266,6 +284,33 @@ class TestBenchResults:
                 traced = workloads[pair["label"]]["runs"]["traced"]
                 wall = _dims(pair)["host.wall.by_layer"]
                 assert wall[f"total_{side}"] == traced["host_s"]
+
+    def test_verdict_judges_the_timed_runs(self, e2e_diff):
+        # One traced run per side has no spread, so host noise would read
+        # as a verdict (fig4-precopy-x20's traced total grew 1.38x, and
+        # fig5-cm1's shrank 1.13x, between two runs of one tree).  The
+        # timed runs decide instead: a move only when the two [q1, q3]
+        # ranges are disjoint, sized by the ratio of medians.
+        for pair in e2e_diff["pairs"]:
+            assert pair["headline"].startswith(BENCH_HEADLINES[pair["label"]])
+
+    def test_verdict_direction_and_untimed_results(self, tmp_path):
+        swapped = diff_files(E2E_RESULTS / "baseline-b.json",
+                             E2E_RESULTS / "baseline-a.json")
+        fig3 = [p for p in swapped["pairs"] if p["label"] == "fig3-3seeds"]
+        assert fig3[0]["headline"].startswith(
+            "host.wall.by_layer sped up 1.20x: timed 2.446 s")
+        # A --trace 1 result has no timed summary, and one traced run is
+        # no evidence either way: no verdict, only the traced totals.
+        doc = _baseline("b")
+        for result in doc["workloads"].values():
+            result["end_to_end"] = {}
+        untimed = tmp_path / "untimed.json"
+        untimed.write_text(json.dumps(doc))
+        diff = diff_files(E2E_RESULTS / "baseline-a.json", untimed)
+        assert diff["pairs"][0]["headline"].startswith(
+            "host.wall.by_layer not judged (no timed runs): "
+            "traced 18.195 s -> 25.143 s; ")
 
     def test_results_without_per_layer_metrics_refused(self, tmp_path):
         doc = _baseline("a")

@@ -1,5 +1,7 @@
 """Tests for the PVFS baseline model."""
 
+import math
+
 import pytest
 
 from repro.netsim import Fabric, Topology
@@ -28,6 +30,16 @@ def test_validation():
         PVFS(env, fabric, fs.servers, chunk_size=100, stripe_width=0)
     with pytest.raises(ValueError):
         fs.read(client, -1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_io_rejected_before_accounting(bad):
+    env, fabric, fs, client = make_pvfs()
+    for op in (fs.read, fs.write):
+        with pytest.raises(ValueError):
+            op(client, bad)
+    assert fs.bytes_read == fs.bytes_written == 0
+    assert [s.name for s in fs._pick_servers()] == ["s0", "s1"]
 
 
 def test_read_is_network_bound():

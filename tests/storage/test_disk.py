@@ -1,5 +1,7 @@
 """Tests for LocalDisk (fluid disk + warm cache) and PageCache."""
 
+import math
+
 import pytest
 
 from repro.simkernel import Environment
@@ -116,6 +118,18 @@ def test_validation():
     disk = LocalDisk(env, bandwidth=100.0)
     with pytest.raises(ValueError):
         disk.io(-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_io_rejected_before_accounting(bad):
+    env = Environment()
+    disk = LocalDisk(env, bandwidth=100.0)
+    with pytest.raises(ValueError):
+        disk.io(bad, chunks=[0])
+    with pytest.raises(ValueError):
+        disk.io(100.0, chunks=[0], weight=bad)
+    assert disk.disk_bytes == disk.cache_hits_bytes == 0.0
+    assert disk.warm_fraction([0]) == 0.0
 
 
 class TestPageCache:

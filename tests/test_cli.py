@@ -252,20 +252,29 @@ def test_diff_unknown_schema_exits_2(tmp_path, capsys):
 
 def test_diff_e2e_benchmark_results(capsys):
     # Two back-to-back benchmarks/e2e runs of one tree: every workload
-    # pairs, the work counts match exactly, and each headline's host
-    # time is the traced run's host_s.
+    # pairs and the work counts match exactly.  Each verdict judges the
+    # timed runs' host_s quartiles; the traced run's host_s follows.
     results = REPO_ROOT / "benchmarks" / "e2e" / "results"
     assert main(["diff", str(results / "baseline-a.json"),
                  str(results / "baseline-b.json")]) == 0
     out = capsys.readouterr().out
     assert out.startswith("== repro diff (bench): A = baseline-a.json  "
                           "vs  B = baseline-b.json")
-    for workload, host_s in (("fig4-precopy-x20", "18.195 s -> 25.143 s"),
-                             ("fig4-pvfs-sweep", "6.639 s -> 6.687 s"),
-                             ("fig3-3seeds", "4.208 s -> 4.611 s"),
-                             ("fig5-cm1", "16.489 s -> 14.636 s")):
-        assert f"=== {workload}\n  host.wall.by_layer " in out
-        assert host_s in out
+    for workload, verdict, timed, traced in (
+            ("fig4-precopy-x20", "held steady",
+             "17.492 s [17.105, 17.815] -> 17.175 s [16.810, 17.713]",
+             "18.195 s -> 25.143 s"),
+            ("fig4-pvfs-sweep", "slowed 1.11x",
+             "4.510 s [4.401, 4.632] -> 5.020 s [4.791, 5.329]",
+             "6.639 s -> 6.687 s"),
+            ("fig3-3seeds", "slowed 1.20x",
+             "2.036 s [1.991, 2.120] -> 2.446 s [2.182, 2.693]",
+             "4.208 s -> 4.611 s"),
+            ("fig5-cm1", "held steady",
+             "10.479 s [10.401, 10.863] -> 11.702 s [10.487, 13.036]",
+             "16.489 s -> 14.636 s")):
+        assert (f"=== {workload}\n  host.wall.by_layer {verdict}: "
+                f"timed {timed}, traced {traced}; ") in out
     assert out.count("(delta 0) — conservation exact") == 4
     assert "delta conservation across all dimensions: exact" in out
 
