@@ -5,9 +5,10 @@ engines, netsim, hypervisor models and the kernel:
 
 ``gauge``
     A sampled level (remaining-set size, link utilization, dirty bytes,
-    ready-queue depth).  Each sample lands in a fixed-bin resampler so a
-    long run keeps bounded memory; a bin keeps its sample count, min,
-    max and last value.
+    ready-queue depth).  A signal keeps the last sample of each simulated
+    instant: a level held for zero seconds is never on the timeline.  Each
+    kept sample lands in a fixed-bin resampler so a long run keeps bounded
+    memory; a bin keeps its sample count, min, max and last value.
 ``rate``
     A cumulative byte (or count) curve.  The ``net.<tag>`` signals
     mirror the :class:`~repro.netsim.traffic.TrafficMeter` credit
@@ -104,7 +105,7 @@ class _Binned:
 
 class _Signal:
     __slots__ = ("kind", "unit", "binned", "vmin", "vmax", "total",
-                 "snapshots")
+                 "snapshots", "held")
 
     def __init__(self, kind: str, unit: str, width: float,
                  max_bins: int) -> None:
@@ -115,8 +116,23 @@ class _Signal:
         self.vmax: float | None = None
         self.total = 0.0
         self.snapshots: list[dict] = []
+        #: A gauge's latest ``(t, value)``, kept once a sample at a later
+        #: ``t`` arrives or the document is taken.
+        self.held: tuple[float, float] | None = None
+
+    def keep_held(self) -> None:
+        if self.held is None:
+            return
+        t, value = self.held
+        self.held = None
+        self.binned.add(t, value)
+        if self.vmin is None or value < self.vmin:
+            self.vmin = value
+        if self.vmax is None or value > self.vmax:
+            self.vmax = value
 
     def as_doc(self) -> dict:
+        self.keep_held()
         doc: dict = {"kind": self.kind, "unit": self.unit}
         if self.kind == "distribution":
             doc["snapshots"] = self.snapshots
@@ -166,14 +182,13 @@ class SeriesRecorder:
 
     def gauge(self, name: str, t: float, value: float,
               unit: str = "") -> None:
-        """Sample a level signal at sim-time ``t``."""
+        """Sample a level signal at sim-time ``t``; a later sample at the
+        same ``t`` replaces it."""
         sig = self._signal(name, "gauge", unit)
-        value = float(value)
-        sig.binned.add(t, value)
-        if sig.vmin is None or value < sig.vmin:
-            sig.vmin = value
-        if sig.vmax is None or value > sig.vmax:
-            sig.vmax = value
+        held = sig.held
+        if held is not None and held[0] != t:
+            sig.keep_held()
+        sig.held = (t, float(value))
 
     def inc(self, name: str, t: float, n: float = 1.0,
             unit: str = "count") -> None:

@@ -235,6 +235,19 @@ class TestRecorder:
         assert sig["points"] == [[0.0, 5.0], [1.0, 2.0], [2.0, 9.0]]
         assert sig["samples"] == 3
 
+    def test_gauge_keeps_the_last_sample_of_each_instant(self):
+        sr = SeriesRecorder(bin_width=1.0)
+        sr.gauge("g", 0.5, 1.0)
+        sr.gauge("g", 0.5, 7.0)  # held for zero seconds
+        sr.gauge("g", 0.5, 3.0)
+        sr.gauge("g", 0.75, 2.0)
+        sr.gauge("g", 1.5, 4.0)
+        (run,) = sr.summary()["runs"]
+        sig = run["signals"]["g"]
+        assert sig["samples"] == 3
+        assert sig["min"] == 2.0 and sig["max"] == 4.0
+        assert sig["points"] == [[0.0, 2.0], [1.0, 4.0]]
+
     def test_inc_accumulates_a_cumulative_curve(self):
         sr = SeriesRecorder(bin_width=1.0)
         sr.inc("r", 0.5, 2.0)
