@@ -8,8 +8,10 @@ changes (a transfer starts or completes) it
 2. recomputes the weighted max-min fair rates via progressive filling,
 3. schedules a wakeup at the earliest next completion.
 
-A caller that starts several flows at one instant wraps them in
-:meth:`Fabric.batch`, so steps 2 and 3 run once for all of them.
+Step 1 runs at each change; steps 2 and 3, the *settle*, run once per
+simulated instant, when nothing more is due now
+(:meth:`~repro.simkernel.core.Environment.at_instant_end`), or earlier
+when a rate is read.
 
 The in-flight flows form a struct-of-arrays table: ``Fabric._flows`` lists
 the :class:`NetFlow` handles in arrival order, aligned with the first
@@ -111,6 +113,8 @@ class NetFlow:
         fabric = self._fabric
         if fabric is None:
             return self._rate
+        if fabric._settling:
+            fabric._settle()
         return fabric._rate.item(fabric._slot(self))
 
     @property
@@ -184,38 +188,15 @@ class Fabric:
         #: no-op — the standing rates are still the solution.
         self._dirty = True
         self._topo_version_seen = -1
-        #: Open :meth:`batch` scopes, and whether a flow joined inside one.
-        self._batch_depth = 0
-        self._batch_pending = False
+        #: A settle is registered for this instant and not yet run, and
+        #: the sequence number reserved for the wakeup it will arm.
+        self._settling = False
+        self._wake_seq = 0
 
     def _bind_rows(self) -> None:
         """Name the table rows (views, rebound when the tables grow)."""
         self._weight, self._remaining, self._rate, self._accounted = self._ftab
         self._arrival, self._src, self._dst, self._key, self._cell = self._itab
-
-    @contextmanager
-    def batch(self):
-        """Start several flows at this instant with one reshare.
-
-        Inside the scope :meth:`transfer` integrates and adds its flow as
-        usual but defers the max-min solve and the wakeup; when the
-        outermost scope exits, one reshare covers every flow that joined.
-        This is exact: the body must not yield (simlint K405), so the clock
-        cannot move and no other process runs, each skipped solve would
-        have integrated zero bytes, and the final solve sees the same flow
-        list, in the same order, as the last per-transfer solve would.  The
-        reshare runs even when the body raises, so legs started before the
-        exception still get rates.
-        """
-        self._batch_depth += 1
-        try:
-            yield
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._batch_pending:
-                self._batch_pending = False
-                self._recompute()
-                self._reschedule()
 
     @contextmanager
     def cause_scope(self, cause: str):
@@ -249,6 +230,8 @@ class Fabric:
 
     def flow_rates(self) -> dict[str, float]:
         """Snapshot ``{src->dst/tag: rate}`` for diagnostics."""
+        if self._settling:
+            self._settle()
         rates = self._rate[:self._n].tolist()
         return {
             f"{fl.src.name}->{fl.dst.name}/{fl.tag}": rate
@@ -263,6 +246,8 @@ class Fabric:
         ``np.bincount`` adds each host's rates in arrival order, one at a
         time, as a running sum over the flows would.
         """
+        if self._settling:
+            self._settle()
         n = self._n
         if not n:
             return 0.0, 0.0
@@ -276,6 +261,8 @@ class Fabric:
                                  dict[Host, float]]:
         """The standing rates summed per tag, per source host and per
         destination host, over the tags and hosts that carry a flow."""
+        if self._settling:
+            self._settle()
         n = self._n
         rate = self._rate[:n]
         tags = sorted(set(self._key_tag))
@@ -294,8 +281,7 @@ class Fabric:
         fault hooks call this when capacities change mid-transfer.
         """
         self._advance()
-        self._recompute()
-        self._reschedule()
+        self._request_settle()
 
     def transfer(
         self,
@@ -314,8 +300,9 @@ class Fabric:
 
         ``cause`` labels *why* the bytes move (``push``, ``prefetch``,
         ``pull.demand``, ...); it defaults to the innermost
-        :meth:`cause_scope` override, then to the tag itself.  Inside a
-        :meth:`batch` the new flow's rate is set when the batch exits.
+        :meth:`cause_scope` override, then to the tag itself.  Flows
+        started at one instant share one reshare: a fan-out needs no
+        grouping of its own.
         """
         # Chained comparisons are False for NaN as well as out of range.
         if not 0 <= nbytes < math.inf:
@@ -341,11 +328,7 @@ class Fabric:
         self._advance()
         self._admit(flow)
         self._dirty = True
-        if self._batch_depth:
-            self._batch_pending = True
-        else:
-            self._recompute()
-            self._reschedule()
+        self._request_settle()
         return flow.done
 
     def message(self, src: Host, dst: Host, nbytes: float = 512,
@@ -399,8 +382,7 @@ class Fabric:
         p = self.env.probe
         if p.enabled:
             p.flow_cancelled(flow)
-        self._recompute()
-        self._reschedule()
+        self._request_settle()
         return True
 
     def abort_flows(self, host: Host) -> int:
@@ -421,8 +403,7 @@ class Fabric:
         p = self.env.probe
         if p.enabled:
             p.flows_aborted(host, int(doomed.size))
-        self._recompute()
-        self._reschedule()
+        self._request_settle()
         return int(doomed.size)
 
     def _black_hole(self, src: Host, dst: Host, tag: str,
@@ -495,6 +476,9 @@ class Fabric:
         """Take the flows at ascending ``rows`` out of the table, keeping
         the rest in arrival order; their handles keep their last rate and
         remaining bytes.  Returns their accounted bytes, row by row."""
+        if self._settling:
+            # The handles keep the rate a settle at the last change set.
+            self._settle()
         n = self._n
         flows = self._flows
         rate = self._rate
@@ -686,8 +670,9 @@ class Fabric:
         return etas.item(etas.argmin())
 
     def _reschedule(self) -> None:
+        """Arm the wakeup for the earliest completion, at the sequence
+        number the last change reserved."""
         if not self._n:
-            self._timer.cancel()
             return
         eta = self._next_eta()
         if eta is None:
@@ -695,9 +680,33 @@ class Fabric:
             # happen with positive capacities); retry after a tick rather
             # than deadlock.
             eta = 1.0
-        self._timer.arm(max(eta, _MIN_ETA))
+        self._timer.arm(max(eta, _MIN_ETA), seq=self._wake_seq)
+
+    def _request_settle(self) -> None:
+        """After a change: drop the standing wakeup, reserve the number an
+        arm made now would take, and settle once at the end of the instant.
+
+        The settle solves the flow list the instant ends with, which is
+        the list the last per-change solve would see; every solve it
+        skips would have integrated zero bytes.  Arming at the last
+        reserved number puts the wakeup where that change's arm would
+        have put it, among the events scheduled since.
+        """
+        self._timer.cancel()
+        if self._n:
+            self._wake_seq = self.env.reserve_seq()
+        if not self._settling:
+            self._settling = True
+            self.env.at_instant_end(self._settle)
+
+    def _settle(self) -> None:
+        """Reshare and re-arm for the changes of this instant, if a rate
+        reader has not already."""
+        if self._settling:
+            self._settling = False
+            self._recompute()
+            self._reschedule()
 
     def _on_wakeup(self) -> None:
         self._advance()
-        self._recompute()
-        self._reschedule()
+        self._request_settle()

@@ -130,17 +130,16 @@ class StripedRepository:
         if p.enabled:
             p.repo_fetch(int(len(chunk_ids)), len(per_server), dest)
         transfers = []
-        with self.fabric.batch():
-            for sidx, count in per_server:
-                nbytes = count * self.chunk_size
-                self._load[sidx] += nbytes
-                self.bytes_served += nbytes
-                ev = self.fabric.transfer(
-                    self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
-                    cause=cause,
-                )
-                ev.add_callback(self._make_unloader(sidx, nbytes))
-                transfers.append(ev)
+        for sidx, count in per_server:
+            nbytes = count * self.chunk_size
+            self._load[sidx] += nbytes
+            self.bytes_served += nbytes
+            ev = self.fabric.transfer(
+                self.servers[sidx], dest, nbytes, tag=tag, weight=weight,
+                cause=cause,
+            )
+            ev.add_callback(self._make_unloader(sidx, nbytes))
+            transfers.append(ev)
         return self.env.all_of(transfers)
 
     def store(
@@ -174,14 +173,13 @@ class StripedRepository:
         p = self.env.probe
         if p.enabled:
             p.repo_store(int(len(chunk_ids)), len(per_server), src)
-        with self.fabric.batch():
-            transfers = [
-                self.fabric.transfer(
-                    src, self.servers[sidx], count * self.chunk_size, tag=tag,
-                    weight=weight, cause=cause,
-                )
-                for sidx, count in per_server.items()
-            ]
+        transfers = [
+            self.fabric.transfer(
+                src, self.servers[sidx], count * self.chunk_size, tag=tag,
+                weight=weight, cause=cause,
+            )
+            for sidx, count in per_server.items()
+        ]
         return self.env.all_of(transfers)
 
     def _make_unloader(self, sidx: int, nbytes: float):

@@ -92,9 +92,8 @@ class PVFS:
         self.bytes_read += nbytes
         picked = self._pick_servers()
         share = nbytes / len(picked)
-        with self.fabric.batch():
-            legs = [self.fabric.transfer(s, client, share, tag=tag, cause=cause)
-                    for s in picked]
+        legs = [self.fabric.transfer(s, client, share, tag=tag, cause=cause)
+                for s in picked]
         return self.env.all_of(legs)
 
     def write(self, client: Host, nbytes: float, tag: str = "pvfs-io",
@@ -113,10 +112,8 @@ class PVFS:
         self.bytes_written += nbytes
         picked = self._pick_servers()
         share = nbytes / len(picked)
-        with self.fabric.batch():
-            events = [self.fabric.transfer(client, s, share, tag=tag,
-                                           cause=cause)
-                      for s in picked]
+        events = [self.fabric.transfer(client, s, share, tag=tag, cause=cause)
+                  for s in picked]
         events.append(self._write_limiter(client).transfer(nbytes))
         return self.env.all_of(events)
 

@@ -21,6 +21,14 @@ A cancelled entry (:attr:`Event._cancelled`) is skipped at pop time
 without advancing the clock or counting as a processed event, which is
 what lets timers be re-armed into the *same* tick without double
 delivery (see ``RearmableTimer``).
+
+:meth:`Environment.at_instant_end` registers a callback that runs once
+nothing more is due at the current time and before the clock moves.  It
+is not an event: it takes no sequence number and does not count in
+``events_processed``.  A component that changes several times in one
+instant (the fabric) settles there once; the timer it arms then uses a
+sequence number reserved (:meth:`Environment.reserve_seq`) at the last
+change, so the entry sorts where an arm made at that change would have.
 """
 
 from __future__ import annotations
@@ -349,6 +357,8 @@ class Environment:
         #: (benchmarks/e2e) reports it as ``simkernel.events``.
         #: Cancelled entries are skipped, not processed — they don't count.
         self.events_processed = 0
+        #: Callbacks to run once nothing more is due now (at_instant_end).
+        self._at_end: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -390,20 +400,37 @@ class Environment:
         return AllOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without scheduling anything; pass
+        it to :meth:`_schedule` later to sort the event as if it had been
+        scheduled now."""
+        self._seq += 1
+        return self._seq
+
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once nothing more is due at the current time,
+        before the clock moves (see :meth:`step`)."""
+        self._at_end.append(callback)
+
+    def _schedule(self, event: Event, priority: int, delay: float = 0.0,
+                  seq: Optional[int] = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._seq += 1
-        if delay == 0.0:
-            # Due *now*: a FIFO append preserves the (time, priority, seq)
-            # order the heap would have produced, at deque cost.
-            bucket = (self._bucket_urgent if priority == URGENT
-                      else self._bucket_normal)
-            bucket.append((self._seq, event))
-            if self.probe.enabled:
-                self.probe.event_queued(now_bucket=True)
-            return
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+            if delay == 0.0:
+                # Due *now*: a FIFO append preserves the (time, priority,
+                # seq) order the heap would have produced, at deque cost.
+                bucket = (self._bucket_urgent if priority == URGENT
+                          else self._bucket_normal)
+                bucket.append((seq, event))
+                if self.probe.enabled:
+                    self.probe.event_queued(now_bucket=True)
+                return
+        # A reserved number is older than the buckets' tails, so even a
+        # zero delay goes to the heap, whose merge orders it exactly.
+        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
         if self.probe.enabled:
             self.probe.event_queued(now_bucket=False)
 
@@ -436,14 +463,19 @@ class Environment:
         return self._now, event
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._bucket_urgent or self._bucket_normal:
+        """Time of the next scheduled event, or ``inf`` if none; the
+        current time while instant-end callbacks are pending."""
+        if self._bucket_urgent or self._bucket_normal or self._at_end:
             return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Pop one queue entry and deliver it (empty queue: ``IndexError``).
 
+        When instant-end callbacks are pending and no entry is due at the
+        current time, the step runs them, in registration order, instead
+        of popping; one registered while they run waits for the next
+        instant end.
         A cancelled entry is dropped without delivering, advancing the
         clock or counting as processed — callers that loop on the queue
         re-check emptiness, so a skip is just a cheap no-op iteration.
@@ -458,6 +490,13 @@ class Environment:
         if on:
             probe.step_begin()
         try:
+            if self._at_end and not (
+                    self._bucket_urgent or self._bucket_normal
+                    or (self._queue and self._queue[0][0] <= self._now)):
+                callbacks, self._at_end = self._at_end, []
+                for callback in callbacks:
+                    callback()
+                return
             when, event = self._next_entry()
             if event._cancelled:
                 if on:
@@ -509,7 +548,10 @@ class Environment:
                     # Bucket entries are always due at the current time,
                     # which run() has already admitted (now <= stop_at).
                     self.step()
-                elif self._queue and self._queue[0][0] <= stop_at:
+                elif (self._queue and self._queue[0][0] <= stop_at
+                      or self._at_end):
+                    # step() ends the instant before the clock moves, and
+                    # before run() stops.
                     self.step()
                 else:
                     break

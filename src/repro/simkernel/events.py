@@ -76,8 +76,9 @@ class RearmableTimer:
         """True while a wakeup is scheduled."""
         return self._pending is not None
 
-    def arm(self, delay: float) -> None:
-        """Schedule (or move) the wakeup to ``delay`` seconds from now."""
+    def arm(self, delay: float, seq: Optional[int] = None) -> None:
+        """Schedule (or move) the wakeup to ``delay`` seconds from now, at
+        ``seq`` when given (a number from ``Environment.reserve_seq``)."""
         self.cancel()
         event = Event(self.env)
         event._ok = True
@@ -85,7 +86,7 @@ class RearmableTimer:
         event.triggered_at = self.env.now + float(delay)
         assert event.callbacks is not None
         event.callbacks.append(self._fire)
-        self.env._schedule(event, NORMAL, delay=delay)
+        self.env._schedule(event, NORMAL, delay, seq)
         self._pending = event
 
     def cancel(self) -> None:

@@ -107,14 +107,13 @@ class CM1Workload(Workload):
         synchronization semantics, so each pair of borders is modeled as
         one flow per direction per step.
         """
-        with self.fabric.batch():
-            sends = [
-                self.fabric.transfer(
-                    self.vm.host, self.peers[nb].host, float(self.halo_bytes),
-                    tag="app", cause="workload"
-                )
-                for nb in self._neighbours()
-            ]
+        sends = [
+            self.fabric.transfer(
+                self.vm.host, self.peers[nb].host, float(self.halo_bytes),
+                tag="app", cause="workload"
+            )
+            for nb in self._neighbours()
+        ]
         if sends:
             yield self.env.all_of(sends)
 

@@ -11,8 +11,10 @@ from-scratch forms:
    host arrays (no memo, no touched-host compaction);
 3. ``Fabric._recompute`` marks the fabric dirty first, so it re-solves on
    every call (production skips a clean recompute);
-4. ``Fabric.batch`` does nothing, so every transfer reshares on its own
-   (production reshares once per batch of same-instant transfers);
+4. ``Fabric._request_settle`` reserves the wakeup's sequence number and
+   settles at once, so every transfer, cancel, abort, sync and wakeup
+   reshares and re-arms on its own (production settles once per
+   simulated instant);
 5. the fabric's flow-table arithmetic (``_integrate``, ``_share``,
    ``_next_eta`` and ``host_load``) runs as a per-flow loop over the
    table at every flow count, with one ``TrafficMeter.credit_cell`` per
@@ -65,12 +67,14 @@ KERNELS = ("fast", "reference")
 
 
 def _reference_schedule(self: Environment, event: Event, priority: int,
-                        delay: float = 0.0) -> None:
+                        delay: float = 0.0, seq: int | None = None) -> None:
     """Every event through the heap, zero-delay ones included."""
     if delay < 0:
         raise ValueError(f"negative delay {delay}")
-    self._seq += 1
-    heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+    if seq is None:
+        self._seq += 1
+        seq = self._seq
+    heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
     if self.probe.enabled:
         self.probe.event_queued(now_bucket=False)
 
@@ -195,10 +199,15 @@ def _reference_recompute(self: Fabric) -> None:
     _production_recompute(self)
 
 
-@contextmanager
-def _reference_batch(self: Fabric) -> Iterator[None]:
-    """No batching: each transfer in the scope reshares when it starts."""
-    yield
+def _eager_request_settle(self: Fabric) -> None:
+    """Settle at every change instead of once per instant: reserve the
+    wakeup's number, solve and arm at once, so the rates and the wakeup
+    are current after each call."""
+    self._timer.cancel()
+    if self._n:
+        self._wake_seq = self.env.reserve_seq()
+    self._recompute()
+    self._reschedule()
 
 
 def _reference_integrate(self: Fabric, dt: float) -> list[int]:
@@ -278,7 +287,7 @@ _SWAPS = (
     (Environment, "_schedule", _reference_schedule),
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
     (Fabric, "_recompute", _reference_recompute),
-    (Fabric, "batch", _reference_batch),
+    (Fabric, "_request_settle", _eager_request_settle),
     (Fabric, "_integrate", _reference_integrate),
     (Fabric, "_share", _reference_share),
     (Fabric, "_next_eta", _reference_next_eta),

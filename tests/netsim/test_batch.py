@@ -1,18 +1,18 @@
-"""``Fabric.batch``: flows started at one instant share one reshare.
+"""The fabric reshares once per simulated instant.
 
-Every caller that starts several flows without yielding opens a batch:
-repository fetch and store, PVFS read and write, and the CM1 halo
-exchange.  A batch must save solves and change nothing
-else.  Each fan-out below costs exactly one ``maxmin.invocations``, and
-the rates it leaves and the times its legs complete equal those of the
-same legs started one reshare at a time.
+Every change to the flow set (transfer, cancel, abort, sync, the wakeup)
+integrates at once but leaves the max-min solve and the wakeup to one
+settle at the end of the instant, or to the first rate reader before it.
+A fan-out needs no grouping of its own: repository fetch and store, PVFS
+read and write, and the CM1 halo exchange each cost exactly one
+``maxmin.invocations`` per instant, and so do all ranks' halo legs in one
+CM1 step.  The rates they leave and the times their legs complete equal
+those of the eager oracle (``tests/differential/oracle.py``), which
+settles at every change.
 
 Counts are taken under ``kernel_scope("fast")``, so they also hold when
-the whole session runs on the oracle, whose batch does nothing.
+the whole session runs on the oracle.
 """
-
-from contextlib import nullcontext
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from repro.repository.pvfs import PVFS
 from repro.simkernel import Environment
 from repro.workloads.cm1 import build_cm1_ensemble
 from tests.conftest import SMALL_SPEC
-from tests.differential.oracle import kernel_scope
+from tests.differential.oracle import KERNELS, kernel_scope
 
 MB = 2**20
 
@@ -75,6 +75,17 @@ def _cloud(n):
     return env, cloud.cluster.fabric, vms
 
 
+def _halo(grid):
+    """Every rank of a ``grid`` CM1 ensemble starts its halo legs."""
+    def build():
+        env, fabric, vms = _cloud(grid[0] * grid[1])
+        ranks = build_cm1_ensemble(env, vms, fabric, grid, halo_bytes=MB)
+        return env, fabric, lambda: env.all_of(
+            [next(rank._halo_exchange()) for rank in ranks])
+
+    return build
+
+
 def _halo_step():
     env, fabric, vms = _cloud(4)
     ranks = build_cm1_ensemble(env, vms, fabric, (2, 2), halo_bytes=MB)
@@ -87,18 +98,26 @@ FAN_OUTS = {
     "pvfs-read": _pvfs("read"),
     "pvfs-write": _pvfs("write"),
     "cm1-halo": _halo_step,
+    "cm1-step-4x4": _halo((4, 4)),
 }
 
 
-def _fan_out(build, batched):
-    """Start ``build``'s fan-out at t=1 and run until it completes.
+def _durations(value):
+    """The leg durations in an ``all_of`` value, nested ones included."""
+    if isinstance(value, dict):
+        return [d for v in value.values() for d in _durations(v)]
+    return [value]
 
-    Returns the solves it cost, the flows it added, every flow's rate
-    right after it, and when and with what durations its legs completed.
+
+def _fan_out(build, kernel):
+    """Start ``build``'s fan-out at t=1 on ``kernel`` and run until it
+    completes.
+
+    Returns the solves the instant cost, the flows it added, every flow's
+    rate once the instant ended, and when and with what durations its
+    legs completed.
     """
-    patch = (nullcontext() if batched else
-             mock.patch.object(Fabric, "batch", lambda self: nullcontext()))
-    with kernel_scope("fast"), patch:
+    with kernel_scope(kernel):
         env, fabric, start = build()
         obs = Observability(trace=False, metrics=False, profile=True)
         obs.install(env)
@@ -107,15 +126,18 @@ def _fan_out(build, batched):
         def solves():
             return obs.profiler.counters.get("maxmin.invocations", 0)
 
+        def instant_end(before, flows):
+            # Registered after the fabric's settle, so it runs after it.
+            out["solves"] = solves() - before
+            out["legs"] = fabric.active_flows - flows
+            out["rates"] = [fl.rate for fl in fabric._flows]
+
         def driver():
             yield env.timeout(1.0)
             before, flows = solves(), fabric.active_flows
             done = start()
-            out["solves"] = solves() - before
-            out["legs"] = fabric.active_flows - flows
-            out["rates"] = [fl.rate for fl in fabric._flows]
-            durations = yield done
-            out["done"] = (env.now, sorted(durations.values()))
+            env.at_instant_end(lambda: instant_end(before, flows))
+            out["done"] = (env.now, sorted(_durations((yield done))))
 
         env.run(until=env.process(driver()))
     return out
@@ -123,56 +145,113 @@ def _fan_out(build, batched):
 
 @pytest.mark.parametrize("site", sorted(FAN_OUTS))
 def test_fan_out_costs_one_solve_and_changes_nothing_else(site):
-    batched = _fan_out(FAN_OUTS[site], batched=True)
-    unbatched = _fan_out(FAN_OUTS[site], batched=False)
-    assert unbatched["solves"] == unbatched["legs"] > 1
-    assert batched["solves"] == 1
-    assert batched["legs"] == unbatched["legs"]
-    assert batched["rates"] == unbatched["rates"]
-    assert batched["done"] == unbatched["done"]
+    fast = _fan_out(FAN_OUTS[site], "fast")
+    eager = _fan_out(FAN_OUTS[site], "reference")
+    assert eager["solves"] == eager["legs"] > 1
+    assert fast["solves"] == 1
+    assert fast["legs"] == eager["legs"]
+    assert fast["rates"] == eager["rates"]
+    assert fast["done"] == eager["done"]
 
 
 def test_a_raising_leg_leaves_the_earlier_legs_with_rates():
     with kernel_scope("fast"):
         env, _, fabric, servers, client = _small_fabric()
+        legs = []
+
+        def fan_out():
+            legs.append(fabric.transfer(servers[1], client, 100.0, tag="x",
+                                        cause="x"))
+            fabric.transfer(servers[2], client, -1.0, tag="x", cause="x")
+            yield env.all_of(legs)
+
+        env.process(fan_out())
         with pytest.raises(ValueError, match="non-negative"):
-            with fabric.batch():
-                first = fabric.transfer(servers[1], client, 100.0, tag="x",
-                                        cause="x")
-                fabric.transfer(servers[2], client, -1.0, tag="x", cause="x")
-        # The background flow and the first leg split the client's NIC.
+            env.run()
+        # The run stopped inside the instant; reading settles it.  The
+        # background flow and the first leg split the client's NIC.
         assert [fl.rate for fl in fabric._flows] == [50.0, 50.0]
         env.run()
-    assert first.value == 2.0
-
-
-def test_only_the_outermost_batch_reshares():
-    with kernel_scope("fast"):
-        env, _, fabric, servers, client = _small_fabric()
-        with fabric.batch():
-            with fabric.batch():
-                fabric.transfer(servers[1], client, 100.0, tag="x", cause="x")
-            assert [fl.rate for fl in fabric._flows] == [100.0, 0.0]
-        assert [fl.rate for fl in fabric._flows] == [50.0, 50.0]
+    assert legs[0].value == 2.0
 
 
 def test_a_batch_that_adds_no_flow_does_not_reshare():
+    # Loopback, black-holed and zero-byte legs leave the flow set as it
+    # was: the instant asks for no settle and the wakeup stays armed.
     with kernel_scope("fast"):
         env, topo, fabric, servers, client = _small_fabric()
         obs = Observability(trace=False, metrics=True)
         obs.install(env)
-        topo.fail_host(servers[3])
+        env.run(until=1.0)
+        reshares = obs.metrics.counter("net.reshares").value
         wakeup = fabric._timer._pending
-        with fabric.batch():
-            loopback = fabric.transfer(client, client, 100.0, tag="x",
-                                       cause="x")
-            blackholed = fabric.transfer(servers[3], client, 100.0, tag="x",
-                                         cause="x")
-            empty = fabric.transfer(servers[1], client, 0.0, tag="x",
-                                    cause="x")
-        assert obs.metrics.counter("net.reshares").value == 0
+        topo.fail_host(servers[3])
+        loopback = fabric.transfer(client, client, 100.0, tag="x", cause="x")
+        blackholed = fabric.transfer(servers[3], client, 100.0, tag="x",
+                                     cause="x")
+        empty = fabric.transfer(servers[1], client, 0.0, tag="x", cause="x")
+        env.run(until=1.25)
+        assert obs.metrics.counter("net.reshares").value == reshares == 1
         assert fabric._timer._pending is wakeup
         assert fabric.active_flows == 1
         env.run()
     assert loopback.processed and empty.processed
     assert not blackholed.triggered
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_flow_dropped_in_its_first_instant_keeps_its_eager_rate(kernel):
+    with kernel_scope(kernel):
+        env, _, fabric, servers, client = _small_fabric()
+        legs = [fabric.transfer(s, client, 100.0, tag="x", cause="x")
+                for s in servers[1:3]]
+        assert fabric.cancel(legs[1])
+        # Three flows shared the client's NIC when the leg left.
+        assert legs[1].flow.rate == 100.0 / 3
+        assert [fl.rate for fl in fabric._flows] == [50.0, 50.0]
+
+
+def test_a_settle_pending_when_run_stops_is_taken_by_the_next_host_load():
+    with kernel_scope("fast"):
+        env, _, fabric, servers, client = _small_fabric()
+
+        def starter():
+            yield env.timeout(1.0)
+            return fabric.transfer(servers[1], client, 100.0, tag="x",
+                                   cause="x")
+
+        leg = env.run(until=env.process(starter()))
+        # run() stopped at t=1 before the instant ended: the leg has no
+        # rate in the table yet, and the first reader settles it.
+        assert fabric._settling
+        assert fabric.host_load(servers[1]) == (0.0, 50.0)
+        assert fabric.host_load(servers[0]) == (0.0, 50.0)
+        assert not fabric._settling
+        env.run()
+    # 50 B at 50 B/s, then the background flow is done at t=2 and the
+    # leg's last 50 B go at 100 B/s.
+    assert (env.now, leg.value) == (2.5, 1.5)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_wakeup_due_with_a_later_timeout_fires_first(kernel):
+    """The wakeup is armed at the number its transfer reserved, so it
+    sorts before a timeout scheduled after the transfer in the same
+    instant, although the settle that arms it runs later."""
+    with kernel_scope(kernel):
+        env = Environment()
+        topo = Topology()
+        src = topo.add_host("src", nic_out=1e6)
+        dst = topo.add_host("dst", nic_out=1e6)
+        fabric = Fabric(env, topo, latency=0.0)
+        done = fabric.transfer(src, dst, 1e6, tag="x", cause="x")
+        seen = []
+
+        def reader():
+            yield env.timeout(1.0)
+            seen.append((done.triggered, fabric.host_load(src)))
+
+        env.process(reader())
+        env.run()
+    # The flow finishes at exactly t=1.0, before the reader looks.
+    assert seen == [(True, (0.0, 0.0))]

@@ -6,7 +6,7 @@ crossover, and with a per-flow loop below it.  The reference oracle
 (``tests/differential/oracle.py``) runs the same table through per-flow
 loops at every count, with one meter credit per flow and running sums for
 ``host_load``.  Hypothesis drives both through random edit scripts —
-transfers, same-instant batches, cancels, host aborts, NIC degrade /
+transfers, same-instant fan-outs, cancels, host aborts, NIC degrade /
 restore and run-until steps — over 1-64 concurrent flows whose
 ``(src, dst, tag)`` keys repeat, so both sides of the crossover and the
 coalescing branch run.  After every step the per-flow rates, the
@@ -48,7 +48,7 @@ def scripts(draw):
     steps = draw(st.lists(
         st.one_of(
             _transfer,
-            st.tuples(st.just("batch"),
+            st.tuples(st.just("fan-out"),
                       st.lists(_transfer, min_size=1, max_size=24)),
             st.tuples(st.just("cancel"), st.integers(0, 200)),
             st.tuples(st.just("abort"), st.integers(0, N_HOSTS - 1)),
@@ -60,7 +60,7 @@ def scripts(draw):
         min_size=1, max_size=16,
     ))
     restore = [("restore", h) for h in range(N_HOSTS)]
-    return [("batch", start), *steps, *restore, ("run", 1e6)]
+    return [("fan-out", start), *steps, *restore, ("run", 1e6)]
 
 
 def _play(script) -> list:
@@ -85,10 +85,9 @@ def _play(script) -> list:
         kind = step[0]
         if kind == "transfer":
             transfer(step)
-        elif kind == "batch":
-            with fabric.batch():
-                for leg in step[1]:
-                    transfer(leg)
+        elif kind == "fan-out":
+            for leg in step[1]:
+                transfer(leg)
         elif kind == "cancel":
             log.append(("cancel", fabric.cancel(started[step[1] % len(started)])))
         elif kind == "abort":
