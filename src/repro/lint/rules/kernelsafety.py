@@ -25,11 +25,6 @@ dataflow upgrade adds two proof-backed rules:
     deliberate daemon with ``# simlint: daemon -- <why>`` (counted in
     the suppression budget like any other pragma).
 
-``K405`` is syntactic again: a ``yield``, ``yield from`` or ``await`` in
-the body of ``with <x>.batch():`` (nested defs and lambdas aside).  A
-fabric batch defers its flows' rates to the block's exit, so the body
-must start its legs and leave; the wait goes after the block.
-
 Decorated generators (``@contextmanager``, ``@pytest.fixture``,
 ``@property``) are not kernel processes and are exempt.
 """
@@ -63,9 +58,6 @@ _HINT_YIELD = ("kernel processes may only yield Event objects (timeouts, "
 _HINT_FLOW = ("every definition reaching this yield is a plain value, not "
               "an Event; yield the result of env.timeout/env.process/"
               "fabric.transfer or another Event factory")
-_HINT_BATCH = ("start the legs inside the batch and wait after it: "
-               "'with fabric.batch(): legs = [...]', then "
-               "'yield env.all_of(legs)'")
 _HINT_SPAWN = ("bind the returned Process (and later yield it) so failures "
                "propagate, or tag a deliberate fire-and-forget with "
                "'# simlint: daemon -- <reason>'")
@@ -88,7 +80,6 @@ def check(ctx: FileContext) -> list[Finding]:
     out: list[Finding] = []
     for fn in iter_function_defs(ctx.tree):
         out.extend(_check_discarded_spawns(ctx, fn))
-        out.extend(_check_batch_yields(ctx, fn))
         yields = own_yields(fn)
         if not yields:
             continue
@@ -209,42 +200,6 @@ def _check_discarded_spawns(ctx: FileContext,
             node, "K404",
             f"spawned process '{dotted}(...)' is neither awaited nor "
             f"daemon-tagged", _HINT_SPAWN).with_witness(witness))
-    return out
-
-
-def _batch_receiver(expr: ast.expr) -> str | None:
-    """``x`` when ``expr`` is the call ``x.batch()``, else ``None``."""
-    if not (isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "batch"):
-        return None
-    chain = attr_chain(expr.func)
-    return ".".join(chain[:-1]) if chain is not None else "<expr>"
-
-
-def _check_batch_yields(ctx: FileContext,
-                        fn: ast.FunctionDef) -> list[Finding]:
-    """K405: a yield or await inside ``with <x>.batch():``."""
-    flagged: dict[ast.expr, str] = {}  # each wait once, under nested batches
-    for node in walk_own(fn.body):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        receivers = [_batch_receiver(item.context_expr) for item in node.items]
-        receiver = next((r for r in receivers if r is not None), None)
-        if receiver is None:
-            continue
-        for inner in walk_own(node.body):
-            if isinstance(inner, (ast.Yield, ast.YieldFrom, ast.Await)):
-                flagged.setdefault(inner, receiver)
-    out: list[Finding] = []
-    for wait, receiver in flagged.items():
-        word = ("yield from" if isinstance(wait, ast.YieldFrom)
-                else "await" if isinstance(wait, ast.Await) else "yield")
-        out.append(ctx.finding(
-            wait, "K405",
-            f"'{word}' inside 'with {receiver}.batch():' in '{fn.name}'; "
-            f"the batch's flows have no rate until the block exits",
-            _HINT_BATCH))
     return out
 
 

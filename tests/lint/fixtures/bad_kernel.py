@@ -1,5 +1,5 @@
 # simlint: module=repro.core.fixture
-"""Real I/O, literal yields and waits inside a fabric batch: K rules fire."""
+"""Real I/O and literal yields inside process generators: K rules fire."""
 
 
 def leaky_process(env, path):
@@ -13,9 +13,3 @@ def leaky_process(env, path):
 
 def stuck_process(env):
     yield
-
-
-def batched_wait(env, fabric, src, dst):
-    with fabric.batch():
-        leg = fabric.transfer(src, dst, 100, tag="memory", cause="memory")
-        yield leg

@@ -28,7 +28,7 @@ BAD_CASES = [
     ("bad_hosttime.py", "D", {"D103", "D104"}),
     ("bad_floattaint.py", "F", {"F601", "F602", "F603"}),
     ("bad_causetags.py", "C", {"C301", "C302", "C303"}),
-    ("bad_kernel.py", "K", {"K401", "K402", "K405"}),
+    ("bad_kernel.py", "K", {"K401", "K402"}),
     ("bad_kernelflow.py", "K", {"K403", "K404"}),
     ("bad_probe.py", "P", {"P701", "P702", "P703"}),
     ("bad_structure.py", "S", {"S501"}),
@@ -188,29 +188,3 @@ def test_flag_alias_opens_a_probe_block():
     source = (FIXTURES / "bad_probe.py").read_text().splitlines()
     stores = [source[f.line - 1] for f in result.findings if f.rule == "P701"]
     assert any("flag-alias guard" in line for line in stores)
-
-
-def test_k405_flags_every_wait_in_a_batch_once(tmp_path):
-    # yield, yield from and await all count, a wait under nested batches
-    # is one finding, and nested defs and lambdas are their own scopes.
-    snippet = tmp_path / "snippet.py"
-    snippet.write_text(
-        "# simlint: module=repro.core.fixture\n"
-        "def body(env, fabric, legs):\n"
-        "    with fabric.batch():\n"
-        "        with env.fabric.batch():\n"
-        "            yield env.timeout(1)\n"
-        "        yield from legs\n"
-        "        def later():\n"
-        "            yield env.timeout(1)\n"
-        "        wait = lambda: (yield)\n"
-        "    yield env.all_of(legs)\n"
-        "async def waiter(fabric, ev):\n"
-        "    with fabric.batch():\n"
-        "        await ev\n"
-    )
-    result = lint_paths([str(snippet)], rules=["K405"])
-    assert [(f.rule, f.line) for f in result.findings] == [
-        ("K405", 5), ("K405", 6), ("K405", 13)]
-    assert "'yield from' inside 'with fabric.batch():'" in (
-        result.findings[1].message)
