@@ -29,7 +29,8 @@ RESOURCE_GROUPS = {
 
 
 def parse_what_if(spec: str) -> "tuple[str, Fraction | _Inf]":
-    """``"NIC=2"`` → ``("nic", Fraction(2))``; ``"X=inf"`` allowed."""
+    """``"NIC=2"`` → ``("nic", Fraction(2))``; ``"X=inf"`` allowed.  The
+    factor is read exactly: ``"1.1"`` is ``Fraction(11, 10)``."""
     if "=" not in spec:
         raise ValueError(
             f"what-if spec {spec!r} must look like RESOURCE=FACTOR"
@@ -42,8 +43,8 @@ def parse_what_if(spec: str) -> "tuple[str, Fraction | _Inf]":
     if factor_s in ("inf", "infinity"):
         return res, _INF
     try:
-        factor = Fraction(float(factor_s))
-    except (ValueError, OverflowError) as exc:
+        factor = Fraction(factor_s)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad what-if factor in {spec!r}") from exc
     if factor <= 0:
         raise ValueError(f"what-if factor must be positive in {spec!r}")

@@ -296,7 +296,10 @@ class TestWhatIf:
     def test_parse_specs(self):
         assert parse_what_if("NIC=2") == ("NIC", Fraction(2))
         assert parse_what_if("net.push=1.5") == ("net.push", Fraction(1.5))
-        for bad in ("nic", "=2", "nic=0", "nic=-1", "nic=zoom"):
+        # The decimal itself, not the nearest binary float.
+        assert parse_what_if("nic=1.1") == ("nic", Fraction(11, 10))
+        for bad in ("nic", "=2", "nic=0", "nic=-1", "nic=zoom", "nic=nan",
+                    "nic=1/0"):
             with pytest.raises(ValueError):
                 parse_what_if(bad)
 
