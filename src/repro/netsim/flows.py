@@ -113,8 +113,7 @@ class NetFlow:
         fabric = self._fabric
         if fabric is None:
             return self._rate
-        if fabric._settling:
-            fabric._settle()
+        fabric._settle()
         return fabric._rate.item(fabric._slot(self))
 
     @property
@@ -230,8 +229,7 @@ class Fabric:
 
     def flow_rates(self) -> dict[str, float]:
         """Snapshot ``{src->dst/tag: rate}`` for diagnostics."""
-        if self._settling:
-            self._settle()
+        self._settle()
         rates = self._rate[:self._n].tolist()
         return {
             f"{fl.src.name}->{fl.dst.name}/{fl.tag}": rate
@@ -246,8 +244,7 @@ class Fabric:
         ``np.bincount`` adds each host's rates in arrival order, one at a
         time, as a running sum over the flows would.
         """
-        if self._settling:
-            self._settle()
+        self._settle()
         n = self._n
         if not n:
             return 0.0, 0.0
@@ -261,8 +258,7 @@ class Fabric:
                                  dict[Host, float]]:
         """The standing rates summed per tag, per source host and per
         destination host, over the tags and hosts that carry a flow."""
-        if self._settling:
-            self._settle()
+        self._settle()
         n = self._n
         rate = self._rate[:n]
         tags = sorted(set(self._key_tag))
@@ -476,9 +472,8 @@ class Fabric:
         """Take the flows at ascending ``rows`` out of the table, keeping
         the rest in arrival order; their handles keep their last rate and
         remaining bytes.  Returns their accounted bytes, row by row."""
-        if self._settling:
-            # The handles keep the rate a settle at the last change set.
-            self._settle()
+        # The handles keep the rates a settle after the last change gives.
+        self._settle()
         n = self._n
         flows = self._flows
         rate = self._rate
@@ -700,8 +695,8 @@ class Fabric:
             self.env.at_instant_end(self._settle)
 
     def _settle(self) -> None:
-        """Reshare and re-arm for the changes of this instant, if a rate
-        reader has not already."""
+        """Reshare and re-arm for the changes of this instant, unless that
+        is done; every reader of the rates calls it first."""
         if self._settling:
             self._settling = False
             self._recompute()
