@@ -9,9 +9,11 @@ loops at every count, with one meter credit per flow and running sums for
 transfers, same-instant fan-outs, cancels, host aborts, NIC degrade /
 restore and run-until steps — over 1-64 concurrent flows whose
 ``(src, dst, tag)`` keys repeat, so both sides of the crossover and the
-coalescing branch run.  After every step the per-flow rates, the
-``host_load`` of every host and ``meter.by_pair()`` must be equal with
-``==``, and so must every completion time.
+coalescing branch run.  After every step ``meter.by_pair()``, and after a
+drawn subset of steps the per-flow rates and the ``host_load`` of every
+host, must be equal with ``==``, and so must every completion time.  A
+step whose rates nobody reads leaves its changes to be settled with the
+instant's later ones, which the reference settles one by one.
 """
 
 from hypothesis import given, settings
@@ -39,13 +41,14 @@ _transfer = st.tuples(
 
 @st.composite
 def scripts(draw):
-    """A start of 1-64 transfers, a mix of edit steps, then every host
-    restored and the flows run to completion."""
+    """A start of 1-64 transfers, a mix of edit steps, each drawn with
+    whether its rates are read after it, then every host restored and
+    the flows run to completion."""
     # Draw the count first, so that tables above the crossover are as
     # likely as tables below it.
     n_start = draw(st.integers(1, 64))
     start = draw(st.lists(_transfer, min_size=n_start, max_size=n_start))
-    steps = draw(st.lists(
+    steps = draw(st.lists(st.tuples(
         st.one_of(
             _transfer,
             st.tuples(st.just("fan-out"),
@@ -57,10 +60,10 @@ def scripts(draw):
             st.tuples(st.just("restore"), st.integers(0, N_HOSTS - 1)),
             st.tuples(st.just("run"), st.floats(0.01, 40.0)),
         ),
-        min_size=1, max_size=16,
-    ))
-    restore = [("restore", h) for h in range(N_HOSTS)]
-    return [("fan-out", start), *steps, *restore, ("run", 1e6)]
+        st.booleans(),  # read the rates after the step
+    ), min_size=1, max_size=16))
+    restore = [(("restore", h), True) for h in range(N_HOSTS)]
+    return [(("fan-out", start), True), *steps, *restore, (("run", 1e6), True)]
 
 
 def _play(script) -> list:
@@ -81,7 +84,7 @@ def _play(script) -> list:
         ev.callbacks.append(lambda _ev: log.append(("done", i, env.now)))
         started.append(ev)
 
-    for step in script:
+    for step, observe in script:
         kind = step[0]
         if kind == "transfer":
             transfer(step)
@@ -100,8 +103,9 @@ def _play(script) -> list:
             fabric.sync()
         else:
             env.run(until=env.now + step[1])
-        log.append(("rates", env.now, [fl.rate for fl in fabric._flows]))
-        log.append(("load", [fabric.host_load(h) for h in hosts]))
+        if observe:
+            log.append(("rates", env.now, [fl.rate for fl in fabric._flows]))
+            log.append(("load", [fabric.host_load(h) for h in hosts]))
         log.append(("meter", fabric.meter.by_pair()))
     return log
 
