@@ -14,10 +14,10 @@ explicit constraints is its test-side reference
 :class:`IncrementalMaxMin` sits on top of :func:`maxmin_single_switch`
 and keeps the water-filling solution alive across recomputations:
 repeated flow signatures return memoized rates, and fresh signatures are
-solved on the *touched-host subgraph* only.  Both shortcuts are
-constructed to be bitwise identical to a from-scratch solve — the
-differential harness (``tests/differential``) and the hypothesis edit
-scripts (``tests/netsim/test_incremental_maxmin.py``) hold it to that.
+solved from scratch on the full host arrays.  A memoized solution is the
+one a fresh solve would return, bit for bit — the differential harness
+(``tests/differential``) and the hypothesis edit scripts
+(``tests/netsim/test_incremental_maxmin.py``) hold it to that.
 """
 
 from __future__ import annotations
@@ -53,17 +53,16 @@ def maxmin_single_switch(
 
     Mathematically identical to building the explicit constraints and
     running progressive filling, but uses ``np.bincount`` over hosts so
-    a rate recomputation costs O(F + H) per water-filling round — this
-    runs on every flow arrival/departure, so it is the simulator's
-    hottest path.
+    a rate recomputation costs O(F + H) per water-filling round — the
+    fabric's settle runs it on every flow set the memo has not seen, so
+    it is the simulator's hottest path.
 
     When ``stats`` is given, ``stats["rounds"]`` and
     ``stats["links_visited"]`` are incremented with the number of
     water-filling rounds and the total capacity constraints examined
-    (2 per host NIC pair, 1 backplane, per round) — the work an
-    incremental dirty-link recompute would avoid.  Collecting them is
-    pure integer arithmetic on already-known sizes, so passing ``stats``
-    never changes the returned rates.
+    (2 per host in the arrays, 1 backplane, per round).  Collecting them
+    is pure integer arithmetic on already-known sizes, so passing
+    ``stats`` never changes the returned rates.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = weights.shape[0]
@@ -126,38 +125,27 @@ class IncrementalMaxMin:
     """Incremental driver for :func:`maxmin_single_switch` over a live
     :class:`~repro.netsim.topology.Topology`.
 
-    The fabric recomputes rates on every flow arrival/departure, but a
-    migration oscillates between a handful of flow sets (push batch in
-    flight / drained, the memory stream joining and leaving, a prefetch
-    train), so most recomputations repeat a recently seen problem.  Two
-    layers exploit that without changing a single output bit:
+    The fabric recomputes rates once per simulated instant in which its
+    flows or the capacities changed, but a migration oscillates between
+    a handful of flow sets (push batch in flight / drained, the memory
+    stream joining and leaving, a prefetch train), so most
+    recomputations repeat a recently seen problem.  A **solution memo**
+    exploits that without changing a single output bit: an LRU keyed on
+    ``(capacity signature, flow signature)``.  The capacity signature is
+    the byte content of every solver capacity input (NIC arrays and
+    backplane), recomputed whenever ``topology.version`` changes: every
+    capacity-affecting mutation (degrade, restore, backplane change, host
+    added) bumps the version, so a fault instantly invalidates every
+    cached solution — serving a stale rate across a fault is the bug the
+    fault-path regression tests exist to catch.  Keying on *content*
+    rather than the version itself means a restore (degrade undone)
+    returns to the pre-fault signature and the pre-fault solutions
+    become valid again — which they are, exactly: same inputs, same
+    output.
 
-    1. **Solution memo** — an LRU keyed on
-       ``(capacity signature, flow signature)``.  The capacity signature
-       is the byte content of every solver capacity input (NIC arrays
-       and backplane), recomputed whenever ``topology.version``
-       changes: every capacity-affecting mutation (degrade, restore,
-       backplane change, host added) bumps the version, so a fault
-       instantly invalidates every cached solution — serving a stale
-       rate across a fault is the bug the fault-path regression tests
-       exist to catch.  Keying on *content* rather than
-       the version itself means a restore (degrade undone) returns to
-       the pre-fault signature and the pre-fault solutions become valid
-       again — which they are, exactly: same inputs, same output.
-    2. **Touched-host compaction** — a fresh signature is solved on the
-       subgraph of hosts that actually carry flows.  A host with no
-       member flows contributes zero active weight (its per-round
-       increment is ``+inf``, never the global minimum) and zero load
-       (its NICs never saturate, so it never freezes anyone), so deleting
-       it from the solve leaves every round's increment, freeze set and
-       float accumulation order untouched: the compacted solve is
-       float-for-float the from-scratch solve.  The backplane is kept
-       whole.
-
-    The memo stores solver *outputs* and the compaction is exact, so
-    ``solve`` is bitwise identical to calling
-    :func:`maxmin_single_switch` on the full host arrays — the invariant
-    the differential tests pin down.
+    The memo stores solver *outputs*, so ``solve`` is bitwise identical
+    to calling :func:`maxmin_single_switch` on the full host arrays —
+    the invariant the differential tests pin down.
     """
 
     def __init__(self, topology: "Topology") -> None:
@@ -192,10 +180,10 @@ class IncrementalMaxMin:
         """Weighted max-min rates for flows ``srcs[i] -> dsts[i]``.
 
         Returns a read-only array (memo hits alias the cached solution).
-        ``stats`` (when given) accumulates ``memo_hits``, ``solves``,
-        ``hosts_solved`` plus the ``rounds``/``links_visited`` counters
-        of the underlying solver — real solves only, which is exactly
-        what makes the incremental win measurable.
+        ``stats`` (when given) accumulates ``memo_hits``, ``solves`` and
+        the ``rounds``/``links_visited`` counters of the underlying
+        solver — real solves only, which is exactly what makes the memo's
+        win measurable.
         """
         weights = np.asarray(weights, dtype=np.float64)
         srcs = np.asarray(srcs, dtype=np.intp)
@@ -213,19 +201,8 @@ class IncrementalMaxMin:
                 stats["memo_hits"] = stats.get("memo_hits", 0) + 1
             return hit
 
-        nic_out = topo.nic_out_array()
-        nic_in = topo.nic_in_array()
-        touched = np.unique(np.concatenate((srcs, dsts)))
-        if touched.size < nic_out.shape[0]:
-            solve_srcs = np.searchsorted(touched, srcs)
-            solve_dsts = np.searchsorted(touched, dsts)
-            solve_out = nic_out[touched]
-            solve_in = nic_in[touched]
-        else:
-            solve_srcs, solve_dsts = srcs, dsts
-            solve_out, solve_in = nic_out, nic_in
         rates = maxmin_single_switch(
-            weights, solve_srcs, solve_dsts, solve_out, solve_in,
+            weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
             topo.backplane, stats=stats,
         )
         rates.flags.writeable = False
@@ -234,7 +211,4 @@ class IncrementalMaxMin:
             self._memo.popitem(last=False)
         if stats is not None:
             stats["solves"] = stats.get("solves", 0) + 1
-            stats["hosts_solved"] = (
-                stats.get("hosts_solved", 0) + int(touched.size)
-            )
         return rates

@@ -16,12 +16,13 @@ when a rate is read.
 The in-flight flows form a struct-of-arrays table: ``Fabric._flows`` lists
 the :class:`NetFlow` handles in arrival order, aligned with the first
 ``n`` columns of one float table (weight, remaining, rate, accounted) and
-one integer table (arrival number, source, destination, group key, meter
-cell).  Each step is a few whole-array operations that repeat the per-flow
-scalar arithmetic element by element, so results are bit-identical to a
-loop over the flows.  Up to :data:`_LOOP_MAX` flows, steps 1 and 3 run as
-that loop instead: numpy's per-call cost would outweigh the arithmetic.
-``docs/architecture.md`` §2 gives the exactness rules.
+one integer table (arrival number, source, destination, meter cell).
+Step 2 hands the weight, source and destination columns to the solver, one
+variable per flow.  Steps 1 and 3 are a few whole-array operations that
+repeat the per-flow scalar arithmetic element by element, so results are
+bit-identical to a loop over the flows.  Up to :data:`_LOOP_MAX` flows they
+run as that loop instead: numpy's per-call cost would outweigh the
+arithmetic.  ``docs/architecture.md`` §2 gives the exactness rules.
 
 This makes interference between memory migration, storage push/pull,
 repository fetches and guest remote I/O fully emergent: they are just flows
@@ -80,7 +81,7 @@ class NetFlow:
     """
 
     __slots__ = ("src", "dst", "tag", "cause", "weight", "nbytes", "done",
-                 "started_at", "_fabric", "_arrival", "_key", "_cell", "_rate",
+                 "started_at", "_fabric", "_arrival", "_cell", "_rate",
                  "_remaining")
 
     def __init__(
@@ -103,7 +104,7 @@ class NetFlow:
         self.started_at = env.now
         #: The fabric whose table holds the flow, while it is in flight.
         #: Joining a table also sets ``_arrival`` (the table is sorted on
-        #: it), ``_key`` and ``_cell``, copies of the flow's row.
+        #: it) and ``_cell``, copies of the flow's row.
         self._fabric: Optional[Fabric] = None
         self._rate = 0.0
         self._remaining = self.nbytes
@@ -165,28 +166,13 @@ class Fabric:
         self._arrivals = 0
         self._cap = 8
         self._ftab = np.zeros((4, self._cap))
-        self._itab = np.zeros((5, self._cap), dtype=np.intp)
+        self._itab = np.zeros((4, self._cap), dtype=np.intp)
         self._bind_rows()
-        #: Group keys: one per (src index, dst index, tag), with the
-        #: number of live flows on each; ``_shared_keys`` counts the keys
-        #: holding two or more, so zero means no grouping work.
-        self._key_ids: dict[tuple[int, int, str], int] = {}
-        #: ``(group key, meter cell)`` per (src index, dst index, tag, cause).
-        self._ids: dict[tuple[int, int, str, str], tuple[int, int]] = {}
-        self._key_live: list[int] = []
-        self._key_tag: list[str] = []
-        self._shared_keys = 0
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
         self._cause_override: list[str] = []
-        #: Memoized, touched-host-compacted max-min solver.
+        #: Memoized max-min solver.
         self._maxmin = IncrementalMaxMin(topology)
-        #: Dirty-link tracking: set when the flow set changes, checked
-        #: together with ``topology.version`` so a clean ``_recompute``
-        #: (fault-driven ``sync()``, wakeups with no completions) is a
-        #: no-op — the standing rates are still the solution.
-        self._dirty = True
-        self._topo_version_seen = -1
         #: A settle is registered for this instant and not yet run, and
         #: the sequence number reserved for the wakeup it will arm.
         self._settling = False
@@ -195,7 +181,7 @@ class Fabric:
     def _bind_rows(self) -> None:
         """Name the table rows (views, rebound when the tables grow)."""
         self._weight, self._remaining, self._rate, self._accounted = self._ftab
-        self._arrival, self._src, self._dst, self._key, self._cell = self._itab
+        self._arrival, self._src, self._dst, self._cell = self._itab
 
     @contextmanager
     def cause_scope(self, cause: str):
@@ -227,15 +213,6 @@ class Fabric:
     def active_flows(self) -> int:
         return self._n
 
-    def flow_rates(self) -> dict[str, float]:
-        """Snapshot ``{src->dst/tag: rate}`` for diagnostics."""
-        self._settle()
-        rates = self._rate[:self._n].tolist()
-        return {
-            f"{fl.src.name}->{fl.dst.name}/{fl.tag}": rate
-            for fl, rate in zip(self._flows, rates)
-        }
-
     def host_load(self, host: Host) -> tuple[float, float]:
         """Current (ingress, egress) flow rates touching ``host`` in bytes/s.
 
@@ -261,12 +238,12 @@ class Fabric:
         self._settle()
         n = self._n
         rate = self._rate[:n]
-        tags = sorted(set(self._key_tag))
+        cell_tags = self.meter.cell_tags()
+        tags = sorted(set(cell_tags))
         tag_no = {tag: i for i, tag in enumerate(tags)}
-        key_tag = np.array([tag_no[tag] for tag in self._key_tag],
-                           dtype=np.intp)
+        cell_tag = np.array([tag_no[tag] for tag in cell_tags], dtype=np.intp)
         hosts = self.topology.hosts
-        return (_label_sums(key_tag[self._key[:n]], rate, tags),
+        return (_label_sums(cell_tag[self._cell[:n]], rate, tags),
                 _label_sums(self._src[:n], rate, hosts),
                 _label_sums(self._dst[:n], rate, hosts))
 
@@ -323,7 +300,6 @@ class Fabric:
                  tag=tag, cause=cause, src=src.name, dst=dst.name)
         self._advance()
         self._admit(flow)
-        self._dirty = True
         self._request_settle()
         return flow.done
 
@@ -374,7 +350,6 @@ class Fabric:
         if flow._fabric is not self:
             return False  # crossed the finish line at the integration step
         self._drop([self._slot(flow)])
-        self._dirty = True
         p = self.env.probe
         if p.enabled:
             p.flow_cancelled(flow)
@@ -395,7 +370,6 @@ class Fabric:
         if not doomed.size:
             return 0
         self._drop(doomed.tolist())
-        self._dirty = True
         p = self.env.probe
         if p.enabled:
             p.flows_aborted(host, int(doomed.size))
@@ -419,16 +393,7 @@ class Fabric:
     # -- the flow table --------------------------------------------------------
     def _admit(self, flow: NetFlow) -> None:
         """Append ``flow`` as the table's last row."""
-        src = flow.src.index
-        dst = flow.dst.index
-        ids = self._ids.get((src, dst, flow.tag, flow.cause))
-        if ids is None:
-            ids = self._new_ids(flow)
-        key, cell = ids
-        live = self._key_live[key]
-        self._key_live[key] = live + 1
-        if live == 1:
-            self._shared_keys += 1
+        cell = self.meter.cell(flow.tag, flow.cause)
         n = self._n
         if n == self._cap:
             self._cap *= 2
@@ -438,31 +403,17 @@ class Fabric:
         self._arrivals += 1
         flow._fabric = self
         flow._arrival = self._arrivals
-        flow._key = key
         flow._cell = cell
         self._weight[n] = flow.weight
         self._remaining[n] = flow.nbytes
         self._rate[n] = 0.0
         self._accounted[n] = 0.0
         self._arrival[n] = self._arrivals
-        self._src[n] = src
-        self._dst[n] = dst
-        self._key[n] = key
+        self._src[n] = flow.src.index
+        self._dst[n] = flow.dst.index
         self._cell[n] = cell
         self._flows.append(flow)
         self._n = n + 1
-
-    def _new_ids(self, flow: NetFlow) -> tuple[int, int]:
-        """Group key and meter cell of a new (src, dst, tag, cause)."""
-        group = (flow.src.index, flow.dst.index, flow.tag)
-        key = self._key_ids.get(group)
-        if key is None:
-            key = self._key_ids[group] = len(self._key_live)
-            self._key_live.append(0)
-            self._key_tag.append(flow.tag)
-        ids = key, self.meter.cell(flow.tag, flow.cause)
-        self._ids[group + (flow.cause,)] = ids
-        return ids
 
     def _slot(self, flow: NetFlow) -> int:
         """Table row of the in-flight ``flow``."""
@@ -479,7 +430,6 @@ class Fabric:
         rate = self._rate
         remaining = self._remaining
         accounted = self._accounted
-        live = self._key_live
         accs = []
         for i in rows:
             fl = flows[i]
@@ -487,10 +437,6 @@ class Fabric:
             fl._rate = rate.item(i)
             fl._remaining = remaining.item(i)
             accs.append(accounted.item(i))
-            left = live[fl._key] - 1
-            live[fl._key] = left
-            if left == 1:
-                self._shared_keys -= 1
         # Slide each run of kept rows behind a leaving row down over the
         # gap: rows leaving at the end move nothing.
         write = rows[0]
@@ -520,7 +466,6 @@ class Fabric:
             finished = self._integrate(dt)
             if not finished:
                 return
-            self._dirty = True
             gone = [self._flows[i] for i in finished]
             for fl, acc in zip(gone, self._drop(finished)):
                 # Credit any residual rounding so accounting is exact.
@@ -576,70 +521,26 @@ class Fabric:
         return done.tolist()
 
     def _recompute(self) -> None:
+        """Solve weighted max-min over the table, one variable per flow,
+        and write the rate column."""
         p = self.env.probe
         n = self._n
         if p.enabled:
             p.fabric_reshare(n)
-        topo = self.topology
         if not n:
-            self._dirty = False
-            self._topo_version_seen = topo.version
-            return
-        if not self._dirty and self._topo_version_seen == topo.version:
-            # Same flow set, same capacities: the standing rates are still
-            # the max-min solution.  The dirty flag is driven by every
-            # mutation path (transfer/cancel/abort/completion) and the
-            # topology epoch by every fault hook, so skipping here can
-            # never serve a stale rate — tests/faults/test_fault_
-            # invalidation.py holds that line.
-            if p.enabled:
-                p.maxmin_cache_hit()
             return
         # The solver's stats out-param (kept only while profiling).
         stats = None
         if p.enabled:
             stats = p.fabric_recompute(n)
         try:
-            self._share(stats)
+            self._rate[:n] = self._maxmin.solve(
+                self._weight[:n], self._src[:n], self._dst[:n], stats=stats)
             if p.enabled:
                 p.fabric_rates(self)
-            self._dirty = False
-            self._topo_version_seen = topo.version
         finally:
             if stats is not None:
                 p.fabric_recompute_end(stats)
-
-    def _share(self, stats: Optional[dict]) -> None:
-        """Solve weighted max-min over the table and write the rate column.
-
-        Same-(src, dst, traffic-class) flows coalesce into one solver
-        variable of the summed weight.  Members of such a group cross
-        *identical* constraint sets, so under weighted max-min they rise
-        and freeze together and the group allocation splits proportionally
-        to member weights — the coalesced solve is mathematically the
-        per-flow solve, at a fraction of the variable count.  Groups are
-        ordered by first appearance; ``np.bincount`` sums each group's
-        weights sequentially from its first member's, and a lone member's
-        share ``w / w`` is exactly 1.0.
-        """
-        n = self._n
-        src = self._src[:n]
-        dst = self._dst[:n]
-        weight = self._weight[:n]
-        if not self._shared_keys:
-            self._rate[:n] = self._maxmin.solve(weight, src, dst, stats=stats)
-            return
-        _, first, inverse = np.unique(self._key[:n], return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        group = rank[inverse]
-        heads = first[order]
-        group_w = np.bincount(group, weight)
-        rates = self._maxmin.solve(group_w, src[heads], dst[heads],
-                                   stats=stats)
-        self._rate[:n] = rates[group] * (weight / group_w[group])
 
     def _next_eta(self) -> Optional[float]:
         """Seconds until the first flow finishes at the standing rates,

@@ -68,6 +68,10 @@ class TrafficMeter:
         self._values.append(0.0)
         return c
 
+    def cell_tags(self) -> list[str]:
+        """The tag of every accumulator, indexed by cell."""
+        return [tag for tag, _cause in self._keys]
+
     def add(self, tag: str, nbytes: float, cause: Optional[str] = None) -> None:
         """Credit ``nbytes`` to ``tag``, attributed to ``cause``."""
         # Chained comparisons are False for NaN as well as out of range.

@@ -264,10 +264,6 @@ class Probe:
             self.metrics.gauge("net.active_flows").set(n_flows)
             self._count("net.reshares")
 
-    def maxmin_cache_hit(self) -> None:
-        if self.profiler is not None:
-            self.profiler.count("maxmin.cache_hits")
-
     def fabric_recompute(self, n_flows: int) -> Optional[dict]:
         """A max-min solve starts.  Returns the solver's stats out-param
         when profiling; hand it back to :meth:`fabric_recompute_end`."""

@@ -1,30 +1,32 @@
 """The reference oracle: the simulator with every fast path swapped out.
 
 Production runs one scheduler and one solver.  The oracle is the same
-simulator with five production pieces replaced by their obvious,
+simulator with four production pieces replaced by their obvious,
 from-scratch forms:
 
 1. ``Environment._schedule`` pushes every event through the binary heap
    (production sends zero-delay events to per-priority now-buckets);
 2. the fabric's solver class, ``repro.netsim.flows.IncrementalMaxMin``,
    becomes :class:`ReferenceMaxMin`, a water-filling solve on the full
-   host arrays (no memo, no touched-host compaction);
-3. ``Fabric._recompute`` marks the fabric dirty first, so it re-solves on
-   every call (production skips a clean recompute);
-4. ``Fabric._request_settle`` reserves the wakeup's sequence number and
+   host arrays at every call (no memo);
+3. ``Fabric._request_settle`` reserves the wakeup's sequence number and
    settles at once, so every transfer, cancel, abort, sync and wakeup
    reshares and re-arms on its own (production settles once per
    simulated instant);
-5. the fabric's flow-table arithmetic (``_integrate``, ``_share``,
-   ``_next_eta`` and ``host_load``) runs as a per-flow loop over the
-   table at every flow count, with one ``TrafficMeter.credit_cell`` per
-   flow (production uses whole-array operations above a crossover).
+4. the fabric's flow-table arithmetic (``_integrate``, ``_next_eta`` and
+   ``host_load``) runs as a per-flow loop over the table at every flow
+   count, with one ``TrafficMeter.credit_cell`` per flow (production
+   uses whole-array operations above a crossover).
+
+``Fabric._recompute`` needs no reference form: it hands the table's
+per-flow arrays to the solver in one call, which is already the obvious
+form.
 
 It also keeps the generic max-min solver, progressive filling over
 explicit :class:`Constraint` objects, which ``tests/netsim/test_fairness.py``
 compares the production single-switch solver against.
 
-Inside ``kernel_scope("reference")`` all five swaps are in force;
+Inside ``kernel_scope("reference")`` all four swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
 events in the identical ``(time, priority, seq)`` order and produce
 bitwise-identical rates, which ``test_differential.py`` checks scenario
@@ -190,15 +192,6 @@ def progressive_filling(
     return rates
 
 
-_production_recompute = Fabric._recompute
-
-
-def _reference_recompute(self: Fabric) -> None:
-    """Never take the clean-recompute skip."""
-    self._dirty = True
-    _production_recompute(self)
-
-
 def _eager_request_settle(self: Fabric) -> None:
     """Settle at every change instead of once per instant: reserve the
     wakeup's number, solve and arm at once, so the rates and the wakeup
@@ -226,36 +219,6 @@ def _reference_integrate(self: Fabric, dt: float) -> list[int]:
             remaining[i] = 0.0
             finished.append(i)
     return finished
-
-
-def _reference_share(self: Fabric, stats: dict | None) -> None:
-    """Group same-(src, dst, tag) flows through a dict, in flow order."""
-    group_of: dict[tuple[int, int, str], int] = {}
-    srcs: list[int] = []
-    dsts: list[int] = []
-    weights: list[float] = []
-    members: list[list[int]] = []
-    for i, fl in enumerate(self._flows):
-        key = (fl.src.index, fl.dst.index, fl.tag)
-        g = group_of.get(key)
-        if g is None:
-            group_of[key] = len(srcs)
-            srcs.append(fl.src.index)
-            dsts.append(fl.dst.index)
-            weights.append(fl.weight)
-            members.append([i])
-        else:
-            weights[g] += fl.weight
-            members[g].append(i)
-    rates = self._maxmin.solve(np.array(weights), np.array(srcs, dtype=np.intp),
-                               np.array(dsts, dtype=np.intp), stats=stats)
-    for g, rows in enumerate(members):
-        rate = float(rates[g])
-        if len(rows) == 1:
-            self._rate[rows[0]] = rate
-        else:
-            for i in rows:
-                self._rate[i] = rate * (self._flows[i].weight / weights[g])
 
 
 def _reference_next_eta(self: Fabric) -> float | None:
@@ -286,10 +249,8 @@ def _reference_host_load(self: Fabric, host: Host) -> tuple[float, float]:
 _SWAPS = (
     (Environment, "_schedule", _reference_schedule),
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
-    (Fabric, "_recompute", _reference_recompute),
     (Fabric, "_request_settle", _eager_request_settle),
     (Fabric, "_integrate", _reference_integrate),
-    (Fabric, "_share", _reference_share),
     (Fabric, "_next_eta", _reference_next_eta),
     (Fabric, "host_load", _reference_host_load),
 )

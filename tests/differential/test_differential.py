@@ -3,11 +3,11 @@
 ``oracle.kernel_scope`` runs code on one of two kernels:
 
 * ``fast`` — the production simulator: bucketed same-tick scheduling,
-  incremental max-min with memoization and touched-host compaction,
-  dirty-skip recomputes.
-* ``reference`` — the oracle (``oracle.py``): pure-heap scheduling and a
-  from-scratch water-filling solve on every recompute; no caches, no
-  shortcuts.
+  memoized max-min, one fabric settle per simulated instant and
+  whole-array flow-table arithmetic.
+* ``reference`` — the oracle (``oracle.py``): pure-heap scheduling, a
+  from-scratch water-filling solve on every recompute, a settle at every
+  change and per-flow loops; no caches, no shortcuts.
 
 Every fast path carries an exactness argument (see
 ``docs/architecture.md``); this harness is the empirical teeth.  Each

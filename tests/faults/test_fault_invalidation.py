@@ -1,16 +1,15 @@
 """Fault-path invalidation: stale rates must die the instant a fault hits.
 
-The incremental max-min solver memoizes solutions and skips recomputes
-when nothing changed; a fault that silently failed to invalidate those
-caches would leave flows running at pre-fault rates — a *correctness*
-bug dressed as a performance feature.  These regressions pin the three
-invalidation channels:
+The incremental max-min solver memoizes solutions; a fault that silently
+failed to invalidate the memo would leave flows running at pre-fault
+rates — a *correctness* bug dressed as a performance feature.  These
+regressions pin the two ways the standing rates go stale:
 
 * **topology version** — link degrade / partition / restore bump
-  ``Topology.version``, which keys the solver memo and the fabric's
-  recompute skip;
-* **flow-set dirtiness** — adding/removing flows (including repository
-  fetch stripes rerouting around a dead server) marks the fabric dirty;
+  ``Topology.version``, which re-derives the capacity signature that
+  keys the solver memo;
+* **flow-set changes** — adding/removing flows (including repository
+  fetch stripes rerouting around a dead server) request a settle;
 * after any of the above, every standing flow's rate must equal a fresh
   from-scratch oracle solve, bitwise.
 """
@@ -30,38 +29,17 @@ MB = 2**20
 
 
 def _fabric_oracle_rates(fabric: Fabric) -> dict[int, float]:
-    """From-scratch expected rate per standing flow (keyed by ``id``),
-    coalescing same-(src, dst, tag) flows exactly as the fabric does."""
+    """From-scratch expected rate per standing flow (keyed by ``id``):
+    one solver variable per flow, in the fabric's arrival order."""
     topo = fabric.topology
-    groups: dict[tuple[int, int, str], tuple[float, list]] = {}
-    order = []
-    for fl in fabric._flows:
-        key = (fl.src.index, fl.dst.index, fl.tag)
-        if key not in groups:
-            groups[key] = (0.0, [])
-            order.append(key)
-        total, members = groups[key]
-        groups[key] = (total + fl.weight, members)
-        members.append(fl)
-    if not order:
-        return {}
-    srcs = np.array([k[0] for k in order], dtype=np.intp)
-    dsts = np.array([k[1] for k in order], dtype=np.intp)
-    weights = np.array([groups[k][0] for k in order], dtype=np.float64)
+    flows = fabric._flows
     rates = maxmin_single_switch(
-        weights, srcs, dsts,
+        np.array([fl.weight for fl in flows], dtype=np.float64),
+        np.array([fl.src.index for fl in flows], dtype=np.intp),
+        np.array([fl.dst.index for fl in flows], dtype=np.intp),
         topo.nic_out_array(), topo.nic_in_array(), topo.backplane,
     )
-    expected: dict[int, float] = {}
-    for gi, key in enumerate(order):
-        total_w, members = groups[key]
-        rate = float(rates[gi])
-        if len(members) == 1:
-            expected[id(members[0])] = rate
-        else:
-            for fl in members:
-                expected[id(fl)] = rate * (fl.weight / total_w)
-    return expected
+    return {id(fl): rate for fl, rate in zip(flows, rates.tolist())}
 
 
 def _assert_rates_fresh(fabric: Fabric, where: str) -> None:

@@ -1,17 +1,18 @@
 """Property: the fabric's array flow table == the per-flow reference loop.
 
-The production :class:`~repro.netsim.flows.Fabric` integrates, shares and
-scans its flow table with whole-array operations above a flow-count
-crossover, and with a per-flow loop below it.  The reference oracle
+The production :class:`~repro.netsim.flows.Fabric` integrates and scans
+its flow table with whole-array operations above a flow-count crossover,
+and with a per-flow loop below it.  The reference oracle
 (``tests/differential/oracle.py``) runs the same table through per-flow
 loops at every count, with one meter credit per flow and running sums for
 ``host_load``.  Hypothesis drives both through random edit scripts —
 transfers, same-instant fan-outs, cancels, host aborts, NIC degrade /
 restore and run-until steps — over 1-64 concurrent flows whose
-``(src, dst, tag)`` keys repeat, so both sides of the crossover and the
-coalescing branch run.  After every step ``meter.by_pair()``, and after a
-drawn subset of steps the per-flow rates and the ``host_load`` of every
-host, must be equal with ``==``, and so must every completion time.  A
+``(src, dst, tag, cause)`` keys repeat, so both sides of the crossover
+run and one meter cell takes several flows' credits in a step.  After
+every step ``meter.by_pair()``, and after a drawn subset of steps the
+per-flow rates and the ``host_load`` of every host, must be equal with
+``==``, and so must every completion time.  A
 step whose rates nobody reads leaves its changes to be settled with the
 instant's later ones, which the reference settles one by one.
 """

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.netsim import Fabric, Topology
+from repro.netsim.fairness import maxmin_single_switch
 from repro.simkernel import Environment
 
 
@@ -176,11 +178,23 @@ class TestFabricTransfer:
         fabric.transfer(topo["h2"], topo["h3"], 1.0, tag="y")
         assert fabric.meter.bytes("x") == pytest.approx(200.0)
 
-    def test_flow_rates_snapshot(self):
-        env, topo, fabric = make_fabric()
-        fabric.transfer(topo["h0"], topo["h1"], 1000.0, tag="x")
-        rates = fabric.flow_rates()
-        assert rates == {"h0->h1/x": pytest.approx(100.0)}
+    def test_same_key_flows_get_the_per_flow_solve(self):
+        """Flows sharing (src, dst, tag) each get exactly the rate a solve
+        with one variable per flow gives them."""
+        env = Environment()
+        topo = Topology(backplane=700.0)
+        hosts = [topo.add_host(f"h{i}", nic)
+                 for i, nic in enumerate((100.0, 250.0, 100.0))]
+        fabric = Fabric(env, topo)
+        legs = [(0, 1, 0.5), (0, 1, 1.0), (2, 1, 0.5)]
+        done = [fabric.transfer(hosts[src], hosts[dst], 1000.0, tag="a",
+                                weight=weight)
+                for src, dst, weight in legs]
+        srcs, dsts, weights = zip(*legs)
+        expected = maxmin_single_switch(
+            np.array(weights), np.array(srcs), np.array(dsts),
+            topo.nic_out_array(), topo.nic_in_array(), topo.backplane)
+        assert [ev.flow.rate for ev in done] == expected.tolist()
 
     def test_exact_byte_accounting_after_completion(self):
         env, topo, fabric = make_fabric()

@@ -21,8 +21,8 @@ relative slack where float rates meet float capacities):
 
 The suite runs 200+ edit scripts (see ``max_examples`` below) in a few
 seconds because topologies are small; smallness does not weaken the
-properties — compaction, memoization and version invalidation all
-trigger from two hosts up.
+properties — memoization and version invalidation both trigger from two
+hosts up.
 """
 
 from fractions import Fraction
