@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.experiments.fig5 import run_fig5
 from repro.experiments.scenarios import (
     ScenarioOutcome,
     _make_cloud,
@@ -98,6 +99,13 @@ class TestCM1:
         assert o.cumulated_migration_time == pytest.approx(sum(o.migration_times))
         assert o.traffic_by_tag.get("app", 0) > 0
         assert o.migration_traffic < o.total_traffic()
+
+    def test_fig5_is_the_same_at_every_seed(self):
+        """CM1 draws nothing at random, so Fig 5's outcomes do not depend
+        on the sweep's seed."""
+        at_0, at_7 = (run_fig5(approaches=["our-approach"], quick=True,
+                               seed=seed) for seed in (0, 7))
+        assert at_0 == at_7
 
     def test_avg_requires_migrations(self):
         o = ScenarioOutcome(approach="x", workload="y")
