@@ -113,11 +113,7 @@ class HybridManager(MigrationManager):
         self.chunks.reset_write_counts()
         self._count_writes = True
         self.remaining = self.chunks.modified.copy()
-        # Write counts were just reset, but Threshold may be 0 (pure
-        # postcopy ablation), so the eligibility filter still applies.
-        self._push_queue = ChunkQueue(np.flatnonzero(
-            self.remaining & (self.chunks.write_count < self.config.threshold)
-        ))
+        self._push_queue = ChunkQueue(np.flatnonzero(self.remaining))
         p = self.env.probe
         if p.enabled:
             p.push_start(self.vm.name, self.remaining, self.config.threshold)
