@@ -4,6 +4,7 @@ import pytest
 
 from benchmarks.conftest import full_scale, write_csv_series
 from repro.experiments.fig4 import render_fig4, run_fig4
+from repro.experiments.runner import sweep_series
 
 
 @pytest.fixture(scope="module")
@@ -30,20 +31,12 @@ def test_fig4a_avg_migration_time(benchmark, fig4_results, results_sink):
     assert pre_rise > 3 * max(ours_rise, 0.1)
     assert pre[hi] > 1.3 * pre[lo]
     results_sink("fig4", render_fig4(results))
-    from repro.experiments.runner import SeriesResult
-
     for panel, metric in (
         ("fig4a", lambda o, b: o.avg_migration_time),
         ("fig4b", lambda o, b: o.total_traffic()),
         ("fig4c", lambda o, b: o.degradation_vs(b)),
     ):
-        series = []
-        for approach, per_level in results.items():
-            s = SeriesResult(approach)
-            for n, (outcome, baseline) in per_level.items():
-                s.add(n, metric(outcome, baseline))
-            series.append(s)
-        write_csv_series(panel, "n_migrations", series)
+        write_csv_series(panel, "n_migrations", sweep_series(results, metric))
 
 
 def test_fig4b_network_traffic(benchmark, fig4_results):

@@ -4,6 +4,7 @@ import pytest
 
 from benchmarks.conftest import full_scale, write_csv_series
 from repro.experiments.fig5 import render_fig5, run_fig5
+from repro.experiments.runner import sweep_series
 
 
 @pytest.fixture(scope="module")
@@ -28,20 +29,12 @@ def test_fig5a_cumulated_migration_time(benchmark, fig5_results, results_sink):
         ours_hi = results["our-approach"][hi][0].cumulated_migration_time / hi
         assert ours_hi < 2.5 * ours_lo
     results_sink("fig5", render_fig5(results))
-    from repro.experiments.runner import SeriesResult
-
     for panel, metric in (
         ("fig5a", lambda o, b: o.cumulated_migration_time),
         ("fig5b", lambda o, b: o.migration_traffic),
         ("fig5c", lambda o, b: o.workload_elapsed - b.workload_elapsed),
     ):
-        series = []
-        for approach, per_count in results.items():
-            s = SeriesResult(approach)
-            for n, (outcome, baseline) in per_count.items():
-                s.add(n, metric(outcome, baseline))
-            series.append(s)
-        write_csv_series(panel, "n_migrations", series)
+        write_csv_series(panel, "n_migrations", sweep_series(results, metric))
 
 
 def test_fig5b_migration_traffic(benchmark, fig5_results):

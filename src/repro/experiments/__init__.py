@@ -11,10 +11,11 @@ One module per artifact of Section 5:
   (cumulated migration time, migration-attributable traffic, execution
   time increase).
 
-:mod:`~repro.experiments.scenarios` contains the scenario builders the
-figures share; :mod:`~repro.experiments.config` the Grid'5000 graphene
-calibration; :mod:`~repro.experiments.runner` result containers and the
-paper-style text rendering used by the benchmark harness.
+:mod:`~repro.experiments.scenarios` contains :func:`simulate`, the one
+scenario runner, and the builders the figures share;
+:mod:`~repro.experiments.config` the Grid'5000 graphene calibration;
+:mod:`~repro.experiments.runner` result containers and the paper-style
+text rendering used by the benchmark harness.
 """
 
 from repro.experiments.config import (

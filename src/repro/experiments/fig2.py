@@ -10,10 +10,9 @@ from a run instead of drawn.
 
 from __future__ import annotations
 
-from repro.cluster import CloudMiddleware, Cluster
-from repro.experiments.config import VM_WORKING_SET, graphene_spec
+from repro.experiments.config import VM_WORKING_SET
+from repro.experiments.scenarios import ScenarioOutcome, simulate
 from repro.metrics.report import render_migration_timeline
-from repro.simkernel import Environment
 from repro.workloads.synthetic import SequentialWriter
 
 __all__ = ["run_fig2", "render_fig2"]
@@ -24,38 +23,24 @@ MB = 2**20
 def run_fig2(approach: str = "our-approach", seed: int = 0, obs=None):
     """One migration under steady write pressure; returns
     ``(record, stats, traffic_by_tag)``."""
-    from contextlib import nullcontext
 
-    scope = obs.run_scope(f"{approach}/fig2") if obs is not None else nullcontext()
-    with scope:
-        env = Environment()
-        if obs is not None:
-            obs.install(env)
-        cloud = CloudMiddleware(Cluster(env, graphene_spec(8)))
+    def deploy(cloud):
         vm = cloud.deploy("vm0", cloud.cluster.node(0), approach=approach,
                           working_set=VM_WORKING_SET)
-        wl = SequentialWriter(
+        SequentialWriter(
             vm, total_bytes=2048 * MB, rate=60e6, op_size=4 * MB,
             region_offset=1024 * MB, region_size=1024 * MB, seed=seed,
-        )
-        wl.start()
-        done = {}
+        ).start()
+        return [(5.0, vm, cloud.cluster.node(1))]
 
-        def migrator():
-            yield env.timeout(5.0)
-            done["rec"] = yield cloud.migrate(vm, cloud.cluster.node(1))
-
-        env.process(migrator())
-        env.run()
-        dst_stats = dict(getattr(vm.manager, "stats", {}))
-        src_stats = (
-            dict(getattr(vm.manager.peer, "stats", {})) if vm.manager.peer else {}
-        )
-        if obs is not None:
-            obs.note_traffic(cloud.cluster.fabric.meter)
-    return done["rec"], {"source": src_stats, "destination": dst_stats}, (
-        cloud.cluster.fabric.meter.by_tag()
-    )
+    outcome = ScenarioOutcome(approach=approach, workload=SequentialWriter.name)
+    cloud = simulate(outcome, f"{approach}/fig2", 8, deploy, obs=obs)
+    manager = cloud.vms["vm0"].manager
+    stats = {
+        "source": dict(getattr(manager.peer, "stats", {})) if manager.peer else {},
+        "destination": dict(getattr(manager, "stats", {})),
+    }
+    return cloud.collector.records[0], stats, outcome.traffic_by_tag
 
 
 def render_fig2(approach: str = "our-approach", seed: int = 0, obs=None) -> str:
@@ -84,7 +69,3 @@ def render_fig2(approach: str = "our-approach", seed: int = 0, obs=None) -> str:
             f"hot-skipped={src.get('skipped_hot_chunks', 0)}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(render_fig2())

@@ -127,10 +127,3 @@ def render_fig3(results: dict[str, dict[str, ScenarioOutcome]]) -> str:
             ),
         ]
     )
-
-
-if __name__ == "__main__":
-    import sys
-
-    quick = "--quick" in sys.argv
-    print(render_fig3(run_fig3(quick=quick)))

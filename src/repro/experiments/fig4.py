@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.core.registry import APPROACHES
-from repro.experiments.runner import SeriesResult, render_series
+from repro.experiments.runner import render_sweep
 from repro.experiments.scenarios import (
     ScenarioOutcome,
     run_concurrent_migrations,
@@ -81,47 +81,18 @@ def run_fig4(
     return results
 
 
+#: Fig 4's panels as ``(title, unit, metric(outcome, baseline))``.
+FIG4_PANELS = (
+    ("Fig 4(a): Avg. migration time / instance (lower is better)", "s",
+     lambda o, b: o.avg_migration_time),
+    ("Fig 4(b): Total network traffic (lower is better)", "GB",
+     lambda o, b: o.total_traffic() / 2**30),
+    ("Fig 4(c): Performance degradation (lower is better)", "% of max",
+     lambda o, b: 100 * o.degradation_vs(b)),
+)
+
+
 def render_fig4(
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]],
 ) -> str:
-    series_a, series_b, series_c = [], [], []
-    for approach, per_level in results.items():
-        sa = SeriesResult(approach)
-        sb = SeriesResult(approach)
-        sc = SeriesResult(approach)
-        for n, (outcome, baseline) in per_level.items():
-            sa.add(n, outcome.avg_migration_time)
-            sb.add(n, outcome.total_traffic() / 2**30)
-            sc.add(n, 100 * outcome.degradation_vs(baseline))
-        series_a.append(sa)
-        series_b.append(sb)
-        series_c.append(sc)
-    return "\n\n".join(
-        [
-            render_series(
-                "Fig 4(a): Avg. migration time / instance (lower is better)",
-                "#migrations",
-                series_a,
-                unit="s",
-            ),
-            render_series(
-                "Fig 4(b): Total network traffic (lower is better)",
-                "#migrations",
-                series_b,
-                unit="GB",
-            ),
-            render_series(
-                "Fig 4(c): Performance degradation (lower is better)",
-                "#migrations",
-                series_c,
-                unit="% of max",
-            ),
-        ]
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    quick = "--quick" in sys.argv
-    print(render_fig4(run_fig4(quick=quick)))
+    return render_sweep(results, "#migrations", FIG4_PANELS)

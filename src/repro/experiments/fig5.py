@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.core.registry import APPROACHES
-from repro.experiments.runner import SeriesResult, render_series
+from repro.experiments.runner import render_sweep
 from repro.experiments.scenarios import ScenarioOutcome, run_cm1_successive
 
 __all__ = ["run_fig5", "render_fig5", "migration_counts", "MIGRATION_COUNTS"]
@@ -86,48 +86,18 @@ def run_fig5(
     return results
 
 
+#: Fig 5's panels as ``(title, unit, metric(outcome, baseline))``.
+FIG5_PANELS = (
+    ("Fig 5(a): Cumulated migration time (lower is better)", "s",
+     lambda o, b: o.cumulated_migration_time),
+    ("Fig 5(b): Network traffic excl. CM1 communication (lower is better)",
+     "GB", lambda o, b: o.migration_traffic / 2**30),
+    ("Fig 5(c): Increase in app execution time (lower is better)", "s",
+     lambda o, b: o.workload_elapsed - b.workload_elapsed),
+)
+
+
 def render_fig5(
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]],
 ) -> str:
-    series_a, series_b, series_c = [], [], []
-    for approach, per_count in results.items():
-        sa = SeriesResult(approach)
-        sb = SeriesResult(approach)
-        sc = SeriesResult(approach)
-        for n, (outcome, baseline) in per_count.items():
-            sa.add(n, outcome.cumulated_migration_time)
-            sb.add(n, outcome.migration_traffic / 2**30)
-            sc.add(n, outcome.workload_elapsed - baseline.workload_elapsed)
-        series_a.append(sa)
-        series_b.append(sb)
-        series_c.append(sc)
-    return "\n\n".join(
-        [
-            render_series(
-                "Fig 5(a): Cumulated migration time (lower is better)",
-                "#migrations",
-                series_a,
-                unit="s",
-            ),
-            render_series(
-                "Fig 5(b): Network traffic excl. CM1 communication "
-                "(lower is better)",
-                "#migrations",
-                series_b,
-                unit="GB",
-            ),
-            render_series(
-                "Fig 5(c): Increase in app execution time (lower is better)",
-                "#migrations",
-                series_c,
-                unit="s",
-            ),
-        ]
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    quick = "--quick" in sys.argv
-    print(render_fig5(run_fig5(quick=quick)))
+    return render_sweep(results, "#migrations", FIG5_PANELS)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-__all__ = ["SeriesResult", "render_table", "render_series"]
+__all__ = ["SeriesResult", "render_table", "render_series", "render_sweep",
+           "sweep_series"]
 
 
 @dataclass
@@ -84,3 +85,36 @@ def render_series(
         for s in series
     )
     return "\n".join(out)
+
+
+#: One panel of a sweep figure: ``(title, unit, metric)``, where
+#: ``metric(outcome, baseline)`` is the y value of one sweep cell.
+Panel = tuple[str, str, Callable[[Any, Any], float]]
+
+
+def sweep_series(
+    results: Mapping[str, Mapping[Any, tuple[Any, Any]]],
+    metric: Callable[[Any, Any], float],
+) -> list[SeriesResult]:
+    """One line per approach of a sweep ``{approach: {x: (outcome,
+    baseline)}}``, with y = ``metric(outcome, baseline)`` at each x."""
+    series = []
+    for approach, per_x in results.items():
+        s = SeriesResult(approach)
+        for x, (outcome, baseline) in per_x.items():
+            s.add(x, metric(outcome, baseline))
+        series.append(s)
+    return series
+
+
+def render_sweep(
+    results: Mapping[str, Mapping[Any, tuple[Any, Any]]],
+    x_label: str,
+    panels: Iterable[Panel],
+) -> str:
+    """A sweep figure as text (the shape of Figures 4 and 5): one
+    :func:`render_series` block per panel."""
+    return "\n\n".join(
+        render_series(title, x_label, sweep_series(results, metric), unit=unit)
+        for title, unit, metric in panels
+    )

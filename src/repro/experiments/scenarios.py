@@ -1,6 +1,10 @@
 """Scenario builders shared by the figure experiments.
 
-Three scenario families, one per evaluation section:
+Every experiment of Section 5 has one shape: VMs deployed from the base
+image on graphene nodes, a workload in each, QEMU pre-copy migrations
+started at chosen instants, then migration time, traffic and application
+impact.  :func:`simulate` runs that shape; each builder supplies its
+deploy step and reads its workload-specific fields:
 
 * :func:`run_single_migration` — Section 5.3: one VM under IOR or AsyncWR,
   warm-up, then one live migration under full I/O pressure.
@@ -9,8 +13,8 @@ Three scenario families, one per evaluation section:
 * :func:`run_cm1_successive` — Section 5.5: a CM1 ensemble with successive
   migrations at 60 s intervals.
 
-Every builder also runs (or accepts) a migration-free baseline so the
-degradation metrics have their reference, and returns a
+With ``migrate=False`` a builder runs the migration-free baseline the
+degradation metrics compare against.  Every builder returns a
 :class:`ScenarioOutcome` with everything the figures need.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.cluster import CloudMiddleware, Cluster
 from repro.core.config import MigrationConfig
@@ -34,11 +38,13 @@ from repro.hypervisor.memory import PrecopyMemory
 from repro.obs import Observability
 from repro.simkernel import Environment
 from repro.workloads.asyncwr import AsyncWRWorkload
-from repro.workloads.cm1 import build_cm1_ensemble
+from repro.workloads.base import Workload
+from repro.workloads.cm1 import CM1Workload, build_cm1_ensemble
 from repro.workloads.ior import IORWorkload
 
 __all__ = [
     "ScenarioOutcome",
+    "simulate",
     "run_single_migration",
     "run_concurrent_migrations",
     "run_cm1_successive",
@@ -107,16 +113,8 @@ class ScenarioOutcome:
         return self.total_traffic(exclude=("app",))
 
 
-def _scope(obs: Optional[Observability], label: str):
-    return obs.run_scope(label) if obs is not None else nullcontext()
-
-
-def _make_cloud(
-    n_nodes: int,
-    config: Optional[MigrationConfig],
-    obs: Optional[Observability] = None,
-    **spec_overrides,
-):
+def _make_cloud(n_nodes: int, config: Optional[MigrationConfig],
+                obs: Optional[Observability] = None):
     # A finished scenario is one reference cycle (environment, processes,
     # events) that refcounting never frees, and it holds every array the
     # run allocated.  Collect it before building the next one: left to the
@@ -126,45 +124,73 @@ def _make_cloud(
     env = Environment()
     if obs is not None:
         obs.install(env)
-    cluster = Cluster(env, graphene_spec(n_nodes, **spec_overrides))
-    cloud = CloudMiddleware(cluster, config=config)
-    return env, cloud
+    cluster = Cluster(env, graphene_spec(n_nodes))
+    return env, CloudMiddleware(cluster, config=config)
 
 
-def _memory_strategy():
-    return PrecopyMemory(downtime_target=0.05, max_rounds=30)
+def simulate(
+    outcome: ScenarioOutcome,
+    label: str,
+    n_nodes: int,
+    deploy: Callable[[CloudMiddleware], Sequence[tuple[float, Any, Any]]],
+    config: Optional[MigrationConfig] = None,
+    obs: Optional[Observability] = None,
+    faults=None,
+    restarts: int = 0,
+) -> CloudMiddleware:
+    """Run one scenario on a fresh graphene cloud of ``n_nodes`` nodes.
+
+    ``deploy(cloud)`` places the VMs, starts their workloads and returns
+    the migration schedule, a list of ``(at, vm, destination)`` triples.
+    Each triple becomes one ``migrator`` process that waits ``at``
+    seconds, then live-migrates ``vm`` with QEMU pre-copy memory and
+    re-issues an aborted attempt up to ``restarts`` times.
+
+    ``faults`` (a :class:`~repro.faults.FaultPlan`) folds the plan's
+    timeout/retry knobs into ``config``, injects its faults and bounds
+    the run by its horizon.  ``obs`` attaches a tracing/metrics bundle;
+    the run's events land in a process lane named ``label``.
+
+    Fills ``outcome``'s migration times, downtimes, aborts and traffic,
+    and returns the cloud for the caller's workload-specific fields.
+    """
+    if faults is not None:
+        config = faults.apply_to(config if config is not None else MigrationConfig())
+    with obs.run_scope(label) if obs is not None else nullcontext():
+        env, cloud = _make_cloud(n_nodes, config, obs=obs)
+        if faults is not None:
+            from repro.faults import FaultInjector
+
+            FaultInjector(env, cloud.cluster, faults).start()
+
+        def migrator(at, vm, dst):
+            yield env.timeout(at)
+            yield cloud.migrate(
+                vm, dst, memory=PrecopyMemory(downtime_target=0.05, max_rounds=30),
+                restarts=restarts,
+            )
+
+        for at, vm, dst in deploy(cloud):
+            env.process(migrator(at, vm, dst))
+        env.run(until=faults.horizon if faults is not None else None)
+
+        collector, meter = cloud.collector, cloud.cluster.fabric.meter
+        outcome.migration_times = collector.migration_times()
+        outcome.downtimes = [
+            r.downtime for r in collector.completed() if r.downtime is not None
+        ]
+        outcome.aborts = sum(r.aborted for r in collector.records)
+        outcome.traffic_by_tag = meter.by_tag()
+        if obs is not None:
+            obs.note_traffic(meter)
+    return cloud
 
 
-def _apply_faults(env, cloud, faults):
-    """Start a FaultInjector for ``faults`` against the cloud's cluster."""
-    if faults is None:
-        return
-    from repro.faults import FaultInjector
-
-    FaultInjector(env, cloud.cluster, faults).start()
-
-
-def _run_env(env, faults) -> None:
-    """Drive the simulation, bounded by the plan's horizon when set."""
-    if faults is not None and faults.horizon is not None:
-        env.run(until=faults.horizon)
-    else:
-        env.run()
-
-
-def _faulted_config(config, faults):
-    """Fold a plan's failure-semantics overrides into the config."""
-    if faults is None:
-        return config
-    return faults.apply_to(config if config is not None else MigrationConfig())
-
-
-def _build_workload(kind: str, vm, seed: int, workload_kwargs: dict):
-    if kind == "ior":
-        return IORWorkload(vm, seed=seed, **workload_kwargs)
-    if kind == "asyncwr":
-        return AsyncWRWorkload(vm, seed=seed, **workload_kwargs)
-    raise ValueError(f"unknown workload kind {kind!r}")
+#: Section 5.3's single-VM workloads and the working set each VM dirties.
+_SINGLE_VM_WORKLOADS = {
+    "ior": (IORWorkload, VM_WORKING_SET),
+    "asyncwr": (AsyncWRWorkload, ASYNCWR_WORKING_SET),
+}
 
 
 def run_single_migration(
@@ -183,63 +209,32 @@ def run_single_migration(
     """Section 5.3: one VM, one migration after ``warmup`` seconds.
 
     ``migrate=False`` produces the migration-free baseline run used for
-    normalization.  ``obs`` attaches a tracing/metrics bundle; the run's
-    events land in a process lane named after the approach/workload.
-    ``faults`` (a :class:`~repro.faults.FaultPlan`) schedules fault
-    injection, folds the plan's timeout/retry knobs into the config and
-    bounds the run by the plan's horizon; ``restarts`` re-issues an
-    aborted migration that many extra times.
+    normalization.  ``obs``, ``faults`` and ``restarts`` are passed to
+    :func:`simulate`.
     """
+    if workload not in _SINGLE_VM_WORKLOADS:
+        raise ValueError(f"unknown workload kind {workload!r}")
+    cls, working_set = _SINGLE_VM_WORKLOADS[workload]
+    workloads: list[Workload] = []
+
+    def deploy(cloud):
+        vm = cloud.deploy("vm0", cloud.cluster.node(0), approach=approach,
+                          memory_size=VM_MEMORY, working_set=working_set)
+        workloads.append(cls(vm, seed=seed, **(workload_kwargs or {})))
+        workloads[0].start()
+        return [(warmup, vm, cloud.cluster.node(1))] if migrate else []
+
     label = f"{approach}/{workload}" + ("" if migrate else "/baseline")
-    config = _faulted_config(config, faults)
-    with _scope(obs, label):
-        env, cloud = _make_cloud(n_nodes, config, obs=obs)
-        _apply_faults(env, cloud, faults)
-        working_set = ASYNCWR_WORKING_SET if workload == "asyncwr" else VM_WORKING_SET
-        vm = cloud.deploy(
-            "vm0",
-            cloud.cluster.node(0),
-            approach=approach,
-            memory_size=VM_MEMORY,
-            working_set=working_set,
-        )
-        wl = _build_workload(workload, vm, seed, workload_kwargs or {})
-        wl.start()
-
-        if migrate:
-
-            def migrator():
-                yield env.timeout(warmup)
-                yield cloud.migrate(
-                    vm, cloud.cluster.node(1), memory=_memory_strategy(),
-                    restarts=restarts,
-                )
-
-            env.process(migrator())
-
-        _run_env(env, faults)
-
-        outcome = ScenarioOutcome(approach=approach, workload=workload)
-        outcome.migration_times = cloud.collector.migration_times()
-        outcome.downtimes = [
-            r.downtime for r in cloud.collector.completed() if r.downtime is not None
-        ]
-        outcome.traffic_by_tag = cloud.cluster.fabric.meter.by_tag()
-        outcome.read_throughput = wl.read_throughput()
-        outcome.write_throughput = wl.write_throughput()
-        outcome.aborts = sum(1 for r in cloud.collector.records if r.aborted)
-        records = cloud.collector.completed()
-        if records:
-            rec = records[0]
-            outcome.window_write_rate = wl.written_timeline.mean_rate(
-                rec.requested_at, rec.released_at
-            )
-        else:
-            outcome.window_write_rate = wl.written_timeline.mean_rate()
-        outcome.workload_elapsed = wl.elapsed or 0.0
-        outcome.counters = getattr(wl, "counter", 0)
-        if obs is not None:
-            obs.note_traffic(cloud.cluster.fabric.meter)
+    outcome = ScenarioOutcome(approach=approach, workload=workload)
+    cloud = simulate(outcome, label, n_nodes, deploy, config, obs, faults, restarts)
+    (wl,) = workloads
+    outcome.read_throughput = wl.read_throughput()
+    outcome.write_throughput = wl.write_throughput()
+    done = cloud.collector.completed()
+    window = (done[0].requested_at, done[0].released_at) if done else (None, None)
+    outcome.window_write_rate = wl.written_timeline.mean_rate(*window)
+    outcome.workload_elapsed = wl.elapsed or 0.0
+    outcome.counters = getattr(wl, "counter", 0)
     return outcome
 
 
@@ -259,56 +254,28 @@ def run_concurrent_migrations(
     migrate simultaneously after the warm-up."""
     if n_migrations > n_sources:
         raise ValueError("cannot migrate more VMs than sources")
-    n_nodes = n_sources + max(n_migrations, 1)
-    label = f"{approach}/asyncwr-x{n_migrations}" + ("" if migrate else "/baseline")
-    config = _faulted_config(config, faults)
-    with _scope(obs, label):
-        env, cloud = _make_cloud(n_nodes, config, obs=obs)
-        _apply_faults(env, cloud, faults)
-        vms = []
-        workloads = []
+    workloads: list[AsyncWRWorkload] = []
+
+    def deploy(cloud):
         for i in range(n_sources):
-            vm = cloud.deploy(
-                f"vm{i}",
-                cloud.cluster.node(i),
-                approach=approach,
-                memory_size=VM_MEMORY,
-                working_set=ASYNCWR_WORKING_SET,
-            )
-            wl = AsyncWRWorkload(vm, seed=seed + i, **(workload_kwargs or {}))
-            wl.start()
-            vms.append(vm)
-            workloads.append(wl)
+            vm = cloud.deploy(f"vm{i}", cloud.cluster.node(i), approach=approach,
+                              memory_size=VM_MEMORY, working_set=ASYNCWR_WORKING_SET)
+            workloads.append(AsyncWRWorkload(vm, seed=seed + i, **(workload_kwargs or {})))
+            workloads[-1].start()
+        if not migrate:
+            return []
+        return [(warmup, workloads[i].vm, cloud.cluster.node(n_sources + i))
+                for i in range(n_migrations)]
 
-        if migrate:
-
-            def migrator(i):
-                yield env.timeout(warmup)
-                yield cloud.migrate(
-                    vms[i], cloud.cluster.node(n_sources + i),
-                    memory=_memory_strategy()
-                )
-
-            for i in range(n_migrations):
-                env.process(migrator(i))
-
-        _run_env(env, faults)
-
-        outcome = ScenarioOutcome(approach=approach, workload="asyncwr")
-        outcome.migration_times = cloud.collector.migration_times()
-        outcome.downtimes = [
-            r.downtime for r in cloud.collector.completed() if r.downtime is not None
-        ]
-        outcome.traffic_by_tag = cloud.cluster.fabric.meter.by_tag()
-        elapsed = [wl.elapsed or 0.0 for wl in workloads]
-        outcome.workload_elapsed = max(elapsed)
-        outcome.elapsed_each = elapsed
-        outcome.counters = sum(wl.counter for wl in workloads)
-        outcome.write_throughput = (
-            sum(wl.write_throughput() for wl in workloads) / n_sources
-        )
-        if obs is not None:
-            obs.note_traffic(cloud.cluster.fabric.meter)
+    label = f"{approach}/asyncwr-x{n_migrations}" + ("" if migrate else "/baseline")
+    outcome = ScenarioOutcome(approach=approach, workload="asyncwr")
+    simulate(outcome, label, n_sources + max(n_migrations, 1), deploy, config,
+             obs, faults)
+    elapsed = [wl.elapsed or 0.0 for wl in workloads]
+    outcome.workload_elapsed = max(elapsed)
+    outcome.elapsed_each = elapsed
+    outcome.counters = sum(wl.counter for wl in workloads)
+    outcome.write_throughput = sum(wl.write_throughput() for wl in workloads) / n_sources
     return outcome
 
 
@@ -335,51 +302,27 @@ def run_cm1_successive(
     n_ranks = grid[0] * grid[1]
     if n_migrations > n_ranks:
         raise ValueError("cannot migrate more ranks than exist")
-    n_nodes = n_ranks + max(n_migrations, 1)
-    label = f"{approach}/cm1-x{n_migrations}" + ("" if migrate else "/baseline")
-    config = _faulted_config(config, faults)
-    with _scope(obs, label):
-        env, cloud = _make_cloud(n_nodes, config, obs=obs)
-        _apply_faults(env, cloud, faults)
-        vms = []
-        for i in range(n_ranks):
-            vm = cloud.deploy(
-                f"rank{i}",
-                cloud.cluster.node(i),
-                approach=approach,
-                memory_size=VM_MEMORY,
-                working_set=CM1_WORKING_SET,
-            )
-            vms.append(vm)
-        workloads = build_cm1_ensemble(
-            env, vms, cloud.cluster.fabric, grid, **(workload_kwargs or {})
-        )
+    workloads: list[CM1Workload] = []
+
+    def deploy(cloud):
+        vms = [cloud.deploy(f"rank{i}", cloud.cluster.node(i), approach=approach,
+                            memory_size=VM_MEMORY, working_set=CM1_WORKING_SET)
+               for i in range(n_ranks)]
+        workloads.extend(build_cm1_ensemble(
+            cloud.env, vms, cloud.cluster.fabric, grid, **(workload_kwargs or {})
+        ))
         for wl in workloads:
             wl.start()
+        if not migrate:
+            return []
+        return [(first_at + i * interval, vms[i], cloud.cluster.node(n_ranks + i))
+                for i in range(n_migrations)]
 
-        if migrate:
-
-            def migrator(i):
-                yield env.timeout(first_at + i * interval)
-                yield cloud.migrate(
-                    vms[i], cloud.cluster.node(n_ranks + i),
-                    memory=_memory_strategy()
-                )
-
-            for i in range(n_migrations):
-                env.process(migrator(i))
-
-        _run_env(env, faults)
-
-        outcome = ScenarioOutcome(approach=approach, workload="cm1")
-        outcome.migration_times = cloud.collector.migration_times()
-        outcome.downtimes = [
-            r.downtime for r in cloud.collector.completed() if r.downtime is not None
-        ]
-        outcome.traffic_by_tag = cloud.cluster.fabric.meter.by_tag()
-        start = min(wl.started_at for wl in workloads)
-        end = max(wl.finished_at for wl in workloads)
-        outcome.workload_elapsed = end - start
-        if obs is not None:
-            obs.note_traffic(cloud.cluster.fabric.meter)
+    label = f"{approach}/cm1-x{n_migrations}" + ("" if migrate else "/baseline")
+    outcome = ScenarioOutcome(approach=approach, workload="cm1")
+    simulate(outcome, label, n_ranks + max(n_migrations, 1), deploy, config,
+             obs, faults)
+    start = min(wl.started_at for wl in workloads)
+    end = max(wl.finished_at for wl in workloads)
+    outcome.workload_elapsed = end - start
     return outcome

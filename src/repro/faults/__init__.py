@@ -21,8 +21,9 @@ Two pieces:
   failure, slow disk.  Every injection and recovery is emitted as a trace
   instant and counter through :mod:`repro.obs`.
 
-Wire a plan into an experiment with ``run_single_migration(...,
-faults=plan)`` or ``python -m repro.cli single --faults plan.json``.
+Wire a plan into an experiment with any scenario builder's ``faults=``
+(``run_single_migration(..., faults=plan)``) or ``python -m repro.cli
+single --faults plan.json``.
 """
 
 from repro.faults.injector import FaultInjector

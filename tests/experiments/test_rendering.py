@@ -1,6 +1,12 @@
 """Tests for result containers, rendering helpers, table1 and config."""
 
-from repro.experiments.runner import SeriesResult, render_series, render_table
+from repro.experiments.runner import (
+    SeriesResult,
+    render_series,
+    render_sweep,
+    render_table,
+    sweep_series,
+)
 from repro.experiments.table1 import render_table1, run_table1
 
 
@@ -38,6 +44,26 @@ class TestRenderSeries:
 
     def test_empty_series(self):
         assert "no data" in render_series("Fig", "x", [])
+
+
+class TestRenderSweep:
+    #: {approach: {x: (outcome, baseline)}} with numbers for outcomes.
+    RESULTS = {"ours": {1: (2.0, 1.0), 3: (5.0, 1.0)},
+               "precopy": {1: (4.0, 2.0), 3: (9.0, 2.0)}}
+
+    def test_series_take_the_metric_of_every_cell(self):
+        ours, pre = sweep_series(self.RESULTS, lambda o, b: o - b)
+        assert (ours.approach, ours.x, ours.y) == ("ours", [1, 3], [1.0, 4.0])
+        assert (pre.approach, pre.x, pre.y) == ("precopy", [1, 3], [2.0, 7.0])
+
+    def test_one_block_per_panel_in_order(self):
+        text = render_sweep(self.RESULTS, "#migrations", [
+            ("Gap", "s", lambda o, b: o - b),
+            ("Ratio", "x", lambda o, b: o / b),
+        ])
+        gap, ratio = text.split("\n\n")
+        assert gap.startswith("== Gap [s]") and ratio.startswith("== Ratio [x]")
+        assert "4.5" in ratio
 
 
 class TestTable1:

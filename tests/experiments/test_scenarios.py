@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro.experiments.fig5 import run_fig5
+from repro.faults import FaultPlan, FaultSpec
 from repro.experiments.scenarios import (
     ScenarioOutcome,
     _make_cloud,
@@ -111,6 +112,41 @@ class TestCM1:
         o = ScenarioOutcome(approach="x", workload="y")
         with pytest.raises(ValueError):
             _ = o.avg_migration_time
+
+
+#: name -> (run(faults), migration destination, horizon): scenarios whose
+#: one migration targets the node the plan below crashes.
+ABORTING_RUNS = {
+    "concurrent": (
+        lambda faults: run_concurrent_migrations(
+            "our-approach", 1, n_sources=2, warmup=5.0,
+            workload_kwargs={"iterations": 10}, faults=faults,
+        ),
+        "node2", 200.0,
+    ),
+    "cm1": (
+        lambda faults: run_cm1_successive(
+            "our-approach", 1, grid=(2, 2), first_at=5.0,
+            workload_kwargs=dict(n_steps=10, dump_every=5), faults=faults,
+        ),
+        "node4", 400.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ABORTING_RUNS))
+def test_every_scenario_counts_aborts(scenario):
+    """A migration to a destination that crashed before it began aborts,
+    and the outcome counts the aborted attempt in every scenario family,
+    not only in the single-migration one."""
+    run, destination, horizon = ABORTING_RUNS[scenario]
+    o = run(FaultPlan(
+        faults=[FaultSpec("node-crash", destination, at=1.0)],
+        chunk_timeout=2.0, retry_max=1, retry_backoff=0.25,
+        migration_timeout=5.0, horizon=horizon,
+    ))
+    assert o.migration_times == []
+    assert o.aborts == 1
 
 
 def test_building_a_scenario_frees_the_previous_one():
