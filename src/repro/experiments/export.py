@@ -1,46 +1,20 @@
 """Machine-readable export of experiment results.
 
 The text tables in :mod:`repro.experiments.runner` are for humans; this
-module writes the same data as CSV (one row per approach/x-value) and
-JSON (full outcome dumps) so plots and regression dashboards can consume
-reproduction runs without parsing text.
+module writes the same data as CSV (one row per approach/x-value) so
+plots and regression dashboards can consume reproduction runs without
+parsing text.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
 from typing import Iterable, Mapping, Sequence
 
 from repro.experiments.runner import SeriesResult
-from repro.experiments.scenarios import ScenarioOutcome
 
-__all__ = [
-    "outcome_to_dict",
-    "write_table_csv",
-    "write_series_csv",
-    "write_outcomes_json",
-]
-
-
-def outcome_to_dict(outcome: ScenarioOutcome) -> dict:
-    """A ScenarioOutcome as plain JSON-serializable data."""
-    return {
-        "approach": outcome.approach,
-        "workload": outcome.workload,
-        "migration_times": list(outcome.migration_times),
-        "downtimes": list(outcome.downtimes),
-        "traffic_by_tag": dict(outcome.traffic_by_tag),
-        "total_traffic": outcome.total_traffic(),
-        "migration_traffic": outcome.migration_traffic,
-        "read_throughput": outcome.read_throughput,
-        "write_throughput": outcome.write_throughput,
-        "window_write_rate": outcome.window_write_rate,
-        "workload_elapsed": outcome.workload_elapsed,
-        "elapsed_each": list(outcome.elapsed_each),
-        "counters": outcome.counters,
-    }
+__all__ = ["write_table_csv", "write_series_csv"]
 
 
 def write_table_csv(
@@ -83,23 +57,3 @@ def write_series_csv(
                 writer.writerow([s.approach, x, y])
     return path
 
-
-def write_outcomes_json(
-    path: str | pathlib.Path,
-    outcomes: Mapping[str, ScenarioOutcome] | Mapping[str, Mapping],
-) -> pathlib.Path:
-    """Full outcome dump, arbitrarily nested dicts of ScenarioOutcomes."""
-
-    def convert(node):
-        if isinstance(node, ScenarioOutcome):
-            return outcome_to_dict(node)
-        if isinstance(node, Mapping):
-            return {str(k): convert(v) for k, v in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [convert(v) for v in node]
-        return node
-
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(convert(outcomes), indent=2, sort_keys=True))
-    return path

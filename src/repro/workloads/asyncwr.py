@@ -83,7 +83,6 @@ class AsyncWRWorkload(Workload):
             yield from self.vm.compute(self.compute_time)
             self.counter += 1
             self.iterations_done += 1
-            self.progress.record(self.env.now, self.counter)
         if self._pending_write is not None and self._pending_write.is_alive:
             yield self._pending_write
 

@@ -2,7 +2,7 @@
 
 A workload drives one VM and measures what the paper measures inside the
 guest: achieved read/write throughput (bytes divided by time spent blocked
-in I/O calls) and progress over time.
+in I/O calls) and bytes written over time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class Workload:
         self.bytes_read = 0.0
         self.write_time = 0.0
         self.read_time = 0.0
-        self.progress = Timeline(f"{self.name}:{vm.name}:progress")
         #: Cumulative bytes written over time — windowed write-pressure
         #: metrics (the AsyncWR figure) difference this.
         self.written_timeline = Timeline(f"{self.name}:{vm.name}:written")

@@ -67,4 +67,3 @@ class IORWorkload(Workload):
             for op in range(n_ops):
                 yield from self.read(base + op * self.op_size, self.op_size)
             self.iterations_done += 1
-            self.progress.record(self.env.now, self.iterations_done)

@@ -1,38 +1,11 @@
-"""Tests for CSV/JSON result export."""
+"""Tests for CSV result export."""
 
 import csv
-import json
 
 import pytest
 
-from repro.experiments.export import (
-    outcome_to_dict,
-    write_outcomes_json,
-    write_series_csv,
-    write_table_csv,
-)
+from repro.experiments.export import write_series_csv, write_table_csv
 from repro.experiments.runner import SeriesResult
-from repro.experiments.scenarios import ScenarioOutcome
-
-
-def make_outcome():
-    o = ScenarioOutcome(approach="our-approach", workload="ior")
-    o.migration_times = [12.5]
-    o.downtimes = [0.05]
-    o.traffic_by_tag = {"memory": 1e9, "storage-push": 5e8, "app": 1e8}
-    o.read_throughput = 9e8
-    o.write_throughput = 2.5e8
-    o.workload_elapsed = 60.0
-    return o
-
-
-def test_outcome_to_dict_roundtrips_values():
-    d = outcome_to_dict(make_outcome())
-    assert d["approach"] == "our-approach"
-    assert d["migration_times"] == [12.5]
-    assert d["total_traffic"] == pytest.approx(1.6e9)
-    assert d["migration_traffic"] == pytest.approx(1.5e9)
-    json.dumps(d)  # must be serializable
 
 
 def test_write_table_csv(tmp_path):
@@ -69,14 +42,6 @@ def test_write_series_csv_ragged_rejected(tmp_path):
     s.y = [1.0]
     with pytest.raises(ValueError, match="ragged"):
         write_series_csv(tmp_path / "x.csv", "n", [s])
-
-
-def test_write_outcomes_json_nested(tmp_path):
-    data = {"ior": {"ours": make_outcome()}, "note": "hello"}
-    path = write_outcomes_json(tmp_path / "out.json", data)
-    loaded = json.loads(path.read_text())
-    assert loaded["ior"]["ours"]["approach"] == "our-approach"
-    assert loaded["note"] == "hello"
 
 
 def test_creates_parent_dirs(tmp_path):
