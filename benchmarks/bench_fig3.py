@@ -1,9 +1,9 @@
 """Regenerates Figure 3: single live migration of IOR and AsyncWR.
 
 Shape assertions encode the paper's qualitative claims (who wins, rough
-factors); absolute values are simulation-scale, recorded in
-``benchmarks/results/fig3.txt`` and compared against the paper in
-EXPERIMENTS.md.
+factors); absolute values are simulation-scale, recorded at paper scale
+(``REPRO_FULL=1``) in ``benchmarks/results_full/fig3.txt`` and compared
+against the paper in EXPERIMENTS.md.
 """
 
 import pytest
