@@ -17,6 +17,7 @@ import pathlib
 
 import pytest
 
+
 def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "") == "1"
 
