@@ -215,6 +215,11 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._wait_begin: Optional[float] = None
         self.started_at = env.now
+        # A process parked on an event that no queue holds is otherwise
+        # reachable only through its own reference cycle, and the garbage
+        # collector would close its generator mid-run, running ``finally``
+        # blocks that change the simulation.
+        env._unfinished.add(self)
         p = env.probe
         if p.enabled:
             p.process_start(self.name)
@@ -256,7 +261,9 @@ class Process(Event):
         event.callbacks.append(self._resume)
         self.env._schedule(event, URGENT)
 
-    def _trace_finish(self, outcome: str) -> None:
+    def _finish(self, outcome: str) -> None:
+        """The generator ended: drop the environment's hold and report."""
+        self.env._unfinished.discard(self)
         p = self.env.probe
         if p.enabled:
             p.process_finish(self.name, self.started_at, outcome)
@@ -300,12 +307,12 @@ class Process(Event):
             except StopIteration as exc:
                 self.env._active = None
                 self.succeed(exc.value)
-                self._trace_finish("ok")
+                self._finish("ok")
                 return
             except BaseException as exc:
                 self.env._active = None
                 self.fail(exc)
-                self._trace_finish("failed")
+                self._finish("failed")
                 return
 
             if not isinstance(next_ev, Event):
@@ -314,6 +321,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_ev!r}"
                 )
                 self.fail(err)
+                self.env._unfinished.discard(self)
                 return
 
             if next_ev.callbacks is None:
@@ -359,6 +367,8 @@ class Environment:
         self.events_processed = 0
         #: Callbacks to run once nothing more is due now (at_instant_end).
         self._at_end: list[Callable[[], None]] = []
+        #: Every process whose generator has not ended (see Process).
+        self._unfinished: set[Process] = set()
 
     @property
     def now(self) -> float:

@@ -14,6 +14,8 @@ chunk-level content invariant intact.  The module-level SIGALRM fixture
 (conftest) turns any hang into a loud failure.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -185,12 +187,11 @@ def test_destination_crash_always_aborts():
         assert vm.node is cloud.cluster.node(0) and not vm.paused
 
 
-def test_destination_outage_aborts_then_restart_completes():
-    """Abort-and-restart: the 5 s watchdog aborts the first attempt while
-    the destination is down (t=1.3..31.3), the restarts due at t=16 and
-    t=26 are skipped because the node is still down, and the one at t=36
-    starts and completes.  The restart instant numbers attempts that
-    started, so it reads 1 — the attempt ``repro analyze`` labels #2."""
+def _outage_restart_run(approach, obs=None, collect_at=None):
+    """node1 (the destination) is down t=1.3..31.3 s; the 5 s watchdog
+    aborts and the middleware restarts up to three times.  With
+    ``collect_at`` a process runs a full garbage collection at that
+    instant."""
     plan = FaultPlan(
         faults=[FaultSpec("node-crash", "node1", at=1.3, duration=30.0)],
         chunk_timeout=8.0,
@@ -200,8 +201,7 @@ def test_destination_outage_aborts_then_restart_completes():
         restart_backoff=10.0,
         horizon=600.0,
     )
-    obs = Observability(trace=True)
-    env, cloud, vm = _build("our-approach", plan, obs)
+    env, cloud, vm = _build(approach, plan, obs)
     out = {}
 
     def migrator():
@@ -209,8 +209,25 @@ def test_destination_outage_aborts_then_restart_completes():
         out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1),
                                             restarts=3)
 
+    def collector():
+        yield env.timeout(collect_at)
+        gc.collect()
+
     env.process(migrator())
+    if collect_at is not None:
+        env.process(collector())
     env.run(until=plan.horizon)
+    return cloud, vm, out
+
+
+def test_destination_outage_aborts_then_restart_completes():
+    """Abort-and-restart: the 5 s watchdog aborts the first attempt while
+    the destination is down (t=1.3..31.3), the restarts due at t=16 and
+    t=26 are skipped because the node is still down, and the one at t=36
+    starts and completes.  The restart instant numbers attempts that
+    started, so it reads 1 — the attempt ``repro analyze`` labels #2."""
+    obs = Observability(trace=True)
+    cloud, vm, out = _outage_restart_run("our-approach", obs)
 
     first, second = cloud.collector.records
     assert first.aborted and first.released_at is None
@@ -224,6 +241,26 @@ def test_destination_outage_aborts_then_restart_completes():
     restarts = [ev["args"]["attempt"] for ev in obs.tracer.events
                 if ev["name"] == "migration.restart"]
     assert restarts == [1]
+
+
+def test_restart_run_does_not_depend_on_garbage_collection():
+    """A guest PVFS I/O black-holed by the outage parks its process on an
+    event that no queue holds.  A garbage collection mid-run must not
+    close that process (its ``finally`` would release ``drain_io`` and let
+    the restarted attempt finish), so the run's record is the same with
+    and without one.  The attempt at t=36 still pauses the VM for good:
+    the hang ROADMAP item 7 describes."""
+    def outcome(collect_at):
+        cloud, vm, out = _outage_restart_run("pvfs-shared",
+                                             collect_at=collect_at)
+        return ([repr(r) for r in cloud.collector.records], vm.node.name,
+                vm.paused, "record" in out)
+
+    plain = outcome(None)
+    assert outcome(20.0) == plain
+    records, node, paused, finished = plain
+    assert len(records) == 2 and (node, paused, finished) == ("node0", True,
+                                                              False)
 
 
 def test_source_lost_after_control_stalls_the_pull():

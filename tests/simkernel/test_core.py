@@ -1,5 +1,7 @@
 """Unit tests for the simulation kernel event loop and processes."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import Environment, Interrupt, StopSimulation
@@ -301,6 +303,51 @@ def test_is_alive_and_repr():
     assert "quickie" in repr(p)
     env.run()
     assert not p.is_alive
+
+
+def test_parked_process_survives_a_mid_run_collection():
+    """A process waiting on an event that no queue holds is reachable only
+    through the environment: a garbage collection mid-run must not close
+    its generator and run its ``finally`` block."""
+    env = Environment()
+    log = []
+
+    def parked():
+        try:
+            yield env.event()  # never triggered, held by nothing else
+        finally:
+            log.append(("finally", env.now))
+
+    def collector():
+        yield env.timeout(1.0)
+        gc.collect()
+        log.append(("collected", env.now))
+
+    env.process(parked())
+    env.process(collector())
+    env.run(until=2.0)
+    assert log == [("collected", 1.0)]
+    assert len(env._unfinished) == 1
+
+
+def test_finished_processes_are_released():
+    env = Environment()
+
+    def quick():
+        yield env.timeout(1.0)
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    def parent():
+        with pytest.raises(ValueError):
+            yield env.process(bad())
+
+    env.process(quick())
+    env.process(parent())
+    env.run()
+    assert not env._unfinished
 
 
 def test_process_return_value():
