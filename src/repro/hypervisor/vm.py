@@ -227,7 +227,11 @@ class VMInstance:
             fabric = self.manager.fabric
             inbound, outbound = fabric.host_load(self.host)
             cap = self.host.nic_in + self.host.nic_out
-            factor += self.cpu_coupling * min((inbound + outbound) / cap, 1.0)
+            # A crashed or partitioned host has no NIC capacity and moves
+            # no bytes, so it adds no coupling.
+            if cap > 0:
+                factor += self.cpu_coupling * min((inbound + outbound) / cap,
+                                                  1.0)
         if self.cpu_throttle > 0:
             factor /= max(1.0 - self.cpu_throttle, 0.05)
         yield self.env.timeout(seconds * factor)

@@ -197,3 +197,38 @@ class TestCpuCoupling:
         env.process(guest())
         env.run(until=10.0)
         assert log == [pytest.approx(3.0)]
+
+    def test_compute_on_a_host_without_nic_capacity(self):
+        """A crashed or partitioned host has zero NIC capacity; compute
+        there runs unstretched instead of dividing by it."""
+        from repro.netsim import Fabric, Topology
+
+        env = Environment()
+        topo = Topology()
+        a = topo.add_host("a", 100.0)
+        topo.add_host("b", 100.0)
+        fabric = Fabric(env, topo, latency=0.0)
+        topo.degrade_host(a, 0.0)
+        vm = VMInstance(env, "vm0")
+        vm.cpu_coupling = 1.0
+
+        class Mgr(_FakeManager):
+            pass
+
+        mgr = Mgr()
+        mgr.fabric = fabric
+
+        class Node:
+            host = a
+            name = "a"
+
+        vm.place(Node(), mgr)
+        log = []
+
+        def guest():
+            yield from vm.compute(2.0)
+            log.append(env.now)
+
+        env.process(guest())
+        env.run()
+        assert log == [2.0]
