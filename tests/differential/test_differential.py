@@ -168,26 +168,6 @@ def test_chaos_cell_differential(kind):
     _assert_kernels_agree(run, f"chaos:{kind}")
 
 
-@pytest.mark.parametrize("approach", ["precopy", "postcopy"])
-def test_chaos_cell_other_approaches_differential(approach):
-    """One representative fault for the non-hybrid approaches."""
-    def run(kernel):
-        with kernel_scope(kernel):
-            plan = _plan("link-degraded")
-            env, cloud, vm = _build(approach, plan)
-            out = {}
-
-            def migrator():
-                yield env.timeout(1.0)
-                out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
-
-            env.process(migrator())
-            env.run(until=plan.horizon)
-            return _cluster_digest(env, cloud, vm, out.get("record"))
-
-    _assert_kernels_agree(run, f"chaos:{approach}:link-degraded")
-
-
 # -------------------------------------------------------- zero-byte edges
 def test_zero_byte_transfers_differential():
     """Zero-byte transfers and messages: no traffic, same event counts."""

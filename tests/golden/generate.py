@@ -246,37 +246,25 @@ def fig2_series_golden() -> dict:
 CHAOS_CELLS = (("our-approach", "link-degraded"), ("precopy", "slow-disk"))
 
 
-def run_chaos_cell(approach: str, kind: str, obs=None):
-    """One chaos-matrix cell (the tests/faults geometry, shrunk), with
-    ``obs`` installed when given.
+def run_chaos_cell(approach: str, plan, obs=None):
+    """One migration in the chaos matrix's geometry under the FaultPlan
+    ``plan``, with ``obs`` installed when given.
 
     Returns ``(digest, meter)``: everything the simulation computed that
     must not depend on observability, and the cell's TrafficMeter.
     """
     from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
     from repro.core.config import MigrationConfig
-    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+    from repro.faults import FaultInjector
     from repro.simkernel import Environment
     from repro.workloads.synthetic import PacedReader, RandomWriter
+    from tests.faults.test_chaos_matrix import CHAOS_SPEC
 
     mb = 2**20
-    spec = dict(
-        n_nodes=4, nic_bw=100e6, backplane_bw=None, latency=1e-4,
-        disk_bw=55e6, disk_cache_bytes=2 * 2**30, chunk_size=1 * mb,
-        image_size=256 * mb, base_allocated=64 * mb, repo_replication=2,
-    )
-    fault = (FaultSpec("link-degrade", "node1", at=1.3, duration=8.0,
-                       severity=0.2)
-             if kind == "link-degraded" else
-             FaultSpec("slow-disk", "node1", at=1.3, duration=8.0,
-                       severity=0.1))
-    plan = FaultPlan(faults=[fault], chunk_timeout=8.0, retry_max=6,
-                     retry_backoff=0.25, migration_timeout=90.0,
-                     horizon=600.0)
     env = Environment()
     if obs is not None:
         obs.install(env)
-    cluster = Cluster(env, ClusterSpec(**spec))
+    cluster = Cluster(env, ClusterSpec(**CHAOS_SPEC))
     config = plan.apply_to(MigrationConfig(push_batch=8, pull_batch=8))
     cloud = CloudMiddleware(cluster, config=config)
     vm = cloud.deploy("vm0", cluster.node(0), approach=approach,
@@ -286,23 +274,129 @@ def run_chaos_cell(approach: str, kind: str, obs=None):
     PacedReader(vm, total_bytes=64 * mb, rate=6e6, op_size=2 * mb,
                 region_offset=96 * mb, region_size=64 * mb, seed=11).start()
     FaultInjector(env, cluster, plan).start()
-    out = {}
 
     def migrator():
         yield env.timeout(1.0)
-        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+        yield cloud.migrate(vm, cloud.cluster.node(1))
 
     env.process(migrator())
     env.run(until=plan.horizon)
-    record = out.get("record")
-    assert record is not None, f"{approach} under {kind} hung"
     digest = {
-        "record": repr(record),
+        # A migration that never ends (the source lost after control)
+        # leaves a record too.
+        "records": [repr(r) for r in cloud.collector.records],
         "versions": vm.manager.chunks.version.tolist(),
         "clock": vm.content_clock.tolist(),
         "traffic": dict(cluster.fabric.meter.by_tag()),
+        "events": env.events_processed,
     }
     return digest, cluster.fabric.meter
+
+
+def _chaos_plan(kind: str):
+    from tests.faults.test_chaos_matrix import _plan
+
+    return _plan(kind)
+
+
+def _tight_plan(fault):
+    """One fault under a 2 s chunk timeout and a single retry: a stall
+    longer than 2 s times out, one shorter than 4.25 s survives it."""
+    from repro.faults import FaultPlan
+
+    return FaultPlan(faults=[fault], chunk_timeout=2.0, retry_max=1,
+                     retry_backoff=0.25, migration_timeout=90.0,
+                     horizon=60.0)
+
+
+def _partition(node: str, at: float, duration=None):
+    from repro.faults import FaultSpec
+
+    return FaultSpec("link-partition", node, at=at, duration=duration)
+
+
+#: Instants at which a fault-free run of the chaos geometry sends a
+#: control message (node0 is the source, node1 the destination).  A link
+#: partition that starts at that very instant black-holes the message:
+#: the injector's timer is older than the wakeup that sends it.
+MESSAGE_INSTANTS = {
+    "our-approach": {"transfer-io-control": ("node1", 1.8075086399999998),
+                     "pull-request": ("node0", 1.8916065599999998),
+                     "release": ("node0", 1.9126831999999998)},
+    "postcopy": {"transfer-io-control": ("node1", 1.6816795199999999),
+                 "pull-request": ("node0", 1.7867505599999998),
+                 "release": ("node0", 1.9127899199999998)},
+}
+
+
+def fault_retry_cells() -> dict:
+    """``{cell name: (approach, plan)}`` of the all-engine retry golden.
+
+    Every approach runs the chaos matrix's ``destination-crash`` and
+    ``link-degraded`` columns, the permanent source partition at
+    t=1.81 s of ``test_source_lost_after_control_stalls_the_pull``, and a
+    3 s destination partition from t=1.1 s, inside the push, bulk-copy
+    and mirrored-write windows.  The downtime and post-control senders
+    get a partition timed inside their own window: precopy's final flush
+    (t=3.04 s) and the hybrid engines' three control messages (at the
+    instant each is sent).
+    """
+    from repro.core.registry import APPROACHES
+
+    cells = {}
+    for approach in sorted(APPROACHES):
+        for kind in ("destination-crash", "link-degraded"):
+            cells[f"{approach}/{kind}"] = (approach, _chaos_plan(kind))
+        cells[f"{approach}/source-lost"] = (
+            approach, _tight_plan(_partition("node0", 1.81)))
+        cells[f"{approach}/destination-partition"] = (
+            approach, _tight_plan(_partition("node1", 1.1, 3.0)))
+    cells["precopy/final-flush-partition"] = (
+        "precopy", _tight_plan(_partition("node1", 3.04, 3.0)))
+    for approach, instants in MESSAGE_INSTANTS.items():
+        for label, (node, at) in instants.items():
+            cells[f"{approach}/{label}-partition"] = (
+                approach, _tight_plan(_partition(node, at, 1.0)))
+    return cells
+
+
+def fault_retries_golden() -> dict:
+    """Every engine's timeout and retry paths, cell by cell: the
+    migration records, the timeouts and retries per label, a digest of
+    the simulation state and of the trace and metrics exports.
+
+    The state runs on whichever kernel is in force, so the differential
+    harness compares it across both.  The exports are generated on the
+    production kernel: the oracle settles the fabric at every change and
+    records more ``fabric.active_flows`` samples by design.
+    """
+    from repro.obs import Observability
+    from tests.differential.oracle import kernel_scope
+
+    out = {}
+    for name, (approach, plan) in fault_retry_cells().items():
+        obs = Observability(metrics=False)
+        digest, _ = run_chaos_cell(approach, plan, obs)
+        timeouts, retries = {}, {}
+        for ev in obs.tracer.events:
+            if ev["name"] in ("transfer.timeout", "message.timeout"):
+                label = ev["args"]["label"]
+                timeouts[label] = timeouts.get(label, 0) + 1
+            elif ev["name"] == "transfer.retry":
+                label = ev["args"]["label"]
+                retries[label] = retries.get(label, 0) + 1
+        out[name] = {
+            "records": digest.pop("records"),
+            "timeouts": timeouts,
+            "retries": retries,
+            "state_sha256": hashlib.sha256(
+                json.dumps(digest, sort_keys=True).encode()).hexdigest(),
+        }
+        with kernel_scope("fast"):
+            obs = Observability()
+            run_chaos_cell(approach, plan, obs)
+            out[name]["exports"] = _export_digests(obs)
+    return out
 
 
 def _export_digests(obs) -> dict:
@@ -344,7 +438,7 @@ def fig2_exports_golden() -> dict:
         out["fig2"] = _export_digests(obs)
         for approach, kind in CHAOS_CELLS:
             obs = Observability()
-            run_chaos_cell(approach, kind, obs)
+            run_chaos_cell(approach, _chaos_plan(kind), obs)
             out[f"chaos/{approach}/{kind}"] = _export_digests(obs)
     return out
 
@@ -424,7 +518,7 @@ def fig2_reports_golden() -> dict:
     with kernel_scope("fast"):
         for approach, kind in CHAOS_CELLS:
             obs = Observability(causal=True)
-            run_chaos_cell(approach, kind, obs)
+            run_chaos_cell(approach, _chaos_plan(kind), obs)
             summaries[f"chaos/{approach}/{kind}"] = analyze_tracer(obs.tracer)
     out = {}
     for name, summary in summaries.items():
@@ -456,6 +550,7 @@ GOLDENS = {
     "fig2_diff_kernels": fig2_diff_kernels_golden,
     "fig2_diff_precopy": fig2_diff_precopy_golden,
     "fig2_reports": fig2_reports_golden,
+    "fault_retries": fault_retries_golden,
 }
 
 

@@ -7,6 +7,8 @@ shifts the paper numbers must be an explicit decision (regenerate with
 ``PYTHONPATH=src python -m tests.golden.generate`` and commit the diff).
 """
 
+import json
+
 import pytest
 
 from tests.golden.generate import FIXTURES, GOLDENS, canonical_json
@@ -26,3 +28,16 @@ def test_figure_matches_golden(figure):
         "If the change is intentional, regenerate with "
         "'PYTHONPATH=src python -m tests.golden.generate' and commit."
     )
+
+
+def test_fault_retries_golden_times_out_every_label():
+    """The all-engine fault golden reaches every bounded-retry label of
+    every engine, so a change to the retry step cannot hide behind a
+    fixture that never enters it."""
+    doc = json.loads((FIXTURES / "fault_retries.json").read_text())
+    timed_out = set().union(*(cell["timeouts"] for cell in doc.values()))
+    retried = set().union(*(cell["retries"] for cell in doc.values()))
+    labels = {"push", "precopy", "precopy-final", "mirror-bulk",
+              "mirror-write", "pull", "pull-request", "transfer-io-control",
+              "release"}
+    assert timed_out == retried == labels

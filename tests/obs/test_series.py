@@ -42,6 +42,7 @@ from repro.obs.series import (
 from repro.obs.series.agg import rates_from_cumulative
 from repro.simkernel import Environment
 from repro.workloads.synthetic import RandomWriter
+from tests.faults.test_chaos_matrix import _plan
 from tests.golden.generate import (
     CHAOS_CELLS,
     FIXTURES,
@@ -133,7 +134,7 @@ def _run_chaos_cell(approach, kind, series):
     """One chaos-matrix cell with metrics on and the series recorder
     optionally installed."""
     obs = Observability(trace=False, metrics=True, series=series)
-    digest, meter = run_chaos_cell(approach, kind, obs)
+    digest, meter = run_chaos_cell(approach, _plan(kind), obs)
     return digest, obs, meter
 
 
