@@ -162,7 +162,6 @@ class CloudMiddleware:
             vdisk,
             repo,
             self.cluster.fabric,
-            self.collector,
             self.config,
         )
         vm.place(node, manager)
@@ -195,7 +194,6 @@ class CloudMiddleware:
                 dst_node,
                 self.collector,
                 memory=memory,
-                config=vm.manager.config,
             )
             return self.env.process(migration.run(), name=f"migrate:{vm.name}")
 

@@ -165,41 +165,18 @@ class HybridManager(MigrationManager):
             # Removed from RemainingSet at send time; a concurrent write
             # re-queues the chunk (Algorithm 2 line 10).
             self.remaining[batch] = False
-            versions = self.chunks.version[batch].copy()
             peer = self.peer
-            nbytes = float(batch.size * self.chunk_size)
-            # The moved bytes traverse: source disk (warm chunks come from
-            # the host cache), the source manager's read path (contending
-            # with guest reads), the fabric, the destination manager's
-            # write path (contending with guest writes there).  The stages
-            # pipeline, so batch completion is governed by the slowest;
-            # arriving data is cache-absorbed and written back lazily.
             t0 = self.env.now
-
-            def batch_events(peer=peer, batch=batch, nbytes=nbytes):
-                return [
-                    self.vdisk.load(batch),
-                    self.pagecache.read(nbytes),
-                    self.fabric.transfer(
-                        self.host, peer.host, nbytes, tag="storage-push",
-                        cause="push",
-                    ),
-                    peer.pagecache.write(nbytes),
-                ]
-
-            ok = yield from self._transfer_attempts(batch_events, "push")
-            if self.peer is not peer:
-                return  # migration cancelled mid-batch: drop the payload
-            if not ok:
-                self.request_abort("push batch stalled past its retry budget")
+            if not (yield from self._ship(
+                    batch, "push",
+                    "push batch stalled past its retry budget")):
                 return
-            peer.receive_chunks(batch, versions)
-            peer.vdisk.disk.touch(batch)
             peer._fate[batch] = _FATE_PUSHED
             self.stats["pushed_chunks"] += int(batch.size)
             p = self.env.probe
             if p.enabled:
-                p.push_batch(self.vm.name, t0, int(batch.size), nbytes,
+                p.push_batch(self.vm.name, t0, int(batch.size),
+                             float(batch.size * self.chunk_size),
                              self.remaining)
 
     def _notify_push(self) -> None:
@@ -227,11 +204,6 @@ class HybridManager(MigrationManager):
         return
         yield  # pragma: no cover
 
-    def backlog_bytes(self) -> float:
-        if self.is_source:
-            return float(self.remaining.sum()) * self.chunk_size
-        return 0.0
-
     def on_sync(self) -> Generator:
         """Stop the push engine.  Writes may still be draining, so the
         remaining set is NOT snapshotted yet — ``_count_writes`` stays on
@@ -255,14 +227,11 @@ class HybridManager(MigrationManager):
             p.transfer_io_control(self.vm.name, int(remaining_ids.size))
         # The chunk list + write counts travel as a control message
         # (8 bytes of id + 8 of count per entry).
-        ok = yield from self._message_attempts(
+        ok = yield from self._attempts(
             lambda: self.fabric.message(
-                self.host,
-                self.peer.host,
+                self.host, self.peer.host,
                 nbytes=16.0 * remaining_ids.size + 512,
-                tag="control",
-                cause="control",
-            ),
+                tag="control", cause="control"),
             "transfer-io-control",
         )
         if not ok:
@@ -413,31 +382,19 @@ class HybridManager(MigrationManager):
         arrival = Event(self.env)
         for c in batch:
             self._pull_inflight[int(c)] = arrival
-        # Pull request (control), then the pipelined data path: source
-        # disk + source read path, fabric, destination write path + disk.
-        ok = yield from self._message_attempts(
+        # Pull request (control), then the pipelined data path from the
+        # passive source.
+        ok = yield from self._attempts(
             lambda: self.fabric.message(self.host, src.host, tag="control",
                                         cause="control"),
             "pull-request",
         )
-        if not ok:
-            self._pull_failed(batch, arrival)
-            return False
-        nbytes = float(batch.size * self.chunk_size)
-
-        def batch_events(src=src, batch=batch, nbytes=nbytes,
-                         weight=weight, cause=cause):
-            return [
-                src.vdisk.load(batch),
-                src.pagecache.read(nbytes),
-                self.fabric.transfer(
-                    src.host, self.host, nbytes, tag="storage-pull",
-                    weight=weight, cause=cause,
-                ),
-                self.pagecache.write(nbytes),
-            ]
-
-        ok = yield from self._transfer_attempts(batch_events, "pull")
+        if ok:
+            ok = yield from self._attempts(
+                lambda: src._batch_events(self, batch, "storage-pull", cause,
+                                          weight),
+                "pull",
+            )
         if not ok:
             self._pull_failed(batch, arrival)
             return False
@@ -563,7 +520,7 @@ class HybridManager(MigrationManager):
                            lambda: self._chunk_fate_cells(src))
         # Best effort: if the source is unreachable the data is all here
         # anyway; release locally so the migration record completes.
-        yield from self._message_attempts(
+        yield from self._attempts(
             lambda: self.fabric.message(self.host, src.host, tag="control",
                                         cause="control"),
             "release",

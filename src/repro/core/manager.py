@@ -28,12 +28,12 @@ content clock.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
 from repro.core.config import MigrationConfig
-from repro.metrics.collector import MetricsCollector
 from repro.netsim.flows import Fabric
 from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
@@ -59,7 +59,9 @@ class MigrationManager:
     Subclasses implement the Table 1 strategies by overriding the lifecycle
     hooks and, where the strategy changes the guest I/O path (mirror,
     pvfs-shared, on-demand pulls), the ``_absorb_write`` / ``_before_read``
-    hooks.
+    hooks.  They move chunks with :meth:`_ship` (source side) or
+    :meth:`_batch_events` (any side) and send control messages through
+    :meth:`_attempts`, the one bounded-retry step.
     """
 
     #: Short name as used in the paper's Table 1.
@@ -69,6 +71,14 @@ class MigrationManager:
     #: Fraction of remotely-written bytes that additionally dirty guest
     #: memory (client cache churn); only the pvfs baseline sets this.
     write_memory_churn = 0.0
+    #: Guest page-cache charges per migrated byte on the sending side:
+    #: the read path at ``read_amplification`` x bytes, and, when
+    #: ``write_amplification`` is non-zero, the write path at that many
+    #: x bytes with fair-share ``write_weight``.  Only precopy's qcow2
+    #: block migration amplifies.
+    read_amplification = 1.0
+    write_amplification = 0.0
+    write_weight = 1.0
 
     def __init__(
         self,
@@ -78,7 +88,6 @@ class MigrationManager:
         vdisk: VirtualDisk,
         repo,
         fabric: Fabric,
-        collector: MetricsCollector,
         config: Optional[MigrationConfig] = None,
     ):
         self.env = env
@@ -87,7 +96,6 @@ class MigrationManager:
         self.vdisk = vdisk
         self.repo = repo
         self.fabric = fabric
-        self.collector = collector
         self.config = config if config is not None else MigrationConfig()
         self.pagecache = PageCache(env, vm.read_bw, vm.write_bw)
 
@@ -130,7 +138,6 @@ class MigrationManager:
             vdisk,
             self.repo,
             self.fabric,
-            self.collector,
             self.config,
         )
         peer.peer = self
@@ -160,94 +167,105 @@ class MigrationManager:
         proc.interrupt(cause)
         return True
 
-    def _emit_retry(self, label: str, attempt: int, delay: float) -> None:
-        p = self.env.probe
-        if p.enabled:
-            p.transfer_retry(self.vm.name, label, attempt, delay)
+    def _attempts(self, make, label: str) -> Generator:
+        """Deliver what ``make()`` builds under the chunk timeout, with
+        bounded retry.
 
-    def _emit_timeout(self, kind: str, label: str, attempt: int) -> None:
-        p = self.env.probe
-        if p.enabled:
-            p.transfer_timeout(self.vm.name, kind, label, attempt)
-
-    def _transfer_attempts(self, make_events, label: str) -> Generator:
-        """Run a pipelined transfer batch under the per-batch timeout.
-
-        ``make_events`` builds the batch's event list afresh for every
-        attempt (fabric transfers, disk loads, page-cache charges).  With
-        the default infinite ``chunk_timeout`` this is exactly the
-        pre-fault single attempt — no extra events, so fault-free runs
-        stay byte-identical.  Otherwise each timed-out attempt cancels
-        its stuck fabric flows, backs off exponentially and retries up
-        to ``retry_max`` times.  Returns ``True`` when the batch landed,
-        ``False`` when the retry budget is exhausted.
+        ``make`` builds the attempt afresh every time: a list is a
+        pipelined transfer batch (fabric transfers, disk loads,
+        page-cache charges) joined by ``all_of``, a single event a
+        control message.  With the default infinite ``chunk_timeout``
+        this yields exactly the bare event(s), with no timer, so
+        fault-free runs stay byte-identical.  Otherwise a timed-out
+        attempt (a batch's stuck flows are cancelled; a message to a
+        crashed or partitioned host is black-holed in transit) backs off
+        exponentially and retries up to ``retry_max`` times.  Returns
+        ``True`` on delivery, ``False`` when the budget is exhausted.
         """
         cfg = self.config
+        env = self.env
         if cfg.chunk_timeout == float("inf"):
-            events = make_events()
-            if len(events) == 1:
-                yield events[0]
-            else:
-                yield self.env.all_of(events)
+            made = make()
+            if isinstance(made, list):
+                made = made[0] if len(made) == 1 else env.all_of(made)
+            yield made
             return True
         delay = cfg.retry_backoff
         for attempt in range(cfg.retry_max + 1):
-            if attempt == 0:
-                events = make_events()
-            else:
-                # Re-sent bytes are waste the first attempt already paid
-                # for; attribute them to the retry, not the strategy.
-                with self.fabric.cause_scope(f"retry.{label}"):
-                    events = make_events()
-            done = self.env.all_of(events)
-            stall = annotate(self.env, self.env.timeout(cfg.chunk_timeout),
+            # Re-sent bytes are waste the first attempt already paid for;
+            # attribute them to the retry, not the strategy.
+            with (self.fabric.cause_scope(f"retry.{label}") if attempt
+                  else nullcontext()):
+                made = make()
+            batch = isinstance(made, list)
+            done = env.all_of(made) if batch else made
+            stall = annotate(env, env.timeout(cfg.chunk_timeout),
                              "stall.chunk_timeout", label=label)
-            yield self.env.any_of([done, stall])
+            yield env.any_of([done, stall])
             if done.triggered:
                 return True
-            for ev in events:
-                self.fabric.cancel(ev)
-            self._emit_timeout("transfer.timeout", label, attempt)
+            if batch:
+                for ev in made:
+                    self.fabric.cancel(ev)
+            p = env.probe
+            if p.enabled:
+                p.transfer_timeout(
+                    self.vm.name,
+                    "transfer.timeout" if batch else "message.timeout",
+                    label, attempt)
             if attempt == cfg.retry_max:
                 return False
-            self._emit_retry(label, attempt, delay)
-            yield annotate(self.env, self.env.timeout(delay),
-                           "retry.backoff", label=label)
+            if p.enabled:
+                p.transfer_retry(self.vm.name, label, attempt, delay)
+            yield annotate(env, env.timeout(delay), "retry.backoff",
+                           label=label)
             delay *= 2
-        return False
 
-    def _message_attempts(self, make_message, label: str) -> Generator:
-        """Deliver a control message under the chunk timeout.
+    def _batch_events(self, dst: "MigrationManager", batch: np.ndarray,
+                      tag: str, cause: str, weight: float = 1.0) -> list:
+        """One attempt at moving ``batch`` from this manager to ``dst``.
 
-        A message to a crashed or partitioned host is black-holed (lost
-        in transit); each timed-out attempt resends after exponential
-        back-off.  Fault-free (infinite timeout) this yields the bare
-        message event, adding nothing.  Returns ``True`` on delivery.
+        The bytes traverse this side's disk (warm chunks come from the
+        host cache) and guest read path (plus write path under write
+        amplification), the fabric, and ``dst``'s guest write path.  The
+        stages pipeline, so the batch completes with the slowest;
+        arriving data is cache-absorbed and written back lazily.
         """
-        cfg = self.config
-        if cfg.chunk_timeout == float("inf"):
-            yield make_message()
-            return True
-        delay = cfg.retry_backoff
-        for attempt in range(cfg.retry_max + 1):
-            if attempt == 0:
-                ev = make_message()
-            else:
-                with self.fabric.cause_scope(f"retry.{label}"):
-                    ev = make_message()
-            stall = annotate(self.env, self.env.timeout(cfg.chunk_timeout),
-                             "stall.chunk_timeout", label=label)
-            yield self.env.any_of([ev, stall])
-            if ev.triggered:
-                return True
-            self._emit_timeout("message.timeout", label, attempt)
-            if attempt == cfg.retry_max:
-                return False
-            self._emit_retry(label, attempt, delay)
-            yield annotate(self.env, self.env.timeout(delay),
-                           "retry.backoff", label=label)
-            delay *= 2
-        return False
+        nbytes = float(batch.size * self.chunk_size)
+        events = [self.vdisk.load(batch),
+                  self.pagecache.read(nbytes * self.read_amplification)]
+        if self.write_amplification:
+            events.append(self.pagecache.write(
+                nbytes * self.write_amplification, weight=self.write_weight))
+        events.append(self.fabric.transfer(self.host, dst.host, nbytes,
+                                           tag=tag, weight=weight,
+                                           cause=cause))
+        events.append(dst.pagecache.write(nbytes))
+        return events
+
+    def _ship(self, batch: np.ndarray, label: str,
+              abort_cause: str) -> Generator:
+        """Push ``batch`` to the destination twin before control transfer.
+
+        Returns ``True`` once the destination adopted the batch.  Returns
+        ``False`` when the migration was cancelled mid-batch (the payload
+        is dropped) or when the batch stalled past its retry budget (the
+        migration is aborted with ``abort_cause``); the sender stops.
+        """
+        peer = self.peer
+        versions = self.chunks.version[batch].copy()
+        ok = yield from self._attempts(
+            lambda: self._batch_events(peer, batch, "storage-push", "push"),
+            label,
+        )
+        if self.peer is not peer:
+            return False
+        if not ok:
+            self.request_abort(abort_cause)
+            return False
+        peer.receive_chunks(batch, versions)
+        peer.vdisk.disk.touch(batch)
+        return True
 
     def _repo_fetch(self, chunk_ids: np.ndarray, tag: str = "repo-fetch") -> Generator:
         """Repository fetch with bounded retry over transient failures.
@@ -264,20 +282,18 @@ class MigrationManager:
         attempt = 0
         while True:
             try:
-                if attempt == 0:
+                with (self.fabric.cause_scope(f"retry.{tag}") if attempt
+                      else nullcontext()):
                     ev = self.repo.fetch(chunk_ids, self.host, tag=tag,
                                          cause="repo.fetch")
-                else:
-                    with self.fabric.cause_scope(f"retry.{tag}"):
-                        ev = self.repo.fetch(chunk_ids, self.host, tag=tag,
-                                             cause="repo.fetch")
             except RepositoryUnavailable:
                 p = self.env.probe
                 if p.enabled:
                     p.repo_unavailable(gave_up=attempt >= cfg.retry_max)
                 if attempt >= cfg.retry_max:
                     raise
-                self._emit_retry(tag, attempt, delay)
+                if p.enabled:
+                    p.transfer_retry(self.vm.name, tag, attempt, delay)
                 yield annotate(self.env, self.env.timeout(delay),
                                "retry.backoff", label=tag)
                 delay *= 2
@@ -375,10 +391,6 @@ class MigrationManager:
     def ready_for_control(self) -> bool:
         """May the hypervisor enter the stop-and-copy phase?"""
         return True
-
-    def backlog_bytes(self) -> float:
-        """Storage bytes still owed to the destination (diagnostics)."""
-        return 0.0
 
     def on_sync(self) -> Generator:
         """The hypervisor's ``sync`` just before downtime (Section 4.4)."""

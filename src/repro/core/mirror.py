@@ -54,36 +54,13 @@ class MirrorManager(MigrationManager):
         """Phase 1: ship the pre-request ModifiedSet to the destination."""
         ids = self.chunks.modified_set()
         cfg = self.config
-        peer = self.peer
         for start in range(0, ids.size, cfg.push_batch):
-            if self.peer is not peer:
-                return  # cancelled
             batch = ids[start : start + cfg.push_batch]
-            versions = self.chunks.version[batch].copy()
-            nbytes = float(batch.size * self.chunk_size)
             t0 = self.env.now
-
-            def batch_events(peer=peer, batch=batch, nbytes=nbytes):
-                return [
-                    self.vdisk.load(batch),
-                    self.pagecache.read(nbytes),
-                    self.fabric.transfer(
-                        self.host, peer.host, nbytes, tag="storage-push",
-                        cause="push"
-                    ),
-                    peer.pagecache.write(nbytes),
-                ]
-
-            ok = yield from self._transfer_attempts(batch_events, "mirror-bulk")
-            if self.peer is not peer:
+            if not (yield from self._ship(
+                    batch, "mirror-bulk",
+                    "mirror bulk copy stalled past its retry budget")):
                 return
-            if not ok:
-                self.request_abort(
-                    "mirror bulk copy stalled past its retry budget"
-                )
-                return
-            peer.receive_chunks(batch, versions)
-            peer.vdisk.disk.touch(batch)
             self.stats["bulk_chunks"] += int(batch.size)
             p = self.env.probe
             if p.enabled:
@@ -100,13 +77,11 @@ class MirrorManager(MigrationManager):
         peer = self.peer
         try:
             versions = self.chunks.version[span].copy()
-            ok = yield from self._transfer_attempts(
-                lambda: [
-                    self.fabric.transfer(
-                        self.host, peer.host, float(nbytes), tag="storage-mirror",
-                        cause="mirror"
-                    )
-                ],
+            ok = yield from self._attempts(
+                lambda: [self.fabric.transfer(self.host, peer.host,
+                                              float(nbytes),
+                                              tag="storage-mirror",
+                                              cause="mirror")],
                 "mirror-write",
             )
             if not ok:
@@ -139,13 +114,6 @@ class MirrorManager(MigrationManager):
 
     def ready_for_control(self) -> bool:
         return self._bulk_proc is not None and not self._bulk_proc.is_alive
-
-    def backlog_bytes(self) -> float:
-        if self._bulk_proc is not None and self._bulk_proc.is_alive:
-            return float(
-                (self.chunks.modified & ~self.peer.chunks.present).sum()
-            ) * self.chunk_size
-        return 0.0
 
     def on_sync(self) -> Generator:
         """Wait for phase 1 and all in-flight mirrored writes to land.

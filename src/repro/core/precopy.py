@@ -14,9 +14,9 @@ its qcow2 layer pays copy-on-write metadata and buffer-copy costs, so
 migration block movement squeezes the guest hard on both the read path
 (blocks are read for sending — the paper measures ~50 % IOR read
 throughput) and the write path (dirty tracking + re-send buffering — ~25 %
-IOR write throughput).  Modeled by charging each migrated batch against
-the guest page-cache shares with amplification
-(``write_amplification`` x bytes at ``write_weight``).
+IOR write throughput).  Modeled by the amplification constants below,
+which the shared batch pipeline (``MigrationManager._batch_events``)
+charges against the guest page-cache shares of every migrated batch.
 """
 
 from __future__ import annotations
@@ -116,39 +116,11 @@ class PrecopyManager(MigrationManager):
                     return
                 self.chunks.record_fetch(missing)
                 self.vdisk.disk.touch(missing)
-            versions = self.chunks.version[batch].copy()
-            peer = self.peer
-            nbytes = float(batch.size * self.chunk_size)
             t0 = self.env.now
-
-            # The moved bytes pipeline through: source disk, the guest read
-            # path (block reads), the guest write path (qcow2 buffer copies
-            # with amplification), the fabric, the destination's write
-            # path and disk.
-            def batch_events(peer=peer, batch=batch, nbytes=nbytes):
-                return [
-                    self.vdisk.load(batch),
-                    self.pagecache.read(nbytes * self.read_amplification),
-                    self.pagecache.write(
-                        nbytes * self.write_amplification, weight=self.write_weight
-                    ),
-                    self.fabric.transfer(
-                        self.host, peer.host, nbytes, tag="storage-push",
-                        cause="push"
-                    ),
-                    peer.pagecache.write(nbytes),
-                ]
-
-            ok = yield from self._transfer_attempts(batch_events, "precopy")
-            if self.peer is not peer:
-                return  # cancelled mid-batch
-            if not ok:
-                self.request_abort(
-                    "precopy batch stalled past its retry budget"
-                )
+            if not (yield from self._ship(
+                    batch, "precopy",
+                    "precopy batch stalled past its retry budget")):
                 return
-            peer.receive_chunks(batch, versions)
-            peer.vdisk.disk.touch(batch)
             n_resent = int(self._sent_once[batch].sum())
             self.stats["sent_chunks"] += int(batch.size)
             self.stats["resent_chunks"] += n_resent
@@ -187,10 +159,8 @@ class PrecopyManager(MigrationManager):
             # Hard safety valve: give up waiting for the dirty set to drain
             # and accept a long final flush (QEMU would block I/O instead).
             return True
-        return self.backlog_bytes() <= self.config.precopy_dirty_target
-
-    def backlog_bytes(self) -> float:
-        return float(self.dirty.sum()) * self.chunk_size
+        backlog = float(self.dirty.sum()) * self.chunk_size
+        return backlog <= self.config.precopy_dirty_target
 
     def on_sync(self) -> Generator:
         self._count_writes = False
@@ -220,16 +190,10 @@ class PrecopyManager(MigrationManager):
             self.vdisk.disk.touch(missing)
         versions = self.chunks.version[ids].copy()
         yield self.vdisk.load(ids)
-        ok = yield from self._transfer_attempts(
-            lambda: [
-                self.fabric.transfer(
-                    self.host,
-                    self.peer.host,
-                    float(ids.size * self.chunk_size),
-                    tag="storage-push",
-                    cause="push",
-                )
-            ],
+        nbytes = float(ids.size * self.chunk_size)
+        ok = yield from self._attempts(
+            lambda: [self.fabric.transfer(self.host, self.peer.host, nbytes,
+                                          tag="storage-push", cause="push")],
             "precopy-final",
         )
         if not ok:

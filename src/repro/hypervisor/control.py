@@ -42,7 +42,6 @@ class LiveMigration:
         dst_node,
         collector: MetricsCollector,
         memory: Optional[object] = None,
-        config=None,
     ):
         self.env = env
         self.fabric = fabric
@@ -50,8 +49,6 @@ class LiveMigration:
         self.dst_node = dst_node
         self.collector = collector
         self.memory = memory if memory is not None else PrecopyMemory()
-        # Failure-semantics knobs; defaults to the manager's config.
-        self.config = config
 
     def run(self) -> Generator:
         env = self.env
@@ -73,7 +70,7 @@ class LiveMigration:
         # Register this process as the abort target: engines that exhaust
         # their retry budget (and the watchdog below) interrupt it while
         # aborting is still safe.
-        cfg = self.config if self.config is not None else src_mgr.config
+        cfg = src_mgr.config
         src_mgr.migration_proc = env.active_process
         src_mgr._abortable = True
         watchdog = None

@@ -200,5 +200,5 @@ class TestSharedStorageIO:
         with pytest.raises(TypeError, match="requires a PVFS"):
             SharedStorageManager(
                 env, vm, node, vdisk, cloud.cluster.repository,
-                cloud.cluster.fabric, cloud.collector,
+                cloud.cluster.fabric,
             )
