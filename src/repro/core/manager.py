@@ -248,11 +248,14 @@ class MigrationManager:
         """Push ``batch`` to the destination twin before control transfer.
 
         Returns ``True`` once the destination adopted the batch.  Returns
-        ``False`` when the migration was cancelled mid-batch (the payload
-        is dropped) or when the batch stalled past its retry budget (the
-        migration is aborted with ``abort_cause``); the sender stops.
+        ``False`` when the migration was cancelled before or during the
+        batch (the payload is dropped) or when the batch stalled past its
+        retry budget (the migration is aborted with ``abort_cause``); the
+        sender stops.
         """
         peer = self.peer
+        if peer is None:
+            return False  # cancelled while the sender waited (precopy's fetch)
         versions = self.chunks.version[batch].copy()
         ok = yield from self._attempts(
             lambda: self._batch_events(peer, batch, "storage-push", "push"),

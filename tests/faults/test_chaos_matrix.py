@@ -263,6 +263,28 @@ def test_restart_run_does_not_depend_on_garbage_collection():
                                                               False)
 
 
+def test_precopy_abort_during_its_repository_fetch():
+    """The watchdog aborts precopy while its sweep waits on a repository
+    fetch (t=1.0..1.49 s in this geometry).  The sweep must drop the
+    batch instead of sending it to the discarded destination twin."""
+    plan = FaultPlan(faults=[], chunk_timeout=8.0, retry_max=6,
+                     retry_backoff=0.25, migration_timeout=0.2,
+                     horizon=60.0)
+    env, cloud, vm = _build("precopy", plan)
+    out = {}
+
+    def migrator():
+        yield env.timeout(1.0)
+        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+    env.process(migrator())
+    env.run(until=plan.horizon)
+    record = out["record"]
+    assert record.aborted and "exceeded" in record.abort_cause
+    assert vm.node is cloud.cluster.node(0) and not vm.paused
+    _check_content_clock(vm)
+
+
 def test_source_lost_after_control_stalls_the_pull():
     """The unsafe corner the paper concedes (Section 6): the source is
     partitioned for good after control transfer, while the first prefetch
