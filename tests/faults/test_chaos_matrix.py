@@ -249,7 +249,7 @@ def test_restart_run_does_not_depend_on_garbage_collection():
     close that process (its ``finally`` would release ``drain_io`` and let
     the restarted attempt finish), so the run's record is the same with
     and without one.  The attempt at t=36 still pauses the VM for good:
-    the hang ROADMAP item 7 describes."""
+    PVFS guest I/O has no timeout, so the black-holed I/Os never end."""
     def outcome(collect_at):
         cloud, vm, out = _outage_restart_run("pvfs-shared",
                                              collect_at=collect_at)
@@ -259,8 +259,8 @@ def test_restart_run_does_not_depend_on_garbage_collection():
     plain = outcome(None)
     assert outcome(20.0) == plain
     records, node, paused, finished = plain
-    assert len(records) == 2 and (node, paused, finished) == ("node0", True,
-                                                              False)
+    assert len(records) == 2
+    assert (node, paused, finished) == ("node0", True, False)
 
 
 def test_precopy_abort_during_its_repository_fetch():
