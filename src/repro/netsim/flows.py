@@ -81,8 +81,8 @@ class NetFlow:
     """
 
     __slots__ = ("src", "dst", "tag", "cause", "weight", "nbytes", "done",
-                 "started_at", "_fabric", "_arrival", "_cell", "_rate",
-                 "_remaining")
+                 "started_at", "_leg", "_fabric", "_arrival", "_cell",
+                 "_rate", "_remaining")
 
     def __init__(
         self,
@@ -93,6 +93,8 @@ class NetFlow:
         tag: str,
         weight: float,
         cause: Optional[str] = None,
+        fan_out: Optional["_FanOut"] = None,
+        leg: int = 0,
     ):
         self.src = src
         self.dst = dst
@@ -100,7 +102,15 @@ class NetFlow:
         self.cause = cause if cause is not None else tag
         self.weight = float(weight)
         self.nbytes = float(nbytes)
-        self.done = Event(env)
+        #: What the flow's completion triggers: its own event, or the one
+        #: event of the :meth:`Fabric.transfer_many` whose leg number
+        #: ``_leg`` it is (``None`` for a lone flow).
+        if fan_out is None:
+            self.done: Event = Event(env)
+            self._leg: Optional[int] = None
+        else:
+            self.done = fan_out
+            self._leg = leg
         self.started_at = env.now
         #: The fabric whose table holds the flow, while it is in flight.
         #: Joining a table also sets ``_arrival`` (the table is sorted on
@@ -129,6 +139,29 @@ class NetFlow:
             f"<NetFlow {self.src.name}->{self.dst.name} tag={self.tag} "
             f"{self.remaining:.0f}/{self.nbytes:.0f}B @{self.rate:.0f}B/s>"
         )
+
+
+class _FanOut(Event):
+    """The one completion event of :meth:`Fabric.transfer_many`.
+
+    ``durations`` lists every leg's duration in leg order (0.0 for a leg
+    done at once) and ``pending`` counts the legs still to complete.  The
+    last leg's completion succeeds the event with ``durations`` where that
+    leg's own ``done`` would have succeeded, so it takes that queue slot.
+    """
+
+    __slots__ = ("durations", "pending")
+
+    def __init__(self, env: Environment, legs: int) -> None:
+        super().__init__(env)
+        self.durations = [0.0] * legs
+        self.pending = 0
+
+    def leg_done(self, leg: int, duration: float) -> None:
+        self.durations[leg] = duration
+        self.pending -= 1
+        if not self.pending:
+            self.succeed(self.durations)
 
 
 class Fabric:
@@ -200,6 +233,16 @@ class Fabric:
             yield
         finally:
             self._cause_override.pop()
+
+    def _validate(self, nbytes: float, weight: float, tag: str,
+                  cause: Optional[str]) -> str:
+        """Check a transfer's size and weight; returns its cause."""
+        # Chained comparisons are False for NaN as well as out of range.
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and non-negative")
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
+        return self._resolve_cause(cause, tag)
 
     def _resolve_cause(self, cause: Optional[str], tag: str) -> str:
         if self._cause_override:
@@ -274,15 +317,10 @@ class Fabric:
         ``cause`` labels *why* the bytes move (``push``, ``prefetch``,
         ``pull.demand``, ...); it defaults to the innermost
         :meth:`cause_scope` override, then to the tag itself.  Flows
-        started at one instant share one reshare: a fan-out needs no
-        grouping of its own.
+        started at one instant share one reshare; a fan-out whose legs
+        are waited on together is :meth:`transfer_many`.
         """
-        # Chained comparisons are False for NaN as well as out of range.
-        if not 0 <= nbytes < math.inf:
-            raise ValueError("nbytes must be finite and non-negative")
-        if not 0 < weight < math.inf:
-            raise ValueError("weight must be finite and positive")
-        cause = self._resolve_cause(cause, tag)
+        cause = self._validate(nbytes, weight, tag, cause)
         if src is dst:
             ev = Event(self.env)
             ev.succeed(0.0)
@@ -299,9 +337,62 @@ class Fabric:
         annotate(self.env, flow.done, "net.flow",
                  tag=tag, cause=cause, src=src.name, dst=dst.name)
         self._advance()
-        self._admit(flow)
-        self._request_settle()
+        self._start([flow])
         return flow.done
+
+    def transfer_many(
+        self,
+        srcs: Sequence[Host],
+        dsts: Sequence[Host],
+        nbytes: float,
+        tag: str = "data",
+        weight: float = 1.0,
+        cause: Optional[str] = None,
+    ) -> Event:
+        """Move ``nbytes`` along each leg ``srcs[i] -> dsts[i]`` at once.
+
+        One validation, one integration step, one pass over the flow table
+        and one settle request start all the legs, and one event stands
+        for them: it fires when the last leg completes, in the queue slot
+        that leg's own :meth:`transfer` event would have taken, with the
+        legs' durations in leg order as its value.  So
+        ``env.all_of([event])`` resumes its waiter exactly where
+        ``all_of`` over per-leg transfers would.
+
+        Loopback and zero-byte legs count as done at once.  A leg that
+        touches a failed host (black-holed), or one that
+        :meth:`abort_flows` removes, leaves the event pending forever, as
+        it would leave an ``all_of`` over per-leg transfers.
+        :meth:`cancel` does not take the event.
+        """
+        if len(srcs) != len(dsts):
+            raise ValueError("srcs and dsts must have the same length")
+        cause = self._validate(nbytes, weight, tag, cause)
+        env = self.env
+        done = _FanOut(env, len(srcs))
+        legs: list[NetFlow] = []
+        for leg, (src, dst) in enumerate(zip(srcs, dsts)):
+            if src is dst:
+                continue
+            if src.failed or dst.failed:
+                self._black_hole(src, dst, tag, cause)
+                done.pending += 1
+            elif nbytes:
+                if not legs:
+                    # Where the first per-leg transfer would integrate.
+                    self._advance()
+                legs.append(NetFlow(env, src, dst, nbytes, tag, weight, cause,
+                                    done, leg))
+        if done.pending:
+            annotate(env, done, "net.blackhole", tag=tag, cause=cause)
+        elif legs:
+            annotate(env, done, "net.flow", tag=tag, cause=cause)
+        else:
+            done.succeed(done.durations)
+        if legs:
+            done.pending += len(legs)
+            self._start(legs)
+        return done
 
     def message(self, src: Host, dst: Host, nbytes: float = 512,
                 tag: str = "control", cause: Optional[str] = None) -> Event:
@@ -391,29 +482,43 @@ class Fabric:
                         tag=tag, cause=cause)
 
     # -- the flow table --------------------------------------------------------
-    def _admit(self, flow: NetFlow) -> None:
-        """Append ``flow`` as the table's last row."""
-        cell = self.meter.cell(flow.tag, flow.cause)
+    def _start(self, flows: list[NetFlow]) -> None:
+        """Admit ``flows`` (one tag and cause, integrated up to now) and
+        ask for one settle."""
+        self._admit(flows)
+        self._request_settle()
+
+    def _admit(self, flows: list[NetFlow]) -> None:
+        """Append ``flows``, which share one tag and cause, as the table's
+        last rows, in one pass."""
+        first = flows[0]
+        cell = self.meter.cell(first.tag, first.cause)
         n = self._n
-        if n == self._cap:
+        end = n + len(flows)
+        while end > self._cap:
             self._cap *= 2
             self._ftab = np.concatenate((self._ftab, self._ftab), axis=1)
             self._itab = np.concatenate((self._itab, self._itab), axis=1)
             self._bind_rows()
-        self._arrivals += 1
-        flow._fabric = self
-        flow._arrival = self._arrivals
-        flow._cell = cell
-        self._weight[n] = flow.weight
-        self._remaining[n] = flow.nbytes
-        self._rate[n] = 0.0
-        self._accounted[n] = 0.0
-        self._arrival[n] = self._arrivals
-        self._src[n] = flow.src.index
-        self._dst[n] = flow.dst.index
-        self._cell[n] = cell
-        self._flows.append(flow)
-        self._n = n + 1
+        weight, remaining, rate = self._weight, self._remaining, self._rate
+        accounted, arrival = self._accounted, self._arrival
+        src, dst, cells = self._src, self._dst, self._cell
+        for flow in flows:
+            self._arrivals += 1
+            flow._fabric = self
+            flow._arrival = self._arrivals
+            flow._cell = cell
+            weight[n] = flow.weight
+            remaining[n] = flow.nbytes
+            rate[n] = 0.0
+            accounted[n] = 0.0
+            arrival[n] = self._arrivals
+            src[n] = flow.src.index
+            dst[n] = flow.dst.index
+            cells[n] = cell
+            n += 1
+        self._flows.extend(flows)
+        self._n = end
 
     def _slot(self, flow: NetFlow) -> int:
         """Table row of the in-flight ``flow``."""
@@ -476,7 +581,10 @@ class Fabric:
                         p.net_credit(fl.tag, fl.cause, residual)
                 if p.enabled:
                     p.flow_done(fl)
-                fl.done.succeed(now - fl.started_at)
+                if fl._leg is None:
+                    fl.done.succeed(now - fl.started_at)
+                else:
+                    fl.done.leg_done(fl._leg, now - fl.started_at)
         finally:
             if p.enabled:
                 p.scope_end()

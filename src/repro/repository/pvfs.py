@@ -91,10 +91,10 @@ class PVFS:
             return ev
         self.bytes_read += nbytes
         picked = self._pick_servers()
-        share = nbytes / len(picked)
-        legs = [self.fabric.transfer(s, client, share, tag=tag, cause=cause)
-                for s in picked]
-        return self.env.all_of(legs)
+        legs = self.fabric.transfer_many(
+            picked, [client] * len(picked), nbytes / len(picked), tag=tag,
+            cause=cause)
+        return self.env.all_of([legs])
 
     def write(self, client: Host, nbytes: float, tag: str = "pvfs-io",
               cause: str = "workload") -> Event:
@@ -111,11 +111,11 @@ class PVFS:
             return ev
         self.bytes_written += nbytes
         picked = self._pick_servers()
-        share = nbytes / len(picked)
-        events = [self.fabric.transfer(client, s, share, tag=tag, cause=cause)
-                  for s in picked]
-        events.append(self._write_limiter(client).transfer(nbytes))
-        return self.env.all_of(events)
+        legs = self.fabric.transfer_many(
+            [client] * len(picked), picked, nbytes / len(picked), tag=tag,
+            cause=cause)
+        sync = self._write_limiter(client).transfer(nbytes)
+        return self.env.all_of([legs, sync])
 
     def __repr__(self) -> str:
         return f"<PVFS {len(self.servers)} servers stripe_width={self.stripe_width}>"

@@ -88,6 +88,7 @@ class CM1Workload(Workload):
         self.dirty_rate = float(dirty_rate)
         self.steps_done = 0
         self.dumps_done = 0
+        self._halo_ranks = self._neighbours()
 
     def _neighbours(self) -> list[int]:
         """Ranks of the 4-neighbourhood in the process grid."""
@@ -105,17 +106,15 @@ class CM1Workload(Workload):
 
         Receives are the neighbours' sends; the barrier provides the
         synchronization semantics, so each pair of borders is modeled as
-        one flow per direction per step.
+        one flow per direction per step, all legs of one fan-out.
         """
-        sends = [
-            self.fabric.transfer(
-                self.vm.host, self.peers[nb].host, float(self.halo_bytes),
-                tag="app", cause="workload"
-            )
-            for nb in self._neighbours()
-        ]
-        if sends:
-            yield self.env.all_of(sends)
+        ranks = self._halo_ranks
+        if ranks:
+            dsts = [self.peers[nb].host for nb in ranks]
+            sends = self.fabric.transfer_many(
+                [self.vm.host] * len(dsts), dsts, float(self.halo_bytes),
+                tag="app", cause="workload")
+            yield self.env.all_of([sends])
 
     def run(self) -> Generator:
         self.vm.dirty_rate_base = self.dirty_rate

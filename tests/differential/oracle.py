@@ -1,7 +1,7 @@
 """The reference oracle: the simulator with every fast path swapped out.
 
 Production runs one scheduler and one solver.  The oracle is the same
-simulator with four production pieces replaced by their obvious,
+simulator with five production pieces replaced by their obvious,
 from-scratch forms:
 
 1. ``Environment._schedule`` pushes every event through the binary heap
@@ -16,7 +16,12 @@ from-scratch forms:
 4. the fabric's flow-table arithmetic (``_integrate``, ``_next_eta`` and
    ``host_load``) runs as a per-flow loop over the table at every flow
    count, with one ``TrafficMeter.credit_cell`` per flow (production
-   uses whole-array operations above a crossover).
+   uses whole-array operations above a crossover);
+5. ``Fabric._start`` admits each leg of a ``transfer_many`` fan-out by
+   itself, with its own integration step and (eager) settle, as k
+   ``transfer`` calls would (production admits the k legs in one pass
+   and asks for one settle).  The fan-out keeps its one completion
+   event, so the two kernels still count the same events.
 
 ``Fabric._recompute`` needs no reference form: it hands the table's
 per-flow arrays to the solver in one call, which is already the obvious
@@ -26,7 +31,7 @@ It also keeps the generic max-min solver, progressive filling over
 explicit :class:`Constraint` objects, which ``tests/netsim/test_fairness.py``
 compares the production single-switch solver against.
 
-Inside ``kernel_scope("reference")`` all four swaps are in force;
+Inside ``kernel_scope("reference")`` all five swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
 events in the identical ``(time, priority, seq)`` order and produce
 bitwise-identical rates, which ``test_differential.py`` checks scenario
@@ -203,6 +208,15 @@ def _eager_request_settle(self: Fabric) -> None:
     self._reschedule()
 
 
+def _sequential_start(self: Fabric, flows: list) -> None:
+    """Admit the legs one at a time, each with its own integration step
+    and settle."""
+    for flow in flows:
+        self._advance()
+        self._admit([flow])
+        self._request_settle()
+
+
 def _reference_integrate(self: Fabric, dt: float) -> list[int]:
     """Integrate flow by flow, crediting the meter one flow at a time."""
     p = self.env.probe
@@ -250,6 +264,7 @@ _SWAPS = (
     (Environment, "_schedule", _reference_schedule),
     (flows, "IncrementalMaxMin", ReferenceMaxMin),
     (Fabric, "_request_settle", _eager_request_settle),
+    (Fabric, "_start", _sequential_start),
     (Fabric, "_integrate", _reference_integrate),
     (Fabric, "_next_eta", _reference_next_eta),
     (Fabric, "host_load", _reference_host_load),

@@ -1,14 +1,17 @@
-"""The fabric reshares once per simulated instant.
+"""The fabric reshares once per simulated instant, and a fan-out is one
+admission with one completion event.
 
 Every change to the flow set (transfer, cancel, abort, sync, the wakeup)
 integrates at once but leaves the max-min solve and the wakeup to one
 settle at the end of the instant, or to the first rate reader before it.
-A fan-out needs no grouping of its own: repository fetch and store, PVFS
-read and write, and the CM1 halo exchange each cost exactly one
+Repository fetch and store (per-leg ``transfer`` calls), PVFS read and
+write and the CM1 halo exchange (``transfer_many``) each cost exactly one
 ``maxmin.invocations`` per instant, and so do all ranks' halo legs in one
 CM1 step.  The rates they leave and the times their legs complete equal
 those of the eager oracle (``tests/differential/oracle.py``), which
-settles at every change.
+settles at every change and admits a fan-out's legs one by one.  A
+``transfer_many`` event wrapped in ``all_of`` resumes its waiter where an
+``all_of`` over per-leg transfers would.
 
 Counts are taken under ``kernel_scope("fast")``, so they also hold when
 the whole session runs on the oracle.
@@ -103,9 +106,12 @@ FAN_OUTS = {
 
 
 def _durations(value):
-    """The leg durations in an ``all_of`` value, nested ones included."""
+    """The leg durations in an ``all_of`` value, nested ones and a
+    ``transfer_many`` fan-out's list included."""
     if isinstance(value, dict):
-        return [d for v in value.values() for d in _durations(v)]
+        value = list(value.values())
+    if isinstance(value, list):
+        return [d for v in value for d in _durations(v)]
     return [value]
 
 
@@ -255,3 +261,129 @@ def test_a_wakeup_due_with_a_later_timeout_fires_first(kernel):
         env.run()
     # The flow finishes at exactly t=1.0, before the reader looks.
     assert seen == [(True, (0.0, 0.0))]
+
+
+def _fabric_of(n_servers=3, nic=100.0):
+    env = Environment()
+    topo = Topology()
+    servers = [topo.add_host(f"s{i}", nic_out=nic) for i in range(n_servers)]
+    client = topo.add_host("c0", nic_out=nic)
+    return env, topo, Fabric(env, topo, latency=0.0), servers, client
+
+
+def _resume_order(kernel, fan_out):
+    """Two legs into the client and a lone transfer admitted after them
+    all finish in one integration step; log who resumes, and when."""
+    with kernel_scope(kernel):
+        env, _, fabric, servers, client = _fabric_of()
+        log = []
+
+        def waiter():
+            yield env.all_of(fan_out(fabric, servers[:2], client))
+            log.append(("fan-out", env.now))
+
+        def lone():
+            yield fabric.transfer(servers[2], client, 100.0, tag="x",
+                                  cause="x")
+            log.append(("lone", env.now))
+
+        env.process(waiter())
+        env.process(lone())
+        env.run()
+    return log, env.events_processed
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_fan_out_resumes_its_waiter_where_its_legs_would(kernel):
+    def per_leg(fabric, srcs, dst):
+        return [fabric.transfer(s, dst, 100.0, tag="x", cause="x")
+                for s in srcs]
+
+    def one_event(fabric, srcs, dst):
+        return [fabric.transfer_many(srcs, [dst] * len(srcs), 100.0,
+                                     tag="x", cause="x")]
+
+    legs, legs_events = _resume_order(kernel, per_leg)
+    fan, fan_events = _resume_order(kernel, one_event)
+    # The lone flow's event sorts between the last leg's and the all_of
+    # that leg triggers, so it resumes first either way.
+    assert [who for who, _ in fan] == ["lone", "fan-out"]
+    assert fan == legs
+    assert fan_events == legs_events - 1
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_loopback_leg_counts_as_done_at_once(kernel):
+    with kernel_scope(kernel):
+        env, _, fabric, servers, client = _fabric_of()
+        done = fabric.transfer_many([servers[0], client, servers[1]],
+                                    [client, client, client], 100.0,
+                                    tag="x", cause="x")
+        assert fabric.active_flows == 2
+        env.run()
+    # Two legs share the client's NIC: 100 B each at 50 B/s.
+    assert (env.now, done.value) == (2.0, [2.0, 0.0, 2.0])
+    assert fabric.meter.by_tag() == {"x": 200.0}
+
+
+@pytest.mark.parametrize("srcs, dsts, nbytes", [
+    ("cc", "cc", 100.0),   # all loopback
+    ("01", "cc", 0.0),     # all zero-byte
+    ("c0", "cc", 0.0),     # one of each
+])
+def test_a_fan_out_without_flows_fires_at_once(srcs, dsts, nbytes):
+    with kernel_scope("fast"):
+        env, _, fabric, servers, client = _fabric_of()
+        host = {"0": servers[0], "1": servers[1], "c": client}.get
+        done = fabric.transfer_many([host(h) for h in srcs],
+                                    [host(h) for h in dsts], nbytes,
+                                    tag="x", cause="x")
+        assert done.triggered and not fabric._settling
+        assert fabric.active_flows == 0
+        env.run()
+    assert (env.now, done.value) == (0.0, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_leg_to_a_crashed_host_never_fires_the_fan_out(kernel):
+    with kernel_scope(kernel):
+        env, topo, fabric, servers, client = _fabric_of()
+        obs = Observability(trace=False, metrics=True)
+        obs.install(env)
+        topo.fail_host(servers[1])
+        done = fabric.transfer_many(servers, [client] * 3, 100.0, tag="x",
+                                    cause="x")
+        env.run()
+    # The live legs move their bytes; the black-holed one never ends.
+    assert not done.triggered
+    assert (env.now, fabric.active_flows) == (2.0, 0)
+    assert fabric.meter.by_tag() == {"x": 200.0}
+    assert obs.metrics.counter("net.flows.blackholed").value == 1
+    assert not fabric.cancel(done)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_abort_flows_during_a_fan_out_leaves_it_pending(kernel):
+    with kernel_scope(kernel):
+        env, _, fabric, servers, client = _fabric_of()
+        done = fabric.transfer_many(servers[:2], [client] * 2, 100.0,
+                                    tag="x", cause="x")
+        env.run(until=1.0)
+        assert fabric.abort_flows(servers[1]) == 1
+        env.run()
+    # 50 B of the aborted leg moved; the survivor ran alone after t=1.
+    assert not done.triggered
+    assert env.now == 1.5
+    assert fabric.meter.by_tag() == {"x": 150.0}
+
+
+def test_transfer_many_validates_before_starting_a_leg():
+    with kernel_scope("fast"):
+        env, _, fabric, servers, client = _fabric_of()
+        with pytest.raises(ValueError, match="same length"):
+            fabric.transfer_many(servers, [client], 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            fabric.transfer_many(servers, [client] * 3, -1.0)
+        with pytest.raises(ValueError, match="positive"):
+            fabric.transfer_many(servers, [client] * 3, 1.0, weight=0.0)
+        assert fabric.active_flows == 0
