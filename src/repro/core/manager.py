@@ -37,6 +37,7 @@ from repro.core.config import MigrationConfig
 from repro.netsim.flows import Fabric
 from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
+from repro.storage.chunks import ChunkTransferStalled
 from repro.storage.pagecache import PageCache
 from repro.storage.virtualdisk import VirtualDisk
 
@@ -44,13 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import ComputeNode
 
 __all__ = ["MigrationManager", "ChunkTransferStalled"]
-
-
-class ChunkTransferStalled(RuntimeError):
-    """A chunk transfer exhausted its bounded retry budget at a point
-    where aborting the migration is no longer possible (post-control
-    pull with the source unreachable) — the unsafe corner of the
-    hybrid scheme that Section 6 of the paper concedes."""
 
 
 class MigrationManager:

@@ -16,6 +16,7 @@ from repro.hypervisor.memory import MemoryStats, PrecopyMemory
 from repro.metrics.collector import MetricsCollector, MigrationRecord
 from repro.netsim.flows import Fabric
 from repro.simkernel.core import Environment
+from repro.storage.chunks import ChunkTransferStalled
 
 __all__ = ["LiveMigration"]
 
@@ -120,8 +121,9 @@ class LiveMigration:
             self._report(record, stats)
             return record
 
-        # Point of no return: the stop-and-copy starts, aborting is no
-        # longer safe (the VM is about to resume on the destination).
+        # Point of no return: the stop-and-copy starts, and nothing
+        # interrupts the migration any more.  Only a storage hand-over that
+        # stalls inside the downtime still aborts it, below.
         self._disarm(src_mgr, watchdog)
 
         # Stop-and-copy downtime: quiesce in-flight guest I/O (QEMU's
@@ -133,7 +135,21 @@ class LiveMigration:
         yield self.fabric.transfer(src_host, dst_host, downtime_bytes,
                                    tag="memory", cause="memory")
         stats.bytes_sent += downtime_bytes
-        yield from src_mgr.on_downtime()
+        try:
+            yield from src_mgr.on_downtime()
+        except ChunkTransferStalled as stalled:
+            # The storage hand-over could not reach the destination.
+            # Control has not moved yet, so the guest resumes on the
+            # source and the attempt is recorded as aborted.
+            src_mgr.cancel_migration()
+            vm.resume()
+            record.aborted = True
+            record.abort_cause = str(stalled)
+            record.add_phase("downtime", pause_at, env.now)
+            record.memory_rounds = stats.rounds
+            record.memory_bytes = stats.bytes_sent
+            self._report(record, stats)
+            return record
 
         # Control transfer: the guest resumes on the destination.
         vm.relocate(self.dst_node, src_mgr.peer if src_mgr.peer is not None else src_mgr)

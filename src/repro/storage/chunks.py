@@ -17,7 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ChunkMap"]
+__all__ = ["ChunkMap", "ChunkTransferStalled"]
+
+
+class ChunkTransferStalled(RuntimeError):
+    """A chunk transfer exhausted its bounded retry budget where the
+    migration cannot simply withdraw.  Inside the stop-and-copy downtime
+    the hypervisor still aborts the attempt and resumes the guest on the
+    source (control has not moved); after control transfer, a pull whose
+    source is unreachable raises it to the guest, the unsafe corner of
+    the hybrid scheme that Section 6 of the paper concedes."""
 
 
 class ChunkMap:

@@ -285,6 +285,42 @@ def test_precopy_abort_during_its_repository_fetch():
     _check_content_clock(vm)
 
 
+@pytest.mark.parametrize("approach, at, cause", [
+    # The instant each hybrid engine sends TRANSFER_IO_CONTROL.
+    ("our-approach", 1.8075086399999998, "TRANSFER_IO_CONTROL undeliverable"),
+    ("postcopy", 1.6816795199999999, "TRANSFER_IO_CONTROL undeliverable"),
+    # Inside precopy's final flush (downtime from t~3.01 s).
+    ("precopy", 3.04, "final precopy flush stalled"),
+])
+def test_a_stall_inside_the_downtime_aborts_on_the_source(approach, at, cause):
+    """The destination is partitioned for good while the VM is paused
+    for the stop-and-copy, so the storage hand-over exhausts its retries
+    before control moves.  The attempt aborts with the engine's stall as
+    its cause and the guest resumes on the source; the run goes on to its
+    horizon instead of raising ``ChunkTransferStalled``."""
+    plan = FaultPlan(faults=[FaultSpec("link-partition", "node1", at=at)],
+                     chunk_timeout=2.0, retry_max=1, retry_backoff=0.25,
+                     migration_timeout=90.0, horizon=60.0)
+    env, cloud, vm = _build(approach, plan)
+    out = {}
+
+    def migrator():
+        yield env.timeout(1.0)
+        out["record"] = yield cloud.migrate(vm, cloud.cluster.node(1))
+
+    env.process(migrator())
+    env.run(until=plan.horizon)
+    record = out["record"]
+    assert record.aborted and record.abort_cause.startswith(cause)
+    assert record.control_at is None and record.released_at is None
+    name, paused_at, resumed_at = record.phases[-1]
+    # Two 2 s timeouts and one 0.25 s backoff while paused.
+    assert name == "downtime" and resumed_at - paused_at > 4.25
+    assert vm.node is cloud.cluster.node(0) and not vm.paused
+    assert not vm.manager.is_source and vm.manager.peer is None
+    _check_content_clock(vm)
+
+
 def test_source_lost_after_control_stalls_the_pull():
     """The unsafe corner the paper concedes (Section 6): the source is
     partitioned for good after control transfer, while the first prefetch
