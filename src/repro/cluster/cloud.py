@@ -130,15 +130,16 @@ class CloudMiddleware:
     ) -> VMInstance:
         """Start a VM instance from the base image on ``node``.
 
-        ``approach`` selects the Table 1 storage strategy; ``pvfs-shared``
-        VMs are wired to the PVFS deployment, everything else to the
-        striped repository.
+        ``approach`` selects the Table 1 storage strategy; VMs whose
+        manager keeps storage on PVFS (``pvfs-shared``) are wired to the
+        PVFS deployment, everything else to the striped repository.
         """
         if name in self.vms:
             raise ValueError(f"VM name {name!r} already in use")
         spec = self.cluster.spec
         cls = manager_class(approach)
-        repo = self.cluster.pvfs if approach == "pvfs-shared" else self.cluster.repository
+        repo = (self.cluster.pvfs if cls.storage_placement == "pvfs"
+                else self.cluster.repository)
         vm = VMInstance(
             self.env,
             name,

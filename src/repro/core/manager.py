@@ -62,6 +62,9 @@ class MigrationManager:
     name = "base"
     #: Human summary of the local storage transfer strategy (Table 1 text).
     strategy_summary = "No storage transfer (base manager)"
+    #: Where the VM's disk lives: ``"local"`` (a chunk store on the
+    #: compute node over the striped repository) or ``"pvfs"``.
+    storage_placement = "local"
     #: Fraction of remotely-written bytes that additionally dirty guest
     #: memory (client cache churn); only the pvfs baseline sets this.
     write_memory_churn = 0.0

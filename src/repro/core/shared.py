@@ -30,6 +30,7 @@ class SharedStorageManager(MigrationManager):
 
     name = "pvfs-shared"
     strategy_summary = "Does not apply (all writes go to PVFS)"
+    storage_placement = "pvfs"
     #: qcow2-over-PVFS writes churn guest memory (client cache turnover,
     #: metadata, buffer copies) roughly in proportion to the payload,
     #: coupling I/O activity into the memory dirty rate (Section 5.5's

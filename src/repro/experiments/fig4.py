@@ -14,6 +14,7 @@ steps of 10; ``quick`` shrinks the fleet for smoke runs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.registry import APPROACHES
@@ -21,6 +22,7 @@ from repro.experiments.runner import render_sweep
 from repro.experiments.scenarios import (
     ScenarioOutcome,
     run_concurrent_migrations,
+    shared_baseline,
 )
 
 __all__ = ["run_fig4", "render_fig4", "CONCURRENCY_LEVELS"]
@@ -41,6 +43,7 @@ def run_fig4(
     Returns ``{approach: {n: (outcome, size-matched baseline)}}``.  The
     baseline shares the exact cluster geometry (node count depends on the
     destination count), so the degradation comparison is apples-to-apples.
+    It runs once per storage placement and level (:func:`shared_baseline`).
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
     levels = list(levels)
@@ -54,10 +57,12 @@ def run_fig4(
         warmup = 30.0
 
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}
+    baselines: dict = {}
     for approach in approaches:
         per_level: dict[int, tuple[ScenarioOutcome, ScenarioOutcome]] = {}
         for n in levels:
-            baseline = run_concurrent_migrations(
+            baseline = shared_baseline(baselines, approach, n, partial(
+                run_concurrent_migrations,
                 approach,
                 n,
                 n_sources=n_sources,
@@ -66,7 +71,7 @@ def run_fig4(
                 seed=seed,
                 workload_kwargs=workload_kwargs,
                 obs=obs,
-            )
+            ))
             outcome = run_concurrent_migrations(
                 approach,
                 n,

@@ -14,11 +14,16 @@ and ``grid=(8, 8)`` runs the full-scale shape.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.registry import APPROACHES
 from repro.experiments.runner import render_sweep
-from repro.experiments.scenarios import ScenarioOutcome, run_cm1_successive
+from repro.experiments.scenarios import (
+    ScenarioOutcome,
+    run_cm1_successive,
+    shared_baseline,
+)
 
 __all__ = ["run_fig5", "render_fig5", "migration_counts", "MIGRATION_COUNTS"]
 
@@ -46,8 +51,9 @@ def run_fig5(
     """Sweep successive migration counts per approach.
 
     Returns ``{approach: {n: (outcome, baseline)}}`` where the baseline is
-    the same ensemble without migrations.  ``grid`` defaults to 2x2 under
-    ``quick`` and 4x4 otherwise; a grid the caller passes is always used.
+    the same ensemble without migrations, run once per storage placement
+    (:func:`shared_baseline`).  ``grid`` defaults to 2x2 under ``quick``
+    and 4x4 otherwise; a grid the caller passes is always used.
 
     ``seed`` is accepted so every figure sweep takes one, but CM1 draws
     nothing from it: the outcomes are the same at every seed, so
@@ -63,15 +69,18 @@ def run_fig5(
         workload_kwargs = dict(n_steps=40, dump_every=8)
 
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}
+    baselines: dict = {}
     for approach in approaches:
-        baseline = run_cm1_successive(
+        # Every baseline has no migration and one spare node.
+        baseline = shared_baseline(baselines, approach, 0, partial(
+            run_cm1_successive,
             approach,
             0,
             grid=grid,
             migrate=False,
             workload_kwargs=workload_kwargs,
             obs=obs,
-        )
+        ))
         per_count: dict[int, tuple[ScenarioOutcome, ScenarioOutcome]] = {}
         for n in counts:
             outcome = run_cm1_successive(

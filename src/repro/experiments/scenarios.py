@@ -14,12 +14,14 @@ deploy step and reads its workload-specific fields:
   migrations at 60 s intervals.
 
 With ``migrate=False`` a builder runs the migration-free baseline the
-degradation metrics compare against.  Every builder returns a
+degradation metrics compare against; :func:`shared_baseline` runs it once
+per storage placement within a sweep.  Every builder returns a
 :class:`ScenarioOutcome` with everything the figures need.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.cluster import CloudMiddleware, Cluster
 from repro.core.config import MigrationConfig
+from repro.core.registry import manager_class
 from repro.experiments.config import (
     ASYNCWR_WORKING_SET,
     CM1_WORKING_SET,
@@ -44,6 +47,7 @@ from repro.workloads.ior import IORWorkload
 
 __all__ = [
     "ScenarioOutcome",
+    "shared_baseline",
     "simulate",
     "run_single_migration",
     "run_concurrent_migrations",
@@ -111,6 +115,29 @@ class ScenarioOutcome:
         """Traffic attributable to migration: everything except the
         application's own communication (the Figure 5(b) subtraction)."""
         return self.total_traffic(exclude=("app",))
+
+
+def shared_baseline(runs: dict, approach: str, geometry: Any,
+                    run: Callable[[], ScenarioOutcome]) -> ScenarioOutcome:
+    """The migration-free baseline of ``approach`` at ``geometry``, run
+    once per storage placement.
+
+    Without migrations an approach acts only through where its storage
+    lives (Table 1), so the four local-storage approaches' baselines are
+    equal field by field but for ``approach``
+    (``tests/experiments/test_baselines.py``).  ``runs`` holds one
+    sweep's runs, keyed by placement and ``geometry``: the first approach
+    of a placement gets ``run()`` itself, every later one a deep copy
+    labelled with its own approach.
+    """
+    key = (manager_class(approach).storage_placement, geometry)
+    outcome = runs.get(key)
+    if outcome is None:
+        runs[key] = outcome = run()
+        return outcome
+    outcome = copy.deepcopy(outcome)
+    outcome.approach = approach
+    return outcome
 
 
 def _make_cloud(n_nodes: int, config: Optional[MigrationConfig],
