@@ -483,14 +483,9 @@ class Fabric:
 
     # -- the flow table --------------------------------------------------------
     def _start(self, flows: list[NetFlow]) -> None:
-        """Admit ``flows`` (one tag and cause, integrated up to now) and
-        ask for one settle."""
-        self._admit(flows)
-        self._request_settle()
-
-    def _admit(self, flows: list[NetFlow]) -> None:
         """Append ``flows``, which share one tag and cause, as the table's
-        last rows, in one pass."""
+        last rows in one pass, and ask for one settle.  The table must be
+        integrated up to now."""
         first = flows[0]
         cell = self.meter.cell(first.tag, first.cause)
         n = self._n
@@ -503,22 +498,25 @@ class Fabric:
         weight, remaining, rate = self._weight, self._remaining, self._rate
         accounted, arrival = self._accounted, self._arrival
         src, dst, cells = self._src, self._dst, self._cell
+        arrivals = self._arrivals
         for flow in flows:
-            self._arrivals += 1
+            arrivals += 1
             flow._fabric = self
-            flow._arrival = self._arrivals
+            flow._arrival = arrivals
             flow._cell = cell
             weight[n] = flow.weight
             remaining[n] = flow.nbytes
             rate[n] = 0.0
             accounted[n] = 0.0
-            arrival[n] = self._arrivals
+            arrival[n] = arrivals
             src[n] = flow.src.index
             dst[n] = flow.dst.index
             cells[n] = cell
             n += 1
+        self._arrivals = arrivals
         self._flows.extend(flows)
         self._n = end
+        self._request_settle()
 
     def _slot(self, flow: NetFlow) -> int:
         """Table row of the in-flight ``flow``."""

@@ -208,13 +208,16 @@ def _eager_request_settle(self: Fabric) -> None:
     self._reschedule()
 
 
+#: Production's one-pass admission, which the oracle runs leg by leg.
+_admit_and_settle = Fabric._start
+
+
 def _sequential_start(self: Fabric, flows: list) -> None:
     """Admit the legs one at a time, each with its own integration step
     and settle."""
     for flow in flows:
         self._advance()
-        self._admit([flow])
-        self._request_settle()
+        _admit_and_settle(self, [flow])
 
 
 def _reference_integrate(self: Fabric, dt: float) -> list[int]:
