@@ -9,15 +9,21 @@ The result is the unique (weighted) max-min fair allocation.
 :func:`maxmin_single_switch` runs it on the single-switch topology's
 constraints with ``np.bincount`` over hosts.  The generic form over
 explicit constraints is its test-side reference
-(``tests/differential/oracle.py``).
+(``tests/differential/oracle.py``).  :func:`maxmin_small` is the same
+solve as a scalar loop, bit-identical to it (:func:`pairwise_sum` adds
+in numpy's order), for the few-flow problems where numpy's per-call
+cost dominates.
 
-:class:`IncrementalMaxMin` sits on top of :func:`maxmin_single_switch`
-and keeps the water-filling solution alive across recomputations:
-repeated flow signatures return memoized rates, and fresh signatures are
-solved from scratch on the full host arrays.  A memoized solution is the
-one a fresh solve would return, bit for bit — the differential harness
-(``tests/differential``) and the hypothesis edit scripts
-(``tests/netsim/test_incremental_maxmin.py``) hold it to that.
+:class:`IncrementalMaxMin` keeps the water-filling solution alive across
+recomputations: repeated flow signatures return memoized rates, and
+fresh signatures are solved from scratch on the full host arrays, by
+:func:`maxmin_small` up to ``_SMALL_MAX`` flows and by
+:func:`maxmin_single_switch` above.  A memoized or scalar solution is
+the one the array solver would return, bit for bit: the differential
+harness (``tests/differential``), whose oracle always solves with
+:func:`maxmin_single_switch`, the hypothesis edit scripts
+(``tests/netsim/test_incremental_maxmin.py``) and the properties in
+``tests/netsim/test_fairness.py`` hold it to that.
 """
 
 from __future__ import annotations
@@ -170,6 +176,8 @@ def maxmin_small(
                 inc = (backplane - rate_sum) / w_sum
                 if inc < increment:
                     increment = inc
+        # The array solver's isfinite test: positive weights and finite
+        # loads keep NaN out of the minimum.
         if increment == math.inf:
             break
         if increment < 0.0:
@@ -189,7 +197,7 @@ def maxmin_small(
         if bp_active:
             rate_sum = pairwise_sum(rates)
             if rate_sum >= bp_full:
-                break
+                break  # every flow freezes: the array solver's last round
         still = [i for i in active if not (sat_out[so[i]] or sat_in[si[i]])]
         if len(still) == len(active):
             break
@@ -288,7 +296,8 @@ def maxmin_single_switch(
 
 
 class IncrementalMaxMin:
-    """Incremental driver for :func:`maxmin_single_switch` over a live
+    """Memoizing driver for :func:`maxmin_single_switch` and
+    :func:`maxmin_small` over a live
     :class:`~repro.netsim.topology.Topology`.
 
     The fabric recomputes rates once per simulated instant in which its
@@ -311,7 +320,9 @@ class IncrementalMaxMin:
 
     The memo stores solver *outputs*, so ``solve`` is bitwise identical
     to calling :func:`maxmin_single_switch` on the full host arrays —
-    the invariant the differential tests pin down.
+    the invariant the differential tests pin down.  A miss of up to
+    ``_SMALL_MAX`` flows is solved by :func:`maxmin_small`, which returns
+    the same bits.
     """
 
     def __init__(self, topology: "Topology") -> None:
