@@ -5,9 +5,11 @@ its flow table with whole-array operations above a flow-count crossover,
 and with a per-flow loop below it.  The reference oracle
 (``tests/differential/oracle.py``) runs the same table through per-flow
 loops at every count, with one meter credit per flow and running sums for
-``host_load``.  Hypothesis drives both through random edit scripts —
-transfers, same-instant fan-outs, cancels, host aborts, NIC degrade /
-restore and run-until steps — over 1-64 concurrent flows whose
+``host_load``, and admits each leg of a ``transfer_many`` by itself.
+Hypothesis drives both through random edit scripts — transfers,
+same-instant fan-outs of single transfers, ``transfer_many`` fan-outs
+(loopback and zero-byte legs included), cancels, host aborts, NIC
+degrade / restore and run-until steps — over 1-64 concurrent flows whose
 ``(src, dst, tag, cause)`` keys repeat, so both sides of the crossover
 run and one meter cell takes several flows' credits in a step.  After
 every step ``meter.by_pair()``, and after a drawn subset of steps the
@@ -39,6 +41,17 @@ _transfer = st.tuples(
     st.sampled_from([0.5, 1.0, 2.0, 3.7]),
 )
 
+#: One ``transfer_many``: legs as (source, hop), a hop of 0 a loopback.
+_many = st.tuples(
+    st.just("many"),
+    st.lists(st.tuples(st.integers(0, N_HOSTS - 1),
+                       st.integers(0, N_HOSTS - 1)), min_size=1, max_size=12),
+    st.sampled_from(TAGS),
+    st.sampled_from(CAUSES),
+    st.just(0.0) | st.floats(1.0, 5e4, allow_nan=False),
+    st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+)
+
 
 @st.composite
 def scripts(draw):
@@ -52,6 +65,7 @@ def scripts(draw):
     steps = draw(st.lists(st.tuples(
         st.one_of(
             _transfer,
+            _many,
             st.tuples(st.just("fan-out"),
                       st.lists(_transfer, min_size=1, max_size=24)),
             st.tuples(st.just("cancel"), st.integers(0, 200)),
@@ -85,10 +99,23 @@ def _play(script) -> list:
         ev.callbacks.append(lambda _ev: log.append(("done", i, env.now)))
         started.append(ev)
 
+    def transfer_many(step):
+        _, legs, tag, cause, nbytes, weight = step
+        ev = fabric.transfer_many(
+            [hosts[src] for src, _ in legs],
+            [hosts[(src + hop) % N_HOSTS] for src, hop in legs], nbytes,
+            tag=tag, weight=weight, cause=cause)
+        i = len(started)
+        ev.callbacks.append(
+            lambda _ev: log.append(("done", i, env.now, _ev.value)))
+        started.append(ev)
+
     for step, observe in script:
         kind = step[0]
         if kind == "transfer":
             transfer(step)
+        elif kind == "many":
+            transfer_many(step)
         elif kind == "fan-out":
             for leg in step[1]:
                 transfer(leg)
