@@ -14,7 +14,8 @@ Public surface:
 * :class:`~repro.netsim.topology.Host` /
   :class:`~repro.netsim.topology.Topology` — NICs and constraints.
 * :class:`~repro.netsim.flows.Fabric` — the live network: open flows,
-  ``transfer``/``message`` primitives, byte integration under changing rates.
+  ``transfer``/``transfer_many``/``message`` primitives, byte integration
+  under changing rates.
 * :class:`~repro.netsim.traffic.TrafficMeter` — per-tag byte accounting.
 """
 
