@@ -234,14 +234,11 @@ class Fabric:
         finally:
             self._cause_override.pop()
 
-    def _validate(self, nbytes: float, weight: float, tag: str,
-                  cause: Optional[str]) -> str:
-        """Check a transfer's size and weight; returns its cause."""
+    def _validate(self, nbytes: float, tag: str, cause: Optional[str]) -> str:
+        """Check a transfer's size; returns its cause."""
         # Chained comparisons are False for NaN as well as out of range.
         if not 0 <= nbytes < math.inf:
             raise ValueError("nbytes must be finite and non-negative")
-        if not 0 < weight < math.inf:
-            raise ValueError("weight must be finite and positive")
         return self._resolve_cause(cause, tag)
 
     def _resolve_cause(self, cause: Optional[str], tag: str) -> str:
@@ -320,7 +317,9 @@ class Fabric:
         started at one instant share one reshare; a fan-out whose legs
         are waited on together is :meth:`transfer_many`.
         """
-        cause = self._validate(nbytes, weight, tag, cause)
+        cause = self._validate(nbytes, tag, cause)
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         if src is dst:
             ev = Event(self.env)
             ev.succeed(0.0)
@@ -346,7 +345,6 @@ class Fabric:
         dsts: Sequence[Host],
         nbytes: float,
         tag: str = "data",
-        weight: float = 1.0,
         cause: Optional[str] = None,
     ) -> Event:
         """Move ``nbytes`` along each leg ``srcs[i] -> dsts[i]`` at once.
@@ -357,7 +355,7 @@ class Fabric:
         that leg's own :meth:`transfer` event would have taken, with the
         legs' durations in leg order as its value.  So
         ``env.all_of([event])`` resumes its waiter exactly where
-        ``all_of`` over per-leg transfers would.
+        ``all_of`` over per-leg transfers would.  Every leg has weight 1.
 
         Loopback and zero-byte legs count as done at once.  A leg that
         touches a failed host (black-holed), or one that
@@ -367,7 +365,7 @@ class Fabric:
         """
         if len(srcs) != len(dsts):
             raise ValueError("srcs and dsts must have the same length")
-        cause = self._validate(nbytes, weight, tag, cause)
+        cause = self._validate(nbytes, tag, cause)
         env = self.env
         done = _FanOut(env, len(srcs))
         legs: list[NetFlow] = []
@@ -381,7 +379,7 @@ class Fabric:
                 if not legs:
                     # Where the first per-leg transfer would integrate.
                     self._advance()
-                legs.append(NetFlow(env, src, dst, nbytes, tag, weight, cause,
+                legs.append(NetFlow(env, src, dst, nbytes, tag, 1.0, cause,
                                     done, leg))
         if done.pending:
             annotate(env, done, "net.blackhole", tag=tag, cause=cause)

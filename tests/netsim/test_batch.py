@@ -384,6 +384,4 @@ def test_transfer_many_validates_before_starting_a_leg():
             fabric.transfer_many(servers, [client], 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             fabric.transfer_many(servers, [client] * 3, -1.0)
-        with pytest.raises(ValueError, match="positive"):
-            fabric.transfer_many(servers, [client] * 3, 1.0, weight=0.0)
         assert fabric.active_flows == 0

@@ -49,7 +49,6 @@ _many = st.tuples(
     st.sampled_from(TAGS),
     st.sampled_from(CAUSES),
     st.just(0.0) | st.floats(1.0, 5e4, allow_nan=False),
-    st.sampled_from([0.5, 1.0, 2.0, 3.7]),
 )
 
 
@@ -100,11 +99,11 @@ def _play(script) -> list:
         started.append(ev)
 
     def transfer_many(step):
-        _, legs, tag, cause, nbytes, weight = step
+        _, legs, tag, cause, nbytes = step
         ev = fabric.transfer_many(
             [hosts[src] for src, _ in legs],
             [hosts[(src + hop) % N_HOSTS] for src, hop in legs], nbytes,
-            tag=tag, weight=weight, cause=cause)
+            tag=tag, cause=cause)
         i = len(started)
         ev.callbacks.append(
             lambda _ev: log.append(("done", i, env.now, _ev.value)))
