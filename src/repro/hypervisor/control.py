@@ -110,15 +110,8 @@ class LiveMigration:
             # Abort before control transfer (destination failure or a
             # withdrawn request): the VM never stopped running on the
             # source; discard the half-populated destination.
-            src_mgr.cancel_migration()
-            record.aborted = True
-            record.abort_cause = (
-                str(intr.cause) if intr.cause is not None else None
-            )
-            record.memory_rounds = stats.rounds
-            record.memory_bytes = stats.bytes_sent
+            self._abort(src_mgr, record, stats, intr.cause)
             self._disarm(src_mgr, watchdog)
-            self._report(record, stats)
             return record
 
         # Point of no return: the stop-and-copy starts, and nothing
@@ -141,14 +134,9 @@ class LiveMigration:
             # The storage hand-over could not reach the destination.
             # Control has not moved yet, so the guest resumes on the
             # source and the attempt is recorded as aborted.
-            src_mgr.cancel_migration()
-            vm.resume()
-            record.aborted = True
-            record.abort_cause = str(stalled)
             record.add_phase("downtime", pause_at, env.now)
-            record.memory_rounds = stats.rounds
-            record.memory_bytes = stats.bytes_sent
-            self._report(record, stats)
+            self._abort(src_mgr, record, stats, stalled)
+            vm.resume()
             return record
 
         # Control transfer: the guest resumes on the destination.
@@ -175,6 +163,18 @@ class LiveMigration:
             record.add_phase("pull / post-control", record.control_at, env.now)
         self._report(record, stats)
         return record
+
+    def _abort(self, src_mgr, record: MigrationRecord, stats: MemoryStats,
+               cause) -> None:
+        """Abandon the attempt before control moved: the source discards
+        the destination twin, and the record reports an abort by
+        ``cause``."""
+        src_mgr.cancel_migration()
+        record.aborted = True
+        record.abort_cause = str(cause) if cause is not None else None
+        record.memory_rounds = stats.rounds
+        record.memory_bytes = stats.bytes_sent
+        self._report(record, stats)
 
     def _disarm(self, src_mgr, watchdog) -> None:
         """Leave the abortable window and stop the watchdog."""
