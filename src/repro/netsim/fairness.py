@@ -9,207 +9,33 @@ The result is the unique (weighted) max-min fair allocation.
 :func:`maxmin_single_switch` runs it on the single-switch topology's
 constraints with ``np.bincount`` over hosts.  The generic form over
 explicit constraints is its test-side reference
-(``tests/differential/oracle.py``).  :func:`maxmin_small` is the same
-solve as a scalar loop, bit-identical to it (:func:`pairwise_sum` adds
-in numpy's order), for the few-flow problems where numpy's per-call
-cost dominates.
+(``tests/differential/oracle.py``).
 
-:class:`IncrementalMaxMin` keeps the water-filling solution alive across
-recomputations: repeated flow signatures return memoized rates, and
-fresh signatures are solved from scratch on the full host arrays, by
-:func:`maxmin_small` up to ``_SMALL_MAX`` flows and by
-:func:`maxmin_single_switch` above.  A memoized or scalar solution is
-the one the array solver would return, bit for bit: the differential
-harness (``tests/differential``), whose oracle always solves with
-:func:`maxmin_single_switch`, the hypothesis edit scripts
-(``tests/netsim/test_incremental_maxmin.py``) and the properties in
-``tests/netsim/test_fairness.py`` hold it to that.
+:class:`IncrementalMaxMin` sits on top of :func:`maxmin_single_switch`
+and keeps the water-filling solution alive across recomputations:
+repeated flow signatures return memoized rates, and fresh signatures are
+solved from scratch on the full host arrays.  A memoized solution is the
+one a fresh solve would return, bit for bit — the differential harness
+(``tests/differential``) and the hypothesis edit scripts
+(``tests/netsim/test_incremental_maxmin.py``) hold it to that.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.netsim.topology import Topology
 
-__all__ = ["maxmin_single_switch", "maxmin_small", "pairwise_sum",
-           "IncrementalMaxMin"]
+__all__ = ["maxmin_single_switch", "IncrementalMaxMin"]
 
 _EPS = 1e-12
 
 #: Solutions :class:`IncrementalMaxMin` keeps (least recently used out).
 _MEMO_SIZE = 512
-#: Largest flow count :class:`IncrementalMaxMin` solves with the scalar
-#: :func:`maxmin_small` rather than :func:`maxmin_single_switch`.  Timed
-#: on every real solve of the four benchmarks/e2e workloads, the scalar
-#: loop is ahead up to 48-80 flows, depending on rounds and host count;
-#: the mix's total solve time is within 3% of its minimum from 64 to 96.
-_SMALL_MAX = 64
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """``np.add.reduce`` of ``values`` as a contiguous float64 array, added
-    in numpy's order, so the result is bit-identical to ``ndarray.sum()``.
-
-    numpy adds all n elements pairwise onto 0.0: below 8 elements one
-    running sum; up to 128 eight running sums, one per lane of eight
-    consecutive elements, joined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-    before the tail is added one by one; above 128 the two halves (the
-    first a multiple of 8 long) summed the same way and added.  Neither
-    the builtin ``sum()`` (compensated from Python 3.12) nor
-    ``math.fsum`` reproduces it.
-    """
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def _pairwise(a: Sequence[float], lo: int, n: int) -> float:
-    if n < 8:
-        res = 0.0
-        for i in range(lo, lo + n):
-            res += a[i]
-        return res
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, lo + n):
-            res += a[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
-
-
-def maxmin_small(
-    weights: Sequence[float],
-    srcs: Sequence[int],
-    dsts: Sequence[int],
-    nic_out: Sequence[float],
-    nic_in: Sequence[float],
-    backplane: float | None,
-    stats: dict | None = None,
-) -> list[float]:
-    """:func:`maxmin_single_switch` as a scalar loop, for a few flows.
-
-    Same arguments, same ``stats`` and the same rates bit for bit, as a
-    list: numpy's ~1-2 us per call outweighs the arithmetic of a small
-    solve.  It repeats the array solver's float operations in its order:
-
-    * a host's weight and load sums add its flows one by one in flow
-      order onto 0.0, as ``np.bincount`` does; hosts no flow touches add
-      nothing and cannot saturate a flow, so only touched hosts are kept;
-    * the backplane's ``w_act.sum()`` and ``rates.sum()`` are
-      :func:`pairwise_sum` over all flows, frozen flows' zero weights in
-      place;
-    * each round's loads before the increment are the previous round's
-      loads after it, so they are summed once per round.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    if min(weights) <= 0:
-        raise ValueError("all flow weights must be positive")
-    # Touched hosts get slots in first-seen order; capacities and
-    # saturation thresholds are per slot.
-    out_slot: dict[int, int] = {}
-    in_slot: dict[int, int] = {}
-    so = [out_slot.setdefault(h, len(out_slot)) for h in srcs]
-    si = [in_slot.setdefault(h, len(in_slot)) for h in dsts]
-    cap_out = [nic_out[h] for h in out_slot]
-    cap_in = [nic_in[h] for h in in_slot]
-    full_out = [c * (1 - 1e-9) - _EPS for c in cap_out]
-    full_in = [c * (1 - 1e-9) - _EPS for c in cap_in]
-    n_out, n_in = len(cap_out), len(cap_in)
-    bp_active = backplane is not None
-    bp_full = backplane * (1 - 1e-9) - _EPS if bp_active else 0.0
-
-    rates = [0.0] * n
-    out_load = [0.0] * n_out
-    in_load = [0.0] * n_in
-    rate_sum = 0.0
-    active = list(range(n))
-    n_hosts = len(nic_out)
-    rounds = 0
-    for _ in range(2 * n_hosts + 2):
-        if not active:
-            break
-        rounds += 1
-        out_w = [0.0] * n_out
-        in_w = [0.0] * n_in
-        for i in active:
-            w = weights[i]
-            out_w[so[i]] += w
-            in_w[si[i]] += w
-        increment = math.inf
-        for j in range(n_out):
-            w = out_w[j]
-            if w > 0:
-                inc = (cap_out[j] - out_load[j]) / w
-                if inc < increment:
-                    increment = inc
-        for j in range(n_in):
-            w = in_w[j]
-            if w > 0:
-                inc = (cap_in[j] - in_load[j]) / w
-                if inc < increment:
-                    increment = inc
-        if bp_active:
-            w_act = [0.0] * n
-            for i in active:
-                w_act[i] = weights[i]
-            w_sum = pairwise_sum(w_act)
-            if w_sum > 0:
-                inc = (backplane - rate_sum) / w_sum
-                if inc < increment:
-                    increment = inc
-        # The array solver's isfinite test: positive weights and finite
-        # loads keep NaN out of the minimum.
-        if increment == math.inf:
-            break
-        if increment < 0.0:
-            increment = 0.0
-        for i in active:
-            rates[i] += increment * weights[i]
-
-        # Freeze flows crossing saturated constraints.
-        out_load = [0.0] * n_out
-        in_load = [0.0] * n_in
-        for i in range(n):
-            r = rates[i]
-            out_load[so[i]] += r
-            in_load[si[i]] += r
-        sat_out = [out_load[j] >= full_out[j] for j in range(n_out)]
-        sat_in = [in_load[j] >= full_in[j] for j in range(n_in)]
-        if bp_active:
-            rate_sum = pairwise_sum(rates)
-            if rate_sum >= bp_full:
-                break  # every flow freezes: the array solver's last round
-        still = [i for i in active if not (sat_out[so[i]] or sat_in[si[i]])]
-        if len(still) == len(active):
-            break
-        active = still
-
-    if stats is not None:
-        links_per_round = 2 * n_hosts + (1 if bp_active else 0)
-        stats["rounds"] = stats.get("rounds", 0) + rounds
-        stats["links_visited"] = (
-            stats.get("links_visited", 0) + rounds * links_per_round
-        )
-    return rates
 
 
 def maxmin_single_switch(
@@ -296,8 +122,7 @@ def maxmin_single_switch(
 
 
 class IncrementalMaxMin:
-    """Memoizing driver for :func:`maxmin_single_switch` and
-    :func:`maxmin_small` over a live
+    """Incremental driver for :func:`maxmin_single_switch` over a live
     :class:`~repro.netsim.topology.Topology`.
 
     The fabric recomputes rates once per simulated instant in which its
@@ -320,9 +145,7 @@ class IncrementalMaxMin:
 
     The memo stores solver *outputs*, so ``solve`` is bitwise identical
     to calling :func:`maxmin_single_switch` on the full host arrays —
-    the invariant the differential tests pin down.  A miss of up to
-    ``_SMALL_MAX`` flows is solved by :func:`maxmin_small`, which returns
-    the same bits.
+    the invariant the differential tests pin down.
     """
 
     def __init__(self, topology: "Topology") -> None:
@@ -330,8 +153,6 @@ class IncrementalMaxMin:
         self._memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._sig_version = -1
         self._sig: tuple = ()
-        #: The NIC capacity arrays as lists, for :func:`maxmin_small`.
-        self._nic_lists: tuple[list[float], list[float]] = ([], [])
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -341,9 +162,11 @@ class IncrementalMaxMin:
         version (the version only tells us *when* to re-derive it)."""
         topo = self.topology
         if self._sig_version != topo.version:
-            nic_out, nic_in = topo.nic_out_array(), topo.nic_in_array()
-            self._sig = (nic_out.tobytes(), nic_in.tobytes(), topo.backplane)
-            self._nic_lists = (nic_out.tolist(), nic_in.tolist())
+            self._sig = (
+                topo.nic_out_array().tobytes(),
+                topo.nic_in_array().tobytes(),
+                topo.backplane,
+            )
             self._sig_version = topo.version
         return self._sig
 
@@ -378,16 +201,10 @@ class IncrementalMaxMin:
                 stats["memo_hits"] = stats.get("memo_hits", 0) + 1
             return hit
 
-        if n <= _SMALL_MAX:
-            rates = np.array(maxmin_small(
-                weights.tolist(), srcs.tolist(), dsts.tolist(),
-                *self._nic_lists, topo.backplane, stats=stats,
-            ))
-        else:
-            rates = maxmin_single_switch(
-                weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
-                topo.backplane, stats=stats,
-            )
+        rates = maxmin_single_switch(
+            weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
+            topo.backplane, stats=stats,
+        )
         rates.flags.writeable = False
         self._memo[key] = rates
         if len(self._memo) > _MEMO_SIZE:

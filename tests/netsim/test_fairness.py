@@ -1,21 +1,11 @@
-"""Unit + property tests for max-min fair progressive filling.
-
-The scalar small solve and its pairwise sum are held bit-identical to the
-numpy solver and to ``ndarray.sum()``; the production solver is held to
-the oracle's generic progressive filling over explicit constraints.
-"""
+"""Unit + property tests for max-min fair progressive filling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fairness import (
-    _SMALL_MAX,
-    maxmin_single_switch,
-    maxmin_small,
-    pairwise_sum,
-)
+from repro.netsim.fairness import maxmin_single_switch
 from tests.differential.oracle import Constraint, progressive_filling
 
 
@@ -225,68 +215,3 @@ def test_property_fast_path_matches_generic(instance):
     generic = progressive_filling(weights, constraints)
 
     np.testing.assert_allclose(fast, generic, rtol=1e-6, atol=1e-6)
-
-
-#: NIC capacities: zero (a crashed host), the paper's GbE and 10GbE, any.
-_CAPS = st.sampled_from([0.0, 117.5e6, 1.25e9]) | st.floats(1.0, 1e10)
-
-
-@st.composite
-def small_solves(draw):
-    """Solves up to the scalar crossover: hosts repeat across flows,
-    weights are not all one, the backplane binds, is slack or is absent,
-    and some NICs have no capacity."""
-    n_hosts = draw(st.integers(min_value=2, max_value=60))
-    n_flows = draw(st.integers(min_value=1, max_value=_SMALL_MAX))
-    # Few distinct hosts in most draws, so flows share NICs.
-    used = draw(st.integers(min_value=2, max_value=n_hosts))
-    host = st.integers(min_value=0, max_value=used - 1)
-    flows = st.lists(st.tuples(host, host).filter(lambda sd: sd[0] != sd[1]),
-                     min_size=n_flows, max_size=n_flows)
-    pairs = draw(flows)
-    weight = st.sampled_from([1.0, 0.5, 2.0]) | st.floats(0.01, 100.0)
-    caps = st.lists(_CAPS, min_size=n_hosts, max_size=n_hosts)
-    backplane = st.none() | st.sampled_from([1e8, 3e8, 2.5e9, 1e12]) \
-        | st.floats(1.0, 1e11)
-    return (
-        draw(st.lists(weight, min_size=n_flows, max_size=n_flows)),
-        [s for s, _ in pairs],
-        [d for _, d in pairs],
-        draw(caps),
-        draw(caps),
-        draw(backplane),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_solves())
-def test_property_small_solve_is_the_numpy_solve(instance):
-    """Up to the crossover the scalar solve returns the numpy solver's
-    rates bit for bit, with the same round and link counts."""
-    weights, srcs, dsts, nic_out, nic_in, backplane = instance
-    stats_small, stats_numpy = {}, {}
-    small = np.array(maxmin_small(weights, srcs, dsts, nic_out, nic_in,
-                                  backplane, stats=stats_small))
-    ref = maxmin_single_switch(
-        np.array(weights), np.array(srcs, dtype=np.intp),
-        np.array(dsts, dtype=np.intp), np.array(nic_out), np.array(nic_in),
-        backplane, stats=stats_numpy)
-    assert np.array_equal(small, ref)
-    assert stats_small == stats_numpy
-
-
-def test_small_solve_rejects_a_nonpositive_weight():
-    with pytest.raises(ValueError, match="positive"):
-        maxmin_small([1.0, 0.0], [0, 1], [1, 0], [1.0, 1.0], [1.0, 1.0], None)
-
-
-_SUMMANDS = st.floats(-1e15, 1e15) | st.floats(0.0, 1e-300)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=300).flatmap(
-    lambda n: st.lists(_SUMMANDS, min_size=n, max_size=n)))
-def test_property_pairwise_sum_is_ndarray_sum(values):
-    """numpy's add order, lengths 0-300: the plain running sum below 8
-    elements, eight lanes up to 128, halves above."""
-    assert pairwise_sum(values) == np.array(values, dtype=np.float64).sum()
