@@ -444,11 +444,13 @@ class Environment:
         if self.probe.enabled:
             self.probe.event_queued(now_bucket=False)
 
-    def _next_entry(self) -> tuple[float, Event]:
+    def _next_entry(self) -> tuple[float, Event, bool]:
         """Pop the globally next queue entry (bucket-aware).
 
-        Raises ``IndexError`` when both buckets and the heap are empty.
-        The returned entry may be cancelled; :meth:`step` filters.
+        Returns ``(when, event, from_heap)``, the last saying which queue
+        the entry came from.  Raises ``IndexError`` when both buckets and
+        the heap are empty.  The returned entry may be cancelled;
+        :meth:`step` filters.
         """
         bu = self._bucket_urgent
         bn = self._bucket_normal
@@ -457,7 +459,7 @@ class Environment:
             when, _prio, _seq, event = heapq.heappop(self._queue)
             if when < self._now:
                 raise AssertionError("event scheduled in the past")
-            return when, event
+            return when, event, True
         queue = self._queue
         if queue:
             # Bucket entries are all due at the current time; a heap entry
@@ -468,9 +470,9 @@ class Environment:
             bucket_key = (URGENT, head[0]) if bu else (NORMAL, head[0])
             if t <= self._now and (prio, seq) < bucket_key:
                 heapq.heappop(queue)
-                return t, _ev
+                return t, _ev, True
         _seq2, event = bu.popleft() if bu else bn.popleft()
-        return self._now, event
+        return self._now, event, False
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none; the
@@ -495,8 +497,6 @@ class Environment:
         """
         probe = self.probe
         on = probe.enabled
-        # Which queue the entry comes from, judged before the pop.
-        from_heap = on and not (self._bucket_urgent or self._bucket_normal)
         if on:
             probe.step_begin()
         try:
@@ -507,7 +507,7 @@ class Environment:
                 for callback in callbacks:
                     callback()
                 return
-            when, event = self._next_entry()
+            when, event, from_heap = self._next_entry()
             if event._cancelled:
                 if on:
                     probe.step_skipped(from_heap)

@@ -30,6 +30,16 @@ def test_figure_matches_golden(figure):
     )
 
 
+def test_work_counters_pop_each_queue_as_often_as_it_was_pushed():
+    """Every figure run drains its queues, so each pop is counted under
+    the queue it came from exactly when pops equal pushes per queue."""
+    doc = json.loads((FIXTURES / "work_counters.json").read_text())
+    for figure, counters in sorted(doc.items()):
+        for queue in ("heap", "bucket"):
+            assert (counters[f"kernel.{queue}_pop"]
+                    == counters[f"kernel.{queue}_push"]), (figure, queue)
+
+
 def test_fault_retries_golden_times_out_every_label():
     """The all-engine fault golden reaches every bounded-retry label of
     every engine, so a change to the retry step cannot hide behind a

@@ -12,6 +12,7 @@ import pytest
 
 from repro.obs import Observability, Probe, Profiler, SeriesRecorder, Tracer
 from repro.simkernel import Environment
+from repro.simkernel.core import NORMAL
 from repro.simkernel.events import RearmableTimer
 
 
@@ -63,6 +64,20 @@ class TestKernelStep:
         assert counters["kernel.cancelled_skips"] == 1
         assert "kernel.callbacks_run" not in counters
         assert env.events_processed == 0
+
+    def test_each_pop_counts_under_the_queue_it_came_from(self):
+        # An entry armed at a reserved number (as the fabric arms its
+        # wakeup) goes to the heap even at zero delay, and pops ahead of
+        # the now-bucket entry scheduled after the reservation.
+        prof, env = _profiled_env()
+        seq = env.reserve_seq()
+        env.event().succeed()
+        env._schedule(env.event(), NORMAL, seq=seq)
+        env.run()
+        counters = prof.counters
+        assert counters["kernel.heap_push"] == counters["kernel.heap_pop"] == 1
+        assert (counters["kernel.bucket_push"]
+                == counters["kernel.bucket_pop"] == 1)
 
     def test_scope_stack_balanced_when_a_callback_stops_the_run(self):
         prof, env = _profiled_env()
