@@ -15,6 +15,7 @@ Python::
     python -m repro.cli profile [--speedscope prof.json] [--check]
     python -m repro.cli diff runA.json runB.json [--json] [--top 5]
     python -m repro.cli series fig2-series.json [--json] [--csv]
+    python -m repro.cli lint [src] [--json] [--rule D]
 """
 
 from __future__ import annotations
@@ -377,12 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="simlint: static invariant checks (determinism, exactness, "
-             "cause tags, kernel safety, layering); see "
+             "cause tags, kernel safety, probe purity, layering); see "
              "docs/static-analysis.md",
     )
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
+    lint.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
+                      help="files or directories to lint (default: src)")
+    lint.add_argument("--json", action="store_true",
+                      help="emit the deterministic JSON report instead of "
+                           "text")
+    lint.add_argument("--rule", action="append", default=None,
+                      metavar="RULE",
+                      help="restrict to a rule id (C301) or family letter "
+                           "(D); repeatable")
 
     return parser
 
@@ -601,6 +608,14 @@ def _cmd_series(args) -> int:
     return 0
 
 
+def _cmd_lint(args) -> int:
+    from repro.lint import lint_paths, render_json, render_text
+
+    result = lint_paths(args.paths, rules=args.rule)
+    print(render_json(result) if args.json else render_text(result))
+    return result.exit_code
+
+
 def _compare_diff_text(obs, args) -> str:
     """Attribute each approach's delta against our-approach from the
     compare run's own trace (``repro compare --diff``)."""
@@ -706,9 +721,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "series":
         return _cmd_series(args)
     if args.command == "lint":
-        from repro.lint.cli import run_lint
-
-        return run_lint(args)
+        return _cmd_lint(args)
     obs = _make_obs(args)
     if args.command == "compare" and args.diff and obs is None:
         # --diff needs a recorded trace even when no export flag was given.

@@ -19,25 +19,26 @@ Rule families (see ``docs/static-analysis.md``):
 * **C — cause-tag completeness**: every byte-moving call site passes
   ``tag=`` and ``cause=`` explicitly, so conservation can attribute it.
 * **K — kernel safety**: no blocking real I/O inside simulation process
-  generators; ``yield`` targets must be kernel events.
+  generators; ``yield`` targets must be kernel events; no spawned
+  process is dropped unbound.
+* **P — probe purity**: a block guarded on the probe's ``enabled`` flag
+  only reads state and calls the recorder — no stores, no scheduling,
+  no byte accounting.
 * **S — structure**: imports may not invert the layer DAG
   ``simkernel <- netsim <- storage/hypervisor/... <- core <- cluster <-
   experiments``.
 
-Per-line suppressions (``# simlint: ignore[RULE] -- reason``) are
-honoured but reported in a suppression budget rather than vanishing.
+No comment silences a finding: an exception is a change to a rule's
+scope in ``repro.lint.config``.
 """
 
 from __future__ import annotations
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.engine import LintResult, lint_paths, render_json, render_text
 from repro.lint.findings import Finding
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintResult",
     "lint_paths",
     "render_json",

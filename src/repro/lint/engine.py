@@ -1,4 +1,4 @@
-"""simlint engine: walk files, run rule families, apply suppressions.
+"""simlint engine: walk files, run rule families, render the report.
 
 The output is deterministic by construction: files are visited in
 sorted order, findings are sorted by location, and the JSON rendering
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.findings import Finding
-from repro.lint.pragmas import FilePragmas, parse_pragmas
+from repro.lint.pragmas import parse_pragmas
 from repro.lint.rules import ALL_RULES
 from repro.lint.rules.base import build_context
 
@@ -28,9 +27,6 @@ class LintResult:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    suppressed: list[Finding] = field(default_factory=list)
-    #: Suppression budget: every ``ignore[...]`` pragma seen, used or not.
-    suppressions: list[dict] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -83,7 +79,7 @@ def _display_path(path: Path) -> str:
     return rel.as_posix()
 
 
-def lint_file(path: Path, config: LintConfig = DEFAULT_CONFIG,
+def lint_file(path: Path,
               rules: Optional[Iterable[str]] = None) -> LintResult:
     result = LintResult(files_checked=1)
     display = _display_path(path)
@@ -103,15 +99,14 @@ def lint_file(path: Path, config: LintConfig = DEFAULT_CONFIG,
             rule="E000", message=f"syntax error: {exc.msg}"))
         return result
     module = pragmas.module_override or module_name_for(path)
-    ctx = build_context(display, module, tree, config, pragmas)
-    raw: list[Finding] = []
+    ctx = build_context(display, module, tree, pragmas)
     for family, checker in ALL_RULES.items():
         if rules is not None and not _family_selected(family, rules):
             continue
-        raw.extend(checker(ctx))
+        result.findings.extend(checker(ctx))
     if rules is not None:
-        raw = [f for f in raw if _rule_selected(f.rule, rules)]
-    _apply_suppressions(result, raw, pragmas, display)
+        result.findings = [f for f in result.findings
+                           if _rule_selected(f.rule, rules)]
     return result
 
 
@@ -124,37 +119,16 @@ def _rule_selected(rule: str, rules: Iterable[str]) -> bool:
                for r in rules)
 
 
-def _apply_suppressions(result: LintResult, raw: list[Finding],
-                        pragmas: FilePragmas, display: str) -> None:
-    for f in raw:
-        sup = pragmas.suppression_for(f.line, f.rule)
-        if sup is not None:
-            sup.used = True
-            result.suppressed.append(Finding(
-                path=f.path, line=f.line, col=f.col, rule=f.rule,
-                message=f.message, hint=f.hint, suppressed=True))
-        else:
-            result.findings.append(f)
-    for sup in pragmas.suppressions.values():
-        entry = sup.as_dict()
-        entry["path"] = display
-        result.suppressions.append(entry)
-
-
-def lint_paths(paths: Sequence[str], config: LintConfig = DEFAULT_CONFIG,
+def lint_paths(paths: Sequence[str],
                rules: Optional[Iterable[str]] = None) -> LintResult:
     """Lint every ``.py`` file under ``paths``; the public entry point."""
     rules = list(rules) if rules else None
     total = LintResult()
     for path in iter_source_files(paths):
-        one = lint_file(path, config, rules)
+        one = lint_file(path, rules)
         total.findings.extend(one.findings)
-        total.suppressed.extend(one.suppressed)
-        total.suppressions.extend(one.suppressions)
         total.files_checked += one.files_checked
     total.findings.sort()
-    total.suppressed.sort()
-    total.suppressions.sort(key=lambda s: (s["path"], s["line"]))
     return total
 
 
@@ -172,21 +146,6 @@ def render_text(result: LintResult) -> str:
         lines.append(
             f"clean: {result.files_checked} file(s), 0 findings"
         )
-    used = sum(1 for s in result.suppressions if s["used"])
-    unused = len(result.suppressions) - used
-    if result.suppressions:
-        lines.append(
-            f"suppression budget: {len(result.suppressions)} pragma(s) "
-            f"({used} used, {unused} unused)"
-        )
-        for s in result.suppressions:
-            state = "used" if s["used"] else "UNUSED"
-            reason = s.get("reason", "")
-            tail = f" -- {reason}" if reason else ""
-            lines.append(
-                f"    {s['path']}:{s['line']}: "
-                f"ignore[{','.join(s['rules'])}] ({state}){tail}"
-            )
     return "\n".join(lines)
 
 
@@ -195,8 +154,6 @@ def render_json(result: LintResult) -> str:
         "version": 1,
         "files_checked": result.files_checked,
         "findings": [f.as_dict() for f in result.findings],
-        "suppressed": [f.as_dict() for f in result.suppressed],
-        "suppressions": result.suppressions,
         "counts": result.counts_by_rule(),
         "exit_code": result.exit_code,
     }

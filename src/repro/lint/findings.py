@@ -25,7 +25,6 @@ class Finding:
     rule: str
     message: str
     hint: str = ""
-    suppressed: bool = field(default=False, compare=False)
     witness: tuple[Hop, ...] = field(default=(), compare=False)
 
     def with_witness(self, witness: tuple[Hop, ...]) -> "Finding":
@@ -40,15 +39,12 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.suppressed:
-            out["suppressed"] = True
         if self.witness:
             out["witness"] = [h.as_dict() for h in self.witness]
         return out
 
     def render(self) -> str:
-        sup = " (suppressed)" if self.suppressed else ""
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{sup}"
+        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         for i, h in enumerate(self.witness):
             arrow = "└─" if i == len(self.witness) - 1 else "├─"
             text += f"\n    {arrow} {self.path}:{h.line}:{h.col}: {h.note}"

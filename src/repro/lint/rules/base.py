@@ -6,7 +6,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.pragmas import FilePragmas
 
@@ -18,7 +17,6 @@ class FileContext:
     path: str                      # as reported in findings (posix, relative)
     module: str                    # dotted module identity (pragma may override)
     tree: ast.AST
-    config: LintConfig
     pragmas: FilePragmas
     #: local alias -> imported dotted name ("np" -> "numpy",
     #: "default_rng" -> "numpy.random.default_rng").
@@ -39,9 +37,8 @@ class FileContext:
 
 
 def build_context(path: str, module: str, tree: ast.AST,
-                  config: LintConfig, pragmas: FilePragmas) -> FileContext:
-    ctx = FileContext(path=path, module=module, tree=tree,
-                      config=config, pragmas=pragmas)
+                  pragmas: FilePragmas) -> FileContext:
+    ctx = FileContext(path=path, module=module, tree=tree, pragmas=pragmas)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import FABRIC_RECEIVERS, METER_RECEIVERS, REPO_RECEIVERS
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, dotted_name, keyword_names
 
@@ -35,13 +36,11 @@ _SURFACES = {
 
 _RULE_BY_KIND = {"fabric": "C301", "repo": "C302", "meter": "C303"}
 
+_RECEIVERS = {"fabric": FABRIC_RECEIVERS, "repo": REPO_RECEIVERS,
+              "meter": METER_RECEIVERS}
+
 
 def check(ctx: FileContext) -> list[Finding]:
-    receivers = {
-        "fabric": ctx.config.fabric_receivers,
-        "repo": ctx.config.repo_receivers,
-        "meter": ctx.config.meter_receivers,
-    }
     out: list[Finding] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) or not isinstance(node.func,
@@ -51,7 +50,7 @@ def check(ctx: FileContext) -> list[Finding]:
         if spec is None:
             continue
         kind, required = spec
-        if not _receiver_matches(node.func.value, receivers[kind]):
+        if not _receiver_matches(node.func.value, _RECEIVERS[kind]):
             continue
         present = keyword_names(node)
         if None in present:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import in_scope
+from repro.lint.config import DETERMINISM_MODULES, HOST_TIME_MODULES, in_scope
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, resolved_name
 
@@ -28,21 +28,17 @@ _HINT_SET = ("bare set iteration order depends on PYTHONHASHSEED; wrap "
 
 
 def check(ctx: FileContext) -> list[Finding]:
-    if not in_scope(ctx.module, ctx.config.determinism_modules):
+    if not in_scope(ctx.module, DETERMINISM_MODULES):
         return []
-    # Sanctioned host-time islands (the self-profiler, or a file carrying
-    # ``# simlint: host-time``): reading the host clock is their purpose,
-    # so D101/D102 are waived.  D103/D104 still apply — a profiler has no
-    # business drawing randomness or leaking hash order.
-    host_time = ctx.pragmas.host_time or in_scope(
-        ctx.module, ctx.config.host_time_modules
-    )
     out: list[Finding] = []
     for node in ast.walk(ctx.tree):
         out.extend(_check_import(ctx, node))
         out.extend(_check_use(ctx, node))
         out.extend(_check_set_iteration(ctx, node))
-    if host_time:
+    if in_scope(ctx.module, HOST_TIME_MODULES):
+        # The self-profiler reads the host clock by design, so D101/D102
+        # are waived.  D103/D104 still apply — a profiler has no business
+        # drawing randomness or leaking hash order.
         out = [f for f in out if f.rule not in ("D101", "D102")]
     return out
 

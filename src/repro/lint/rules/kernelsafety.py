@@ -20,10 +20,9 @@ dataflow upgrade adds two proof-backed rules:
 ``K404``
     A spawned process whose handle is discarded: a bare expression
     statement ``env.process(gen(...))``.  Unawaited processes outlive
-    scopes silently and their failures vanish; either bind the handle
-    (``done = env.process(...)``, later ``yield done``) or mark a
-    deliberate daemon with ``# simlint: daemon -- <why>`` (counted in
-    the suppression budget like any other pragma).
+    scopes silently and their failures vanish; bind the handle
+    (``done = env.process(...)``, later ``yield done``), also for a
+    deliberate daemon.
 
 Decorated generators (``@contextmanager``, ``@pytest.fixture``,
 ``@property``) are not kernel processes and are exempt.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import in_scope
+from repro.lint.config import SIM_MODULES, in_scope
 from repro.lint.dataflow import (
     attr_chain,
     cap_hops,
@@ -59,8 +58,7 @@ _HINT_FLOW = ("every definition reaching this yield is a plain value, not "
               "an Event; yield the result of env.timeout/env.process/"
               "fabric.transfer or another Event factory")
 _HINT_SPAWN = ("bind the returned Process (and later yield it) so failures "
-               "propagate, or tag a deliberate fire-and-forget with "
-               "'# simlint: daemon -- <reason>'")
+               "propagate")
 
 _EXEMPT_DECORATORS = {"contextmanager", "asynccontextmanager", "fixture",
                       "property", "cached_property"}
@@ -75,7 +73,7 @@ _BLOCKING_EXACT = {"os.system", "os.popen", "os.remove", "os.unlink",
 
 
 def check(ctx: FileContext) -> list[Finding]:
-    if not in_scope(ctx.module, ctx.config.kernel_modules):
+    if not in_scope(ctx.module, SIM_MODULES):
         return []
     out: list[Finding] = []
     for fn in iter_function_defs(ctx.tree):
@@ -198,8 +196,8 @@ def _check_discarded_spawns(ctx: FileContext,
         witness = (hop(node, f"spawned via {dotted}(...), handle dropped"),)
         out.append(ctx.finding(
             node, "K404",
-            f"spawned process '{dotted}(...)' is neither awaited nor "
-            f"daemon-tagged", _HINT_SPAWN).with_witness(witness))
+            f"spawned process '{dotted}(...)' is neither bound nor "
+            f"awaited", _HINT_SPAWN).with_witness(witness))
     return out
 
 

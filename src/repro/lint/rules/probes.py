@@ -13,7 +13,7 @@ reading state and calling the recorder makes enabled and disabled runs
 diverge — the exact bug class the differential suites exist to catch,
 except baked into the instrumentation itself.  These rules prove the
 property statically, per guarded block, inside the simulation packages
-(``probe_modules``):
+(``SIM_MODULES``):
 
 ``P701``
     A store inside a probe block: assignment/deletion through an
@@ -32,7 +32,7 @@ property statically, per guarded block, inside the simulation packages
     or account bytes itself — it reads the meters others wrote.
 
 A *probe handle* is any local bound from an attribute chain whose final
-segment is one of ``probe_attrs`` (``probe``), or such a chain used
+segment is one of ``PROBE_ATTRS`` (``probe``), or such a chain used
 directly; a *probe block* is an ``if`` whose test reads ``.enabled`` off
 a handle.  Calls that root at a handle — ``p.push_batch(...)``, or a
 sub-recorder like ``p.causal.record_wait(...)`` — are always allowed.
@@ -46,7 +46,14 @@ from __future__ import annotations
 import ast
 from typing import Callable, Optional
 
-from repro.lint.config import in_scope
+from repro.lint.config import (
+    FABRIC_RECEIVERS,
+    METER_RECEIVERS,
+    PROBE_ATTRS,
+    REPO_RECEIVERS,
+    SIM_MODULES,
+    in_scope,
+)
 from repro.lint.dataflow import (
     Hop,
     attr_chain,
@@ -89,7 +96,7 @@ _Emit = Callable[[ast.AST, str, str, str, str], None]
 
 
 def check(ctx: FileContext) -> list[Finding]:
-    if not in_scope(ctx.module, ctx.config.probe_modules):
+    if not in_scope(ctx.module, SIM_MODULES):
         return []
     out: list[Finding] = []
     for fn in iter_function_defs(ctx.tree):
@@ -102,7 +109,7 @@ def _probe_rooted(ctx: FileContext, chain: tuple[str, ...],
     """True when ``chain`` reads through telemetry, not sim state."""
     if chain[0] in handles:
         return True
-    return any(seg in ctx.config.probe_attrs for seg in chain)
+    return any(seg in PROBE_ATTRS for seg in chain)
 
 
 def _sim_rooted(chain: tuple[str, ...], sim_names: set[str]) -> bool:
@@ -120,8 +127,7 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
             chain = attr_chain(d.expr)
             if chain is None or len(chain) < 2:
                 continue
-            if chain[-1] in ctx.config.probe_attrs \
-                    or any(seg in ctx.config.probe_attrs for seg in chain):
+            if any(seg in PROBE_ATTRS for seg in chain):
                 handles[name] = hop(
                     d.node, f"probe handle {name!r} bound from "
                             f"{'.'.join(chain)}")
@@ -242,10 +248,10 @@ def _check_call(ctx: FileContext, node: ast.Call,
         return any(receiver == s or receiver.endswith("_" + s)
                    for s in suffixes)
 
-    if (matches(ctx.config.meter_receivers) and method == "add") \
-            or (matches(ctx.config.fabric_receivers)
+    if (matches(METER_RECEIVERS) and method == "add") \
+            or (matches(FABRIC_RECEIVERS)
                 and method in ("transfer", "message")) \
-            or (matches(ctx.config.repo_receivers)
+            or (matches(REPO_RECEIVERS)
                 and method in ("fetch", "store")):
         emit(node, "P703",
              f"byte-moving call '{dotted}(...)' inside a probe block",

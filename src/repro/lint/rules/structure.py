@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import LAYERS, OBS_LAYERS, layer_of
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext
 
@@ -35,8 +36,8 @@ _OBS_HINT = ("repro.obs.diff consumes the analysis artifacts "
 
 
 def check(ctx: FileContext) -> list[Finding]:
-    my_layer = ctx.config.layer_of(ctx.module)
-    my_obs_layer = ctx.config.obs_layer_of(ctx.module)
+    my_layer = layer_of(ctx.module, LAYERS)
+    my_obs_layer = layer_of(ctx.module, OBS_LAYERS)
     if my_layer is None and my_obs_layer is None:
         return []
     out: list[Finding] = []
@@ -59,7 +60,7 @@ def check(ctx: FileContext) -> list[Finding]:
             continue
         for target in targets:
             if my_layer is not None:
-                their_layer = ctx.config.layer_of(target)
+                their_layer = layer_of(target, LAYERS)
                 if their_layer is not None and their_layer > my_layer:
                     out.append(ctx.finding(
                         node, "S501",
@@ -67,7 +68,7 @@ def check(ctx: FileContext) -> list[Finding]:
                         f"'{target}' (layer {their_layer}) — upward "
                         "dependency inverts the layer DAG", _HINT))
             if my_obs_layer is not None:
-                their_obs = ctx.config.obs_layer_of(target)
+                their_obs = layer_of(target, OBS_LAYERS)
                 if their_obs is not None and their_obs > my_obs_layer:
                     out.append(ctx.finding(
                         node, "S502",

@@ -22,7 +22,7 @@ counters of a seeded scenario are identical.
 This module is the one sanctioned host-side wall-clock boundary in the
 tree: simlint's determinism rules (D family) ban ``time``/``datetime``
 everywhere else in simulation code and allowlist exactly
-``repro.obs.prof`` (see ``repro.lint.config.LintConfig.host_time_modules``).
+``repro.obs.prof`` (see ``repro.lint.config.HOST_TIME_MODULES``).
 """
 
 from __future__ import annotations

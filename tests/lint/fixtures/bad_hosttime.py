@@ -1,8 +1,8 @@
-# simlint: module=repro.core.fixture
-# simlint: host-time
-"""The host-time waiver is narrow: the pragma silences D101/D102 only.
-Randomness (D103) and hash-order iteration (D104) still fire — a
-profiler has no business drawing entropy or leaking set order.
+# simlint: module=repro.obs.prof.fixture
+"""The host-time waiver is narrow: the profiler's scope silences
+D101/D102 only.  Randomness (D103) and hash-order iteration (D104)
+still fire — a profiler has no business drawing entropy or leaking set
+order.
 """
 
 import random
@@ -10,7 +10,7 @@ import time
 
 
 def timed_sample():
-    t0 = time.perf_counter()  # waived by the host-time pragma
+    t0 = time.perf_counter()  # waived in the profiler's scope
     value = random.random()
     return time.perf_counter() - t0, value
 

@@ -1,6 +1,6 @@
 # simlint: module=repro.obs.prof.fixture
 """Sanctioned host-time island: the self-profiler's module prefix is in
-``host_time_modules``, so wall-clock reads (D101) and calendar time
+``HOST_TIME_MODULES``, so wall-clock reads (D101) and calendar time
 (D102) are waived here.  Everything else about determinism still holds.
 """
 

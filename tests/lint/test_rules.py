@@ -24,7 +24,7 @@ def lint_fixture(name):
 
 BAD_CASES = [
     ("bad_determinism.py", "D", {"D101", "D102", "D103", "D104"}),
-    # host-time pragma waives D101/D102 only; D103/D104 must survive.
+    # The profiler's scope waives D101/D102 only; D103/D104 must survive.
     ("bad_hosttime.py", "D", {"D103", "D104"}),
     ("bad_floattaint.py", "F", {"F601", "F602", "F603"}),
     ("bad_causetags.py", "C", {"C301", "C302", "C303"}),
@@ -169,16 +169,6 @@ def test_exact_scope_is_the_five_pragma_modules():
         "repro/obs/diff/delta.py",
         "repro/obs/series/conserve.py",
     ]
-
-
-def test_daemon_pragma_counts_in_budget():
-    result = lint_fixture("good_kernelflow.py")
-    assert result.findings == []
-    assert len(result.suppressions) == 1
-    entry = result.suppressions[0]
-    assert entry["rules"] == ["K404"]
-    assert entry["used"] is True
-    assert "reaper" in entry["reason"]
 
 
 def test_flag_alias_opens_a_probe_block():
