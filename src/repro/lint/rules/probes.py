@@ -104,8 +104,7 @@ def check(ctx: FileContext) -> list[Finding]:
     return out
 
 
-def _probe_rooted(ctx: FileContext, chain: tuple[str, ...],
-                  handles: dict[str, Hop]) -> bool:
+def _probe_rooted(chain: tuple[str, ...], handles: dict[str, Hop]) -> bool:
     """True when ``chain`` reads through telemetry, not sim state."""
     if chain[0] in handles:
         return True
@@ -139,7 +138,7 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
     flags: dict[str, tuple[str, Hop]] = {}
     for name, dlist in defs.items():
         for d in dlist:
-            guard = (_enabled_guard(ctx, d.expr, handles)
+            guard = (_enabled_guard(d.expr, handles)
                      if isinstance(d.expr, ast.Attribute) else None)
             if guard is not None:
                 flags[name] = guard
@@ -148,7 +147,7 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
     for node in walk_own(fn.body):
         if not isinstance(node, ast.If):
             continue
-        guard = _enabled_guard(ctx, node.test, handles, flags)
+        guard = _enabled_guard(node.test, handles, flags)
         if guard is None:
             continue
         handle_name, guard_hop = guard
@@ -160,8 +159,7 @@ def _check_function(ctx: FileContext, fn: ast.FunctionDef) -> list[Finding]:
     return out
 
 
-def _enabled_guard(ctx: FileContext, test: ast.expr,
-                   handles: dict[str, Hop],
+def _enabled_guard(test: ast.expr, handles: dict[str, Hop],
                    flags: Optional[dict[str, tuple[str, Hop]]] = None,
                    ) -> Optional[tuple[str, Hop]]:
     """(handle root, guard hop) when ``test`` reads ``.enabled`` off one,
@@ -171,7 +169,7 @@ def _enabled_guard(ctx: FileContext, test: ast.expr,
             return flags[node.id]
         if isinstance(node, ast.Attribute) and node.attr == "enabled":
             chain = attr_chain(node.value)
-            if chain is not None and _probe_rooted(ctx, chain, handles):
+            if chain is not None and _probe_rooted(chain, handles):
                 return chain[0], hop(
                     node, f"probe block guarded by "
                           f"{'.'.join(chain)}.enabled")
@@ -194,28 +192,26 @@ def _check_block(ctx: FileContext, body: list[ast.stmt],
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:
-                out.extend(_check_store(ctx, node, target, handles,
-                                        emit))
+                out.extend(_check_store(node, target, handles, emit))
         elif isinstance(node, ast.Delete):
             for target in node.targets:
-                out.extend(_check_store(ctx, node, target, handles,
-                                        emit))
+                out.extend(_check_store(node, target, handles, emit))
         elif isinstance(node, ast.Call):
-            _check_call(ctx, node, handles, sim_names, emit)
+            _check_call(node, handles, sim_names, emit)
     return out
 
 
-def _check_store(ctx: FileContext, node: ast.AST, target: ast.expr,
-                 handles: dict[str, Hop], emit: _Emit) -> list[Finding]:
+def _check_store(node: ast.AST, target: ast.expr, handles: dict[str, Hop],
+                 emit: _Emit) -> list[Finding]:
     # Local name (re)bindings are allowed; object stores are not.
     if isinstance(target, (ast.Tuple, ast.List)):
         for elt in target.elts:
-            _check_store(ctx, node, elt, handles, emit)
+            _check_store(node, elt, handles, emit)
         return []
     if not isinstance(target, (ast.Attribute, ast.Subscript)):
         return []
     chain = rooted_call_chain(target)
-    if chain is not None and _probe_rooted(ctx, chain, handles):
+    if chain is not None and _probe_rooted(chain, handles):
         return []
     label = ".".join(chain) if chain is not None else "<expression>"
     emit(node, "P701",
@@ -224,13 +220,12 @@ def _check_store(ctx: FileContext, node: ast.AST, target: ast.expr,
     return []
 
 
-def _check_call(ctx: FileContext, node: ast.Call,
-                handles: dict[str, Hop], sim_names: set[str],
-                emit: _Emit) -> None:
+def _check_call(node: ast.Call, handles: dict[str, Hop],
+                sim_names: set[str], emit: _Emit) -> None:
     chain = rooted_call_chain(node.func)
     if chain is None or len(chain) < 2:
         return
-    if _probe_rooted(ctx, chain, handles):
+    if _probe_rooted(chain, handles):
         return
     method = chain[-1]
     dotted = ".".join(chain)
