@@ -14,6 +14,7 @@ from repro.obs import Observability, Probe, Profiler, SeriesRecorder, Tracer
 from repro.simkernel import Environment
 from repro.simkernel.core import NORMAL
 from repro.simkernel.events import RearmableTimer
+from tests.differential.oracle import kernel_scope
 
 
 def _never():
@@ -68,12 +69,14 @@ class TestKernelStep:
     def test_each_pop_counts_under_the_queue_it_came_from(self):
         # An entry armed at a reserved number (as the fabric arms its
         # wakeup) goes to the heap even at zero delay, and pops ahead of
-        # the now-bucket entry scheduled after the reservation.
-        prof, env = _profiled_env()
-        seq = env.reserve_seq()
-        env.event().succeed()
-        env._schedule(env.event(), NORMAL, seq=seq)
-        env.run()
+        # the now-bucket entry scheduled after the reservation.  The
+        # now-buckets are production's: the oracle heaps every event.
+        with kernel_scope("fast"):
+            prof, env = _profiled_env()
+            seq = env.reserve_seq()
+            env.event().succeed()
+            env._schedule(env.event(), NORMAL, seq=seq)
+            env.run()
         counters = prof.counters
         assert counters["kernel.heap_push"] == counters["kernel.heap_pop"] == 1
         assert (counters["kernel.bucket_push"]
