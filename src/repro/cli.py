@@ -609,9 +609,14 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import lint_paths, render_json, render_text
+    from repro.lint import LintUsageError, lint_paths, render_json, render_text
 
-    result = lint_paths(args.paths, rules=args.rule)
+    try:
+        result = lint_paths(args.paths, rules=args.rule)
+    except LintUsageError as exc:
+        # A usage error, as argparse reports its own: nothing was linted.
+        print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
     print(render_json(result) if args.json else render_text(result))
     return result.exit_code
 

@@ -34,12 +34,19 @@ scope in ``repro.lint.config``.
 
 from __future__ import annotations
 
-from repro.lint.engine import LintResult, lint_paths, render_json, render_text
+from repro.lint.engine import (
+    LintResult,
+    LintUsageError,
+    lint_paths,
+    render_json,
+    render_text,
+)
 from repro.lint.findings import Finding
 
 __all__ = [
     "Finding",
     "LintResult",
+    "LintUsageError",
     "lint_paths",
     "render_json",
     "render_text",

@@ -16,10 +16,16 @@ from typing import Iterable, Optional, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import parse_pragmas
-from repro.lint.rules import ALL_RULES
+from repro.lint.rules import ALL_RULES, RULE_IDS
 from repro.lint.rules.base import build_context
 
-__all__ = ["LintResult", "lint_paths", "render_json", "render_text"]
+__all__ = ["LintResult", "LintUsageError", "lint_paths", "render_json",
+           "render_text"]
+
+
+class LintUsageError(ValueError):
+    """Arguments that would lint nothing: a path that is neither a
+    directory nor a ``.py`` file, or a rule filter that matches no rule."""
 
 
 @dataclass
@@ -50,9 +56,24 @@ def iter_source_files(paths: Sequence[str]) -> list[Path]:
                 if "__pycache__" not in f.parts
                 and not any(part.startswith(".") for part in f.parts)
             )
-        elif p.suffix == ".py":
+        elif not p.exists():
+            raise LintUsageError(f"{raw}: no such file or directory")
+        elif p.suffix != ".py":
+            raise LintUsageError(f"{raw}: not a directory or a .py file")
+        else:
             files.add(p)
     return sorted(files)
+
+
+def _check_rules(rules: Iterable[str]) -> None:
+    """Refuse a filter that selects no rule id (a family letter is a
+    prefix of its ids): it would report a clean run."""
+    known = [rule for ids in RULE_IDS.values() for rule in ids]
+    for r in rules:
+        if not any(_rule_selected(rule, [r]) for rule in known):
+            raise LintUsageError(
+                f"unknown rule {r!r}: not a rule id or a family letter "
+                f"({', '.join(ALL_RULES)})")
 
 
 def module_name_for(path: Path) -> str:
@@ -121,8 +142,14 @@ def _rule_selected(rule: str, rules: Iterable[str]) -> bool:
 
 def lint_paths(paths: Sequence[str],
                rules: Optional[Iterable[str]] = None) -> LintResult:
-    """Lint every ``.py`` file under ``paths``; the public entry point."""
+    """Lint every ``.py`` file under ``paths``; the public entry point.
+
+    Raises :class:`LintUsageError` for a path that does not exist or is
+    not a directory or a ``.py`` file, and for an unknown rule filter.
+    """
     rules = list(rules) if rules else None
+    if rules is not None:
+        _check_rules(rules)
     total = LintResult()
     for path in iter_source_files(paths):
         one = lint_file(path, rules)

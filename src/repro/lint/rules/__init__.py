@@ -24,4 +24,15 @@ ALL_RULES = {
     "S": structure.check,
 }
 
-__all__ = ["ALL_RULES"]
+#: family letter -> the rule ids its check reports.  A ``--rule`` filter
+#: must match one of them (see ``repro.lint.engine``).
+RULE_IDS = {
+    "D": ("D101", "D102", "D103", "D104"),
+    "F": ("F601", "F602", "F603"),
+    "C": ("C301", "C302", "C303"),
+    "K": ("K401", "K402", "K403", "K404"),
+    "P": ("P701", "P702", "P703"),
+    "S": ("S501", "S502"),
+}
+
+__all__ = ["ALL_RULES", "RULE_IDS"]

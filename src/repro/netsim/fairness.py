@@ -22,6 +22,7 @@ one a fresh solve would return, bit for bit — the differential harness
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,12 @@ _EPS = 1e-12
 
 #: Solutions :class:`IncrementalMaxMin` keeps (least recently used out).
 _MEMO_SIZE = 512
+
+# The reductions behind ``ndarray.sum()``, ``.min()`` and ``.any()``,
+# called without the method wrappers.
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_any = np.logical_or.reduce
 
 
 def maxmin_single_switch(
@@ -57,6 +64,14 @@ def maxmin_single_switch(
     fabric's settle runs it on every flow set the memo has not seen, so
     it is the simulator's hottest path.
 
+    Each quantity is computed once: a round starts from the host loads
+    and the rate total the previous round ended with (zeros in the
+    first), and the saturation thresholds are fixed per call.  The
+    reductions are the ufuncs' own (``np.add.reduce`` and friends, what
+    ``ndarray.sum()`` and the like call), so the result is bit-identical
+    to recomputing everything every round, the reference form in
+    ``tests/differential/oracle.py``.
+
     When ``stats`` is given, ``stats["rounds"]`` and
     ``stats["links_visited"]`` are incremented with the number of
     water-filling rounds and the total capacity constraints examined
@@ -68,7 +83,7 @@ def maxmin_single_switch(
     n = weights.shape[0]
     if n == 0:
         return np.zeros(0)
-    if np.any(weights <= 0):
+    if _any(weights <= 0):
         raise ValueError("all flow weights must be positive")
     n_hosts = len(nic_out)
     rates = np.zeros(n)
@@ -77,41 +92,48 @@ def maxmin_single_switch(
 
     n_constraints = 2 * n_hosts + 2
     links_per_round = 2 * n_hosts + (1 if bp_active else 0)
+    # A constraint saturates at its capacity less a relative and an
+    # absolute tolerance.
+    eg_full = nic_out * (1 - 1e-9) - _EPS
+    in_full = nic_in * (1 - 1e-9) - _EPS
+    if bp_active:
+        bp_full = backplane * (1 - 1e-9) - _EPS
+    # The loads and the rate total at the start of round 1: no rate yet.
+    eg_load = np.zeros(n_hosts)
+    in_load = np.zeros(n_hosts)
+    rate_sum = 0.0
     rounds = 0
-    for _ in range(n_constraints):
-        if not active.any():
-            break
-        rounds += 1
-        w_act = np.where(active, weights, 0.0)
-        eg_w = np.bincount(srcs, weights=w_act, minlength=n_hosts)
-        in_w = np.bincount(dsts, weights=w_act, minlength=n_hosts)
-        eg_load = np.bincount(srcs, weights=rates, minlength=n_hosts)
-        in_load = np.bincount(dsts, weights=rates, minlength=n_hosts)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_constraints):
+            if not _any(active):
+                break
+            rounds += 1
+            w_act = np.where(active, weights, 0.0)
+            eg_w = np.bincount(srcs, weights=w_act, minlength=n_hosts)
+            in_w = np.bincount(dsts, weights=w_act, minlength=n_hosts)
             eg_inc = np.where(eg_w > 0, (nic_out - eg_load) / eg_w, np.inf)
             in_inc = np.where(in_w > 0, (nic_in - in_load) / in_w, np.inf)
-        increment = min(float(eg_inc.min()), float(in_inc.min()))
-        if bp_active:
-            w_sum = w_act.sum()
-            if w_sum > 0:
-                increment = min(increment, (backplane - rates.sum()) / w_sum)
-        if not np.isfinite(increment):
-            break
-        increment = max(increment, 0.0)
-        rates[active] += increment * weights[active]
+            increment = min(float(_min(eg_inc)), float(_min(in_inc)))
+            if bp_active:
+                w_sum = _sum(w_act)
+                if w_sum > 0:
+                    increment = min(increment, (backplane - rate_sum) / w_sum)
+            if not math.isfinite(increment):
+                break
+            increment = max(increment, 0.0)
+            rates[active] += increment * weights[active]
 
-        # Freeze flows crossing saturated constraints.
-        eg_load = np.bincount(srcs, weights=rates, minlength=n_hosts)
-        in_load = np.bincount(dsts, weights=rates, minlength=n_hosts)
-        sat_eg = eg_load >= nic_out * (1 - 1e-9) - _EPS
-        sat_in = in_load >= nic_in * (1 - 1e-9) - _EPS
-        froze = sat_eg[srcs] | sat_in[dsts]
-        if bp_active and rates.sum() >= backplane * (1 - 1e-9) - _EPS:
-            froze[:] = True
-        if not (froze & active).any():
-            break
-        active &= ~froze
+            # Freeze flows crossing saturated constraints.
+            eg_load = np.bincount(srcs, weights=rates, minlength=n_hosts)
+            in_load = np.bincount(dsts, weights=rates, minlength=n_hosts)
+            froze = (eg_load >= eg_full)[srcs] | (in_load >= in_full)[dsts]
+            if bp_active:
+                rate_sum = _sum(rates)
+                if rate_sum >= bp_full:
+                    froze[:] = True
+            if not _any(froze & active):
+                break
+            active &= ~froze
 
     if stats is not None:
         stats["rounds"] = stats.get("rounds", 0) + rounds

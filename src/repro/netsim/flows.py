@@ -197,6 +197,9 @@ class Fabric:
         self._flows: list[NetFlow] = []
         self._n = 0
         self._arrivals = 0
+        #: In-flight flows per host index, counting a flow at its source
+        #: and at its destination.
+        self._touching: dict[int, int] = {}
         self._cap = 8
         self._ftab = np.zeros((4, self._cap))
         self._itab = np.zeros((4, self._cap), dtype=np.intp)
@@ -259,12 +262,15 @@ class Fabric:
         Used by the CPU-coupling model: moving bytes costs host CPU
         (vhost/softirq work), which slows guest compute proportionally.
         ``np.bincount`` adds each host's rates in arrival order, one at a
-        time, as a running sum over the flows would.
+        time, as a running sum over the flows would.  A host that no
+        in-flight flow touches reads ``(0.0, 0.0)`` without settling: the
+        read needs no rate, and the pending settle still runs at the end
+        of the instant on the same flows.
         """
+        if not self._touching.get(host.index):
+            return 0.0, 0.0
         self._settle()
         n = self._n
-        if not n:
-            return 0.0, 0.0
         rate = self._rate[:n]
         size = host.index + 1
         inbound = np.bincount(self._dst[:n], rate, size)[host.index]
@@ -496,6 +502,7 @@ class Fabric:
         weight, remaining, rate = self._weight, self._remaining, self._rate
         accounted, arrival = self._accounted, self._arrival
         src, dst, cells = self._src, self._dst, self._cell
+        touching = self._touching
         arrivals = self._arrivals
         for flow in flows:
             arrivals += 1
@@ -507,8 +514,11 @@ class Fabric:
             rate[n] = 0.0
             accounted[n] = 0.0
             arrival[n] = arrivals
-            src[n] = flow.src.index
-            dst[n] = flow.dst.index
+            s, d = flow.src.index, flow.dst.index
+            src[n] = s
+            dst[n] = d
+            touching[s] = touching.get(s, 0) + 1
+            touching[d] = touching.get(d, 0) + 1
             cells[n] = cell
             n += 1
         self._arrivals = arrivals
@@ -531,9 +541,12 @@ class Fabric:
         rate = self._rate
         remaining = self._remaining
         accounted = self._accounted
+        touching = self._touching
         accs = []
         for i in rows:
             fl = flows[i]
+            touching[fl.src.index] -= 1
+            touching[fl.dst.index] -= 1
             fl._fabric = None
             fl._rate = rate.item(i)
             fl._remaining = remaining.item(i)

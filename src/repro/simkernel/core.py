@@ -11,11 +11,16 @@ reproducible experiments.
 Events scheduled with ``delay == 0`` (the dominant case:
 ``succeed()``/``fail()`` wakeups, process bootstraps, interrupts) go to
 per-priority FIFO *now-buckets* — plain deques, no heap churn — while
-only real timers touch the heap.  Because bucket entries always carry the
-current timestamp and the heap is only consulted when its head is due,
-the merged delivery order is exactly the ``(time, priority, seq)`` order
-a single heap would produce (``tests/simkernel/test_schedule_spec.py``
-checks it against a plain ``heapq`` model).
+only real timers touch the heap.  Bucket entries have the heap's entry
+shape and always carry the current time, so :meth:`Environment._pop`
+merges the two by comparing the heads: the delivery order is exactly the
+``(time, priority, seq)`` order a single heap would produce
+(``tests/simkernel/test_schedule_spec.py`` checks it against a plain
+``heapq`` model).
+
+:meth:`Environment.run` delivers events in one inline loop while the
+probe is off.  With a probe on, it calls :meth:`Environment.step` for
+every event instead, so each event is one profiler scope.
 
 A cancelled entry (:attr:`Event._cancelled`) is skipped at pop time
 without advancing the clock or counting as a processed event, which is
@@ -34,6 +39,7 @@ change, so the entry sorts where an arm made at that change would have.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -56,6 +62,8 @@ PENDING = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
+
+_INF = math.inf
 
 
 class StopSimulation(Exception):
@@ -178,13 +186,9 @@ class Event:
 
     # -- composition ------------------------------------------------------
     def __or__(self, other: "Event") -> "Event":
-        from repro.simkernel.events import AnyOf
-
         return AnyOf(self.env, [self, other])
 
     def __and__(self, other: "Event") -> "Event":
-        from repro.simkernel.events import AllOf
-
         return AllOf(self.env, [self, other])
 
     def __repr__(self) -> str:
@@ -248,8 +252,6 @@ class Process(Event):
         error; interrupting a process that is about to resume anyway delivers
         the interrupt first.
         """
-        from repro.simkernel.events import Interrupt
-
         if not self.is_alive:
             raise RuntimeError(f"{self.name} has already terminated")
         if self._generator is self.env.active_process_generator:
@@ -270,11 +272,14 @@ class Process(Event):
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        # The slots rather than the public properties: this runs once per
+        # process wakeup, and a delivered event is always triggered.
+        if self._value is not PENDING:
             # A stale wakeup (e.g. the process was interrupted and finished
             # before its old target fired).  Nothing to do.
             return
-        p = self.env.probe
+        env = self.env
+        p = env.probe
         if p.enabled:
             # The wait that just ended.  ``_target`` is what the process was
             # actually waiting on; on an interrupt the delivered ``event`` is
@@ -287,41 +292,43 @@ class Process(Event):
         # Reset outside the probe guard: the wait is over whether or not
         # anyone recorded it, and probe blocks must stay observe-only.
         self._wait_begin = None
-        self.env._active = self
+        env._active = self
         gen = self._generator
         while True:
             # Detach from the old target so stale triggers are ignorable.
-            if self._target is not None and self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            self._target = None
+            target = self._target
+            if target is not None:
+                if target.callbacks is not None:
+                    try:
+                        target.callbacks.remove(self._resume)
+                    except ValueError:
+                        pass
+                self._target = None
             try:
-                if event.ok:
-                    next_ev = gen.send(event.value)
+                if event._ok:
+                    next_ev = gen.send(event._value)
                 else:
                     # Mark the exception as consumed by this process.
                     event.defused = True
-                    next_ev = gen.throw(event.value)
+                    next_ev = gen.throw(event._value)
             except StopIteration as exc:
-                self.env._active = None
+                env._active = None
                 self.succeed(exc.value)
                 self._finish("ok")
                 return
             except BaseException as exc:
-                self.env._active = None
+                env._active = None
                 self.fail(exc)
                 self._finish("failed")
                 return
 
             if not isinstance(next_ev, Event):
-                self.env._active = None
+                env._active = None
                 err = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_ev!r}"
                 )
                 self.fail(err)
-                self.env._unfinished.discard(self)
+                env._unfinished.discard(self)
                 return
 
             if next_ev.callbacks is None:
@@ -330,8 +337,8 @@ class Process(Event):
                 continue
             next_ev.callbacks.append(self._resume)
             self._target = next_ev
-            self._wait_begin = self.env.now
-            self.env._active = None
+            self._wait_begin = env.now
+            env._active = None
             return
 
     def __repr__(self) -> str:
@@ -348,12 +355,15 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time in seconds.  A plain attribute: it is
+        #: read on every event; only event delivery and ``run(until=T)``
+        #: move it.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
-        #: Now-buckets: FIFOs of ``(seq, event)`` entries due at the
-        #: *current* time, one per priority class.
-        self._bucket_urgent: deque[tuple[int, Event]] = deque()
-        self._bucket_normal: deque[tuple[int, Event]] = deque()
+        #: Now-buckets: FIFOs of ``(time, priority, seq, event)`` entries
+        #: due at the *current* time, one per priority class.
+        self._bucket_urgent: deque[tuple[float, int, int, Event]] = deque()
+        self._bucket_normal: deque[tuple[float, int, int, Event]] = deque()
         self._seq = 0
         self._active: Optional[Process] = None
         #: The one instrumentation hook (``repro.obs.probe``): every
@@ -369,11 +379,6 @@ class Environment:
         self._at_end: list[Callable[[], None]] = []
         #: Every process whose generator has not ended (see Process).
         self._unfinished: set[Process] = set()
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -395,18 +400,12 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
-        from repro.simkernel.events import Timeout
-
         return Timeout(self, delay, value)
 
     def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.simkernel.events import AnyOf
-
         return AnyOf(self, list(events))
 
     def all_of(self, events: Iterable[Event]) -> Event:
-        from repro.simkernel.events import AllOf
-
         return AllOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
@@ -424,8 +423,11 @@ class Environment:
 
     def _schedule(self, event: Event, priority: int, delay: float = 0.0,
                   seq: Optional[int] = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # One chained comparison, False for NaN and infinities as well as
+        # for negative delays: a NaN time would break the heap order.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative, "
+                             f"got {delay}")
         if seq is None:
             self._seq += 1
             seq = self._seq
@@ -434,52 +436,37 @@ class Environment:
                 # seq) order the heap would have produced, at deque cost.
                 bucket = (self._bucket_urgent if priority == URGENT
                           else self._bucket_normal)
-                bucket.append((seq, event))
+                bucket.append((self.now, priority, seq, event))
                 if self.probe.enabled:
                     self.probe.event_queued(now_bucket=True)
                 return
         # A reserved number is older than the buckets' tails, so even a
         # zero delay goes to the heap, whose merge orders it exactly.
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        heapq.heappush(self._queue, (self.now + delay, priority, seq, event))
         if self.probe.enabled:
             self.probe.event_queued(now_bucket=False)
 
-    def _next_entry(self) -> tuple[float, Event, bool]:
-        """Pop the globally next queue entry (bucket-aware).
+    def _pop(self) -> tuple[float, int, int, Event]:
+        """Pop the globally next queue entry, possibly a cancelled one
+        (empty queue: ``IndexError``).
 
-        Returns ``(when, event, from_heap)``, the last saying which queue
-        the entry came from.  Raises ``IndexError`` when both buckets and
-        the heap are empty.  The returned entry may be cancelled;
-        :meth:`step` filters.
+        The queue-merge rule, written only here: the urgent bucket
+        shadows the normal one, and the heap head goes first only when it
+        sorts before the bucket head, which is due now: when it is due
+        now too and has a smaller ``(priority, seq)``.
         """
-        bu = self._bucket_urgent
-        bn = self._bucket_normal
-        head = bu[0] if bu else (bn[0] if bn else None)
-        if head is None:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-            if when < self._now:
-                raise AssertionError("event scheduled in the past")
-            return when, event, True
+        bucket = self._bucket_urgent or self._bucket_normal
         queue = self._queue
-        if queue:
-            # Bucket entries are all due at the current time; a heap entry
-            # wins only if it is also due now and sorts strictly earlier by
-            # (priority, seq).  Urgent bucket entries shadow the normal
-            # bucket entirely (same time, smaller priority).
-            t, prio, seq, _ev = queue[0]
-            bucket_key = (URGENT, head[0]) if bu else (NORMAL, head[0])
-            if t <= self._now and (prio, seq) < bucket_key:
-                heapq.heappop(queue)
-                return t, _ev, True
-        _seq2, event = bu.popleft() if bu else bn.popleft()
-        return self._now, event, False
+        if bucket and not (queue and queue[0] < bucket[0]):
+            return bucket.popleft()
+        return heapq.heappop(queue)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none; the
         current time while instant-end callbacks are pending."""
         if self._bucket_urgent or self._bucket_normal or self._at_end:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
+            return self.now
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Pop one queue entry and deliver it (empty queue: ``IndexError``).
@@ -494,25 +481,29 @@ class Environment:
         With the probe on, the whole step is one ``kernel.step`` profiler
         scope; the try/finally keeps the scope stack balanced when a
         callback raises (``StopSimulation`` travels through here).
+        :meth:`run` with the probe off does the same work in one loop.
         """
         probe = self.probe
         on = probe.enabled
         if on:
             probe.step_begin()
         try:
+            queue = self._queue
             if self._at_end and not (
                     self._bucket_urgent or self._bucket_normal
-                    or (self._queue and self._queue[0][0] <= self._now)):
+                    or (queue and queue[0][0] <= self.now)):
                 callbacks, self._at_end = self._at_end, []
                 for callback in callbacks:
                     callback()
                 return
-            when, event, from_heap = self._next_entry()
+            heap_size = len(queue)
+            when, _prio, _seq, event = self._pop()
+            from_heap = len(queue) < heap_size
             if event._cancelled:
                 if on:
                     probe.step_skipped(from_heap)
                 return
-            self._now = when
+            self.now = when
             self.events_processed += 1
             callbacks, event.callbacks = event.callbacks, None
             assert callbacks is not None
@@ -529,14 +520,46 @@ class Environment:
             if on:
                 probe.scope_end()
 
+    def _deliver(self, stop_at: float) -> None:
+        """Deliver every entry due up to ``stop_at`` with the probe off:
+        :meth:`step`'s work, entry after entry, in one loop."""
+        queue = self._queue
+        bucket_urgent = self._bucket_urgent
+        bucket_normal = self._bucket_normal
+        pop = self._pop
+        heappop = heapq.heappop
+        while True:
+            if bucket_urgent or bucket_normal:
+                when, _prio, _seq, event = pop()
+            elif self._at_end and not (queue and queue[0][0] <= self.now):
+                callbacks, self._at_end = self._at_end, []
+                for callback in callbacks:
+                    callback()
+                continue
+            elif queue and queue[0][0] <= stop_at:
+                when, _prio, _seq, event = heappop(queue)
+            else:
+                return
+            if event._cancelled:
+                continue
+            self.now = when
+            self.events_processed += 1
+            waiting, event.callbacks = event.callbacks, None
+            assert waiting is not None
+            for cb in waiting:
+                cb(event)
+            if event._ok is False and not event.defused:
+                raise event._value
+
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
         ``until`` may be ``None`` (run to queue exhaustion), a number (run up
-        to that simulation time) or an :class:`Event` (run until it fires and
-        return its value).
+        to that simulation time; ``inf`` runs to exhaustion, NaN is
+        rejected) or an :class:`Event` (run until it fires and return its
+        value).
         """
-        stop_at = float("inf")
+        stop_at = _INF
         stop_event: Optional[Event] = None
         if until is None:
             pass
@@ -547,24 +570,25 @@ class Environment:
             stop_event.callbacks.append(self._stop_cb)
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if math.isnan(stop_at):
+                raise ValueError("until must be a time, got NaN")
+            if stop_at < self.now:
                 raise ValueError(
-                    f"until={stop_at} lies before the current time {self._now}"
+                    f"until={stop_at} lies before the current time {self.now}"
                 )
 
         try:
-            while True:
-                if self._bucket_urgent or self._bucket_normal:
-                    # Bucket entries are always due at the current time,
-                    # which run() has already admitted (now <= stop_at).
+            if self.probe.enabled:
+                # One step() per event: each is one profiler scope.  Bucket
+                # entries are always due at the current time, which run()
+                # has already admitted (now <= stop_at); step() ends the
+                # instant before the clock moves, and before run() stops.
+                while (self._bucket_urgent or self._bucket_normal
+                       or self._at_end
+                       or (self._queue and self._queue[0][0] <= stop_at)):
                     self.step()
-                elif (self._queue and self._queue[0][0] <= stop_at
-                      or self._at_end):
-                    # step() ends the instant before the clock moves, and
-                    # before run() stops.
-                    self.step()
-                else:
-                    break
+            else:
+                self._deliver(stop_at)
         except StopSimulation as stop:
             return stop.value
         if stop_event is not None:
@@ -573,8 +597,8 @@ class Environment:
                     "run() event never fired and the event queue is empty"
                 )
             return stop_event.value
-        if stop_at != float("inf"):
-            self._now = stop_at
+        if stop_at != _INF:
+            self.now = stop_at
         return None
 
     @staticmethod
@@ -583,3 +607,8 @@ class Environment:
             raise StopSimulation(event.value)
         event.defused = True
         raise event.value
+
+
+# Bound here, not at the top: ``events`` subclasses ``Event`` and imports
+# this module first.
+from repro.simkernel.events import AllOf, AnyOf, Interrupt, Timeout  # noqa: E402

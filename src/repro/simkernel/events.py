@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simkernel.core import NORMAL, Environment, Event
+from repro.simkernel.core import _INF, NORMAL, PENDING, Environment, Event
 
 __all__ = ["Timeout", "Condition", "AnyOf", "AllOf", "Interrupt",
            "RearmableTimer"]
@@ -30,8 +30,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: Environment, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # False for NaN and infinities as well as for negative delays.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative, "
+                             f"got {delay}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True
@@ -144,19 +146,23 @@ class Condition(Event):
             else:
                 event.add_callback(self._check)
 
+    # Both read the slots behind the public properties: a condition is
+    # checked once per child event, and every child it sees has been
+    # delivered, so it is triggered.
     def _collect_values(self) -> dict[Event, Any]:
-        # ``processed`` (callbacks already ran), not ``triggered``: a Timeout
+        # Processed (callbacks already ran), not triggered: a Timeout
         # knows its value at construction, long before it actually fires.
-        return {e: e.value for e in self._events if e.processed and e.ok}
+        return {e: e._value for e in self._events
+                if e.callbacks is None and e._ok}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event.ok:
+        if self._value is not PENDING:
+            if not event._ok:
                 event.defused = True
             return
-        if not event.ok:
+        if not event._ok:
             event.defused = True
-            self.fail(event.value)
+            self.fail(event._value)
             return
         self._count += 1
         if self._evaluate(self._events, self._count):

@@ -8,7 +8,10 @@ from-scratch forms:
    (production sends zero-delay events to per-priority now-buckets);
 2. the fabric's solver class, ``repro.netsim.flows.IncrementalMaxMin``,
    becomes :class:`ReferenceMaxMin`, a water-filling solve on the full
-   host arrays at every call (no memo);
+   host arrays at every call (no memo) in its per-round form
+   (:func:`per_round_maxmin`: every round recomputes the host loads,
+   the rate total and the saturation thresholds, which production
+   carries from round to round);
 3. ``Fabric._request_settle`` reserves the wakeup's sequence number and
    settles at once, so every transfer, cancel, abort, sync and wakeup
    reshares and re-arms on its own (production settles once per
@@ -28,8 +31,9 @@ per-flow arrays to the solver in one call, which is already the obvious
 form.
 
 It also keeps the generic max-min solver, progressive filling over
-explicit :class:`Constraint` objects, which ``tests/netsim/test_fairness.py``
-compares the production single-switch solver against.
+explicit :class:`Constraint` objects.  ``tests/netsim/test_fairness.py``
+compares the production single-switch solver with it to a tolerance,
+and with :func:`per_round_maxmin` bit for bit.
 
 Inside ``kernel_scope("reference")`` all five swaps are in force;
 inside ``kernel_scope("fast")`` the production pieces are.  Both deliver
@@ -54,6 +58,7 @@ child interpreter runs on production.
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -61,13 +66,13 @@ from typing import Iterator
 import numpy as np
 
 import repro.netsim.flows as flows
-from repro.netsim.fairness import _EPS, maxmin_single_switch
+from repro.netsim.fairness import _EPS
 from repro.netsim.flows import _DONE_EPS, Fabric
 from repro.netsim.topology import Host, Topology
 from repro.simkernel.core import Environment, Event
 
 __all__ = ["KERNELS", "Constraint", "ReferenceMaxMin", "kernel_scope",
-           "progressive_filling"]
+           "per_round_maxmin", "progressive_filling"]
 
 #: ``fast`` is the production simulator, ``reference`` the oracle.
 KERNELS = ("fast", "reference")
@@ -76,18 +81,91 @@ KERNELS = ("fast", "reference")
 def _reference_schedule(self: Environment, event: Event, priority: int,
                         delay: float = 0.0, seq: int | None = None) -> None:
     """Every event through the heap, zero-delay ones included."""
-    if delay < 0:
-        raise ValueError(f"negative delay {delay}")
+    if not 0.0 <= delay < math.inf:
+        raise ValueError(f"delay must be finite and non-negative, got {delay}")
     if seq is None:
         self._seq += 1
         seq = self._seq
-    heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+    heapq.heappush(self._queue, (self.now + delay, priority, seq, event))
     if self.probe.enabled:
         self.probe.event_queued(now_bucket=False)
 
 
+def per_round_maxmin(
+    weights: np.ndarray,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    nic_out: np.ndarray,
+    nic_in: np.ndarray,
+    backplane: float | None,
+    stats: dict | None = None,
+) -> np.ndarray:
+    """``repro.netsim.fairness.maxmin_single_switch`` with every quantity
+    recomputed where each round uses it: the host loads and the rate
+    total at the start and at the end of the round, the saturation
+    thresholds in the freeze test, through the ``ndarray`` reduction
+    methods.  Production computes each once and must agree bit for bit,
+    ``stats`` included."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    if np.any(weights <= 0):
+        raise ValueError("all flow weights must be positive")
+    n_hosts = len(nic_out)
+    rates = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+    bp_active = backplane is not None
+
+    n_constraints = 2 * n_hosts + 2
+    links_per_round = 2 * n_hosts + (1 if bp_active else 0)
+    rounds = 0
+    for _ in range(n_constraints):
+        if not active.any():
+            break
+        rounds += 1
+        w_act = np.where(active, weights, 0.0)
+        eg_w = np.bincount(srcs, weights=w_act, minlength=n_hosts)
+        in_w = np.bincount(dsts, weights=w_act, minlength=n_hosts)
+        eg_load = np.bincount(srcs, weights=rates, minlength=n_hosts)
+        in_load = np.bincount(dsts, weights=rates, minlength=n_hosts)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eg_inc = np.where(eg_w > 0, (nic_out - eg_load) / eg_w, np.inf)
+            in_inc = np.where(in_w > 0, (nic_in - in_load) / in_w, np.inf)
+        increment = min(float(eg_inc.min()), float(in_inc.min()))
+        if bp_active:
+            w_sum = w_act.sum()
+            if w_sum > 0:
+                increment = min(increment, (backplane - rates.sum()) / w_sum)
+        if not np.isfinite(increment):
+            break
+        increment = max(increment, 0.0)
+        rates[active] += increment * weights[active]
+
+        # Freeze flows crossing saturated constraints.
+        eg_load = np.bincount(srcs, weights=rates, minlength=n_hosts)
+        in_load = np.bincount(dsts, weights=rates, minlength=n_hosts)
+        sat_eg = eg_load >= nic_out * (1 - 1e-9) - _EPS
+        sat_in = in_load >= nic_in * (1 - 1e-9) - _EPS
+        froze = sat_eg[srcs] | sat_in[dsts]
+        if bp_active and rates.sum() >= backplane * (1 - 1e-9) - _EPS:
+            froze[:] = True
+        if not (froze & active).any():
+            break
+        active &= ~froze
+
+    if stats is not None:
+        stats["rounds"] = stats.get("rounds", 0) + rounds
+        stats["links_visited"] = (
+            stats.get("links_visited", 0) + rounds * links_per_round
+        )
+    return rates
+
+
 class ReferenceMaxMin:
-    """From-scratch weighted max-min on the full host arrays, every call."""
+    """From-scratch weighted max-min on the full host arrays, every call,
+    in the per-round form."""
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
@@ -95,7 +173,7 @@ class ReferenceMaxMin:
     def solve(self, weights: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
               stats: dict | None = None) -> np.ndarray:
         topo = self.topology
-        return maxmin_single_switch(
+        return per_round_maxmin(
             weights, srcs, dsts, topo.nic_out_array(), topo.nic_in_array(),
             topo.backplane, stats=stats,
         )

@@ -48,6 +48,27 @@ def test_rule_filter_flag(capsys):
     assert "D103" in out and "D101" not in out
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["tests/no_such_dir"], "tests/no_such_dir"),
+    ([str(Path(__file__).parents[2] / "pyproject.toml")], "pyproject.toml"),
+    ([SRC, "--rule", "Z9"], "'Z9'"),
+    ([SRC, "--rule", "D", "--rule", "D9"], "'D9'"),
+])
+def test_a_path_or_rule_that_selects_nothing_is_a_usage_error(
+        argv, named, capsys):
+    # Linting nothing must not read as a clean run.
+    assert lint(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_a_family_letter_or_rule_prefix_in_any_case_is_known(capsys):
+    assert lint([str(FIXTURES / "bad_determinism.py"), "--rule", "d"]) == 1
+    assert lint([str(FIXTURES / "bad_determinism.py"), "--rule", "d10"]) == 1
+    assert "D101" in capsys.readouterr().out
+
+
 def test_repro_cli_dispatches_lint(capsys):
     # ``repro lint`` takes paths, --json and --rule; nothing else.
     with pytest.raises(SystemExit) as done:

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint import LintUsageError, lint_paths
 from repro.lint.pragmas import parse_pragmas
+from repro.lint.rules import ALL_RULES, RULE_IDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,6 +67,16 @@ def test_good_fixture_is_clean(name):
     assert result.exit_code == 0
 
 
+def test_rule_ids_are_what_the_bad_fixtures_report():
+    # The catalogue a --rule filter is checked against lists each rule
+    # of each family, no more and no fewer.
+    assert list(RULE_IDS) == list(ALL_RULES)
+    assert all(rule.startswith(family)
+               for family, ids in RULE_IDS.items() for rule in ids)
+    reported = set().union(*(ids for _name, _f, ids in BAD_CASES))
+    assert reported == {rule for ids in RULE_IDS.values() for rule in ids}
+
+
 def test_every_fixture_is_in_the_tables():
     # A fixture missing from the tables would be checked by nothing.
     on_disk = {p.name for pattern in ("bad_*.py", "good_*.py")
@@ -77,9 +88,10 @@ def test_every_fixture_is_in_the_tables():
 def test_rule_filter_restricts_to_family(name, family, expected_ids):
     result = lint_paths([str(FIXTURES / name)], rules=[family])
     assert {f.rule for f in result.findings} == expected_ids
-    other = lint_paths([str(FIXTURES / name)],
-                       rules=["Z9"])
-    assert other.findings == []
+    # A filter that matches no rule id or family is refused rather than
+    # reported clean.
+    with pytest.raises(LintUsageError, match="Z9"):
+        lint_paths([str(FIXTURES / name)], rules=["Z9"])
 
 
 def test_findings_carry_location_and_hint():

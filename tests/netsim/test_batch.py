@@ -239,6 +239,74 @@ def test_a_settle_pending_when_run_stops_is_taken_by_the_next_host_load():
     assert (env.now, leg.value) == (2.5, 1.5)
 
 
+def _mid_instant_reads(kernel):
+    """Two transfers at t=1 with ``host_load`` reads between them, of a
+    host no flow touches and of a touched one; a timeout set after them
+    is due when both flows finish.
+
+    Returns each read's value and the solves it cost, every flow's rate
+    once the instant ended, and who resumed when.
+    """
+    with kernel_scope(kernel):
+        env = Environment()
+        topo = Topology()
+        src, dst, idle = (topo.add_host(name, nic_out=100.0)
+                          for name in ("src", "dst", "idle"))
+        fabric = Fabric(env, topo, latency=0.0)
+        obs = Observability(trace=False, metrics=False, profile=True)
+        obs.install(env)
+        out = {"reads": [], "resumed": []}
+
+        def solves():
+            return obs.profiler.counters.get("maxmin.invocations", 0)
+
+        def read(host):
+            before = solves()
+            load = fabric.host_load(host)
+            out["reads"].append((host.name, load, solves() - before))
+
+        def wait(name, event):
+            yield event
+            out["resumed"].append((name, env.now, fabric.active_flows))
+
+        def driver():
+            yield env.timeout(1.0)
+            env.process(wait("first", fabric.transfer(src, dst, 100.0,
+                                                      tag="x", cause="x")))
+            read(idle)
+            read(dst)
+            env.process(wait("second", fabric.transfer(src, dst, 100.0,
+                                                       tag="x", cause="x")))
+            read(idle)
+            env.at_instant_end(lambda: out.update(
+                rates=[fl.rate for fl in fabric._flows]))
+            # Both flows finish at t=3, when this timeout is due too.
+            env.process(wait("timeout", env.timeout(2.0)))
+
+        env.process(driver())
+        env.run()
+        out["settling"] = fabric._settling
+    return out
+
+
+def test_a_host_load_read_of_an_untouched_host_settles_nothing():
+    fast = _mid_instant_reads("fast")
+    eager = _mid_instant_reads("reference")
+    # The untouched host reads no rate and costs no solve; the touched
+    # one settles the instant so far.
+    assert [solves for _host, _load, solves in fast["reads"]] == [0, 1, 0]
+    assert fast["reads"][0][1] == fast["reads"][2][1] == (0.0, 0.0)
+    assert [(host, load) for host, load, _ in fast["reads"]] == [
+        (host, load) for host, load, _ in eager["reads"]]
+    assert fast["rates"] == eager["rates"] == [50.0, 50.0]
+    # The wakeup keeps the number the second transfer reserved: it fires
+    # before the timeout set after it, so the timeout's waiter finds the
+    # flows gone, and resumes before the flows' waiters.
+    assert fast["resumed"] == eager["resumed"] == [
+        ("timeout", 3.0, 0), ("first", 3.0, 0), ("second", 3.0, 0)]
+    assert not fast["settling"]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_a_wakeup_due_with_a_later_timeout_fires_first(kernel):
     """The wakeup is armed at the number its transfer reserved, so it

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.fairness import maxmin_single_switch
-from tests.differential.oracle import Constraint, progressive_filling
+from tests.differential.oracle import (
+    Constraint,
+    per_round_maxmin,
+    progressive_filling,
+)
 
 
 def test_single_constraint_equal_split():
@@ -215,3 +219,36 @@ def test_property_fast_path_matches_generic(instance):
     generic = progressive_filling(weights, constraints)
 
     np.testing.assert_allclose(fast, generic, rtol=1e-6, atol=1e-6)
+
+
+@st.composite
+def backplane_instances(draw):
+    """A single-switch instance whose backplane is absent, binding (a
+    fraction of what the flows reach without it) or loose."""
+    weights, srcs, dsts, nic_out, nic_in, _ = draw(switch_instances())
+    free = maxmin_single_switch(weights, srcs, dsts, nic_out, nic_in, None)
+    kind = draw(st.sampled_from(("none", "binding", "loose")))
+    if kind == "none":
+        backplane = None
+    elif kind == "binding":
+        backplane = draw(st.floats(min_value=0.05, max_value=0.95)) * free.sum()
+    else:
+        backplane = draw(st.floats(min_value=1.05, max_value=4.0)) * free.sum()
+    return kind, (weights, srcs, dsts, nic_out, nic_in, backplane)
+
+
+@settings(max_examples=300, deadline=None)
+@given(backplane_instances())
+def test_property_solver_equals_its_per_round_form_bit_for_bit(case):
+    """Carrying the loads, the rate total and the thresholds from round
+    to round changes no bit of the rates and no count in the stats."""
+    kind, instance = case
+    stats, ref_stats = {}, {}
+    rates = maxmin_single_switch(*instance, stats=stats)
+    reference = per_round_maxmin(*instance, stats=ref_stats)
+    assert rates.tobytes() == reference.tobytes()
+    assert stats == ref_stats
+    backplane = instance[-1]
+    if kind == "binding":
+        # The backplane is what stops the filling.
+        assert rates.sum() >= backplane * (1 - 1e-9) - 1e-12

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro.simkernel import Environment, Interrupt, StopSimulation
+from repro.simkernel.core import NORMAL
 
 
 def test_clock_starts_at_zero():
@@ -44,9 +45,32 @@ def test_timeout_value():
 
 
 def test_negative_timeout_rejected():
+    # And the other delays that are not finite and non-negative: a NaN
+    # time would break the heap order, an infinite one would move the
+    # clock to inf.
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1)
+    for delay in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            env.timeout(delay)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            env._schedule(env.event(), NORMAL, delay)
+    assert env.peek() == float("inf")
+
+
+def test_a_nan_wait_fails_its_process_and_leaves_the_others_in_order():
+    env = Environment()
+    woke = []
+
+    def sleeper(delay):
+        yield env.timeout(delay)
+        woke.append(delay)
+
+    procs = [env.process(sleeper(d)) for d in (5.0, float("nan"), 1.0, 3.0)]
+    procs[1].defused = True
+    env.run()
+    assert woke == [1.0, 3.0, 5.0]
+    assert env.now == 5.0
+    assert isinstance(procs[1].value, ValueError)
 
 
 def test_run_until_time():
@@ -80,6 +104,16 @@ def test_run_until_past_time_rejected():
     env = Environment(initial_time=10.0)
     with pytest.raises(ValueError):
         env.run(until=5.0)
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    env.run(until=float("inf"))  # inf still runs to exhaustion
+    assert env.now == 1.0
 
 
 def test_run_until_untriggered_event_raises():

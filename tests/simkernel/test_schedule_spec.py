@@ -22,7 +22,10 @@ schedule further zero-delay and timed events while they run, instant-end
 callbacks that schedule events (one of them at a number reserved when the
 callback was registered) and register more callbacks, and an optional
 ``until``.  A ``heapq`` model must predict the exact delivery log,
-``events_processed`` and the final clock.
+``events_processed`` and the final clock, on both delivery paths:
+``run()``'s inline loop (probe off) and one ``step()`` per entry or
+instant end (a profiler probe on), where the model also predicts the
+number of steps.
 """
 
 import heapq
@@ -30,6 +33,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Observability
 from repro.simkernel import Environment
 from repro.simkernel.core import NORMAL, URGENT, Event
 
@@ -91,12 +95,13 @@ def _plan(nodes, cancels):
 
 def _model(nodes, cancels, until):
     """The specification: one heap, cancellation checked at pop, and the
-    instant-end callbacks run whenever no entry is due now."""
+    instant-end callbacks run whenever no entry is due now.  A step is
+    one pop or one run of the instant-end callbacks."""
     roots, children, at_setup, cancelled_by, reserved_child = _plan(
         nodes, cancels)
     heap, cancelled, log = [], set(), []
     pending, reserved = [], {}
-    now, seq, processed = 0.0, 0, 0
+    now, seq, processed, steps = 0.0, 0, 0, 0
 
     def schedule(i, at=None):
         nonlocal seq
@@ -129,6 +134,7 @@ def _model(nodes, cancels, until):
             entry = heapq.heappop(heap)
         elif pending:
             batch, pending = pending, []
+            steps += 1
             for i in batch:
                 fire(i)
             continue
@@ -136,6 +142,7 @@ def _model(nodes, cancels, until):
             entry = heapq.heappop(heap)
         else:
             break
+        steps += 1
         when, _priority, _seq, i = entry
         if i in cancelled:
             continue
@@ -144,13 +151,27 @@ def _model(nodes, cancels, until):
         fire(i)
     if until is not None:
         now = until
-    return log, processed, now
+    return log, processed, now, steps
 
 
-def _kernel(nodes, cancels, until):
+def _kernel(nodes, cancels, until, probe):
+    """Run the script on the kernel; with ``probe``, under a profiler
+    probe and counting the calls of ``env.step`` (else ``None``)."""
     roots, children, at_setup, cancelled_by, reserved_child = _plan(
         nodes, cancels)
     env = Environment()
+    steps = None
+    if probe:
+        Observability(trace=False, metrics=False, profile=True).install(env)
+        steps = 0
+        step = env.step
+
+        def counted_step():
+            nonlocal steps
+            steps += 1
+            step()
+
+        env.step = counted_step
     events = [Event(env) for _ in nodes]
     reserved = {}
     log = []
@@ -181,14 +202,19 @@ def _kernel(nodes, cancels, until):
     for target in at_setup:
         events[target]._cancelled = True
     env.run(until=until)
-    return log, env.events_processed, env.now
+    return log, env.events_processed, env.now, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(scripts())
 def test_delivery_order_is_the_heap_order(script):
     nodes, cancels, until = script
-    assert _kernel(nodes, cancels, until) == _model(nodes, cancels, until)
+    log, processed, now, steps = _model(nodes, cancels, until)
+    # The inline loop, then step() for every entry.
+    assert _kernel(nodes, cancels, until, probe=False) == (
+        log, processed, now, None)
+    assert _kernel(nodes, cancels, until, probe=True) == (
+        log, processed, now, steps)
 
 
 def test_instant_end_runs_before_the_clock_moves_and_is_not_an_event():
