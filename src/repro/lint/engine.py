@@ -66,11 +66,11 @@ def iter_source_files(paths: Sequence[str]) -> list[Path]:
 
 
 def _check_rules(rules: Iterable[str]) -> None:
-    """Refuse a filter that selects no rule id (a family letter is a
-    prefix of its ids): it would report a clean run."""
-    known = [rule for ids in RULE_IDS.values() for rule in ids]
+    """Refuse a filter that selects no rule, as :func:`lint_file` selects
+    them (its family, then the rule id): it would report a clean run."""
     for r in rules:
-        if not any(_rule_selected(rule, [r]) for rule in known):
+        if not any(_family_selected(family, [r]) and _rule_selected(rule, [r])
+                   for family, ids in RULE_IDS.items() for rule in ids):
             raise LintUsageError(
                 f"unknown rule {r!r}: not a rule id or a family letter "
                 f"({', '.join(ALL_RULES)})")

@@ -557,7 +557,8 @@ class Environment:
         ``until`` may be ``None`` (run to queue exhaustion), a number (run up
         to that simulation time; ``inf`` runs to exhaustion, NaN is
         rejected) or an :class:`Event` (run until it fires and return its
-        value).
+        value).  The probe is read once, here: a probe installed while
+        the run is under way takes effect at the next ``run()``.
         """
         stop_at = _INF
         stop_event: Optional[Event] = None

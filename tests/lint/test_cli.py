@@ -53,6 +53,7 @@ def test_rule_filter_flag(capsys):
     ([str(Path(__file__).parents[2] / "pyproject.toml")], "pyproject.toml"),
     ([SRC, "--rule", "Z9"], "'Z9'"),
     ([SRC, "--rule", "D", "--rule", "D9"], "'D9'"),
+    ([SRC, "--rule", ""], "''"),
 ])
 def test_a_path_or_rule_that_selects_nothing_is_a_usage_error(
         argv, named, capsys):
