@@ -1,21 +1,21 @@
 """Regenerates Figure 3: single live migration of IOR and AsyncWR.
 
 Shape assertions encode the paper's qualitative claims (who wins, rough
-factors); absolute values are simulation-scale, recorded at paper scale
-(``REPRO_FULL=1``) in ``benchmarks/results_full/fig3.txt`` and compared
-against the paper in EXPERIMENTS.md.
+factors); absolute values are simulation-scale, recorded in
+``benchmarks/results/fig3.txt`` and compared against the paper in
+EXPERIMENTS.md.
 """
 
 import pytest
 
-from benchmarks.conftest import full_scale, write_csv_table
+from benchmarks.conftest import write_csv_table
 from repro.experiments.config import IOR_MAX_READ, IOR_MAX_WRITE
 from repro.experiments.fig3 import render_fig3, run_fig3
 
 
 @pytest.fixture(scope="module")
 def fig3_results():
-    return run_fig3(quick=not full_scale())
+    return run_fig3()
 
 
 def test_fig3a_migration_time(benchmark, fig3_results, results_sink):
@@ -28,8 +28,8 @@ def test_fig3a_migration_time(benchmark, fig3_results, results_sink):
     assert ior["pvfs-shared"] < ior["our-approach"]
     assert ior["our-approach"] < ior["postcopy"]
     assert ior["our-approach"] < ior["mirror"]
-    # >10x at paper scale; the reduced quick geometry still shows >2x.
-    assert ior["precopy"] > 2 * ior["our-approach"]
+    # The paper reports >10x; this geometry measures 8.3x.
+    assert ior["precopy"] > 5 * ior["our-approach"]
     asyncwr = {a: o.migration_time for a, o in results["asyncwr"].items()}
     assert asyncwr["precopy"] > max(
         v for a, v in asyncwr.items() if a != "precopy"
@@ -56,9 +56,8 @@ def test_fig3b_network_traffic(benchmark, fig3_results):
     above ours for IOR; precopy re-sends inflate it well past mirror."""
     results = benchmark.pedantic(lambda: fig3_results, rounds=1, iterations=1)
     traffic = {a: o.total_traffic() for a, o in results["ior"].items()}
-    # >10x at paper scale; the reduced quick geometry still shows >4x.
-    factor = 5 if full_scale() else 4
-    assert traffic["pvfs-shared"] > factor * traffic["our-approach"]
+    # The paper reports >10x; this geometry measures 10.3x.
+    assert traffic["pvfs-shared"] > 5 * traffic["our-approach"]
     assert traffic["precopy"] > traffic["mirror"]
     assert traffic["mirror"] > traffic["our-approach"]
     assert traffic["postcopy"] < 1.3 * traffic["our-approach"]

@@ -2,14 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import full_scale, write_csv_series
+from benchmarks.conftest import write_csv_series
 from repro.experiments.fig4 import render_fig4, run_fig4
 from repro.experiments.runner import sweep_series
 
 
 @pytest.fixture(scope="module")
 def fig4_results():
-    return run_fig4(quick=not full_scale())
+    return run_fig4()
 
 
 def _series(results, approach, metric):

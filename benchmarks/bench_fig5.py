@@ -2,14 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import full_scale, write_csv_series
+from benchmarks.conftest import write_csv_series
 from repro.experiments.fig5 import render_fig5, run_fig5
 from repro.experiments.runner import sweep_series
 
 
 @pytest.fixture(scope="module")
 def fig5_results():
-    return run_fig5(quick=not full_scale())
+    return run_fig5()
 
 
 def test_fig5a_cumulated_migration_time(benchmark, fig5_results, results_sink):
@@ -44,9 +44,8 @@ def test_fig5b_migration_traffic(benchmark, fig5_results):
     counts = sorted(fig5_results["our-approach"])
     hi = counts[-1]
     traf = {a: fig5_results[a][hi][0].migration_traffic for a in fig5_results}
-    # ~3x at the full 4x4 grid; the tiny quick grid compresses the gap.
-    factor = 2.5 if full_scale() else 1.2
-    assert traf["pvfs-shared"] > factor * traf["our-approach"]
+    # 2.8x at the 4x4 grid.
+    assert traf["pvfs-shared"] > 2.5 * traf["our-approach"]
     assert traf["postcopy"] <= traf["our-approach"]
     assert traf["precopy"] > traf["our-approach"]
 

@@ -6,9 +6,9 @@ Python::
     python -m repro.cli table1
     python -m repro.cli fig1
     python -m repro.cli fig2 [--approach postcopy]
-    python -m repro.cli fig3 [--quick]
-    python -m repro.cli fig4 [--quick]
-    python -m repro.cli fig5 [--quick] [--grid 8x8]
+    python -m repro.cli fig3
+    python -m repro.cli fig4
+    python -m repro.cli fig5 [--grid 8x8]
     python -m repro.cli single --approach our-approach --workload ior
     python -m repro.cli compare --workload asyncwr
     python -m repro.cli analyze trace.json [--json out.json] [--html out.html]
@@ -240,12 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for fig in ("fig3", "fig4", "fig5"):
         p = sub.add_parser(fig, help=f"regenerate {fig} of the paper")
-        p.add_argument("--quick", action="store_true",
-                       help="reduced geometry for a fast run")
         if fig == "fig5":
-            p.add_argument("--grid", type=_parse_grid, default=None,
-                           help="CM1 rank grid, e.g. 8x8 (default 4x4, "
-                                "2x2 with --quick)")
+            p.add_argument("--grid", type=_parse_grid, default=(4, 4),
+                           help="CM1 rank grid, e.g. 8x8 (default 4x4)")
         _add_obs_flags(p)
 
     single = sub.add_parser("single", help="one migration under one workload")
@@ -699,12 +696,10 @@ def _cmd_compare(args, obs=None) -> str:
 
 def _check_fig5_grid(parser: argparse.ArgumentParser, args) -> None:
     """Refuse a ``--grid`` with fewer ranks than the sweep migrates."""
-    from repro.experiments.fig5 import migration_counts
+    from repro.experiments.fig5 import MIGRATION_COUNTS
 
-    if args.grid is None:
-        return
     ranks = args.grid[0] * args.grid[1]
-    most = max(migration_counts(quick=args.quick))
+    most = max(MIGRATION_COUNTS)
     if most > ranks:
         parser.error(f"--grid {args.grid[0]}x{args.grid[1]} has {ranks} "
                      f"rank(s), but the sweep migrates up to {most}")
@@ -751,15 +746,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "fig3":
         from repro.experiments.fig3 import render_fig3, run_fig3
 
-        print(render_fig3(run_fig3(quick=args.quick, obs=obs)))
+        print(render_fig3(run_fig3(obs=obs)))
     elif args.command == "fig4":
         from repro.experiments.fig4 import render_fig4, run_fig4
 
-        print(render_fig4(run_fig4(quick=args.quick, obs=obs)))
+        print(render_fig4(run_fig4(obs=obs)))
     elif args.command == "fig5":
         from repro.experiments.fig5 import render_fig5, run_fig5
 
-        print(render_fig5(run_fig5(quick=args.quick, grid=args.grid, obs=obs)))
+        print(render_fig5(run_fig5(grid=args.grid, obs=obs)))
     elif args.command == "single":
         print(_cmd_single(args, obs=obs))
     elif args.command == "compare":

@@ -17,7 +17,7 @@ keeps the paper's 100 s warm-up.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.core.registry import APPROACHES
 from repro.experiments.config import (
@@ -28,54 +28,29 @@ from repro.experiments.config import (
 from repro.experiments.runner import render_table
 from repro.experiments.scenarios import ScenarioOutcome, run_single_migration
 
-__all__ = ["run_fig3", "render_fig3", "IOR_WARMUP", "ASYNCWR_WARMUP"]
+__all__ = ["run_fig3", "render_fig3", "FIG3_RUNS"]
 
-IOR_WARMUP = 10.0
-ASYNCWR_WARMUP = 100.0
+#: The figure's two runs: workload -> keywords of
+#: :func:`~repro.experiments.scenarios.run_single_migration`.
+FIG3_RUNS = {"ior": {"warmup": 10.0}, "asyncwr": {"warmup": 100.0}}
 
 
 def run_fig3(
     approaches: Optional[Iterable[str]] = None,
-    quick: bool = False,
+    runs: Mapping[str, dict] = FIG3_RUNS,
     seed: int = 0,
     obs=None,
 ) -> dict[str, dict[str, ScenarioOutcome]]:
-    """Run both benchmarks under every approach.
-
-    ``quick`` shrinks the workloads (for CI/benchmark smoke runs) while
-    preserving the migration-under-pressure structure.
+    """Run each of ``runs`` under every approach.
 
     Returns ``{workload: {approach: outcome}}``.
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
-    ior_kwargs: dict = {}
-    asyncwr_kwargs: dict = {}
-    ior_warmup, asyncwr_warmup = IOR_WARMUP, ASYNCWR_WARMUP
-    if quick:
-        # Keep the structure (migration lands mid-benchmark, the storage
-        # volume dominates the memory volume) while shrinking runtime.
-        ior_kwargs = dict(iterations=6, file_size=512 * 2**20, op_size=8 * 2**20)
-        asyncwr_kwargs = dict(iterations=60)
-        ior_warmup, asyncwr_warmup = 3.0, 30.0
-
-    results: dict[str, dict[str, ScenarioOutcome]] = {"ior": {}, "asyncwr": {}}
+    results: dict[str, dict[str, ScenarioOutcome]] = {wl: {} for wl in runs}
     for approach in approaches:
-        results["ior"][approach] = run_single_migration(
-            approach,
-            workload="ior",
-            warmup=ior_warmup,
-            seed=seed,
-            workload_kwargs=ior_kwargs,
-            obs=obs,
-        )
-        results["asyncwr"][approach] = run_single_migration(
-            approach,
-            workload="asyncwr",
-            warmup=asyncwr_warmup,
-            seed=seed,
-            workload_kwargs=asyncwr_kwargs,
-            obs=obs,
-        )
+        for workload, scenario in runs.items():
+            results[workload][approach] = run_single_migration(
+                approach, workload=workload, seed=seed, obs=obs, **scenario)
     return results
 
 

@@ -9,7 +9,7 @@ Three panels, x = number of concurrent migrations:
   completion time against a size-matched migration-free run).
 
 The paper fixes 30 sources and raises the destination count 1 -> 30 in
-steps of 10; ``quick`` shrinks the fleet for smoke runs.
+steps of 10.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ CONCURRENCY_LEVELS = (1, 10, 20, 30)
 def run_fig4(
     approaches: Optional[Iterable[str]] = None,
     levels: Iterable[int] = CONCURRENCY_LEVELS,
-    n_sources: int = 30,
-    quick: bool = False,
     seed: int = 0,
     obs=None,
+    **scenario,
 ) -> dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]]:
     """Sweep concurrency per approach.
 
@@ -44,44 +43,21 @@ def run_fig4(
     baseline shares the exact cluster geometry (node count depends on the
     destination count), so the degradation comparison is apples-to-apples.
     It runs once per storage placement and level (:func:`shared_baseline`).
+    ``scenario`` holds further keywords of
+    :func:`run_concurrent_migrations` (``n_sources``, ``warmup``,
+    ``workload_kwargs``, ...), passed to every run.
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
     levels = list(levels)
-    workload_kwargs: dict = {}
-    warmup = 100.0
-    if quick:
-        # The fleet size must stay at 30 — the backplane-contention effect
-        # panel (a) shows only exists at scale — so quick mode shortens
-        # the workload and the warm-up instead.
-        workload_kwargs = dict(iterations=90)
-        warmup = 30.0
-
+    run = partial(run_concurrent_migrations, seed=seed, obs=obs, **scenario)
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}
     baselines: dict = {}
     for approach in approaches:
         per_level: dict[int, tuple[ScenarioOutcome, ScenarioOutcome]] = {}
         for n in levels:
             baseline = shared_baseline(baselines, approach, n, partial(
-                run_concurrent_migrations,
-                approach,
-                n,
-                n_sources=n_sources,
-                warmup=warmup,
-                migrate=False,
-                seed=seed,
-                workload_kwargs=workload_kwargs,
-                obs=obs,
-            ))
-            outcome = run_concurrent_migrations(
-                approach,
-                n,
-                n_sources=n_sources,
-                warmup=warmup,
-                seed=seed,
-                workload_kwargs=workload_kwargs,
-                obs=obs,
-            )
-            per_level[n] = (outcome, baseline)
+                run, approach, n, migrate=False))
+            per_level[n] = (run(approach, n), baseline)
         results[approach] = per_level
     return results
 

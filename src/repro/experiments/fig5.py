@@ -25,35 +25,25 @@ from repro.experiments.scenarios import (
     shared_baseline,
 )
 
-__all__ = ["run_fig5", "render_fig5", "migration_counts", "MIGRATION_COUNTS"]
+__all__ = ["run_fig5", "render_fig5", "MIGRATION_COUNTS"]
 
 MIGRATION_COUNTS = (1, 3, 5, 7)
-
-
-def migration_counts(counts: Iterable[int] = MIGRATION_COUNTS,
-                     quick: bool = False) -> list[int]:
-    """The migration counts a sweep runs: ``quick`` keeps those up to 3,
-    and at least one."""
-    counts = list(counts)
-    if quick:
-        counts = [n for n in counts if n <= 3] or [1]
-    return counts
 
 
 def run_fig5(
     approaches: Optional[Iterable[str]] = None,
     counts: Iterable[int] = MIGRATION_COUNTS,
-    grid: Optional[tuple[int, int]] = None,
-    quick: bool = False,
     seed: int = 0,
     obs=None,
+    **scenario,
 ) -> dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]]:
     """Sweep successive migration counts per approach.
 
     Returns ``{approach: {n: (outcome, baseline)}}`` where the baseline is
     the same ensemble without migrations, run once per storage placement
-    (:func:`shared_baseline`).  ``grid`` defaults to 2x2 under ``quick``
-    and 4x4 otherwise; a grid the caller passes is always used.
+    (:func:`shared_baseline`).  ``scenario`` holds further keywords of
+    :func:`run_cm1_successive` (``grid``, ``workload_kwargs``, ...),
+    passed to every run.
 
     ``seed`` is accepted so every figure sweep takes one, but CM1 draws
     nothing from it: the outcomes are the same at every seed, so
@@ -61,37 +51,15 @@ def run_fig5(
     runs.
     """
     approaches = list(approaches) if approaches is not None else list(APPROACHES)
-    counts = migration_counts(counts, quick)
-    workload_kwargs: dict = {}
-    if grid is None:
-        grid = (2, 2) if quick else (4, 4)
-    if quick:
-        workload_kwargs = dict(n_steps=40, dump_every=8)
-
+    counts = list(counts)
+    run = partial(run_cm1_successive, obs=obs, **scenario)
     results: dict[str, dict[int, tuple[ScenarioOutcome, ScenarioOutcome]]] = {}
     baselines: dict = {}
     for approach in approaches:
         # Every baseline has no migration and one spare node.
         baseline = shared_baseline(baselines, approach, 0, partial(
-            run_cm1_successive,
-            approach,
-            0,
-            grid=grid,
-            migrate=False,
-            workload_kwargs=workload_kwargs,
-            obs=obs,
-        ))
-        per_count: dict[int, tuple[ScenarioOutcome, ScenarioOutcome]] = {}
-        for n in counts:
-            outcome = run_cm1_successive(
-                approach,
-                n,
-                grid=grid,
-                workload_kwargs=workload_kwargs,
-                obs=obs,
-            )
-            per_count[n] = (outcome, baseline)
-        results[approach] = per_count
+            run, approach, 0, migrate=False))
+        results[approach] = {n: (run(approach, n), baseline) for n in counts}
     return results
 
 

@@ -19,7 +19,12 @@ from repro.experiments.scenarios import (
     run_cm1_successive,
     run_concurrent_migrations,
 )
-from tests.golden.generate import FIG4_LEVELS, FIG4_SOURCES
+from tests.golden.generate import (
+    FIG4_LEVELS,
+    FIG4_SCENARIO,
+    FIG5_COUNTS,
+    FIG5_SCENARIO,
+)
 
 LOCAL = [a for a in APPROACHES if manager_class(a).storage_placement == "local"]
 
@@ -39,20 +44,16 @@ def _assert_local_equal_pvfs_apart(run):
 
 @pytest.mark.parametrize("n", FIG4_LEVELS)
 def test_fig4_golden_baselines_differ_only_by_placement(n):
-    # run_fig4(quick=True)'s workload and warm-up.
     _assert_local_equal_pvfs_apart(lambda approach: run_concurrent_migrations(
-        approach, n, n_sources=FIG4_SOURCES, warmup=30.0, migrate=False,
-        workload_kwargs={"iterations": 90}))
+        approach, n, migrate=False, **FIG4_SCENARIO))
 
 
 def test_fig5_golden_baselines_differ_only_by_placement():
-    # run_fig5(quick=True)'s grid and workload.
     _assert_local_equal_pvfs_apart(lambda approach: run_cm1_successive(
-        approach, 0, grid=(2, 2), migrate=False,
-        workload_kwargs={"n_steps": 40, "dump_every": 8}))
+        approach, 0, migrate=False, **FIG5_SCENARIO))
 
 
-def test_quick_fig5_builds_one_baseline_cloud_per_placement(monkeypatch):
+def test_fig5_builds_one_baseline_cloud_per_placement(monkeypatch):
     labels = []
     simulate = scenarios.simulate
 
@@ -61,7 +62,7 @@ def test_quick_fig5_builds_one_baseline_cloud_per_placement(monkeypatch):
         return simulate(outcome, label, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "simulate", counting)
-    results = run_fig5(quick=True)
+    results = run_fig5(counts=FIG5_COUNTS, **FIG5_SCENARIO)
     assert [label for label in labels if label.endswith("/baseline")] == [
         "our-approach/cm1-x0/baseline", "pvfs-shared/cm1-x0/baseline"]
     # Every approach holds its own copy, under its own label.

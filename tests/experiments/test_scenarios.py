@@ -14,6 +14,7 @@ from repro.experiments.scenarios import (
     run_concurrent_migrations,
     run_single_migration,
 )
+from tests.golden.generate import FIG5_COUNTS, FIG5_SCENARIO
 
 MB = 2**20
 
@@ -104,8 +105,8 @@ class TestCM1:
     def test_fig5_is_the_same_at_every_seed(self):
         """CM1 draws nothing at random, so Fig 5's outcomes do not depend
         on the sweep's seed."""
-        at_0, at_7 = (run_fig5(approaches=["our-approach"], quick=True,
-                               seed=seed) for seed in (0, 7))
+        at_0, at_7 = (run_fig5(approaches=["our-approach"], counts=FIG5_COUNTS,
+                               seed=seed, **FIG5_SCENARIO) for seed in (0, 7))
         assert at_0 == at_7
 
     def test_avg_requires_migrations(self):

@@ -24,11 +24,26 @@ import tempfile
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-#: Golden geometry for fig4: the full figure needs 30 sources to show
-#: backplane contention; pinning engine behavior only needs the
-#: concurrent-migration structure, so the fleet is shrunk.
+MB = 2**20
+
+#: The goldens' geometry: each figure shrunk so that the migration still
+#: lands mid-workload and the storage volume still dominates the memory
+#: volume.  Fig 3's two runs, as ``run_fig3``'s ``runs`` table.
+FIG3_RUNS = {
+    "ior": {"warmup": 3.0, "workload_kwargs": {
+        "iterations": 6, "file_size": 512 * MB, "op_size": 8 * MB}},
+    "asyncwr": {"warmup": 30.0, "workload_kwargs": {"iterations": 60}},
+}
+#: Fig 4's concurrency levels and ``run_concurrent_migrations`` keywords.
+#: The full figure needs 30 sources to show backplane contention; pinning
+#: engine behavior only needs the concurrent-migration structure.
 FIG4_LEVELS = (1, 2)
-FIG4_SOURCES = 4
+FIG4_SCENARIO = {"n_sources": 4, "warmup": 30.0,
+                 "workload_kwargs": {"iterations": 90}}
+#: Fig 5's migration counts and ``run_cm1_successive`` keywords.
+FIG5_COUNTS = (1, 3)
+FIG5_SCENARIO = {"grid": (2, 2),
+                 "workload_kwargs": {"n_steps": 40, "dump_every": 8}}
 
 
 def _round(node):
@@ -79,7 +94,7 @@ def fig2_golden(obs=None) -> dict:
 def fig3_golden(obs=None) -> dict:
     from repro.experiments.fig3 import run_fig3
 
-    results = run_fig3(quick=True, seed=0, obs=obs)
+    results = run_fig3(runs=FIG3_RUNS, seed=0, obs=obs)
     return {
         workload: {
             approach: _outcome_digest(outcome)
@@ -92,10 +107,7 @@ def fig3_golden(obs=None) -> dict:
 def fig4_golden(obs=None) -> dict:
     from repro.experiments.fig4 import run_fig4
 
-    results = run_fig4(
-        levels=FIG4_LEVELS, n_sources=FIG4_SOURCES, quick=True, seed=0,
-        obs=obs,
-    )
+    results = run_fig4(levels=FIG4_LEVELS, seed=0, obs=obs, **FIG4_SCENARIO)
     return {
         approach: {
             str(n): {
@@ -111,7 +123,7 @@ def fig4_golden(obs=None) -> dict:
 def fig5_golden(obs=None) -> dict:
     from repro.experiments.fig5 import run_fig5
 
-    results = run_fig5(quick=True, seed=0, obs=obs)
+    results = run_fig5(counts=FIG5_COUNTS, seed=0, obs=obs, **FIG5_SCENARIO)
     return {
         approach: {
             str(n): {

@@ -17,8 +17,7 @@ def test_parser_requires_command():
 def test_grid_parsing(capsys):
     args = build_parser().parse_args(["fig5", "--grid", "2x3"])
     assert args.grid == (2, 3)
-    # No default here: run_fig5 picks 2x2 under --quick, 4x4 otherwise.
-    assert build_parser().parse_args(["fig5", "--quick"]).grid is None
+    assert build_parser().parse_args(["fig5"]).grid == (4, 4)
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig5", "--grid", "nope"])
     for text in ("0x4", "4x0", "-1x2"):
@@ -28,11 +27,11 @@ def test_grid_parsing(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fig5", "--quick", "--grid", "1x1"],
-     "--grid 1x1 has 1 rank(s), but the sweep migrates up to 3"),
+    (["fig5", "--grid", "1x1"],
+     "--grid 1x1 has 1 rank(s), but the sweep migrates up to 7"),
     (["fig5", "--grid", "2x2"],
      "--grid 2x2 has 4 rank(s), but the sweep migrates up to 7"),
-], ids=["quick-1x1", "full-2x2"])
+], ids=["full-1x1", "full-2x2"])
 def test_fig5_grid_smaller_than_a_migration_count_is_a_usage_error(
         monkeypatch, capsys, argv, message):
     from repro.experiments import fig5
@@ -45,6 +44,14 @@ def test_fig5_grid_smaller_than_a_migration_count_is_a_usage_error(
     assert exc.value.code == 2
     assert runs == []
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "fig5"])
+def test_figure_sweeps_run_one_geometry(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["single", "compare"])
