@@ -4,6 +4,10 @@ The text tables in :mod:`repro.experiments.runner` are for humans; this
 module writes the same data as CSV (one row per approach/x-value) so
 plots and regression dashboards can consume reproduction runs without
 parsing text.
+
+Floats are written at 9 significant digits, the golden fixtures'
+rounding, so a row does not depend on how the last bits of a sum fell
+(Python 3.12's ``sum()`` is compensated, earlier versions' is not).
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from typing import Iterable, Mapping, Sequence
 from repro.experiments.runner import SeriesResult
 
 __all__ = ["write_table_csv", "write_series_csv"]
+
+
+def _cell(value):
+    return float(f"{value:.9g}") if isinstance(value, float) else value
 
 
 def write_table_csv(
@@ -34,7 +42,7 @@ def write_table_csv(
                     f"row {name!r} has {len(values)} values for "
                     f"{len(columns)} columns"
                 )
-            writer.writerow([name, *values])
+            writer.writerow([name, *map(_cell, values)])
     return path
 
 
@@ -54,6 +62,6 @@ def write_series_csv(
             if len(s.x) != len(s.y):
                 raise ValueError(f"series {s.approach!r} has ragged x/y")
             for x, y in zip(s.x, s.y):
-                writer.writerow([s.approach, x, y])
+                writer.writerow([s.approach, _cell(x), _cell(y)])
     return path
 

@@ -77,7 +77,8 @@ def render_series(
     width = max([len(s.approach) for s in series] + [len(x_label)]) + 2
     colw = 12
     out = [f"== {title}" + (f" [{unit}]" if unit else "")]
-    header = x_label.ljust(width) + "".join(_fmt(x).rjust(colw) for x in xs)
+    header = x_label.ljust(width) + "".join(
+        (str(x) if isinstance(x, int) else _fmt(x)).rjust(colw) for x in xs)
     out.append(header)
     out.append("-" * len(header))
     out.extend(

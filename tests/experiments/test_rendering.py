@@ -40,6 +40,7 @@ class TestRenderSeries:
         assert "#migrations" in text
         assert "ours" in text and "precopy" in text
         lines = text.splitlines()
+        assert lines[1].split() == ["#migrations", "1", "30"]
         assert any("50" in ln for ln in lines)
 
     def test_empty_series(self):
