@@ -1,10 +1,16 @@
 """Tests for the command-line front end."""
 
+import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.golden.generate import FIXTURES, canonical_json
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -319,3 +325,129 @@ def test_critical_path_without_causal_names_flag(tmp_path, capsys):
     assert rc == 2
     assert "--causal" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+# -- text outputs pinned on committed fixtures ---------------------------------
+
+#: sha256 of stdout for text outputs that no golden renders.  The inputs
+#: are committed fixtures, so the bytes hold on every Python.
+TEXT_PINS = {
+    "series": (["series", "fig2_series.json"],
+               "ee87a562da7f44de2c13c15e143617ddc496aa7737d52c5210188053f22cc101"),
+    "series-csv": (["series", "fig2_series.json", "--csv", "-"],
+                   "e44e8882902e4daa9ee196ed2c5c27c9df1b90f45652fe8eb53f0a0e22cb0273"),
+    "series-signal": (["series", "fig2_series.json", "--signal", "net.*"],
+                      "aec54c8dba575be8672f85dc0a1f01f69c899254d39040b4fd8c19049b425a46"),
+    "diff-kernels": (["diff", "fig2_summary_fast.json",
+                      "fig2_summary_reference.json"],
+                     "9787c998faaca145b0ac36ace1b65386e488f7de90afb70160db0d26d0838d8d"),
+    "diff-precopy": (["diff", "fig2_summary_fast.json",
+                      "fig2_summary_precopy.json"],
+                     "6473d7576759889d83cd84ace3b0cb107d67aa50ef7f51d42ce6720b62de1ce3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_PINS))
+def test_text_output_is_pinned(name, capsys):
+    argv, sha256 = TEXT_PINS[name]
+    assert main([str(FIXTURES / a) if a.endswith(".json") else a
+                 for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+CRITICAL_PATH_TEXT = """\
+=== our-approach/fig2 ===
+migration vm0 attempt 0: 17.738 s (5.000 -> 22.738)
+  conservation: exact
+  critical path by resource:
+    net.memory                11.717 s   66.1%
+    net.prefetch               5.997 s   33.8%
+    pagecache                  0.015 s    0.1%
+    net.control                0.009 s    0.1%
+  what-if nicx2 (attempt 0): wall 17.738 -> >= 8.876 s (speedup <= 2.00x)
+  what-if storagex2 (attempt 0): wall 17.738 -> >= 17.731 s (speedup <= 1.00x)"""
+
+
+def test_critical_path_text_is_pinned():
+    from repro.cli import _render_critical_text
+
+    doc = json.loads((FIXTURES / "fig2_critical_path.json").read_text())
+    assert _render_critical_text(doc) == CRITICAL_PATH_TEXT
+
+
+def test_module_entry_point(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "table1"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["table1"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_smoke_command_lines(tmp_path, capsys):
+    """The command lines of the profile, critical-path, diff and series
+    smoke runs, with every check made on their outputs."""
+    from tests.differential.oracle import kernel_scope
+
+    def fixture(name: str) -> str:
+        return (FIXTURES / name).read_text()
+
+    fast, reference, precopy = (str(FIXTURES / f"fig2_summary_{k}.json")
+                                for k in ("fast", "reference", "precopy"))
+
+    # diff: the kernels' summaries do not differ, precopy's do.
+    assert main(["diff", fast, reference, "--json"]) == 0
+    kernels = json.loads(capsys.readouterr().out)
+    assert kernels["conservation_ok"] and kernels["zero_delta"]
+    assert canonical_json(kernels) == fixture("fig2_diff_kernels.json")
+    assert main(["diff", fast, precopy, "--json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["diff", fast, precopy, "--json"]) == 0
+    assert capsys.readouterr().out == first
+    delta = json.loads(first)
+    assert delta["conservation_ok"] and not delta["zero_delta"]
+    assert canonical_json(delta) == fixture("fig2_diff_precopy.json")
+    report = tmp_path / "diff-precopy.html"
+    assert main(["diff", fast, precopy, "--report", str(report)]) == 0
+    assert report.read_text().startswith("<!DOCTYPE html>")
+
+    # The simulating runs use the production kernel, which the series
+    # fixture is pinned to.
+    with kernel_scope("fast"):
+        trace = tmp_path / "fig2-causal-trace.json"
+        assert main(["fig2", "--causal", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["critical-path", str(trace), "--json",
+                     "--what-if", "nic=2", "--what-if", "storage=2"]) == 0
+        assert (canonical_json(json.loads(capsys.readouterr().out))
+                == fixture("fig2_critical_path.json"))
+
+        series = tmp_path / "fig2-series.json"
+        flight = tmp_path / "series-flight-report.html"
+        assert main(["fig2", "--series-out", str(series),
+                     "--report", str(flight)]) == 0
+        doc = json.loads(series.read_text())
+        assert doc["schema"] == "repro.series/1" and doc["enabled"]
+        assert doc["runs"] and all(run["conservation"]["ok"]
+                                   for run in doc["runs"])
+        assert canonical_json(doc) == fixture("fig2_series.json")
+        assert ("Time-resolved telemetry — our-approach/fig2"
+                in flight.read_text())
+        capsys.readouterr()
+        assert main(["series", str(series)]) == 0
+        assert "net.* integral vs TrafficMeter: exact" in \
+            capsys.readouterr().out
+
+        prof = tmp_path / "prof.json"
+        assert main(["profile", "--check",
+                     "--speedscope", str(tmp_path / "prof.speedscope.json"),
+                     "--collapsed", str(tmp_path / "prof.folded.txt"),
+                     "--json", str(prof)]) == 0
+        summary = json.loads(prof.read_text())
+        for counter in ("maxmin.invocations", "maxmin.links_visited",
+                        "kernel.heap_push", "chunks.push_scanned"):
+            assert summary["counters"].get(counter, 0) > 0, counter
+        assert summary["conservation"]["ok"]
