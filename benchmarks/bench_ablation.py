@@ -11,12 +11,13 @@ from repro.experiments.scenarios import run_single_migration
 
 from benchmarks.conftest import write_result
 
-QUICK_IOR = dict(iterations=4, file_size=256 * 2**20, op_size=8 * 2**20)
+#: IOR at 4 iterations over a 256 MiB file in 8 MiB operations.
+IOR_4X256MIB = dict(iterations=4, file_size=256 * 2**20, op_size=8 * 2**20)
 
 
 def _run(approach="our-approach", config=None, **kwargs):
     params = dict(
-        workload="ior", warmup=2.0, workload_kwargs=QUICK_IOR, config=config
+        workload="ior", warmup=2.0, workload_kwargs=IOR_4X256MIB, config=config
     )
     params.update(kwargs)
     return run_single_migration(approach, **params)
@@ -46,7 +47,7 @@ def test_threshold_sweep(benchmark, results_sink):
     results_sink(
         "ablation_threshold",
         render_table(
-            "Ablation: write-count Threshold (IOR, quick)",
+            "Ablation: write-count Threshold (IOR, 4 x 256 MiB in 8 MiB ops)",
             ["mig time (s)", "total (MB)", "push (MB)"],
             rows,
         ),
