@@ -10,17 +10,29 @@ Python::
     python -m repro.cli fig4
     python -m repro.cli fig5 [--grid 8x8]
     python -m repro.cli single --approach our-approach --workload ior
-    python -m repro.cli compare --workload asyncwr
+    python -m repro.cli compare --workload asyncwr [--diff]
     python -m repro.cli analyze trace.json [--json out.json] [--html out.html]
+    python -m repro.cli critical-path trace.json [--json] [--what-if nic=2]
     python -m repro.cli profile [--speedscope prof.json] [--check]
     python -m repro.cli diff runA.json runB.json [--json] [--top 5]
     python -m repro.cli series fig2-series.json [--json] [--csv]
     python -m repro.cli lint [src] [--json] [--rule D]
+
+The run commands (fig2-fig5, single, compare) take the observability
+flags ``--trace``, ``--metrics-out``, ``--trace-detail``, ``--report``,
+``--causal``, ``--profile [OUT]`` and ``--series [OUT]``.
+
+Each subcommand's parser names its handler; ``main`` parses the
+arguments and calls it, and a handler calls the library and prints what
+it returns.  An artifact file the library cannot use is one ``error:``
+line on stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
 from typing import Optional, Sequence
 
@@ -28,12 +40,13 @@ from repro.core.registry import APPROACHES
 from repro.experiments.config import IOR_MAX_READ, IOR_MAX_WRITE
 from repro.experiments.runner import render_table
 from repro.experiments.scenarios import run_single_migration
+from repro.obs.export import ArtifactError, load_trace
 
 __all__ = ["main", "build_parser"]
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """Observability flags shared by the run-something subcommands."""
+    """Observability flags shared by the run commands."""
     p.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write an execution trace (.json = Chrome/Perfetto trace "
@@ -59,24 +72,18 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
              "(repro critical-path TRACE.json); implies tracing",
     )
     p.add_argument(
-        "--profile", action="store_true",
+        "--profile", metavar="OUT.speedscope.json", nargs="?", const="-",
+        default=None,
         help="self-profile the simulator host process (wall-clock per "
-             "subsystem + work counters); never changes simulation output",
-    )
-    p.add_argument(
-        "--profile-out", metavar="OUT.speedscope.json", default=None,
-        help="write the host profile as a speedscope flamegraph "
-             "(implies --profile)",
-    )
-    p.add_argument(
-        "--series", action="store_true",
-        help="record time-resolved telemetry (repro.obs.series); never "
+             "subsystem + work counters) and print the tree to stderr; "
+             "with a path, also write a speedscope flamegraph. Never "
              "changes simulation output",
     )
     p.add_argument(
-        "--series-out", metavar="OUT.json", default=None,
-        help="write the repro.series/1 time-series document "
-             "(implies --series)",
+        "--series", metavar="OUT.json", nargs="?", const="-", default=None,
+        help="record time-resolved telemetry (repro.obs.series) and print "
+             "sparklines to stderr; with a path, write the repro.series/1 "
+             "document instead. Never changes simulation output",
     )
 
 
@@ -93,94 +100,86 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_faults(args):
-    path = getattr(args, "faults", None)
-    if path is None:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.from_file(path)
-
-
-def _make_obs(args):
-    """An Observability bundle when any export flag was given, else None."""
-    trace = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    report = getattr(args, "report", None)
-    causal = getattr(args, "causal", False)
-    profile = (getattr(args, "profile", False)
-               or getattr(args, "profile_out", None) is not None)
-    series = (getattr(args, "series", False)
-              or getattr(args, "series_out", None) is not None)
-    if (trace is None and metrics_out is None and report is None
-            and not causal and not profile and not series):
-        return None
-    from repro.obs import Observability
-
-    return Observability(
-        trace=trace is not None or report is not None or causal,
-        metrics=metrics_out is not None,
-        detail=args.trace_detail,
-        causal=causal,
-        profile=profile,
-        series=series,
-    )
-
-
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` (creating parent directories) and say
     so on stderr."""
-    import pathlib
-
     out = pathlib.Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     print(f"wrote {path}", file=sys.stderr)
 
 
+def _run(args, render, causal: bool = False) -> int:
+    """Print ``render(obs)`` under the backends the observability flags
+    ask for, then write or print what they recorded.  ``causal`` records
+    causal wait edges (and so a trace) whatever the flags say."""
+    causal = causal or args.causal
+    trace = causal or args.trace is not None or args.report is not None
+    obs = None
+    if (trace or args.metrics_out is not None or args.profile is not None
+            or args.series is not None):
+        from repro.obs import Observability
+
+        obs = Observability(
+            trace=trace,
+            metrics=args.metrics_out is not None,
+            detail=args.trace_detail,
+            causal=causal,
+            profile=args.profile is not None,
+            series=args.series is not None,
+        )
+    print(render(obs))
+    if obs is not None:
+        _write_obs(obs, args)
+    return 0
+
+
 def _write_obs(obs, args) -> None:
-    if obs is None:
-        return
-    series_out = getattr(args, "series_out", None)
+    """Write the files the observability flags name; print the profile
+    tree, and the sparklines when ``--series`` names no file."""
+    series_path = None if args.series == "-" else args.series
     obs.write(trace_path=args.trace, metrics_path=args.metrics_out,
-              series_path=series_out)
-    written = [p for p in (args.trace, args.metrics_out, series_out) if p]
-    prof_summary = None
+              series_path=series_path)
+    written = [p for p in (args.trace, args.metrics_out, series_path) if p]
+    profile = series = html = None
     if obs.profiler is not None:
         from repro.obs.prof import render_profile_text, write_speedscope
 
-        prof_summary = obs.profiler.summary()
-        print(render_profile_text(prof_summary), file=sys.stderr)
-        profile_out = getattr(args, "profile_out", None)
-        if profile_out is not None:
-            write_speedscope(prof_summary, profile_out,
+        profile = obs.profiler.summary()
+        print(render_profile_text(profile), file=sys.stderr)
+        if args.profile != "-":
+            write_speedscope(profile, args.profile,
                              name=f"repro {args.command}")
-            written.append(profile_out)
-    series_summary = obs.series.summary() if obs.series is not None else None
-    if series_summary is not None and series_out is None:
-        from repro.obs.series import render_sparklines
+            written.append(args.profile)
+    if obs.series is not None:
+        series = obs.series.summary()
+        if series_path is None:
+            from repro.obs.series import render_sparklines
 
-        print(render_sparklines(series_summary), file=sys.stderr)
-    report = getattr(args, "report", None)
-    if report is not None:
+            print(render_sparklines(series), file=sys.stderr)
+    if args.report is not None:
         from repro.obs.analyze import analyze_tracer, render_html
 
         summary = analyze_tracer(obs.tracer)
         if not summary["conservation_ok"]:
             print("warning: byte-attribution conservation check failed",
                   file=sys.stderr)
+        html = render_html(summary, profile=profile, series=series)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
-    if report is not None:
-        _write_text(report, render_html(summary, profile=prof_summary,
-                                        series=series_summary))
+    if html is not None:
+        _write_text(args.report, html)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
+    """argparse type of fig5's ``--grid``: ``AxB`` CM1 ranks, at least as
+    many as the sweep migrates."""
+    from repro.experiments.fig5 import MIGRATION_COUNTS
+
     try:
         a, b = text.lower().split("x")
         grid = int(a), int(b)
-    except Exception as exc:  # noqa: BLE001 - argparse boundary
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must look like '4x4', got {text!r}"
         ) from exc
@@ -188,7 +187,23 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"grid sizes must be at least 1, got {text!r}"
         )
+    ranks, most = grid[0] * grid[1], max(MIGRATION_COUNTS)
+    if most > ranks:
+        raise argparse.ArgumentTypeError(
+            f"--grid {grid[0]}x{grid[1]} has {ranks} rank(s), but the sweep "
+            f"migrates up to {most}"
+        )
     return grid
+
+
+def _parse_what_if(text: str):
+    """argparse type of ``--what-if``: see ``repro.obs.causal.parse_what_if``."""
+    from repro.obs.causal import parse_what_if
+
+    try:
+        return parse_what_if(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _at_least(convert, minimum, what: str):
@@ -227,23 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="print Table 1 (approach summary)")
+    sub.add_parser(
+        "table1", help="print Table 1 (approach summary)",
+    ).set_defaults(handler=_cmd_table1)
 
     fig1 = sub.add_parser("fig1", help="render the architecture inventory")
     fig1.add_argument("--nodes", type=_at_least(int, 2, "nodes"), default=8,
                       help="compute nodes in the cluster (at least 2)")
+    fig1.set_defaults(handler=_cmd_fig1)
 
     fig2 = sub.add_parser("fig2", help="run + render one migration's phase timeline")
     fig2.add_argument("--approach", choices=sorted(APPROACHES),
                       default="our-approach")
     _add_obs_flags(fig2)
+    fig2.set_defaults(handler=_cmd_fig2)
 
-    for fig in ("fig3", "fig4", "fig5"):
+    for fig, handler in (("fig3", _cmd_fig3), ("fig4", _cmd_fig4),
+                         ("fig5", _cmd_fig5)):
         p = sub.add_parser(fig, help=f"regenerate {fig} of the paper")
         if fig == "fig5":
             p.add_argument("--grid", type=_parse_grid, default=(4, 4),
                            help="CM1 rank grid, e.g. 8x8 (default 4x4)")
         _add_obs_flags(p)
+        p.set_defaults(handler=handler)
 
     single = sub.add_parser("single", help="one migration under one workload")
     single.add_argument("--approach", choices=sorted(APPROACHES),
@@ -254,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--seed", type=_parse_seed, default=0)
     _add_obs_flags(single)
     _add_fault_flags(single)
+    single.set_defaults(handler=_cmd_single)
 
     compare = sub.add_parser(
         "compare", help="run all five approaches on one workload"
@@ -264,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--diff", action="store_true",
                          help="after the table, attribute each approach's "
                               "delta against our-approach (bytes by cause, "
-                              "critical path, migration wall)")
+                              "critical path, migration wall); implies "
+                              "--causal")
     compare.add_argument("--top", type=_parse_top, default=5,
                          help="contributors per dimension in --diff tables")
     _add_obs_flags(compare)
     _add_fault_flags(compare)
+    compare.set_defaults(handler=_cmd_compare)
 
     analyze = sub.add_parser(
         "analyze",
@@ -284,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--check", action="store_true",
                          help="exit non-zero unless every run's byte "
                               "attribution conserves exactly")
+    analyze.set_defaults(handler=_cmd_analyze)
 
     cpath = sub.add_parser(
         "critical-path",
@@ -295,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     cpath.add_argument("--json", action="store_true",
                        help="print the deterministic JSON instead of text")
     cpath.add_argument("--what-if", metavar="RES=FACTOR", action="append",
-                       default=[], dest="what_if",
+                       type=_parse_what_if, default=[], dest="what_if",
                        help="bounded speedup with a resource class sped up, "
                             "e.g. nic=2, net.memory=4, stall.timeout=inf "
                             "(repeatable)")
+    cpath.set_defaults(handler=_cmd_critical_path)
 
     profile = sub.add_parser(
         "profile",
@@ -325,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--check", action="store_true",
                          help="exit non-zero unless exclusive times sum to "
                               "total wall within 1%%")
+    profile.set_defaults(handler=_cmd_profile)
 
     diff = sub.add_parser(
         "diff",
@@ -346,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--top", type=_parse_top, default=10,
                       help="ranked contributors shown per dimension "
                            "(default 10)")
+    diff.set_defaults(handler=_cmd_diff)
 
     series = sub.add_parser(
         "series",
@@ -354,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
              "counter events",
     )
     series.add_argument("input", metavar="SERIES-or-TRACE.json",
-                        help="document written by --series-out, or a trace "
-                             "written by --trace (.json or .jsonl)")
+                        help="document written by --series OUT.json, or a "
+                             "trace written by --trace (.json or .jsonl)")
     series.add_argument("--json", metavar="OUT.json", nargs="?", const="-",
                         default=None,
                         help="emit the repro.series/1 document instead of "
@@ -371,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--width", type=_at_least(int, 1, "width"),
                         default=60,
                         help="sparkline width in columns (default 60)")
+    series.set_defaults(handler=_cmd_series)
 
     lint = sub.add_parser(
         "lint",
@@ -387,13 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="RULE",
                       help="restrict to a rule id (C301) or family letter "
                            "(D); repeatable")
+    lint.set_defaults(handler=_cmd_lint)
 
     return parser
 
 
 def _cmd_profile(args) -> int:
-    import json
-
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability, Profiler
     from repro.obs.analyze import analyze_tracer, render_html
@@ -431,44 +459,23 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _load_trace_or_exit(path: str):
-    """Events from a trace file, or ``None`` after printing a one-line
-    error (unreadable file / bad JSON must never escape as a traceback)."""
-    import json
-
-    from repro.obs.analyze import load_trace
-
-    try:
-        return load_trace(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print(f"error: {path} is not valid trace JSON: {exc}",
-              file=sys.stderr)
-    return None
-
-
 def _cmd_analyze(args) -> int:
     from repro.obs.analyze import (
         analyze_events,
         render_html,
         render_text,
-        write_summary_json,
+        summary_json,
     )
 
-    events = _load_trace_or_exit(args.trace_file)
-    if events is None:
-        return 2
-    summary = analyze_events(events)
+    summary = analyze_events(load_trace(args.trace_file))
     if not summary["runs"]:
-        print(f"error: no recorded runs in {args.trace_file} — record the "
-              "trace with --trace (add --causal for critical-path sections, "
-              "--profile for host profiling)", file=sys.stderr)
-        return 2
+        raise ArtifactError(
+            f"no recorded runs in {args.trace_file} — record the trace "
+            "with --trace (add --causal for critical-path sections, "
+            "--profile for host profiling)")
     print(render_text(summary))
     if args.json is not None:
-        write_summary_json(summary, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
+        _write_text(args.json, summary_json(summary))
     if args.html is not None:
         _write_text(args.html, render_html(summary))
     if args.check and not summary["conservation_ok"]:
@@ -478,86 +485,32 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_critical_path(args) -> int:
-    import json
+    from repro.obs.causal import critical_path_summary, render_critical_text
 
-    from repro.obs.causal import critical_path_summary, parse_what_if
-
-    try:
-        specs = [parse_what_if(s) for s in args.what_if]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    events = _load_trace_or_exit(args.trace_file)
-    if events is None:
-        return 2
-    out = critical_path_summary(events, specs)
-    all_attempts = [a for r in out["runs"] for a in r["attempts"]]
-    if not all_attempts:
-        print(f"error: no causal records in {args.trace_file} — re-run the "
-              "experiment with --causal to record wait edges",
-              file=sys.stderr)
-        return 2
+    doc = critical_path_summary(load_trace(args.trace_file), args.what_if)
+    if not any(run["attempts"] for run in doc["runs"]):
+        raise ArtifactError(
+            f"no causal records in {args.trace_file} — re-run the "
+            "experiment with --causal to record wait edges")
     if args.json:
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
-        print(_render_critical_text(out))
-    if not out["conservation_ok"]:
+        print(render_critical_text(doc))
+    if not doc["conservation_ok"]:
         print("critical-path conservation check FAILED", file=sys.stderr)
         return 1
     return 0
 
 
-def _render_critical_text(out: dict) -> str:
-    lines = []
-    for run in out["runs"]:
-        if not run["attempts"]:
-            continue
-        lines.append(f"=== {run['label']} ===")
-        for att in run["attempts"]:
-            status = " [aborted]" if att["aborted"] else ""
-            lines.append(
-                f"migration {att['vm']} attempt {att['attempt']}{status}: "
-                f"{att['wall_s']:.3f} s "
-                f"({att['start_s']:.3f} -> {att['end_s']:.3f})"
-            )
-            cons = att["conservation"]
-            lines.append(
-                "  conservation: "
-                + ("exact" if cons["exact"]
-                   else f"RESIDUAL {cons['residual_s']:g} s")
-            )
-            lines.append("  critical path by resource:")
-            lines.extend(
-                f"    {row['resource']:<22s}"
-                f"{row['seconds']:>10.3f} s  "
-                f"{100 * row['share']:5.1f}%"
-                for row in att["by_resource"]
-            )
-        lines.extend(
-            f"  what-if {wi['resource']}x{wi['factor']:g} "
-            f"(attempt {wi['attempt']}): wall {wi['wall_s']:.3f} -> "
-            f">= {wi['new_wall_s']:.3f} s "
-            f"(speedup <= {wi['speedup_bound']:.2f}x)"
-            for wi in run["what_if"]
-        )
-        lines.append("")
-    return "\n".join(lines).rstrip()
-
-
 def _cmd_diff(args) -> int:
     from repro.obs.diff import (
-        DiffError,
         diff_files,
         diff_json,
         render_diff_html,
         render_diff_text,
     )
 
-    try:
-        doc = diff_files(args.artifact_a, args.artifact_b)
-    except DiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = diff_files(args.artifact_a, args.artifact_b)
     if args.json == "-":
         sys.stdout.write(diff_json(doc))
     else:
@@ -573,20 +526,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    import json
+    from repro.obs.series import load_series_file, render_sparklines, series_csv
 
-    from repro.obs.series import (
-        SeriesLoadError,
-        load_series_file,
-        render_sparklines,
-        series_csv,
-    )
-
-    try:
-        doc = load_series_file(args.input)
-    except SeriesLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_series_file(args.input)
     signals = args.signals or None
     if args.json == "-":
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -664,106 +606,97 @@ def _outcome_row(outcome) -> list:
     ]
 
 
-def _cmd_single(args, obs=None) -> str:
-    outcome = run_single_migration(
-        args.approach, workload=args.workload, warmup=args.warmup,
-        seed=args.seed, obs=obs, faults=_load_faults(args),
-        restarts=args.restarts,
-    )
-    return render_table(
-        f"Single migration: {args.approach} under {args.workload}",
-        ["mig time (s)", "traffic (MB)", "read (%max)", "write (%max)"],
-        {args.approach: _outcome_row(outcome)},
-    )
+def _outcome_table(args, title: str, approaches, obs) -> str:
+    """One row per approach: a single migration under ``args.workload``
+    with the fault plan ``--faults`` names."""
+    faults = None
+    if args.faults is not None:
+        from repro.faults import FaultPlan
 
-
-def _cmd_compare(args, obs=None) -> str:
-    rows = {}
-    faults = _load_faults(args)
-    for approach in APPROACHES:
-        outcome = run_single_migration(
+        faults = FaultPlan.from_file(args.faults)
+    rows = {
+        approach: _outcome_row(run_single_migration(
             approach, workload=args.workload, warmup=args.warmup,
-            seed=args.seed, obs=obs, faults=faults,
-            restarts=args.restarts,
-        )
-        rows[approach] = _outcome_row(outcome)
+            seed=args.seed, obs=obs, faults=faults, restarts=args.restarts,
+        ))
+        for approach in approaches
+    }
     return render_table(
-        f"All approaches under {args.workload} (migration at t={args.warmup:g}s)",
+        title,
         ["mig time (s)", "traffic (MB)", "read (%max)", "write (%max)"],
         rows,
     )
 
 
-def _check_fig5_grid(parser: argparse.ArgumentParser, args) -> None:
-    """Refuse a ``--grid`` with fewer ranks than the sweep migrates."""
-    from repro.experiments.fig5 import MIGRATION_COUNTS
+def _cmd_single(args) -> int:
+    title = f"Single migration: {args.approach} under {args.workload}"
+    return _run(args,
+                lambda obs: _outcome_table(args, title, [args.approach], obs))
 
-    ranks = args.grid[0] * args.grid[1]
-    most = max(MIGRATION_COUNTS)
-    if most > ranks:
-        parser.error(f"--grid {args.grid[0]}x{args.grid[1]} has {ranks} "
-                     f"rank(s), but the sweep migrates up to {most}")
+
+def _cmd_compare(args) -> int:
+    title = (f"All approaches under {args.workload} "
+             f"(migration at t={args.warmup:g}s)")
+
+    def render(obs) -> str:
+        table = _outcome_table(args, title, APPROACHES, obs)
+        if not args.diff:
+            return table
+        return f"{table}\n\n{_compare_diff_text(obs, args)}"
+
+    # --diff attributes the deltas from this run's own causal trace.
+    return _run(args, render, causal=args.diff)
+
+
+def _cmd_table1(args) -> int:
+    from repro.experiments.table1 import render_table1
+
+    print(render_table1())
+    return 0
+
+
+def _cmd_fig1(args) -> int:
+    from repro.cluster import Cluster
+    from repro.experiments.config import graphene_spec
+    from repro.experiments.fig1 import render_fig1
+    from repro.simkernel import Environment
+
+    print(render_fig1(Cluster(Environment(), graphene_spec(args.nodes))))
+    return 0
+
+
+def _cmd_fig2(args) -> int:
+    from repro.experiments.fig2 import render_fig2
+
+    return _run(args, lambda obs: render_fig2(args.approach, obs=obs))
+
+
+def _cmd_fig3(args) -> int:
+    from repro.experiments.fig3 import render_fig3, run_fig3
+
+    return _run(args, lambda obs: render_fig3(run_fig3(obs=obs)))
+
+
+def _cmd_fig4(args) -> int:
+    from repro.experiments.fig4 import render_fig4, run_fig4
+
+    return _run(args, lambda obs: render_fig4(run_fig4(obs=obs)))
+
+
+def _cmd_fig5(args) -> int:
+    from repro.experiments.fig5 import render_fig5, run_fig5
+
+    return _run(args,
+                lambda obs: render_fig5(run_fig5(grid=args.grid, obs=obs)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fig5":
-        _check_fig5_grid(parser, args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "critical-path":
-        return _cmd_critical_path(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "series":
-        return _cmd_series(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    obs = _make_obs(args)
-    if args.command == "compare" and args.diff and obs is None:
-        # --diff needs a recorded trace even when no export flag was given.
-        from repro.obs import Observability
-
-        obs = Observability(trace=True, causal=True)
-    if args.command == "table1":
-        from repro.experiments.table1 import render_table1
-
-        print(render_table1())
-    elif args.command == "fig1":
-        from repro.cluster import Cluster
-        from repro.experiments.config import graphene_spec
-        from repro.experiments.fig1 import render_fig1
-        from repro.simkernel import Environment
-
-        print(render_fig1(Cluster(Environment(), graphene_spec(args.nodes))))
-    elif args.command == "fig2":
-        from repro.experiments.fig2 import render_fig2
-
-        print(render_fig2(args.approach, obs=obs))
-    elif args.command == "fig3":
-        from repro.experiments.fig3 import render_fig3, run_fig3
-
-        print(render_fig3(run_fig3(obs=obs)))
-    elif args.command == "fig4":
-        from repro.experiments.fig4 import render_fig4, run_fig4
-
-        print(render_fig4(run_fig4(obs=obs)))
-    elif args.command == "fig5":
-        from repro.experiments.fig5 import render_fig5, run_fig5
-
-        print(render_fig5(run_fig5(grid=args.grid, obs=obs)))
-    elif args.command == "single":
-        print(_cmd_single(args, obs=obs))
-    elif args.command == "compare":
-        print(_cmd_compare(args, obs=obs))
-        if args.diff:
-            print()
-            print(_compare_diff_text(obs, args))
-    _write_obs(obs, args)
-    return 0
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,9 +75,10 @@ LAYERS: dict[str, int] = {
 #: (flight summaries, critical paths, profiler trees) and must never be
 #: imported back by their producers — that would make every artifact
 #: schema circularly depend on its own differ.  Everything else under
-#: ``repro.obs`` shares the base rank on purpose: analyze and causal are
-#: mutually recursive by design (causal borrows the analyzer's lane
-#: maps, the analyzer embeds critical paths).
+#: ``repro.obs`` shares the base rank on purpose: the analyzer embeds
+#: critical paths, and the extractor reads the analyzer's migration
+#: timelines; both split traces with ``repro.obs.export``'s lane
+#: splitter.
 #: The series recorder is listed explicitly even though the
 #: ``repro.obs`` prefix already ranks it: its loaders are a sanctioned
 #: *input* of the diff engine (series docs diff like any other

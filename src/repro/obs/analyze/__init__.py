@@ -38,6 +38,7 @@ from repro.obs.analyze.heatmap import chunk_fate_maps, render_ascii
 from repro.obs.analyze.phases import fault_windows, migration_timelines, phase_report
 from repro.obs.analyze.report import render_html, render_text
 from repro.obs.causal.critical import critical_paths
+from repro.obs.export import chrome_trace, load_trace, trace_lanes
 
 __all__ = [
     "analyze_events",
@@ -56,45 +57,11 @@ __all__ = [
     "render_text",
     "run_attribution",
     "summary_json",
-    "write_summary_json",
 ]
 
 SCHEMA = "repro.analyze/1"
 
 _PathLike = Union[str, pathlib.Path]
-
-
-def load_trace(path: _PathLike) -> list[dict]:
-    """Events from a Chrome trace JSON or a JSONL event stream."""
-    path = pathlib.Path(path)
-    text = path.read_text()
-    if path.suffix == ".jsonl":
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
-    data = json.loads(text)
-    if isinstance(data, dict):
-        return data.get("traceEvents", [])
-    return data  # bare event array
-
-
-def _name_maps(events: list) -> tuple[dict, dict]:
-    """``pid -> label`` and ``tid -> label`` from metadata records.
-
-    JSONL exports carry no metadata; missing entries fall back to
-    ``run-<pid>`` / ``tid-<tid>`` downstream.  Process labels drop the
-    exporter's ``repro:`` prefix.
-    """
-    pid_names: dict = {}
-    tid_names: dict = {}
-    for ev in events:
-        if ev.get("ph") != "M":
-            continue
-        name = ev.get("args", {}).get("name", "")
-        if ev.get("name") == "process_name":
-            label = name.split(":", 1)[1] if ":" in name else name
-            pid_names[ev.get("pid")] = label
-        elif ev.get("name") == "thread_name":
-            tid_names[ev.get("tid")] = name
-    return pid_names, tid_names
 
 
 def analyze_events(events: list) -> dict:
@@ -104,15 +71,9 @@ def analyze_events(events: list) -> dict:
     order; every field is derived deterministically from the events, so
     identical traces produce identical summaries.
     """
-    pid_names, tid_names = _name_maps(events)
-    by_pid: dict = {}
-    for ev in events:
-        if ev.get("ph") == "M":
-            continue
-        by_pid.setdefault(ev.get("pid"), []).append(ev)
+    lanes, tid_names = trace_lanes(events)
     runs = []
-    for pid in sorted(by_pid, key=lambda p: (p is None, p)):
-        lane = by_pid[pid]
+    for label, lane in lanes:
         pairs = None
         for ev in lane:
             if ev.get("name") == "traffic.snapshot" and ev.get("ph") == "i":
@@ -129,7 +90,7 @@ def analyze_events(events: list) -> dict:
             for wc, fate, n in hm["cells"]:
                 dist[(wc, fate)] = dist.get((wc, fate), 0) + n
         runs.append({
-            "label": pid_names.get(pid, f"run-{pid}"),
+            "label": label,
             "events": len(lane),
             "attribution": run_attribution(lane, pairs),
             "phases": phases,
@@ -159,6 +120,7 @@ def analyze_events(events: list) -> dict:
 
 
 def analyze_file(path: _PathLike) -> dict:
+    """The summary of the trace in ``path`` (Chrome JSON or JSONL)."""
     return analyze_events(load_trace(path))
 
 
@@ -168,18 +130,9 @@ def analyze_tracer(tracer) -> dict:
     Goes through the Chrome-trace assembly so pid/tid labels resolve the
     same way they would from a file.
     """
-    from repro.obs.export import chrome_trace
-
     return analyze_events(chrome_trace(tracer)["traceEvents"])
 
 
 def summary_json(summary: dict) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing \\n."""
     return json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_summary_json(summary: dict, path: _PathLike) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(summary_json(summary))
-    return path

@@ -19,7 +19,8 @@ Answers *why migration took T seconds*.  Three pieces:
   resource class sped up (``NIC=2``, ``stall.timeout=inf``) and reports
   the bounded speedup.
 
-Surfacing: ``repro critical-path TRACE.json [--json] [--what-if R=F]``,
+Surfacing: ``repro critical-path TRACE.json [--json] [--what-if R=F]``
+(:func:`critical_path_summary`, rendered by :func:`render_critical_text`),
 the critical-path lane in the HTML flight report, and Perfetto flow
 arrows (``causal.handoff``) in the exported trace.
 """
@@ -37,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.obs.causal.critical import critical_paths, classify
 from repro.obs.causal.record import CausalRecorder, annotate, describe
 from repro.obs.causal.whatif import parse_what_if, what_if
+from repro.obs.export import trace_lanes
 
 __all__ = [
     "CausalRecorder",
@@ -46,6 +48,7 @@ __all__ = [
     "critical_paths",
     "describe",
     "parse_what_if",
+    "render_critical_text",
     "what_if",
 ]
 
@@ -58,25 +61,17 @@ def critical_path_summary(
 ) -> dict:
     """The ``repro critical-path`` document for a trace's event list.
 
-    Groups events into run lanes the same way the analyzer does, extracts
-    per-attempt critical paths, and optionally re-prices each attempt for
-    every ``(resource, factor)`` in ``what_if_specs``.  Deterministic:
-    identical traces produce identical documents.
+    Groups events into run lanes (:func:`repro.obs.export.trace_lanes`),
+    extracts per-attempt critical paths, and optionally re-prices each
+    attempt for every ``(resource, factor)`` in ``what_if_specs``.
+    Deterministic: identical traces produce identical documents.
     """
-    from repro.obs.analyze import _name_maps
-
-    pid_names, tid_names = _name_maps(events)
-    by_pid: dict = {}
-    for ev in events:
-        if ev.get("ph") == "M":
-            continue
-        by_pid.setdefault(ev.get("pid"), []).append(ev)
+    lanes, tid_names = trace_lanes(events)
     runs = []
-    for pid in sorted(by_pid, key=lambda p: (p is None, p)):
-        lane = by_pid[pid]
+    for label, lane in lanes:
         attempts = critical_paths(lane, tid_names)
         runs.append({
-            "label": pid_names.get(pid, f"run-{pid}"),
+            "label": label,
             "attempts": attempts,
             "what_if": [
                 what_if(att, res, fac)
@@ -91,3 +86,43 @@ def critical_path_summary(
             for r in runs for a in r["attempts"]
         ),
     }
+
+
+def render_critical_text(doc: dict) -> str:
+    """Fixed-width text of a :func:`critical_path_summary` document: per
+    attempt, its wall time, conservation verdict and resource ranking,
+    then each run's what-if bounds."""
+    lines: list[str] = []
+    for run in doc["runs"]:
+        if not run["attempts"]:
+            continue
+        lines.append(f"=== {run['label']} ===")
+        for att in run["attempts"]:
+            status = " [aborted]" if att["aborted"] else ""
+            lines.append(
+                f"migration {att['vm']} attempt {att['attempt']}{status}: "
+                f"{att['wall_s']:.3f} s "
+                f"({att['start_s']:.3f} -> {att['end_s']:.3f})"
+            )
+            cons = att["conservation"]
+            lines.append(
+                "  conservation: "
+                + ("exact" if cons["exact"]
+                   else f"RESIDUAL {cons['residual_s']:g} s")
+            )
+            lines.append("  critical path by resource:")
+            lines.extend(
+                f"    {row['resource']:<22s}"
+                f"{row['seconds']:>10.3f} s  "
+                f"{100 * row['share']:5.1f}%"
+                for row in att["by_resource"]
+            )
+        lines.extend(
+            f"  what-if {wi['resource']}x{wi['factor']:g} "
+            f"(attempt {wi['attempt']}): wall {wi['wall_s']:.3f} -> "
+            f">= {wi['new_wall_s']:.3f} s "
+            f"(speedup <= {wi['speedup_bound']:.2f}x)"
+            for wi in run["what_if"]
+        )
+        lines.append("")
+    return "\n".join(lines).rstrip()

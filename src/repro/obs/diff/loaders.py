@@ -20,8 +20,8 @@ kind                      source document
 ``bench``                 a figure-level benchmark result
                           (``benchmarks/e2e`` ``results.json``,
                           schema ``repro.bench.e2e/1``)
-``series``                time-resolved telemetry (``--series-out`` output,
-                          schema ``repro.series/1``)
+``series``                time-resolved telemetry (``--series OUT.json``
+                          output, schema ``repro.series/1``)
 ========================  =====================================================
 
 Only *additive* quantities become dimensions (bytes, seconds, counts):
@@ -29,16 +29,18 @@ those are the ones whose per-key deltas can telescope to the total
 delta.  Ratios (a benchmark's memo hit rate, links per solve) are left
 out.
 
-Unknown or mismatched schemas raise :class:`DiffError` with a one-line
-actionable message *before* any output is produced — a diff across
-schema versions is refused, never half-rendered.
+Files are read by :func:`repro.obs.export.read_artifact`.  An
+unreadable file, unknown or mismatched schemas raise :class:`DiffError`
+with a one-line actionable message *before* any output is produced — a
+diff across schema versions is refused, never half-rendered.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-from typing import Any, Union
+from typing import Union
+
+from repro.obs.export import ArtifactError, read_artifact, trace_events
 
 __all__ = [
     "DiffError",
@@ -62,10 +64,9 @@ _SCHEMA_KINDS = {
 }
 
 
-class DiffError(Exception):
-    """A user-facing, one-line refusal (unknown schema, kind mismatch,
-    unreadable artifact).  The CLI prints ``error: <message>`` and exits
-    nonzero without emitting any partial output."""
+#: A user-facing, one-line refusal (unknown schema, kind mismatch,
+#: unreadable artifact): the artifact reader's error.
+DiffError = ArtifactError
 
 
 def _series(run: dict, name: str, unit: str, values: dict) -> None:
@@ -213,7 +214,7 @@ def artifact_from_series_doc(doc: dict, source: str) -> dict:
     if not doc.get("enabled", True):
         raise DiffError(
             f"series document in {source} was recorded with telemetry "
-            "disabled — re-run with --series-out")
+            "disabled — re-run with --series OUT.json")
     runs = []
     for run in doc.get("runs", []):
         out = _new_run(run.get("label", "run"))
@@ -238,37 +239,16 @@ def artifact_from_series_doc(doc: dict, source: str) -> dict:
 
 # -- file loading --------------------------------------------------------------
 
-def _looks_like_trace(data: object) -> bool:
-    if isinstance(data, dict) and "traceEvents" in data:
-        return True
-    return (isinstance(data, list) and bool(data)
-            and all(isinstance(e, dict) and "ph" in e for e in data[:16]))
-
-
-def _read_json(path: pathlib.Path) -> Any:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DiffError(f"cannot read {path}: {exc}") from exc
-    try:
-        if path.suffix == ".jsonl":
-            return [json.loads(line) for line in text.splitlines()
-                    if line.strip()]
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DiffError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def load_artifact(path: _PathLike) -> dict:
     """Load + normalize one artifact file of any supported kind."""
     path = pathlib.Path(path)
-    data = _read_json(path)
+    data = read_artifact(path)
     source = path.name
 
-    if _looks_like_trace(data):
+    events = trace_events(data)
+    if events is not None:
         from repro.obs.analyze import analyze_events
 
-        events = data.get("traceEvents", []) if isinstance(data, dict) else data
         summary = analyze_events(events)
         if not summary["runs"]:
             raise DiffError(

@@ -11,7 +11,7 @@ The scope tree records *inclusive* time (scope entry to exit) and
 *exclusive* time (inclusive minus time spent in child scopes).  Exclusive
 times telescope: summed over the whole tree they equal the total
 inclusive time of the root scopes, which is the conservation invariant
-``repro profile --check`` and the CI ``profile-smoke`` job assert.
+``repro profile --check`` asserts (``tests/test_cli.py`` runs it).
 
 Determinism contract: the profiler only *observes* the host process.  It
 never touches simulation state, schedules no events and draws no

@@ -28,8 +28,8 @@ Usage::
     run_fig2(obs=obs)
     doc = obs.series.summary()          # the repro.series/1 artifact
 
-CLI: ``--series`` / ``--series-out`` on any run subcommand, then
-``repro series SERIES.json``.  See ``docs/observability.md``.
+CLI: ``--series [OUT.json]`` on any run subcommand, then
+``repro series OUT.json``.  See ``docs/observability.md``.
 
 Probe rules: observe-only. A probe piggybacks on an event that already
 fires, schedules nothing, and never mutates simulation state — series

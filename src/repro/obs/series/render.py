@@ -1,15 +1,19 @@
 """Load and render ``repro.series/1`` documents: sparklines, CSV, JSON.
 
 The ``repro series`` subcommand accepts either a recorded series
-document (``--series-out``) or a raw trace; for traces the gauge
+document (``--series OUT.json``) or a raw trace; for traces the gauge
 signals are reconstructed from the Chrome counter tracks (``ph: "C"``)
 that the tracer already emits, grouped per process lane.
 """
 
 from __future__ import annotations
 
-import json
-
+from repro.obs.export import (
+    ArtifactError,
+    read_artifact,
+    trace_events,
+    trace_lanes,
+)
 from repro.obs.series.core import SCHEMA
 
 __all__ = [
@@ -24,8 +28,8 @@ __all__ = [
 _SPARK = "▁▂▃▄▅▆▇█"
 
 
-class SeriesLoadError(ValueError):
-    """A one-line, user-facing load failure (CLI prints it, exit 2)."""
+#: A one-line, user-facing load failure: the artifact reader's error.
+SeriesLoadError = ArtifactError
 
 
 def series_from_trace_events(events: list, source: str = "trace") -> dict:
@@ -33,44 +37,38 @@ def series_from_trace_events(events: list, source: str = "trace") -> dict:
 
     Each ``ph: "C"`` sample becomes a gauge point on the signal
     ``<counter-name>`` (or ``<counter-name>.<key>`` for multi-value
-    counters), with one run per traced process lane.
+    counters), with one run per traced process lane that has counters.
     """
-    labels: dict[int, str] = {}
-    for ev in events:
-        if ev.get("ph") == "M" and ev.get("name") == "process_name":
-            label = str(ev.get("args", {}).get("name", ev.get("pid")))
-            # The exporter prefixes lanes with "repro:"; strip it back.
-            labels[ev["pid"]] = label.split(":", 1)[-1]
-    per_run: dict[int, dict] = {}
-    for ev in events:
-        if ev.get("ph") != "C":
-            continue
-        args = ev.get("args") or {}
-        signals = per_run.setdefault(ev.get("pid", 0), {})
-        for key in sorted(args):
-            name = ev["name"] if len(args) == 1 else f"{ev['name']}.{key}"
-            sig = signals.setdefault(name, {
-                "kind": "gauge", "unit": key, "points": [],
-            })
-            sig["points"].append([ev["ts"] / 1e6, float(args[key])])
-    if not per_run:
-        raise SeriesLoadError(
-            f"{source} contains no counter events — record a series "
-            "document with --series-out, or trace with counters enabled"
-        )
+    lanes, _tid_names = trace_lanes(events)
     runs = []
-    for pid in sorted(per_run):
-        signals = per_run[pid]
+    for label, lane in lanes:
+        counters = [ev for ev in lane if ev.get("ph") == "C"]
+        if not counters:
+            continue
+        signals: dict[str, dict] = {}
+        for ev in counters:
+            args = ev.get("args") or {}
+            for key in sorted(args):
+                name = ev["name"] if len(args) == 1 else f"{ev['name']}.{key}"
+                sig = signals.setdefault(name, {
+                    "kind": "gauge", "unit": key, "points": [],
+                })
+                sig["points"].append([ev["ts"] / 1e6, float(args[key])])
         for sig in signals.values():
             values = [v for _t, v in sig["points"]]
             sig["samples"] = len(values)
             sig["min"] = min(values)
             sig["max"] = max(values)
         runs.append({
-            "label": labels.get(pid, f"pid {pid}"),
+            "label": label,
             "signals": dict(sorted(signals.items())),
             "conservation": None,
         })
+    if not runs:
+        raise SeriesLoadError(
+            f"{source} contains no counter events — record a series "
+            "document with --series OUT.json, or trace with counters enabled"
+        )
     return {"schema": SCHEMA, "enabled": True, "runs": runs}
 
 
@@ -80,17 +78,16 @@ def coerce_series_doc(data: object, source: str) -> dict:
         if not data.get("enabled"):
             raise SeriesLoadError(
                 f"{source} was recorded with series disabled — rerun with "
-                "--series/--series-out"
+                "--series"
             )
         return data
-    if isinstance(data, dict) and "traceEvents" in data:
-        return series_from_trace_events(data["traceEvents"], source)
-    if isinstance(data, list):
-        return series_from_trace_events(data, source)
+    events = trace_events(data)
+    if events is not None:
+        return series_from_trace_events(events, source)
     if isinstance(data, dict) and "schema" in data:
         raise SeriesLoadError(
             f"{source} has schema {data['schema']!r} — expected {SCHEMA!r} "
-            "(record one with --series-out) or a trace"
+            "(record one with --series OUT.json) or a trace"
         )
     raise SeriesLoadError(
         f"{source} is neither a {SCHEMA} document nor a trace"
@@ -188,18 +185,5 @@ def series_csv(doc: dict, signals: list | None = None) -> str:
 
 
 def load_series_file(path: str) -> dict:
-    """Read ``path`` and coerce it (JSON or JSONL trace stream)."""
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        raise SeriesLoadError(f"cannot read {path}: {exc}") from exc
-    try:
-        if path.endswith(".jsonl"):
-            data: object = [
-                json.loads(line) for line in text.splitlines() if line.strip()
-            ]
-        else:
-            data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SeriesLoadError(f"{path} is not valid JSON: {exc}") from exc
-    return coerce_series_doc(data, path)
+    """Read ``path`` (JSON, or a JSONL trace stream) and coerce it."""
+    return coerce_series_doc(read_artifact(path), path)

@@ -2,9 +2,16 @@
 
 import json
 
+import pytest
+
 from repro.obs import Observability
 from repro.obs.export import (
+    ArtifactError,
     chrome_trace,
+    load_trace,
+    read_artifact,
+    trace_events,
+    trace_lanes,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_json,
@@ -77,6 +84,44 @@ class TestOtherWriters:
         path = write_metrics_json(obs.metrics_dump(), tmp_path / "m.json")
         dump = json.loads(path.read_text())
         assert dump["runs"]["r1"]["counters"]["push.chunks"] == 15.0
+
+
+class TestReadArtifact:
+    """The one reader of every artifact file."""
+
+    # An unclosed file is a ResourceWarning raised in a finalizer, which
+    # pytest reports as an unraisable exception: both fail the test.
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    def test_closes_its_file_and_fails_in_one_line(self, tmp_path):
+        from repro.obs.series import load_series_file
+
+        tr = _sample_tracer()
+        doc = read_artifact(write_chrome_trace(tr, tmp_path / "t.json"))
+        assert trace_events(doc) == doc["traceEvents"]
+        jsonl = write_events_jsonl(tr, tmp_path / "t.jsonl")
+        assert read_artifact(jsonl) == load_trace(jsonl) == tr.events
+        (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+        for name, message in (("bad.json", "bad.json is not valid JSON"),
+                              ("binary.json", "cannot read"),
+                              ("absent.json", "cannot read")):
+            with pytest.raises(ArtifactError, match=message):
+                load_series_file(str(tmp_path / name))
+
+    def test_splits_a_trace_into_labelled_lanes(self):
+        lanes, tid_names = trace_lanes(
+            chrome_trace(_sample_tracer())["traceEvents"])
+        assert [label for label, _lane in lanes] == ["run-1"]
+        assert "push:vm0" in tid_names.values()
+        # Without metadata (a JSONL stream) a lane is named by its pid.
+        bare = [{"ph": "i", "pid": 7}, {"ph": "i", "pid": 3}]
+        assert trace_events(bare) == bare
+        assert [label for label, _lane in trace_lanes(bare)[0]] == \
+            ["run-3", "run-7"]
+        assert trace_events([]) is None
+        assert trace_events({"schema": "repro.series/1"}) is None
 
 
 class TestObservabilityBundle:

@@ -21,9 +21,14 @@ def test_parser_requires_command():
 
 
 def test_grid_parsing(capsys):
-    args = build_parser().parse_args(["fig5", "--grid", "2x3"])
-    assert args.grid == (2, 3)
+    args = build_parser().parse_args(["fig5", "--grid", "3x3"])
+    assert args.grid == (3, 3)
     assert build_parser().parse_args(["fig5"]).grid == (4, 4)
+    # The rank check is part of the parser: 6 ranks cannot host 7
+    # migrations.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig5", "--grid", "2x3"])
+    assert "has 6 rank(s)" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig5", "--grid", "nope"])
     for text in ("0x4", "4x0", "-1x2"):
@@ -316,6 +321,19 @@ def test_analyze_unreadable_trace_no_traceback(tmp_path, capsys):
     assert captured.err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("command", ["analyze", "critical-path", "diff",
+                                     "series"])
+def test_bad_json_is_one_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    argv = [command, str(bad)] + ([str(bad)] if command == "diff" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not valid JSON: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_critical_path_without_causal_names_flag(tmp_path, capsys):
     trace = tmp_path / "plain.json"
     assert main(["fig2", "--trace", str(trace)]) == 0
@@ -370,10 +388,10 @@ migration vm0 attempt 0: 17.738 s (5.000 -> 22.738)
 
 
 def test_critical_path_text_is_pinned():
-    from repro.cli import _render_critical_text
+    from repro.obs.causal import render_critical_text
 
     doc = json.loads((FIXTURES / "fig2_critical_path.json").read_text())
-    assert _render_critical_text(doc) == CRITICAL_PATH_TEXT
+    assert render_critical_text(doc) == CRITICAL_PATH_TEXT
 
 
 def test_module_entry_point(capsys):
@@ -388,8 +406,9 @@ def test_module_entry_point(capsys):
 
 
 def test_smoke_command_lines(tmp_path, capsys):
-    """The command lines of the profile, critical-path, diff and series
-    smoke runs, with every check made on their outputs."""
+    """One command-line run of each artifact pipeline (diff,
+    critical-path, series, profile), checked the way its golden is: at
+    9 significant digits, conserving, and deterministic."""
     from tests.differential.oracle import kernel_scope
 
     def fixture(name: str) -> str:
@@ -427,7 +446,7 @@ def test_smoke_command_lines(tmp_path, capsys):
 
         series = tmp_path / "fig2-series.json"
         flight = tmp_path / "series-flight-report.html"
-        assert main(["fig2", "--series-out", str(series),
+        assert main(["fig2", "--series", str(series),
                      "--report", str(flight)]) == 0
         doc = json.loads(series.read_text())
         assert doc["schema"] == "repro.series/1" and doc["enabled"]
