@@ -174,7 +174,7 @@ def fig2_critical_path_golden() -> dict:
     the what-if pricing end to end: the same document the CLI emits for
     ``repro fig2 --causal --trace t.json`` + ``repro critical-path
     t.json --json`` (modulo the 9-sig-digit rounding applied to every
-    fixture; ``check_critical_path.py`` applies it to both sides).
+    fixture; ``tests/test_cli.py`` applies it to the CLI's output).
     """
     from repro.experiments.fig2 import run_fig2
     from repro.obs import Observability
@@ -437,7 +437,7 @@ def fig2_exports_golden() -> dict:
     and every metric — so moving the code that emits them cannot change
     them unnoticed.  The fig2 run records everything at once (the
     equivalent of ``repro fig2 --trace-detail full --causal
-    --metrics-out --series-out``); the two chaos cells add the fault
+    --metrics-out M --series S``); the two chaos cells add the fault
     paths.  Generated on the production kernel: the series ``kernel.*``
     gauges are scheduler introspection and differ on the oracle by design.
     """
@@ -459,7 +459,8 @@ def fig2_exports_golden() -> dict:
 
 def _diff_fixture(name_a: str, name_b: str) -> dict:
     """Diff two already-generated summary fixtures (committed inputs ->
-    committed output, exactly what CI's diff-smoke job replays)."""
+    committed output, exactly what ``tests/test_cli.py`` replays
+    through ``repro diff``)."""
     from repro.obs.diff import diff_files
 
     return diff_files(FIXTURES / f"{name_a}.json", FIXTURES / f"{name_b}.json")
