@@ -23,7 +23,7 @@ def _run(approach="our-approach", config=None, **kwargs):
     return run_single_migration(approach, **params)
 
 
-def test_threshold_sweep(benchmark, results_sink):
+def test_threshold_sweep(results_sink):
     """Sweeping the write-count Threshold: higher thresholds push hot
     chunks repeatedly (more traffic); the migration still completes and
     traffic grows monotonically-ish with the bound."""
@@ -35,7 +35,7 @@ def test_threshold_sweep(benchmark, results_sink):
             out[thr] = o
         return out
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     rows = {
         f"threshold={t}": [
             o.migration_time,
@@ -62,14 +62,13 @@ def _prefetch_scenario(policy):
     control the guest reads the hot tail.  Write-count priority fetches
     the tail first; FIFO fetches it last (it has the highest chunk ids),
     so the read pays for on-demand pulls."""
-    from repro.cluster import CloudMiddleware, Cluster
-    from repro.experiments.config import graphene_spec
+    from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
     from repro.simkernel import Environment
 
     MB = 2**20
     env = Environment()
     cloud = CloudMiddleware(
-        Cluster(env, graphene_spec(8)),
+        Cluster(env, ClusterSpec(n_nodes=8)),
         config=MigrationConfig(prefetch_policy=policy, threshold=1),
     )
     vm = cloud.deploy("vm0", cloud.cluster.node(0), working_set=256 * MB)
@@ -105,14 +104,14 @@ def _prefetch_scenario(policy):
     return out
 
 
-def test_prefetch_policy(benchmark, results_sink):
+def test_prefetch_policy(results_sink):
     """Prefetch order: the paper's write-count priority fetches hot chunks
     first, so a post-control read of hot data beats FIFO order."""
 
     def sweep():
         return {p: _prefetch_scenario(p) for p in ("writecount", "fifo", "random")}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     rows = {
         p: [r["mig_time"], r["read_time"], r["ondemand"]]
         for p, r in results.items()
@@ -128,7 +127,7 @@ def test_prefetch_policy(benchmark, results_sink):
     assert results["writecount"]["read_time"] <= results["fifo"]["read_time"]
 
 
-def test_push_phase(benchmark, results_sink):
+def test_push_phase(results_sink):
     """The push phase on/off = our-approach vs postcopy on identical
     inputs: with a settled modified set, the push moves everything before
     control and the pull phase nearly vanishes."""
@@ -137,12 +136,11 @@ def test_push_phase(benchmark, results_sink):
     MB = 2**20
 
     def run_one(approach):
-        from repro.cluster import CloudMiddleware, Cluster
-        from repro.experiments.config import graphene_spec
+        from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
         from repro.simkernel import Environment
 
         env = Environment()
-        cloud = CloudMiddleware(Cluster(env, graphene_spec(8)))
+        cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=8)))
         vm = cloud.deploy("vm0", cloud.cluster.node(0), approach=approach,
                           working_set=256 * MB)
         wl = SequentialWriter(
@@ -171,7 +169,7 @@ def test_push_phase(benchmark, results_sink):
             "push off (postcopy)": run_one("postcopy"),
         }
 
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    results = run_pair()
     rows = {
         name: [r["mig_time"], r["push"] / 2**20, r["pull"] / 2**20]
         for name, r in results.items()
@@ -192,17 +190,16 @@ def test_push_phase(benchmark, results_sink):
     assert ours["push"] > 0 and post["push"] == 0
 
 
-def test_striping(benchmark, results_sink):
+def test_striping(results_sink):
     """Repository striping: first-touch of the base image from a striped
     repository vs a repository with one effective server (replication and
     striping collapse onto node0)."""
-    from repro.cluster import CloudMiddleware, Cluster
-    from repro.experiments.config import graphene_spec
+    from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
     from repro.simkernel import Environment
 
     def first_touch(n_servers):
         env = Environment()
-        cluster = Cluster(env, graphene_spec(8))
+        cluster = Cluster(env, ClusterSpec(n_nodes=8))
         # Restrict the repository to the first n_servers hosts.
         cluster.repository.servers = [
             n.host for n in cluster.nodes[:n_servers]
@@ -226,7 +223,7 @@ def test_striping(benchmark, results_sink):
     def sweep():
         return {"striped (7 servers)": first_touch(7), "single server": first_touch(1)}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     results_sink(
         "ablation_striping",
         render_table(

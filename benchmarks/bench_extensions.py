@@ -10,8 +10,7 @@ bytes.
 
 import pytest
 
-from repro.cluster import CloudMiddleware, Cluster
-from repro.experiments.config import graphene_spec
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.experiments.runner import render_table
 from repro.hypervisor.memory import (
     AdaptivePrecopyMemory,
@@ -27,7 +26,7 @@ MB = 2**20
 
 def run_memory_strategy(factory):
     env = Environment()
-    cloud = CloudMiddleware(Cluster(env, graphene_spec(8)))
+    cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=8)))
     vm = cloud.deploy("vm0", cloud.cluster.node(0), working_set=768 * MB)
     vm.dirty_rate_base = 90e6  # heavy memory churn alongside the I/O
     wl = HotspotWriter(
@@ -65,12 +64,8 @@ STRATEGIES = {
 }
 
 
-def test_memory_strategy_matrix(benchmark, results_sink):
-    results = benchmark.pedantic(
-        lambda: {name: run_memory_strategy(f) for name, f in STRATEGIES.items()},
-        rounds=1,
-        iterations=1,
-    )
+def test_memory_strategy_matrix(results_sink):
+    results = {name: run_memory_strategy(f) for name, f in STRATEGIES.items()}
     rows = {
         name: [r["ttc"], r["mig"], r["downtime_ms"], r["memory_mb"]]
         for name, r in results.items()

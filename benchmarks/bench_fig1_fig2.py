@@ -1,23 +1,22 @@
 """Regenerates the paper's diagrams from live objects: Figure 1 (the
 architecture inventory) and Figure 2 (the protocol timeline)."""
 
-from repro.cluster import CloudMiddleware, Cluster
-from repro.experiments.config import graphene_spec
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.experiments.fig1 import render_fig1, run_fig1
 from repro.experiments.fig2 import render_fig2, run_fig2
 from repro.simkernel import Environment
 
 
-def test_fig1_architecture(benchmark, results_sink):
+def test_fig1_architecture(results_sink):
     def build():
         env = Environment()
-        cluster = Cluster(env, graphene_spec(6))
+        cluster = Cluster(env, ClusterSpec(n_nodes=6))
         cloud = CloudMiddleware(cluster)
         cloud.deploy("vm0", cluster.node(0), approach="our-approach")
         cloud.deploy("vm1", cluster.node(1), approach="pvfs-shared")
         return cluster, cloud
 
-    cluster, cloud = benchmark(build)
+    cluster, cloud = build()
     inv = run_fig1(cluster, cloud)
     # Every dark-background box of the paper's Figure 1 exists and is wired.
     assert len(inv["compute_nodes"]) == 6
@@ -27,10 +26,8 @@ def test_fig1_architecture(benchmark, results_sink):
     results_sink("fig1", render_fig1(cluster, cloud))
 
 
-def test_fig2_protocol_timeline(benchmark, results_sink):
-    record, stats, traffic = benchmark.pedantic(
-        run_fig2, rounds=1, iterations=1
-    )
+def test_fig2_protocol_timeline(results_sink):
+    record, stats, traffic = run_fig2()
     names = [name for name, _, _ in record.phases]
     # The phases of the paper's Figure 2, in order.
     assert names == [

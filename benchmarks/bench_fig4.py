@@ -17,32 +17,30 @@ def _series(results, approach, metric):
     return {n: metric(outcome, baseline) for n, (outcome, baseline) in per_level.items()}
 
 
-def test_fig4a_avg_migration_time(benchmark, fig4_results, results_sink):
+def test_fig4a_avg_migration_time(fig4_results, results_sink):
     """Panel (a): precopy's average migration time rises sharply with the
     number of concurrent migrations; the others stay comparatively flat
     (small absolute growth)."""
-    results = benchmark.pedantic(lambda: fig4_results, rounds=1, iterations=1)
-    pre = _series(results, "precopy", lambda o, b: o.avg_migration_time)
-    ours = _series(results, "our-approach", lambda o, b: o.avg_migration_time)
+    pre = _series(fig4_results, "precopy", lambda o, b: o.avg_migration_time)
+    ours = _series(fig4_results, "our-approach", lambda o, b: o.avg_migration_time)
     levels = sorted(pre)
     lo, hi = levels[0], levels[-1]
     pre_rise = pre[hi] - pre[lo]
     ours_rise = ours[hi] - ours[lo]
     assert pre_rise > 3 * max(ours_rise, 0.1)
     assert pre[hi] > 1.3 * pre[lo]
-    results_sink("fig4", render_fig4(results))
+    results_sink("fig4", render_fig4(fig4_results))
     for panel, metric in (
         ("fig4a", lambda o, b: o.avg_migration_time),
         ("fig4b", lambda o, b: o.total_traffic()),
         ("fig4c", lambda o, b: o.degradation_vs(b)),
     ):
-        write_csv_series(panel, "n_migrations", sweep_series(results, metric))
+        write_csv_series(panel, "n_migrations", sweep_series(fig4_results, metric))
 
 
-def test_fig4b_network_traffic(benchmark, fig4_results):
+def test_fig4b_network_traffic(fig4_results):
     """Panel (b): precopy's traffic explodes with concurrency; ours and
     postcopy stay lowest among migration-generated traffic."""
-    fig4_results = benchmark.pedantic(lambda: fig4_results, rounds=1, iterations=1)
     levels = sorted(fig4_results["precopy"])
     hi = levels[-1]
     traffic = {
@@ -53,10 +51,9 @@ def test_fig4b_network_traffic(benchmark, fig4_results):
     assert traffic["our-approach"] < traffic["mirror"] * 1.1
 
 
-def test_fig4c_performance_degradation(benchmark, fig4_results):
+def test_fig4c_performance_degradation(fig4_results):
     """Panel (c): ours degrades computation the least among the
     storage-transferring approaches; precopy the most."""
-    fig4_results = benchmark.pedantic(lambda: fig4_results, rounds=1, iterations=1)
     levels = sorted(fig4_results["precopy"])
     hi = levels[-1]
     deg = {

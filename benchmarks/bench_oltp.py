@@ -13,9 +13,8 @@ throughout (every commit is remote).
 
 import pytest
 
-from repro.cluster import CloudMiddleware, Cluster
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.registry import APPROACHES
-from repro.experiments.config import graphene_spec
 from repro.experiments.runner import render_table
 from repro.simkernel import Environment
 from repro.workloads import MixedOLTP
@@ -25,7 +24,7 @@ MB = 2**20
 
 def run_oltp(approach, migrate=True):
     env = Environment()
-    cloud = CloudMiddleware(Cluster(env, graphene_spec(8)))
+    cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=8)))
     vm = cloud.deploy("vm0", cloud.cluster.node(0), approach=approach,
                       working_set=256 * MB)
     oltp = MixedOLTP(vm, transactions=400, think_time=0.02, seed=11)
@@ -47,15 +46,14 @@ def oltp_results():
     return {a: run_oltp(a) for a in APPROACHES}
 
 
-def test_oltp_commit_latency(benchmark, oltp_results, results_sink):
-    results = benchmark.pedantic(lambda: oltp_results, rounds=1, iterations=1)
+def test_oltp_commit_latency(oltp_results, results_sink):
     rows = {
         a: [
             o.commit_latency_quantile(0.5) * 1000,
             o.commit_latency_quantile(0.99) * 1000,
             o.transaction_rate(),
         ]
-        for a, o in results.items()
+        for a, o in oltp_results.items()
     }
     results_sink(
         "oltp_latency",
@@ -65,20 +63,18 @@ def test_oltp_commit_latency(benchmark, oltp_results, results_sink):
             rows,
         ),
     )
-    p99 = {a: o.commit_latency_quantile(0.99) for a, o in results.items()}
+    p99 = {a: o.commit_latency_quantile(0.99) for a, o in oltp_results.items()}
     # Mirroring's synchronous dual writes dominate the tail.
     assert p99["mirror"] > p99["our-approach"]
     # The paper's scheme stays close to pure postcopy on the tail.
     assert p99["our-approach"] < 3 * p99["postcopy"] + 1e-3
     # Remote commits are the slowest median of all.
-    medians = {a: o.commit_latency_quantile(0.5) for a, o in results.items()}
+    medians = {a: o.commit_latency_quantile(0.5) for a, o in oltp_results.items()}
     assert medians["pvfs-shared"] == max(medians.values())
 
 
-def test_oltp_throughput_survives_migration(benchmark, oltp_results):
-    baseline = benchmark.pedantic(
-        lambda: run_oltp("our-approach", migrate=False), rounds=1, iterations=1
-    )
+def test_oltp_throughput_survives_migration(oltp_results):
+    baseline = run_oltp("our-approach", migrate=False)
     migrated = oltp_results["our-approach"]
     assert migrated.committed == baseline.committed == 400
     # One migration costs only a few percent of transaction rate.

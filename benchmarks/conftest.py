@@ -1,9 +1,10 @@
 """Benchmark harness configuration.
 
 Each ``bench_*`` module regenerates one table/figure of the paper at the
-paper's geometry: it runs the corresponding experiment under
-``pytest-benchmark`` timing, prints the paper-style rows, and writes them
-to the committed ``benchmarks/results/``.
+paper's geometry: it runs the corresponding experiment, checks the
+paper's shape claims on it, prints the paper-style rows, and writes them
+to the committed ``benchmarks/results/``.  Host time is measured by
+``benchmarks/e2e``, not here.
 """
 
 import pathlib

@@ -11,8 +11,7 @@ time until the source can be powered off) and the bandwidth bill.
 Run:  python examples/datacenter_evacuation.py
 """
 
-from repro import CloudMiddleware, Cluster, Environment
-from repro.experiments.config import graphene_spec
+from repro import CloudMiddleware, Cluster, ClusterSpec, Environment
 from repro.workloads import HotspotWriter
 
 MB = 2**20
@@ -21,7 +20,7 @@ N_EVACUATED = 6
 
 def evacuate(approach: str) -> dict:
     env = Environment()
-    cluster = Cluster(env, graphene_spec(n_nodes=2 * N_EVACUATED + 2))
+    cluster = Cluster(env, ClusterSpec(n_nodes=2 * N_EVACUATED + 2))
     cloud = CloudMiddleware(cluster)
 
     vms = []

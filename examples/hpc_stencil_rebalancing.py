@@ -11,8 +11,8 @@ migration costs and the BSP-amplified application slowdown.
 Run:  python examples/hpc_stencil_rebalancing.py
 """
 
-from repro import CloudMiddleware, Cluster, Environment
-from repro.experiments.config import CM1_WORKING_SET, graphene_spec
+from repro import CloudMiddleware, Cluster, ClusterSpec, Environment
+from repro.experiments.config import CM1_WORKING_SET
 from repro.workloads.cm1 import build_cm1_ensemble
 
 GRID = (3, 3)
@@ -22,7 +22,7 @@ N_MIGRATIONS = 3
 def run(approach: str, migrate: bool) -> dict:
     n_ranks = GRID[0] * GRID[1]
     env = Environment()
-    cluster = Cluster(env, graphene_spec(n_nodes=n_ranks + N_MIGRATIONS))
+    cluster = Cluster(env, ClusterSpec(n_nodes=n_ranks + N_MIGRATIONS))
     cloud = CloudMiddleware(cluster)
 
     vms = [

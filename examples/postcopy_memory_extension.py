@@ -16,8 +16,14 @@ handoff of execution.
 Run:  python examples/postcopy_memory_extension.py
 """
 
-from repro import CloudMiddleware, Cluster, Environment, PostcopyMemory, PrecopyMemory
-from repro.experiments.config import graphene_spec
+from repro import (
+    CloudMiddleware,
+    Cluster,
+    ClusterSpec,
+    Environment,
+    PostcopyMemory,
+    PrecopyMemory,
+)
 from repro.workloads import IORWorkload
 
 MB = 2**20
@@ -25,7 +31,7 @@ MB = 2**20
 
 def run(memory_strategy, label: str) -> None:
     env = Environment()
-    cluster = Cluster(env, graphene_spec(n_nodes=8))
+    cluster = Cluster(env, ClusterSpec(n_nodes=8))
     cloud = CloudMiddleware(cluster)
     vm = cloud.deploy("vm0", cluster.node(0), approach="our-approach")
     bench = IORWorkload(vm, iterations=8)

@@ -14,8 +14,7 @@ Walks the whole public API surface:
 Run:  python examples/quickstart.py
 """
 
-from repro import CloudMiddleware, Cluster, Environment
-from repro.experiments.config import graphene_spec
+from repro import CloudMiddleware, Cluster, ClusterSpec, Environment
 from repro.workloads import IORWorkload
 
 MB = 2**20
@@ -23,7 +22,7 @@ MB = 2**20
 
 def main() -> None:
     env = Environment()
-    cluster = Cluster(env, graphene_spec(n_nodes=8))
+    cluster = Cluster(env, ClusterSpec(n_nodes=8))
     cloud = CloudMiddleware(cluster)
 
     # A 4 GB-RAM VM on node0; its virtual disk lazily materializes from

@@ -656,12 +656,11 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    from repro.cluster import Cluster
-    from repro.experiments.config import graphene_spec
+    from repro.cluster import Cluster, ClusterSpec
     from repro.experiments.fig1 import render_fig1
     from repro.simkernel import Environment
 
-    print(render_fig1(Cluster(Environment(), graphene_spec(args.nodes))))
+    print(render_fig1(Cluster(Environment(), ClusterSpec(n_nodes=args.nodes))))
     return 0
 
 

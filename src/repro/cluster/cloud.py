@@ -32,11 +32,21 @@ __all__ = ["ClusterSpec", "Cluster", "CloudMiddleware"]
 
 @dataclass
 class ClusterSpec:
-    """Hardware calibration (defaults: Grid'5000 graphene, Section 5.1)."""
+    """Hardware calibration (defaults: Grid'5000 graphene, Section 5.1).
+
+    The paper provisions 100 nodes; the simulation only needs the nodes an
+    experiment actually touches (sources + destinations + enough
+    repository striping width), so callers pick smaller counts for speed.
+    """
 
     n_nodes: int = 8
     nic_bw: float = 117.5e6  # measured GbE TCP throughput
-    backplane_bw: Optional[float] = 8e9  # Cisco Catalyst aggregate
+    # The paper quotes ~8 GB/s for the Cisco Catalyst backplane, yet
+    # observes 30 concurrent migrations (30 x 117.5 MB/s ~ 3.5 GB/s of NIC
+    # demand) saturating it.  The effective fabric capacity under many
+    # concurrent flows is therefore well below the marketing aggregate; we
+    # calibrate it so the paper's observed contention point reproduces.
+    backplane_bw: Optional[float] = 2.5e9
     latency: float = 1e-4  # 0.1 ms
     disk_bw: float = 55e6  # SATA II sequential
     disk_cache_bytes: float = 8 * 2**30  # host page cache budget

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.chunkqueue import ChunkQueue, take_valid
 from repro.core.manager import ChunkTransferStalled, MigrationManager
-from repro.obs.causal.record import annotate
 from repro.simkernel.core import Event
 from repro.simkernel.events import Interrupt
 
@@ -154,9 +153,8 @@ class HybridManager(MigrationManager):
                 return
             batch = self._next_push_batch()
             if batch.size == 0:
-                self._push_wakeup = annotate(
-                    self.env, self.env.event(), "idle.push_wait",
-                )
+                self._push_wakeup = self.env.probe.causal_tag(
+                    self.env.event(), "idle.push_wait")
                 try:
                     yield self._push_wakeup
                 except Interrupt:
@@ -337,9 +335,8 @@ class HybridManager(MigrationManager):
         while True:
             if self._ondemand_depth > 0:
                 # Algorithm 4: suspended while a priority read is in flight.
-                self._pull_resume = annotate(
-                    self.env, self.env.event(), "stall.ondemand_suspend",
-                )
+                self._pull_resume = self.env.probe.causal_tag(
+                    self.env.event(), "stall.ondemand_suspend")
                 yield self._pull_resume
                 continue
             batch = self._pull_priority_batch()

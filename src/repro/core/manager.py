@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.config import MigrationConfig
 from repro.netsim.flows import Fabric
-from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
 from repro.storage.chunks import ChunkTransferStalled
 from repro.storage.pagecache import PageCache
@@ -196,8 +195,8 @@ class MigrationManager:
                 made = make()
             batch = isinstance(made, list)
             done = env.all_of(made) if batch else made
-            stall = annotate(env, env.timeout(cfg.chunk_timeout),
-                             "stall.chunk_timeout", label=label)
+            stall = env.probe.causal_tag(env.timeout(cfg.chunk_timeout),
+                                         "stall.chunk_timeout", label=label)
             yield env.any_of([done, stall])
             if done.triggered:
                 return True
@@ -214,8 +213,8 @@ class MigrationManager:
                 return False
             if p.enabled:
                 p.transfer_retry(self.vm.name, label, attempt, delay)
-            yield annotate(env, env.timeout(delay), "retry.backoff",
-                           label=label)
+            yield p.causal_tag(env.timeout(delay), "retry.backoff",
+                               label=label)
             delay *= 2
 
     def _batch_events(self, dst: "MigrationManager", batch: np.ndarray,
@@ -294,8 +293,8 @@ class MigrationManager:
                     raise
                 if p.enabled:
                     p.transfer_retry(self.vm.name, tag, attempt, delay)
-                yield annotate(self.env, self.env.timeout(delay),
-                               "retry.backoff", label=tag)
+                yield p.causal_tag(self.env.timeout(delay),
+                                   "retry.backoff", label=tag)
                 delay *= 2
                 attempt += 1
                 continue

@@ -13,27 +13,25 @@ One module per artifact of Section 5:
 
 :mod:`~repro.experiments.scenarios` contains :func:`simulate`, the one
 scenario runner, and the builders the figures share;
-:mod:`~repro.experiments.config` the Grid'5000 graphene calibration;
+:mod:`~repro.experiments.config` the workload calibration (the
+Grid'5000 graphene hardware is :class:`~repro.cluster.ClusterSpec`'s
+defaults);
 :mod:`~repro.experiments.runner` result containers and the paper-style
 text rendering used by the benchmark harness.
 """
 
 from repro.experiments.config import (
     ASYNCWR_MAX_WRITE,
-    GRAPHENE,
     IOR_MAX_READ,
     IOR_MAX_WRITE,
-    graphene_spec,
 )
 from repro.experiments.runner import SeriesResult, render_series, render_table
 
 __all__ = [
     "ASYNCWR_MAX_WRITE",
-    "GRAPHENE",
     "IOR_MAX_READ",
     "IOR_MAX_WRITE",
     "SeriesResult",
-    "graphene_spec",
     "render_series",
     "render_table",
 ]

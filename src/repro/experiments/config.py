@@ -1,17 +1,14 @@
-"""Calibration constants for the paper's evaluation (Section 5.1).
+"""Workload calibration for the paper's evaluation (Section 5).
 
-The hardware numbers come straight from the paper's description of the
-Grid'5000 *graphene* cluster; the workload maxima are the paper's measured
-no-migration ceilings used to normalize Figure 3(c).
+The workload maxima are the paper's measured no-migration ceilings used
+to normalize Figure 3(c).  The hardware calibration, the Grid'5000
+*graphene* cluster of Section 5.1, is
+:class:`~repro.cluster.cloud.ClusterSpec`'s defaults.
 """
 
 from __future__ import annotations
 
-from repro.cluster.cloud import ClusterSpec
-
 __all__ = [
-    "GRAPHENE",
-    "graphene_spec",
     "IOR_MAX_READ",
     "IOR_MAX_WRITE",
     "ASYNCWR_MAX_WRITE",
@@ -35,32 +32,3 @@ VM_MEMORY = 4 * 2**30
 VM_WORKING_SET = 1 * 2**30
 ASYNCWR_WORKING_SET = 256 * 2**20
 CM1_WORKING_SET = 1.2 * 2**30
-
-#: The graphene cluster hardware (Section 5.1).
-GRAPHENE = dict(
-    nic_bw=117.5e6,  # measured GbE TCP throughput
-    # The paper quotes ~8 GB/s for the Cisco Catalyst backplane, yet
-    # observes 30 concurrent migrations (30 x 117.5 MB/s ~ 3.5 GB/s of NIC
-    # demand) saturating it.  The effective fabric capacity under many
-    # concurrent flows is therefore well below the marketing aggregate; we
-    # calibrate it so the paper's observed contention point reproduces.
-    backplane_bw=2.5e9,
-    latency=1e-4,  # ~0.1 ms
-    disk_bw=55e6,  # SATA II sequential
-    disk_cache_bytes=8 * 2**30,
-    chunk_size=256 * 1024,  # BlobSeer stripe size
-    image_size=4 * 2**30,  # base disk image
-)
-
-
-def graphene_spec(n_nodes: int, **overrides) -> ClusterSpec:
-    """A ClusterSpec for ``n_nodes`` graphene-calibrated nodes.
-
-    The paper provisions 100 nodes; the simulation only needs the nodes an
-    experiment actually touches (sources + destinations + enough repository
-    striping width), so callers pick smaller counts for speed.  Overrides
-    win over the graphene defaults.
-    """
-    params = dict(GRAPHENE)
-    params.update(overrides)
-    return ClusterSpec(n_nodes=n_nodes, **params)

@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.cluster import CloudMiddleware, Cluster
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.core.config import MigrationConfig
 from repro.core.registry import manager_class
 from repro.experiments.config import (
@@ -35,7 +35,6 @@ from repro.experiments.config import (
     CM1_WORKING_SET,
     VM_MEMORY,
     VM_WORKING_SET,
-    graphene_spec,
 )
 from repro.hypervisor.memory import PrecopyMemory
 from repro.obs import Observability
@@ -151,7 +150,7 @@ def _make_cloud(n_nodes: int, config: Optional[MigrationConfig],
     env = Environment()
     if obs is not None:
         obs.install(env)
-    cluster = Cluster(env, graphene_spec(n_nodes))
+    cluster = Cluster(env, ClusterSpec(n_nodes=n_nodes))
     return env, CloudMiddleware(cluster, config=config)
 
 

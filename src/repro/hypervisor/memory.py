@@ -19,7 +19,6 @@ from typing import Generator
 
 from repro.netsim.flows import Fabric
 from repro.netsim.topology import Host
-from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment
 
 __all__ = [
@@ -94,8 +93,8 @@ class PrecopyMemory:
                 # Memory is converged but storage is not: idle-poll while
                 # dirtying continues to accrue (re-enter a round if the
                 # accrual outgrows the downtime budget again).
-                yield annotate(env, env.timeout(self.poll_interval),
-                               "stall.storage_backlog")
+                yield env.probe.causal_tag(env.timeout(self.poll_interval),
+                                           "stall.storage_backlog")
                 remaining = min(
                     remaining + vm.dirty_rate * self.poll_interval,
                     vm.working_set,
@@ -231,7 +230,8 @@ class PostcopyMemory:
         # Wait for the storage strategy's pre-control work (e.g. the mirror
         # bulk copy); memory itself ships nothing yet.
         while not storage_mgr.ready_for_control():
-            yield annotate(env, env.timeout(0.25), "stall.storage_backlog")
+            yield env.probe.causal_tag(env.timeout(0.25),
+                                       "stall.storage_backlog")
         # Device state + non-pageable kernel pages move during downtime.
         return self.bootstrap_bytes
         yield  # pragma: no cover

@@ -67,8 +67,6 @@ class PageDirtyModel:
         self.rng.shuffle(weights)
         self._popularity = weights / weights.sum()
         self.dirty = np.zeros(self.n_pages, dtype=bool)
-        #: Diagnostics: total page-touch events applied (expected value).
-        self.touches_applied = 0.0
 
     @property
     def working_set(self) -> int:
@@ -95,7 +93,6 @@ class PageDirtyModel:
         if dt == 0 or self.touch_rate == 0:
             return
         touches = self.touch_rate / self.page_size * dt
-        self.touches_applied += touches
         p_dirty = -np.expm1(-touches * self._popularity)
         self.dirty |= self.rng.random(self.n_pages) < p_dirty
 

@@ -32,7 +32,7 @@ RULE_IDS = {
     "C": ("C301", "C302", "C303"),
     "K": ("K401", "K402", "K403", "K404"),
     "P": ("P701", "P702", "P703"),
-    "S": ("S501", "S502"),
+    "S": ("S501", "S502", "S503"),
 }
 
 __all__ = ["ALL_RULES", "RULE_IDS"]

@@ -97,7 +97,7 @@ def check(ctx: FileContext) -> list[Finding]:
 #: Call targets (final attribute or bare name) that produce Events.
 _EVENT_FACTORIES = {"event", "timeout", "process", "any_of", "all_of",
                     "transfer", "message", "fetch", "store", "wait",
-                    "acquire", "request", "annotate", "arm"}
+                    "acquire", "request", "causal_tag", "arm"}
 _EVENT_CTORS = {"Event", "Timeout", "Process", "Condition", "AnyOf",
                 "AllOf", "Interrupt"}
 _NONEVENT_CALLS = {"int", "float", "str", "bool", "len", "abs", "round",

@@ -12,7 +12,9 @@ deliberately unranked in the global DAG and may be imported from
 anywhere — but ``obs`` carries its own sub-DAG (S502): the diff engine
 (``repro.obs.diff``) consumes the analysis artifacts and may import
 ``obs.analyze``/``obs.causal``/``obs.prof``, while nothing else in
-``obs.*`` may import ``obs.diff`` back.  Imports inside
+``obs.*`` may import ``obs.diff`` back.  The simulation packages
+(``SIM_MODULES``) report through ``env.probe``, so the only ``obs``
+module they may import is ``repro.obs.probe`` (S503).  Imports inside
 ``if TYPE_CHECKING:`` blocks are annotations-only and exempt.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LAYERS, OBS_LAYERS, layer_of
+from repro.lint.config import LAYERS, OBS_LAYERS, SIM_MODULES, in_scope, layer_of
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext
 
@@ -34,12 +36,16 @@ _OBS_HINT = ("repro.obs.diff consumes the analysis artifacts "
              "must stay importable without it — move the shared piece "
              "into obs.analyze/obs.causal/obs.prof or pass the data in")
 
+_PROBE_HINT = ("simulation code names events, never backends: report "
+               "through a method of repro.obs.probe.Probe on env.probe")
+
 
 def check(ctx: FileContext) -> list[Finding]:
     my_layer = layer_of(ctx.module, LAYERS)
     my_obs_layer = layer_of(ctx.module, OBS_LAYERS)
     if my_layer is None and my_obs_layer is None:
         return []
+    in_sim = in_scope(ctx.module, SIM_MODULES)
     out: list[Finding] = []
     for node in ast.walk(ctx.tree):
         targets: list[str] = []
@@ -76,4 +82,11 @@ def check(ctx: FileContext) -> list[Finding]:
                         f"imports '{target}' (obs rank {their_obs}) — "
                         "an analysis producer importing the diff engine "
                         "inverts the obs sub-DAG", _OBS_HINT))
+            if (in_sim and target != "repro.obs.probe"
+                    and in_scope(target, ("repro.obs",))):
+                out.append(ctx.finding(
+                    node, "S503",
+                    f"simulation module '{ctx.module}' imports "
+                    f"'{target}' — its only obs import is "
+                    "repro.obs.probe", _PROBE_HINT))
     return out

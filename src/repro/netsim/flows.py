@@ -40,7 +40,6 @@ import numpy as np
 from repro.netsim.fairness import IncrementalMaxMin
 from repro.netsim.topology import Host, Topology
 from repro.netsim.traffic import TrafficMeter
-from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
 from repro.simkernel.events import RearmableTimer
 
@@ -339,8 +338,8 @@ class Fabric:
         # Handle back to the flow, so Fabric.cancel() can find and
         # abandon it from just the returned event.
         flow.done.flow = flow
-        annotate(self.env, flow.done, "net.flow",
-                 tag=tag, cause=cause, src=src.name, dst=dst.name)
+        self.env.probe.causal_tag(flow.done, "net.flow", tag=tag,
+                                  cause=cause, src=src.name, dst=dst.name)
         self._advance()
         self._start([flow])
         return flow.done
@@ -388,9 +387,9 @@ class Fabric:
                 legs.append(NetFlow(env, src, dst, nbytes, tag, 1.0, cause,
                                     done, leg))
         if done.pending:
-            annotate(env, done, "net.blackhole", tag=tag, cause=cause)
+            env.probe.causal_tag(done, "net.blackhole", tag=tag, cause=cause)
         elif legs:
-            annotate(env, done, "net.flow", tag=tag, cause=cause)
+            env.probe.causal_tag(done, "net.flow", tag=tag, cause=cause)
         else:
             done.succeed(done.durations)
         if legs:
@@ -424,8 +423,8 @@ class Fabric:
         if p.enabled:
             p.net_message(tag, cause, src, dst, nbytes)
         wire = nbytes / cap
-        return annotate(self.env, self.env.timeout(self.latency + wire),
-                        "net.message", tag=tag, cause=cause)
+        return p.causal_tag(self.env.timeout(self.latency + wire),
+                            "net.message", tag=tag, cause=cause)
 
     def cancel(self, done_event: Event) -> bool:
         """Abandon the in-flight flow behind ``done_event`` (a value
@@ -482,8 +481,8 @@ class Fabric:
         p = self.env.probe
         if p.enabled:
             p.flow_blackholed(src, dst, tag, cause)
-        return annotate(self.env, Event(self.env), "net.blackhole",
-                        tag=tag, cause=cause)
+        return p.causal_tag(Event(self.env), "net.blackhole", tag=tag,
+                            cause=cause)
 
     # -- the flow table --------------------------------------------------------
     def _start(self, flows: list[NetFlow]) -> None:

@@ -13,7 +13,9 @@ backends are live:
 * a :class:`SeriesRecorder` — time-resolved signals
   (:mod:`repro.obs.series`);
 * a :class:`Profiler` — host wall-clock scopes and work counters
-  (:mod:`repro.obs.prof`).
+  (:mod:`repro.obs.prof`);
+* a causal recorder — the wait edges critical-path extraction reads
+  (:mod:`repro.obs.causal`).
 
 A fresh environment carries :data:`~repro.obs.probe.NULL_PROBE`, so an
 uninstrumented run pays one branch per site.  :class:`Observability`
@@ -84,8 +86,9 @@ class Observability:
         Tracer detail level (``"normal"`` or ``"full"``, see
         :class:`Tracer`).
     causal:
-        Also record causal wait edges (``repro.obs.causal``) for
-        critical-path extraction.  Implies ``trace=True``.
+        Also record causal wait edges (a
+        :class:`~repro.obs.causal.CausalRecorder`) for critical-path
+        extraction.  Implies ``trace=True``: the edges are trace events.
     profile:
         Attribute *host* wall-clock, allocations and work counters to
         subsystems (``repro.obs.prof``).  Pass ``True`` for a fresh
@@ -106,10 +109,15 @@ class Observability:
                  series: "bool | SeriesRecorder" = False):
         #: The live backends; a disabled one is ``None``.
         self.tracer: Tracer | None = None
+        recorder = None
         if trace or causal:
             self.tracer = Tracer(detail=detail)
             if causal:
-                self.tracer.enable_causal()
+                # Imported here: only a causal run loads the analysis
+                # package.
+                from repro.obs.causal.record import CausalRecorder
+
+                recorder = CausalRecorder(self.tracer)
         self.metrics = MetricsRegistry() if metrics else None
         if isinstance(profile, Profiler):
             self.profiler: Profiler | None = profile
@@ -119,7 +127,8 @@ class Observability:
             self.series: SeriesRecorder | None = series
         else:
             self.series = SeriesRecorder() if series else None
-        live = (self.tracer, self.metrics, self.series, self.profiler)
+        live = (self.tracer, self.metrics, self.series, self.profiler,
+                recorder)
         #: What :meth:`install` puts on ``env.probe``.
         self.probe = (Probe(*live) if any(b is not None for b in live)
                       else NULL_PROBE)

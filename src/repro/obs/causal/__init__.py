@@ -2,15 +2,16 @@
 
 Answers *why migration took T seconds*.  Three pieces:
 
-* :mod:`~repro.obs.causal.record` — a :class:`CausalRecorder` hooked into
-  the kernel's process-resume path.  In this simulator a process's wall
-  time is composed entirely of waits (zero simulation time passes between
-  a resume and the next yield), so recording *what each wait ended on*
-  yields a happens-before DAG whose per-process wait intervals tile any
-  window exactly — conservation by construction.  Byte-moving call sites
-  tag the events they hand out with :func:`annotate` so the recorder can
-  name the resource (flow bandwidth grant, disk service, retry timer,
-  control message) instead of just the event type.
+* :mod:`~repro.obs.causal.record` — a :class:`CausalRecorder`, the
+  probe's causal backend (``Observability(causal=True)``), fed at every
+  process resume.  In this simulator a process's wall time is composed
+  entirely of waits (zero simulation time passes between a resume and the
+  next yield), so recording *what each wait ended on* yields a
+  happens-before DAG whose per-process wait intervals tile any window
+  exactly — conservation by construction.  Byte-moving call sites
+  tag the events they hand out with ``env.probe.causal_tag`` so the
+  recorder can name the resource (flow bandwidth grant, disk service,
+  retry timer, control message) instead of just the event type.
 * :mod:`~repro.obs.causal.critical` — walks the recorded DAG backwards
   from each migration attempt's completion, decomposing its wall time
   into contiguous segments attributed to resource classes, with an exact
@@ -36,13 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal.whatif import _Inf
 
 from repro.obs.causal.critical import critical_paths, classify
-from repro.obs.causal.record import CausalRecorder, annotate, describe
+from repro.obs.causal.record import CausalRecorder, describe
 from repro.obs.causal.whatif import parse_what_if, what_if
 from repro.obs.export import trace_lanes
 
 __all__ = [
     "CausalRecorder",
-    "annotate",
     "classify",
     "critical_path_summary",
     "critical_paths",

@@ -2,7 +2,7 @@
 
 Per migration attempt, walk backwards from completion: the attempt's
 wall time is tiled by the spine process's (``migrate:<vm>``) recorded
-waits; each wait resolves to a resource class either directly (annotated
+waits; each wait resolves to a resource class either directly (tagged
 events) or by recursing — into the winning branch of a condition, or
 into the producer process of a handoff.  All interval arithmetic is done
 on :class:`fractions.Fraction` built from the recorder's exact

@@ -1,10 +1,11 @@
 """Causal wait recording: the happens-before edges behind every resume.
 
-The kernel calls :meth:`CausalRecorder.record_wait` whenever a process
-resumes after a nonzero wait.  The recorder serializes a compact
-description of the awaited event *at that moment* (the event graph is
-mutable and may be garbage-collected later) into a ``causal.wait``
-instant on the process's trace lane::
+The probe (:mod:`repro.obs.probe`) calls
+:meth:`CausalRecorder.record_wait` whenever a process resumes after a
+nonzero wait.  The recorder serializes a compact description of the
+awaited event *at that moment* (the event graph is mutable and may be
+garbage-collected later) into a ``causal.wait`` instant on the process's
+trace lane::
 
     {"p": "migrate:vm0", "t0": 5.0, "t1": 7.25,
      "w": {"k": "net.flow", "d": {"tag": "storage-push", ...},
@@ -19,43 +20,30 @@ producer's lane to the consumer's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
-    from repro.simkernel.core import Environment, Event
+    from repro.simkernel.core import Event
 
-__all__ = ["CausalRecorder", "annotate", "describe"]
+__all__ = ["CausalRecorder", "describe"]
 
 _US = 1e6
 
 #: Maximum structural recursion when describing composite events.  Deep
-#: enough for any_of(all_of(annotated-flows), timeout) with one level of
+#: enough for any_of(all_of(tagged-flows), timeout) with one level of
 #: slack; deeper nests collapse to ``{"k": "deep"}``.
 _MAX_DEPTH = 4
-
-
-def annotate(env: "Environment", event: "Event", cls: str, **detail: Any) -> "Event":
-    """Tag ``event`` with a causal resource class (no-op unless recording).
-
-    Call at the site that hands a wait target to a consumer, e.g.::
-
-        annotate(env, flow.done, "net.flow", tag=tag, cause=cause)
-
-    Returns the event for chaining.
-    """
-    p = getattr(env, "probe", None)
-    if p is not None and p.enabled and p.causal is not None:
-        event._causal = (cls, detail)
-    return event
 
 
 def describe(event: "Event", depth: int = 0) -> dict:
     """A JSON-safe description of an event for causal attribution.
 
-    Annotated events report their resource class + detail; structural
-    events (process joins, conditions, timers) report their shape and
-    trigger times so the extractor can recurse.
+    Tagged events (``Probe.causal_tag``) report their resource class +
+    detail; structural events (process joins, conditions, timers) report
+    their shape and trigger times so the extractor can recurse.  The
+    times are the probe's stamps; a timer fires ``delay`` after it was
+    created.
     """
     ann = getattr(event, "_causal", None)
     if ann is not None:
@@ -96,8 +84,13 @@ def describe(event: "Event", depth: int = 0) -> dict:
 
 
 def _stamp(desc: dict, event: "Event") -> None:
+    from repro.simkernel.events import Timeout
+
     t0 = getattr(event, "created_at", None)
-    t1 = getattr(event, "triggered_at", None)
+    if isinstance(event, Timeout):
+        t1 = None if t0 is None else t0 + event.delay
+    else:
+        t1 = getattr(event, "triggered_at", None)
     if t0 is not None:
         desc["t0"] = t0
     if t1 is not None:

@@ -2,9 +2,10 @@
 and the one reader of every artifact they and the analyzers write.
 
 The Chrome trace-event output loads directly in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``; the JSONL stream is for
-ad-hoc ``jq``/pandas processing; the metrics dump is the per-run snapshot
-of the :class:`~repro.obs.registry.MetricsRegistry`.
+(https://ui.perfetto.dev) or ``chrome://tracing``; the JSONL stream holds
+the same records one per line, for ad-hoc ``jq``/pandas processing; the
+metrics dump is the per-run snapshot of the
+:class:`~repro.obs.registry.MetricsRegistry`.
 
 All serialization uses sorted keys and fixed separators, so two identical
 simulation runs produce byte-identical files — the property the
@@ -90,11 +91,12 @@ def write_chrome_trace(tracer: Tracer, path: _PathLike) -> pathlib.Path:
 
 
 def write_events_jsonl(tracer: Tracer, path: _PathLike) -> pathlib.Path:
-    """Write one event per line (raw stream, no metadata records)."""
+    """Write the Chrome trace's records one per line, the lane-naming
+    metadata first, so every reader treats both formats alike."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        for ev in tracer.events:
+        for ev in chrome_trace(tracer)["traceEvents"]:
             fh.write(_dumps(ev))
             fh.write("\n")
     return path
@@ -179,8 +181,8 @@ def trace_lanes(events: list) -> tuple[list[tuple[str, list]], dict]:
     Returns ``([(label, lane events), ...], {tid: thread label})``, lanes
     in pid order.  A lane's label is its ``process_name`` metadata less
     the exporter's ``repro:`` prefix, or ``run-<pid>`` when the trace
-    carries no metadata (a JSONL stream).  Metadata records belong to no
-    lane.
+    carries no metadata (a hand-built event list).  Metadata records
+    belong to no lane.
     """
     pid_names: dict = {}
     tid_names: dict = {}

@@ -9,11 +9,12 @@ An instrumented site makes one guarded call naming the event::
 
 and the :class:`Probe` method renders that event into whichever backends
 are live: a trace event (:mod:`repro.obs.tracer`), metric instruments
-(:mod:`repro.obs.registry`), time-series signals (:mod:`repro.obs.series`)
-and host-profiler scopes or work counters (:mod:`repro.obs.prof`).  The
-whole telemetry vocabulary — trace names, categories, lanes and args,
-metric names, signal names and units, profiler scope and counter names —
-lives in this module; simulation code names events, never backends.
+(:mod:`repro.obs.registry`), time-series signals (:mod:`repro.obs.series`),
+host-profiler scopes or work counters (:mod:`repro.obs.prof`) and causal
+wait records (:mod:`repro.obs.causal`).  The whole telemetry vocabulary —
+trace names, categories, lanes and args, metric names, signal names and
+units, profiler scope and counter names — lives in this module;
+simulation code names events, never backends.
 
 A backend that is off is absent (``None``), and a value only one backend
 reads (a remaining-set sum, a write-count histogram, the per-link
@@ -21,7 +22,20 @@ allocation sample) is computed inside that backend's branch.  With every
 backend off, ``env.probe`` is :data:`NULL_PROBE`: it carries no state and
 every site costs one attribute load and a branch.
 
-Probes observe and never act: no method stores into simulation state,
+Causal recording needs two things more.  The site that hands a process
+its wait target names the resource the wait is spent on, unguarded,
+because the call returns the event it names::
+
+    yield env.probe.causal_tag(env.timeout(delay), "retry.backoff",
+                               label=label)
+
+and the kernel reports each event's creation and trigger, guarded by
+``p.enabled and p.stamps``: only causal recording sets ``stamps``, so a
+run with other backends on makes no per-event call.  Both leave the
+event untouched while causal recording is off.
+
+Probes observe and never act: no method stores into simulation state
+(the causal stamps are event slots that only the recorder reads),
 schedules an event or moves bytes, so a run is byte-identical with any
 set of backends on (``tests/obs/test_integration.py``).  simlint's P
 rules hold every ``if p.enabled:`` block in the simulation packages to
@@ -31,7 +45,7 @@ the same contract.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterator, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal.record import CausalRecorder
@@ -39,8 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry
     from repro.obs.series.core import SeriesRecorder
     from repro.obs.tracer import Tracer
+    from repro.simkernel.core import Event
 
 __all__ = ["NULL_PROBE", "Probe"]
+
+_E = TypeVar("_E", bound="Event")
 
 
 class Probe:
@@ -51,22 +68,23 @@ class Probe:
     """
 
     __slots__ = ("tracer", "metrics", "series", "profiler", "causal",
-                 "_verbose", "_env")
+                 "stamps", "_verbose", "_env")
 
     enabled = True
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  series: Optional[SeriesRecorder] = None,
-                 profiler: Optional[Profiler] = None) -> None:
+                 profiler: Optional[Profiler] = None,
+                 causal: Optional[CausalRecorder] = None) -> None:
         self.tracer = tracer
         self.metrics = metrics
         self.series = series
         self.profiler = profiler
-        #: Causal wait recorder (``repro.obs.causal``), read by the
-        #: kernel's resume hook and by :func:`~repro.obs.causal.annotate`.
-        self.causal: Optional[CausalRecorder] = (
-            tracer.causal if tracer is not None else None)
+        self.causal = causal
+        #: Events carry causal stamps: the kernel reports each event's
+        #: creation and trigger only while this is set.
+        self.stamps = causal is not None
         self._verbose = tracer is not None and tracer.verbose
         self._env: Any = None
 
@@ -149,6 +167,28 @@ class Probe:
         """Close the profiler scope the matching begin call opened."""
         if self.profiler is not None:
             self.profiler.exit()
+
+    def event_created(self, event: Event) -> None:
+        """Causal stamp: ``event`` was created now."""
+        event.created_at = event.env.now
+
+    def event_triggered(self, event: Event) -> None:
+        """Causal stamps: ``event`` triggered now; a success also names
+        the process that triggered it, if one is running."""
+        env = event.env
+        event.triggered_at = env.now
+        if event._ok:
+            active = env._active
+            if active is not None:
+                event.succeeded_by = active.name
+
+    def causal_tag(self, event: _E, cls: str, **detail: Any) -> _E:
+        """A wait on ``event`` is spent on resource class ``cls``
+        (``detail`` qualifies it); returns ``event``, untouched while
+        causal recording is off."""
+        if self.enabled and self.stamps:
+            event._causal = (cls, detail)
+        return event
 
     def process_start(self, name: str) -> None:
         if self.tracer is not None:
@@ -659,8 +699,9 @@ class Probe:
 class _NullProbe(Probe):
     """Every backend off: the shared, stateless :data:`NULL_PROBE`.
 
-    Sites read only ``enabled`` before branching away, so the instance
-    needs none of :class:`Probe`'s slots and never fills one.
+    Sites, and :meth:`Probe.causal_tag`, read only ``enabled`` before
+    branching away, so the instance needs none of :class:`Probe`'s slots
+    and never fills one.
     """
 
     __slots__ = ()

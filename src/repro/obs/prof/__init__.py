@@ -1,10 +1,12 @@
 """``repro.obs.prof`` — the simulator's deterministic self-profiler.
 
-PRs 1–4 instrument *simulation* time; this package instruments the
-*host*: where does interpreter wall-clock go, what allocates, and how
-much algorithmic work (heap churn, solver rounds, link visits, chunk-set
-scans) each subsystem performs.  It exists to serve the kernel-speed
-program (ROADMAP item 1): measure before you optimize.
+The tracer, metrics, causal recorder and series instrument *simulation*
+time; this package instruments the *host*: where does interpreter
+wall-clock go, what allocates, and how much algorithmic work (heap
+churn, solver rounds, link visits, chunk-set scans) each subsystem
+performs.  It exists so that performance work measures before it
+optimizes: ``benchmarks/e2e`` reads its scopes and counters as the
+per-layer metrics of every workload.
 
 Three layers:
 

@@ -4,8 +4,7 @@ The tracer, analyzer, profiler and diff engine explain a run *after* it
 ends, as totals and attributions; this package records how a migration
 *evolves*: remaining-set drain, per-tag bandwidth, per-link utilization,
 dirty rate, write-count distribution over time — the curves the paper
-reasons with, and the sensor inputs the ROADMAP's adaptive controllers
-(dynamic Threshold, prefetch re-planning, fleet orchestration) consume.
+reasons with.
 
 Four layers:
 

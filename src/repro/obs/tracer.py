@@ -83,11 +83,6 @@ class Tracer:
         high-frequency kernel events (process resumes, control messages).
     """
 
-    #: Causal wait recorder; ``None`` until :meth:`enable_causal`.  The
-    #: kernel's resume hook checks this attribute, so recording stays free
-    #: for plain traced runs.
-    causal = None
-
     def __init__(self, detail: str = "normal"):
         if detail not in ("normal", "full"):
             raise ValueError(f"detail must be 'normal' or 'full', got {detail!r}")
@@ -114,19 +109,6 @@ class Tracer:
     def bind(self, env: Any) -> None:
         """Stamp subsequent events with ``env``'s clock."""
         self._env = env
-
-    def enable_causal(self) -> Any:
-        """Attach a :class:`~repro.obs.causal.CausalRecorder` (idempotent).
-
-        Once enabled, every nonzero-duration process wait is recorded as a
-        ``causal.wait`` instant and cross-process wakeups as Perfetto flow
-        arrows — the raw material for critical-path extraction.
-        """
-        if self.causal is None:
-            from repro.obs.causal import CausalRecorder
-
-            self.causal = CausalRecorder(self)
-        return self.causal
 
     def scope(self, label: str) -> _PidScope:
         """Context manager: events inside land in process lane ``label``.

@@ -86,7 +86,10 @@ class Event:
     slotted.  The ``flow`` slot exists solely so the fabric can hang the
     owning :class:`~repro.netsim.flows.NetFlow` off a completion event
     (read back with ``getattr(ev, "flow", None)``); it stays unset for
-    every other event.
+    every other event.  The four causal slots below stay unset too
+    unless causal recording is on: the probe fills them
+    (``repro.obs.probe``) and only the causal recorder reads them, with
+    ``getattr``.
     """
 
     __slots__ = (
@@ -94,36 +97,37 @@ class Event:
         "callbacks",
         "_value",
         "_ok",
-        "created_at",
         "defused",
         "_cancelled",
+        "created_at",
         "triggered_at",
         "succeeded_by",
         "_causal",
         "flow",
     )
 
+    #: Simulation time the event was created and triggered, and the name
+    #: of the process that succeeded it, if any.
+    created_at: float
+    triggered_at: float
+    succeeded_by: str
+    #: ``(resource_class, detail)`` from ``Probe.causal_tag``.
+    _causal: tuple[str, dict[str, Any]]
+
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
-        self.created_at = env.now
         #: A failed event whose exception was consumed (e.g. by a condition)
         #: sets this to avoid the "unhandled failure" crash.
         self.defused = False
         #: A cancelled event is silently discarded at pop time instead of
         #: being delivered (no clock advance, no processed count).
         self._cancelled = False
-        #: Simulation time the event triggered (``None`` while pending) and
-        #: the name of the process that called :meth:`succeed`, if any.  The
-        #: causal recorder (``repro.obs.causal``) reads them to reconstruct
-        #: happens-before edges.
-        self.triggered_at: Optional[float] = None
-        self.succeeded_by: Optional[str] = None
-        #: Optional ``(resource_class, detail_dict)`` set by
-        #: :func:`repro.obs.causal.annotate` at byte-moving call sites.
-        self._causal: Optional[tuple[str, dict[str, Any]]] = None
+        p = env.probe
+        if p.enabled and p.stamps:
+            p.event_created(self)
 
     @property
     def triggered(self) -> bool:
@@ -155,11 +159,11 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.triggered_at = self.env.now
-        active = self.env._active
-        if active is not None:
-            self.succeeded_by = active.name
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        p = env.probe
+        if p.enabled and p.stamps:
+            p.event_triggered(self)
+        env._schedule(self, NORMAL)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -170,8 +174,11 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.triggered_at = self.env.now
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        p = env.probe
+        if p.enabled and p.stamps:
+            p.event_triggered(self)
+        env._schedule(self, NORMAL)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:

@@ -38,9 +38,6 @@ class Timeout(Event):
         self.delay = float(delay)
         self._ok = True
         self._value = value
-        # A timeout knows its firing time at construction; recording it here
-        # lets the causal recorder describe pending timers exactly.
-        self.triggered_at = env.now + self.delay
         env._schedule(self, NORMAL, delay=self.delay)
 
     def succeed(self, value: Any = None) -> Event:  # pragma: no cover
@@ -85,7 +82,6 @@ class RearmableTimer:
         event = Event(self.env)
         event._ok = True
         event._value = None
-        event.triggered_at = self.env.now + float(delay)
         assert event.callbacks is not None
         event.callbacks.append(self._fire)
         self.env._schedule(event, NORMAL, delay, seq)

@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from repro.obs.causal.record import annotate
 from repro.simkernel.core import Environment, Event
 from repro.simkernel.events import RearmableTimer
 
@@ -44,10 +43,9 @@ class FluidJob:
     :attr:`remaining` is set at admission and zeroed at completion.
     """
 
-    __slots__ = ("nbytes", "remaining", "weight", "done", "started_at")
+    __slots__ = ("remaining", "weight", "done", "started_at")
 
     def __init__(self, env: Environment, nbytes: float, weight: float) -> None:
-        self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.weight = float(weight)
         self.done = Event(env)
@@ -70,8 +68,6 @@ class FluidShare:
         self._n = 0
         self._last_update = env.now
         self._timer = RearmableTimer(env, self._on_wakeup)
-        #: Total bytes ever completed through this resource.
-        self.total_bytes = 0.0
 
     # -- public ------------------------------------------------------------
     @property
@@ -89,7 +85,7 @@ class FluidShare:
         if nbytes == 0:
             job.done.succeed(0.0)
             return job.done
-        annotate(self.env, job.done, "fluid", name=self.name)
+        self.env.probe.causal_tag(job.done, "fluid", name=self.name)
         self._advance()
         self._admit(job)
         self._reschedule()
@@ -139,7 +135,6 @@ class FluidShare:
                     self._jobs = []
                     self._n = 0
                     job.remaining = 0.0
-                    self.total_bytes += job.nbytes
                     job.done.succeed(self.env.now - job.started_at)
                 else:
                     self._remaining[0] = r
@@ -163,7 +158,6 @@ class FluidShare:
                 self._n = kept
                 for job in finished:
                     job.remaining = 0.0
-                    self.total_bytes += job.nbytes
                     job.done.succeed(self.env.now - job.started_at)
         finally:
             if p.enabled:

@@ -10,6 +10,8 @@ class TestClusterSpec:
     def test_defaults_are_graphene_like(self):
         spec = ClusterSpec()
         assert spec.nic_bw == pytest.approx(117.5e6)
+        # Calibrated to the paper's contention point, not the 8 GB/s quoted.
+        assert spec.backplane_bw == pytest.approx(2.5e9)
         assert spec.disk_bw == pytest.approx(55e6)
         assert spec.chunk_size == 256 * 1024
         assert spec.image_size == 4 * 2**30

@@ -3,8 +3,7 @@ cluster with a fleet of VMs and concurrent migrations."""
 
 import numpy as np
 
-from repro.cluster import CloudMiddleware, Cluster
-from repro.experiments.config import graphene_spec
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.simkernel import Environment
 from repro.workloads.synthetic import SequentialWriter
 
@@ -13,7 +12,7 @@ MB = 2**20
 
 def test_hundred_node_cluster_concurrent_migrations():
     env = Environment()
-    cluster = Cluster(env, graphene_spec(100))
+    cluster = Cluster(env, ClusterSpec(n_nodes=100))
     cloud = CloudMiddleware(cluster)
     n_vms = 40
     vms = []

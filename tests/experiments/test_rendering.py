@@ -81,14 +81,6 @@ class TestTable1:
 
 
 class TestConfig:
-    def test_graphene_spec_overrides(self):
-        from repro.experiments.config import GRAPHENE, graphene_spec
-
-        spec = graphene_spec(10, nic_bw=50e6)
-        assert spec.n_nodes == 10
-        assert spec.nic_bw == 50e6
-        assert spec.disk_bw == GRAPHENE["disk_bw"]
-
     def test_normalization_constants(self):
         from repro.experiments.config import (
             ASYNCWR_MAX_WRITE,

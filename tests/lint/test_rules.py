@@ -35,6 +35,7 @@ BAD_CASES = [
     ("bad_structure.py", "S", {"S501"}),
     ("bad_obsdag.py", "S", {"S502"}),
     ("bad_seriesdag.py", "S", {"S502"}),
+    ("bad_obsimport.py", "S", {"S503"}),
 ]
 
 GOOD_CASES = [
@@ -48,6 +49,7 @@ GOOD_CASES = [
     "good_structure.py",
     "good_obsdag.py",
     "good_seriesdag.py",
+    "good_obsimport.py",
 ]
 
 

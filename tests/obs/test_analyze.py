@@ -96,15 +96,14 @@ class TestConservation:
 
 def _traced_run(seed: int = 0) -> Observability:
     """A tiny but complete traced hybrid migration under write pressure."""
-    from repro.cluster import CloudMiddleware, Cluster
-    from repro.experiments.config import graphene_spec
+    from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
     from repro.workloads.synthetic import SequentialWriter
 
     obs = Observability(trace=True, metrics=True)
     with obs.run_scope("analyze-test"):
         env = Environment()
         obs.install(env)
-        cloud = CloudMiddleware(Cluster(env, graphene_spec(4)))
+        cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=4)))
         vm = cloud.deploy("vm0", cloud.cluster.node(0), working_set=64 * MB)
         SequentialWriter(
             vm, total_bytes=128 * MB, rate=60e6, op_size=4 * MB,
@@ -143,8 +142,8 @@ class TestRoundTrip:
             metered["total_bytes"], rel=0, abs=1e-6)
 
     def test_jsonl_roundtrip_matches_chrome(self, traced, tmp_path):
-        # JSONL carries no pid/tid metadata, but the same events: the
-        # attribution (pure event content) must agree with the .json path.
+        # JSONL carries the same records, metadata included, one per
+        # line: the attribution must agree with the .json path.
         jpath = write_chrome_trace(traced.tracer, tmp_path / "t.json")
         lpath = write_events_jsonl(traced.tracer, tmp_path / "t.jsonl")
         s_json = analyze_file(jpath)

@@ -23,7 +23,7 @@ from repro.obs.causal import (
     what_if,
 )
 from repro.obs.causal.critical import critical_paths, extract_waits
-from repro.obs.causal.record import annotate, describe
+from repro.obs.causal.record import describe
 from repro.obs.export import chrome_trace
 from repro.simkernel import Environment
 
@@ -96,7 +96,8 @@ class TestRecorder:
 
     def test_annotate_describe_round_trip(self):
         obs, env = _causal_env()
-        ev = annotate(env, env.event(), "net.flow", cause="push", tag="t")
+        ev = env.probe.causal_tag(env.event(), "net.flow", cause="push",
+                                  tag="t")
         desc = describe(ev)
         assert desc["k"] == "net.flow"
         assert desc["d"] == {"cause": "push", "tag": "t"}
@@ -105,14 +106,51 @@ class TestRecorder:
         obs = Observability(trace=True)  # causal off
         env = Environment()
         obs.install(env)
-        ev = annotate(env, env.event(), "net.flow", cause="push")
-        assert ev._causal is None
-        assert describe(env.timeout(1.0))["k"] == "timer"
+        ev = env.probe.causal_tag(env.event(), "net.flow", cause="push")
+        assert not hasattr(ev, "_causal")
+        assert describe(env.timeout(1.0)) == {"k": "timer"}
 
     def test_plain_env_has_zero_overhead_path(self):
         env = Environment()  # NULL_PROBE
-        ev = annotate(env, env.event(), "x")
-        assert ev._causal is None
+        ev = env.probe.causal_tag(env.event(), "x")
+        assert not hasattr(ev, "_causal")
+
+    def test_the_probe_stamps_events_only_when_recording(self):
+        def run(env):
+            timer = env.timeout(2.0)
+            gate = env.event()
+            failed = env.event()
+
+            def producer():
+                yield env.timeout(1.5)
+                gate.succeed()
+                failed.fail(RuntimeError("x"))
+                failed.defused = True
+
+            def consumer():
+                yield env.timeout(0.5)
+                yield gate
+
+            env.process(producer(), name="prod")
+            env.process(consumer(), name="cons")
+            env.run()
+            return timer, gate, failed
+
+        # NULL_PROBE, and every backend but the causal one.
+        plain, observed = Environment(), Environment()
+        Observability(trace=True, profile=True, series=True).install(observed)
+        fields = ("created_at", "triggered_at", "succeeded_by", "_causal")
+        for env in (plain, observed):
+            for ev in run(env):
+                assert not [f for f in fields if hasattr(ev, f)]
+
+        _obs, env = _causal_env()
+        timer, gate, failed = run(env)
+        assert describe(timer) == {"k": "timer", "t0": 0.0, "t1": 2.0}
+        assert describe(gate) == {"k": "event", "by": "prod",
+                                  "t0": 0.0, "t1": 1.5}
+        # A failure stamps its time but names no producer.
+        assert describe(failed) == {"k": "event", "t0": 0.0, "t1": 1.5}
 
 
 # -- classification ------------------------------------------------------------
@@ -170,8 +208,8 @@ class TestExtractor:
 
     def test_terminal_decomposition_and_conservation(self):
         def spine(env):
-            yield annotate(env, env.timeout(2.0), "stall.chunk_timeout")
-            yield annotate(env, env.timeout(3.0), "retry.backoff")
+            yield env.probe.causal_tag(env.timeout(2.0), "stall.chunk_timeout")
+            yield env.probe.causal_tag(env.timeout(3.0), "retry.backoff")
 
         (att,) = self._run_spine(spine)
         assert att["conservation"]["exact"]
@@ -185,7 +223,7 @@ class TestExtractor:
         # The spine waits on a helper process whose own time is a
         # classified wait — the helper's decomposition is inherited.
         def helper(env):
-            yield annotate(env, env.timeout(4.0), "stall.chunk_timeout")
+            yield env.probe.causal_tag(env.timeout(4.0), "stall.chunk_timeout")
 
         def spine(env):
             proc = env.process(helper(env), name="helper")
@@ -200,11 +238,11 @@ class TestExtractor:
 
     def test_anyof_attributes_to_first_finisher(self):
         def spine(env):
-            fast = annotate(env, env.timeout(1.0), "retry.backoff")
-            slow = annotate(env, env.timeout(10.0), "stall.chunk_timeout")
+            fast = env.probe.causal_tag(env.timeout(1.0), "retry.backoff")
+            slow = env.probe.causal_tag(env.timeout(10.0), "stall.chunk_timeout")
             yield env.any_of([fast, slow])
             # Drain the rest of the run so the lane has one more wait.
-            yield annotate(env, env.timeout(0.5), "retry.backoff")
+            yield env.probe.causal_tag(env.timeout(0.5), "retry.backoff")
 
         (att,) = self._run_spine(spine)
         assert att["conservation"]["exact"]
@@ -214,8 +252,8 @@ class TestExtractor:
 
     def test_allof_attributes_to_last_finisher(self):
         def spine(env):
-            fast = annotate(env, env.timeout(1.0), "retry.backoff")
-            slow = annotate(env, env.timeout(4.0), "stall.chunk_timeout")
+            fast = env.probe.causal_tag(env.timeout(1.0), "retry.backoff")
+            slow = env.probe.causal_tag(env.timeout(4.0), "stall.chunk_timeout")
             yield env.all_of([fast, slow])
 
         (att,) = self._run_spine(spine)
@@ -226,9 +264,9 @@ class TestExtractor:
     def test_conservation_is_fraction_exact(self):
         # Durations chosen to not be float-representable sums.
         def spine(env):
-            yield annotate(env, env.timeout(0.1), "retry.backoff")
-            yield annotate(env, env.timeout(0.2), "stall.chunk_timeout")
-            yield annotate(env, env.timeout(0.3), "retry.backoff")
+            yield env.probe.causal_tag(env.timeout(0.1), "retry.backoff")
+            yield env.probe.causal_tag(env.timeout(0.2), "stall.chunk_timeout")
+            yield env.probe.causal_tag(env.timeout(0.3), "retry.backoff")
 
         (att,) = self._run_spine(spine)
         cons = att["conservation"]
@@ -314,8 +352,8 @@ class TestDeterminism:
             obs, env = _causal_env()
 
             def spine(env_):
-                yield annotate(env_, env_.timeout(1.5), "stall.chunk_timeout")
-                yield annotate(env_, env_.timeout(0.5), "retry.backoff")
+                yield env_.probe.causal_tag(env_.timeout(1.5), "stall.chunk_timeout")
+                yield env_.probe.causal_tag(env_.timeout(0.5), "retry.backoff")
 
             with obs.tracer.scope("run"):
                 env.process(spine(env), name="migrate:vm0")

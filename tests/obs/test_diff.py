@@ -374,8 +374,7 @@ class TestSeriesDiffRendering:
 # -- analyze-summary normalization on a real (tiny) run ------------------------
 
 def _traced_summary(label="diff-test", migrate=True):
-    from repro.cluster import CloudMiddleware, Cluster
-    from repro.experiments.config import graphene_spec
+    from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
     from repro.obs import Observability
     from repro.obs.analyze import analyze_tracer
     from repro.simkernel import Environment
@@ -385,7 +384,7 @@ def _traced_summary(label="diff-test", migrate=True):
     with obs.run_scope(label):
         env = Environment()
         obs.install(env)
-        cloud = CloudMiddleware(Cluster(env, graphene_spec(4)))
+        cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=4)))
         vm = cloud.deploy("vm0", cloud.cluster.node(0), working_set=64 * MB)
         SequentialWriter(
             vm, total_bytes=128 * MB, rate=60e6, op_size=4 * MB,

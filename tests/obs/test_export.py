@@ -60,13 +60,12 @@ class TestChromeTrace:
 
 
 class TestOtherWriters:
-    def test_jsonl_one_event_per_line_no_metadata(self, tmp_path):
+    def test_jsonl_one_record_per_line_metadata_first(self, tmp_path):
         tr = _sample_tracer()
         path = write_events_jsonl(tr, tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(tr.events)
-        parsed = [json.loads(line) for line in lines]
-        assert all(e["ph"] != "M" for e in parsed)
+        parsed = [json.loads(line) for line in path.read_text().splitlines()]
+        assert parsed == chrome_trace(tr)["traceEvents"]
+        assert parsed[0]["ph"] == "M" and parsed[-len(tr.events):] == tr.events
 
     def test_write_trace_dispatches_on_suffix(self, tmp_path):
         tr = _sample_tracer()
@@ -101,7 +100,7 @@ class TestReadArtifact:
         doc = read_artifact(write_chrome_trace(tr, tmp_path / "t.json"))
         assert trace_events(doc) == doc["traceEvents"]
         jsonl = write_events_jsonl(tr, tmp_path / "t.jsonl")
-        assert read_artifact(jsonl) == load_trace(jsonl) == tr.events
+        assert read_artifact(jsonl) == load_trace(jsonl) == doc["traceEvents"]
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
         for name, message in (("bad.json", "bad.json is not valid JSON"),
@@ -115,7 +114,8 @@ class TestReadArtifact:
             chrome_trace(_sample_tracer())["traceEvents"])
         assert [label for label, _lane in lanes] == ["run-1"]
         assert "push:vm0" in tid_names.values()
-        # Without metadata (a JSONL stream) a lane is named by its pid.
+        # Without metadata (a hand-built event list) a lane is named by
+        # its pid.
         bare = [{"ph": "i", "pid": 7}, {"ph": "i", "pid": 3}]
         assert trace_events(bare) == bare
         assert [label for label, _lane in trace_lanes(bare)[0]] == \

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.cluster import CloudMiddleware, Cluster
-from repro.experiments.config import graphene_spec
+from repro.cluster import CloudMiddleware, Cluster, ClusterSpec
 from repro.obs import NULL_PROBE, Observability, Probe
 from repro.simkernel import Environment
 from repro.workloads.synthetic import SequentialWriter
@@ -19,7 +18,7 @@ def _run_mini_migration(obs=None):
     env = Environment()
     if obs is not None:
         obs.install(env)
-    cloud = CloudMiddleware(Cluster(env, graphene_spec(4)))
+    cloud = CloudMiddleware(Cluster(env, ClusterSpec(n_nodes=4)))
     vm = cloud.deploy("vm0", cloud.cluster.node(0), approach="our-approach")
     wl = SequentialWriter(
         vm, total_bytes=256 * MB, rate=60e6, op_size=4 * MB,

@@ -122,16 +122,6 @@ def test_set_capacity_midstream():
     assert log == [("a", 3.0)]
 
 
-def test_total_bytes_accounting():
-    env = Environment()
-    share = FluidShare(env, capacity=100.0)
-    log = []
-    run_transfer(env, share, 70.0, 0.0, log, "a")
-    run_transfer(env, share, 30.0, 0.0, log, "b")
-    env.run()
-    assert math.isclose(share.total_bytes, 100.0)
-
-
 def test_utilization_flag():
     env = Environment()
     share = FluidShare(env, capacity=10.0)
@@ -167,7 +157,6 @@ def test_property_work_conservation(sizes, starts, capacity):
     assert makespan >= lower - n * _DONE_EPS / capacity - 1e-6
     # And it never idles while work is pending, so makespan <= last_arrival + total/capacity.
     assert makespan <= max(starts) + lower + 1e-6
-    assert math.isclose(share.total_bytes, sum(sizes), rel_tol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -345,6 +345,23 @@ def test_critical_path_without_causal_names_flag(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_jsonl_trace_reads_like_json(tmp_path, capsys):
+    # The line stream carries the trace's lane names, so the readers find
+    # the same migrations and critical paths in it.
+    outputs = []
+    for name in ("c.json", "c.jsonl"):
+        trace = tmp_path / name
+        assert main(["fig2", "--causal", "--trace", str(trace)]) == 0
+        summary = tmp_path / f"{name}.summary.json"
+        assert main(["analyze", str(trace), "--json", str(summary)]) == 0
+        capsys.readouterr()
+        assert main(["critical-path", str(trace), "--json"]) == 0
+        outputs.append((summary.read_text(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    (run,) = json.loads(outputs[1][0])["runs"]
+    assert run["phases"]["migrations"] and run["critical_path"]
+
+
 # -- text outputs pinned on committed fixtures ---------------------------------
 
 #: sha256 of stdout for text outputs that no golden renders.  The inputs
